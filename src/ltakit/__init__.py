@@ -41,7 +41,6 @@ from .anticipation import (
     fit_ngram,
     format_history,
     parse_response,
-    predict,
     render_prompt,
 )
 from .llm_client import Failure, LlmClient, LlmConfig, MockLlmClient, complete, mock_from_script
@@ -115,7 +114,6 @@ __all__ = [
     "normalized_ed",
     "parse_action",
     "parse_response",
-    "predict",
     "recognize_clip",
     "render_prompt",
     "rerank",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import threading
 import zlib
 from collections import Counter
 from dataclasses import dataclass
@@ -25,6 +26,10 @@ from .taxonomy import Action, Taxonomy, format_action, parse_action
 logger = logging.getLogger(__name__)
 
 DEFAULT_CANDIDATES = 5
+# Cap on the n-gram step memo; an entry costs its two width-long arrays plus
+# about half a KB of Python objects (measured with tracemalloc at width 5).
+STEP_MEMO_BYTES = 64 << 20
+_STEP_ENTRY_OVERHEAD = 512
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,8 @@ class NgramModel:
 
     Contexts are (m-1)-tuples of action ids (verb * |N| + noun); the
     smoothed conditional is a proper distribution for every context, seen
-    or unseen.
+    or unseen. Rollout steps are memoized per (context, pool width) until
+    the next observe().
     """
 
     def __init__(self, order: int, beta: float, num_verbs: int, num_nouns: int):
@@ -146,6 +152,9 @@ class NgramModel:
         self.num_actions = num_verbs * num_nouns
         self._transitions: dict[tuple[int, ...], Counter] = {}
         self._occurrences: Counter = Counter()
+        self._steps: dict[tuple[tuple[int, ...], int], tuple] = {}
+        self._steps_bytes = 0
+        self._steps_lock = threading.Lock()
 
     def action_id(self, action: Action) -> int:
         return action.verb * self.num_nouns + action.noun
@@ -156,6 +165,9 @@ class NgramModel:
     def observe(self, actions: list[Action]) -> None:
         """Tally every length-m window of one clip's action sequence."""
         ids = [self.action_id(a) for a in actions]
+        with self._steps_lock:
+            self._steps.clear()
+            self._steps_bytes = 0
         self._occurrences.update(ids)
         width = self.order
         for i in range(len(ids) - width + 1):
@@ -173,6 +185,32 @@ class NgramModel:
         for nxt, count in self._transitions.get(tuple(context), {}).items():
             probs[nxt] += count
         return probs / probs.sum()
+
+    def step(self, context: tuple[int, ...], width: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Greedy next id, the `width` most probable ids, and their renormalized weights.
+
+        Computed once per (context, width) from the dense conditional and then
+        reused. Threads share the memo: a race at worst computes an entry
+        twice, and entries are stored whole, under a lock. The memo starts
+        over when its estimated size passes STEP_MEMO_BYTES, so wide pools
+        over many distinct contexts cannot grow it without bound.
+        """
+        key = (context, width)
+        step = self._steps.get(key)
+        if step is None:
+            probs = self.conditional(context)
+            # Copy: a slice would keep the whole num_actions-wide argsort alive.
+            pool = np.argsort(-probs, kind="stable")[:width].copy()
+            weights = probs[pool]
+            # argmax takes the first occurrence, so ties go to the lowest id.
+            step = (int(np.argmax(probs)), pool, weights / weights.sum())
+            with self._steps_lock:
+                if self._steps_bytes > STEP_MEMO_BYTES:
+                    self._steps.clear()
+                    self._steps_bytes = 0
+                self._steps[key] = step
+                self._steps_bytes += _STEP_ENTRY_OVERHEAD + 2 * pool.nbytes
+        return step
 
     def most_frequent_action(self) -> Action:
         if not self._occurrences:
@@ -260,19 +298,15 @@ class NgramPredictor:
         return PredictionSet(clip_id, candidates)
 
     def _rollout(self, history: list[Action], horizon: int, rng) -> list[Action]:
-        ids = [self.model.action_id(a) for a in history]
+        model = self.model
+        width = min(self.sample_top_k, model.num_actions)
+        ids = [model.action_id(a) for a in history]
         out: list[Action] = []
         for _ in range(horizon):
-            probs = self.model.conditional(self.model.context_for(ids))
-            if rng is None:
-                nxt = int(np.argmax(probs))  # first occurrence: lowest id wins ties
-            else:
-                width = min(self.sample_top_k, probs.shape[0])
-                pool = np.argsort(-probs, kind="stable")[:width]
-                weights = probs[pool]
-                nxt = int(rng.choice(pool, p=weights / weights.sum()))
+            greedy, pool, weights = model.step(model.context_for(ids), width)
+            nxt = greedy if rng is None else int(rng.choice(pool, p=weights))
             ids.append(nxt)
-            out.append(self.model.action_from_id(nxt))
+            out.append(model.action_from_id(nxt))
         return out
 
 
@@ -327,14 +361,3 @@ class LlmPredictor:
                 )
             candidates.append(parsed.actions)
         return PredictionSet(clip_id, candidates)
-
-
-def predict(
-    predictor,
-    history: list[Action],
-    horizon: int = 20,
-    num_candidates: int = DEFAULT_CANDIDATES,
-    clip_id: str = "clip",
-) -> PredictionSet:
-    """Run any predictor over one history."""
-    return predictor.predict(clip_id, history, horizon, num_candidates)

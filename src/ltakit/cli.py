@@ -141,6 +141,9 @@ def _build_predictor(args, taxonomy: Taxonomy):
 
     # LLM path: a scripted mock when --llm-script is given, a live client otherwise.
     if args.llm_script:
+        if args.workers > 1:
+            # Script entries go to threads in arrival order, so output would vary run to run.
+            raise UsageError("--llm-script replays its entries in request order; use --workers 1")
         client = mock_from_script(load_script(args.llm_script))
     else:
         if not args.llm_endpoint or not args.llm_model:

@@ -136,7 +136,9 @@ class MockLlmClient(_ChatClient):
     raises a transport error (consuming the entry); a dict is returned
     verbatim as the response body, for exercising protocol errors. Running
     past the end of the script raises ScriptExhausted, which signals a test
-    harness bug rather than a pipeline failure.
+    harness bug rather than a pipeline failure. Concurrent callers never
+    receive the same entry, but which caller gets which entry follows
+    arrival order.
     """
 
     def __init__(self, script, config: LlmConfig | None = None):
@@ -149,12 +151,14 @@ class MockLlmClient(_ChatClient):
         )
         self._script = script
         self._cursor = 0
+        self._cursor_lock = threading.Lock()
 
     def _send(self, payload: dict) -> dict:
-        if self._cursor >= len(self._script):
-            raise ScriptExhausted(f"mock script exhausted after {len(self._script)} entries")
-        entry = self._script[self._cursor]
-        self._cursor += 1
+        with self._cursor_lock:
+            if self._cursor >= len(self._script):
+                raise ScriptExhausted(f"mock script exhausted after {len(self._script)} entries")
+            entry = self._script[self._cursor]
+            self._cursor += 1
         if isinstance(entry, Failure):
             raise TransportError(entry.message)
         if isinstance(entry, str):

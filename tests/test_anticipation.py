@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -308,6 +309,107 @@ class TestNgramPredictor:
             predictor.predict("c", [Action(0, 0)], 0, 1)
         with pytest.raises(DataError, match="candidate"):
             predictor.predict("c", [Action(0, 0)], 5, 0)
+
+
+def reference_rollouts(model, mode, seed, sample_top_k, clip_id, history, horizon, num_candidates):
+    """Dense rollouts with no memo: a fresh conditional at every step."""
+    rng = np.random.default_rng([seed, zlib.crc32(clip_id.encode("utf-8"))])
+    candidates = []
+    for index in range(num_candidates):
+        ids = [model.action_id(a) for a in history]
+        out = []
+        for _ in range(horizon):
+            probs = model.conditional(model.context_for(ids))
+            if mode == "greedy" and index == 0:
+                nxt = int(np.argmax(probs))
+            else:
+                width = min(sample_top_k, probs.shape[0])
+                pool = np.argsort(-probs, kind="stable")[:width]
+                weights = probs[pool]
+                nxt = int(rng.choice(pool, p=weights / weights.sum()))
+            ids.append(nxt)
+            out.append(model.action_from_id(nxt))
+        candidates.append(out)
+    return candidates
+
+
+def tied_corpus():
+    # Six actions (3 verbs x 2 nouns). After action 0 the successors 1 and 2 tie,
+    # action 5 never occurs, and (4,) only ever precedes 0.
+    taxonomy = Taxonomy(["a", "b", "c"], ["x", "y"])
+    ids = [[0, 1, 0, 2, 0, 1, 0, 2], [3, 4, 0, 1, 3, 4, 0, 2], [1, 3, 1, 3, 2, 2]]
+    records = [
+        ClipRecord(f"t{i}", [Action(a // 2, a % 2) for a in seq]) for i, seq in enumerate(ids)
+    ]
+    return taxonomy, records
+
+
+class TestMemoizedRollouts:
+    # Histories ending in a seen context, in a tie, and in the unseen action 5.
+    HISTORIES = {
+        "seen": [Action(1, 1), Action(2, 0)],
+        "tied": [Action(0, 0)],
+        "unseen": [Action(2, 1)],
+        "long": [Action(0, 1), Action(2, 0), Action(0, 0), Action(1, 0)],
+    }
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    @pytest.mark.parametrize("sample_top_k", [1, 5, 50])
+    def test_matches_dense_reference_cold_and_warm(self, order, mode, sample_top_k):
+        taxonomy, records = tied_corpus()
+        model = fit_ngram(records, order, 0.5, taxonomy)
+        predictor = NgramPredictor(model, mode=mode, seed=4, sample_top_k=sample_top_k)
+        # The first clip runs on an empty memo; the repeat of every clip runs warm.
+        for clip_id, history in [*self.HISTORIES.items(), *self.HISTORIES.items()]:
+            got = predictor.predict(clip_id, history, 12, 4).candidates
+            want = reference_rollouts(model, mode, 4, sample_top_k, clip_id, history, 12, 4)
+            assert got == want, clip_id
+
+    def test_predictors_with_different_pools_share_one_model(self):
+        taxonomy, records = tied_corpus()
+        model = fit_ngram(records, 2, 0.5, taxonomy)
+        for clip_id, history in self.HISTORIES.items():
+            for top_k in (1, 3, 5):
+                got = NgramPredictor(model, "sample", 8, top_k).predict(clip_id, history, 10, 3)
+                want = reference_rollouts(model, "sample", 8, top_k, clip_id, history, 10, 3)
+                assert got.candidates == want, (clip_id, top_k)
+
+    def test_observe_invalidates_memoized_steps(self):
+        taxonomy = cycle_taxonomy()
+        first = [record("c1", [0, 1, 2, 0, 1, 2, 0])]
+        # After these, action 0 is mostly followed by 2 instead of 1.
+        second = [record(f"d{i}", [0, 2, 0, 2]) for i in range(3)]
+        model = fit_ngram(first, 2, 0.1, taxonomy)
+        predictor = NgramPredictor(model, mode="greedy", seed=2)
+        history = [Action(0, 0)]
+        stale = predictor.predict("clip", history, 6, 3)
+        for rec in second:
+            model.observe(rec.observed)
+        refreshed = predictor.predict("clip", history, 6, 3)
+        fresh_model = fit_ngram(first + second, 2, 0.1, taxonomy)
+        fresh = NgramPredictor(fresh_model, mode="greedy", seed=2).predict("clip", history, 6, 3)
+        assert refreshed.candidates == fresh.candidates
+        assert refreshed.candidates[0] != stale.candidates[0]
+
+    def test_memoized_pools_own_their_memory(self):
+        taxonomy, records = tied_corpus()
+        model = fit_ngram(records, 2, 0.5, taxonomy)
+        greedy, pool, weights = model.step((0,), 3)
+        assert greedy == 1
+        assert pool.base is None and weights.base is None
+        assert pool.tolist() == [1, 2, 0]
+        assert weights.sum() == pytest.approx(1.0)
+
+    def test_memo_is_bounded(self, monkeypatch):
+        import ltakit.anticipation as anticipation
+
+        monkeypatch.setattr(anticipation, "STEP_MEMO_BYTES", 4096)
+        model = NgramModel(2, 0.5, 10, 10)
+        for action in range(100):
+            model.step((action,), 100)
+        assert 0 < len(model._steps) < 100
+        assert model.step((3,), 100)[1].tolist() == list(range(100))
 
 
 class TestRepeatLast:

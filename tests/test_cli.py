@@ -154,6 +154,35 @@ class TestPipeline:
             ]) == 0
         assert serial.read_bytes() == threaded.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_parallel_anticipation_matches_serial(self, pipeline, mode):
+        # Worker threads share the n-gram model's step memo; switch threads as
+        # often as the interpreter allows so that races get a chance to show.
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in ("1", "4"):
+                out = pipeline["root"] / f"anticipate_{mode}_{workers}.jsonl"
+                assert run([
+                    "anticipate",
+                    "--recognition", str(pipeline["recognition"]),
+                    "--taxonomy", str(pipeline["taxonomy"]),
+                    "--predictor", "ngram",
+                    "--train-annotations", str(pipeline["annotations"]),
+                    "--order", "2",
+                    "--mode", mode,
+                    "--seed", "21",
+                    "--horizon", "5",
+                    "--candidates", "3",
+                    "--workers", workers,
+                    "--out", str(out),
+                ]) == 0
+                outputs.append(out.read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[0] == outputs[1]
+
     def test_report_dumps_one_clip(self, pipeline, capsys):
         code = run([
             "report",
@@ -276,6 +305,26 @@ class TestExitCodes:
             "--out", str(tmp_path / "p.jsonl"),
         ])
         assert code == 1
+
+    def test_llm_script_with_workers_is_usage_error(self, pipeline, tmp_path, capsys):
+        # A script hands entries to threads in arrival order, so the output would vary.
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["verb_000 noun_000"] * 12))
+        out = tmp_path / "p.jsonl"
+        code = run([
+            "anticipate",
+            "--recognition", str(pipeline["recognition"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--predictor", "llm",
+            "--llm-script", str(script),
+            "--horizon", "5",
+            "--candidates", "1",
+            "--workers", "2",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "--llm-script" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_persistent_transport_failure_exits_three(self, pipeline, tmp_path, capsys):
         script = tmp_path / "script.json"

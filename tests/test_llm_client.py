@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -100,6 +102,34 @@ class TestMockClient:
         body = {"choices": [{"message": {"content": "from body"}}], "usage": {"total": 3}}
         client = MockLlmClient([body])
         assert client.complete("sys", "usr") == "from body"
+
+    def test_concurrent_callers_never_share_an_entry(self):
+        class SlowScript(list):
+            # Reading an entry releases the GIL, so an unlocked cursor lets two
+            # threads read the same position before either advances it.
+            def __getitem__(self, index):
+                time.sleep(0.0005)
+                return super().__getitem__(index)
+
+        threads, calls = 6, 20
+        script = [f"reply {i}" for i in range(threads * calls)]
+        client = MockLlmClient(script)
+        client._script = SlowScript(script)
+        replies: list[str] = []
+        start = threading.Barrier(threads, timeout=30)
+
+        def caller():
+            start.wait()
+            for _ in range(calls):
+                replies.append(client.complete("sys", "usr"))
+
+        workers = [threading.Thread(target=caller) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        assert sorted(replies) == sorted(script)
 
 
 class TestRequestPayloads:
