@@ -20,7 +20,6 @@ import numpy as np
 
 from .dataset_io import ClipRecord, PredictionSet
 from .errors import DataError, LlmError
-from .recognition import RecognitionResult
 from .taxonomy import Action, Taxonomy, format_action, parse_action
 
 logger = logging.getLogger(__name__)
@@ -77,12 +76,6 @@ def format_action_history(actions: list[Action], taxonomy: Taxonomy) -> str:
     if not actions:
         raise DataError("cannot format an empty action history")
     return ", ".join(format_action(a, taxonomy) for a in actions)
-
-
-def format_history(results: list[RecognitionResult], taxonomy: Taxonomy) -> str:
-    """Comma-joined "verb noun" tokens of the chosen actions, in segment order."""
-    ordered = sorted(results, key=lambda r: r.segment_index)
-    return format_action_history([r.chosen for r in ordered], taxonomy)
 
 
 @dataclass

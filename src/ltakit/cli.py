@@ -36,7 +36,7 @@ from .dataset_io import (
     save_predictions,
 )
 from .errors import DataError, LlmError
-from .llm_client import LlmClient, LlmConfig, load_script, mock_from_script
+from .llm_client import LlmClient, LlmConfig, MockLlmClient, load_script
 from .metrics import corpus_eval, format_report, normalized_ed, save_report
 from .recognition import (
     DEFAULT_TOP_K,
@@ -58,17 +58,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _map_over_clips(groups: dict, fn, workers: int) -> list:
-    """Apply fn per clip, optionally threaded; results stay in input clip order."""
-    items = list(groups.values())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(fn, items))
-    else:
-        batches = [fn(item) for item in items]
-    return [result for batch in batches for result in batch]
 
 
 def _cmd_synth(args) -> None:
@@ -113,11 +102,12 @@ def _cmd_recognize(args) -> None:
     matrix = load_matrix(args.matrix, taxonomy)
     distributions = load_distributions(args.distributions, taxonomy)
     groups = group_segments(distributions)
-    if args.naive:
-        fn = naive_clip
-    else:
-        fn = lambda segments: recognize_clip(segments, matrix, args.top_k)
-    results = _map_over_clips(groups, fn, args.workers)
+    results = []
+    for segments in groups.values():
+        if args.naive:
+            results += naive_clip(segments)
+        else:
+            results += recognize_clip(segments, matrix, args.top_k)
     save_recognition(args.out, results, taxonomy)
     mode = "naive" if args.naive else f"reranked (top-{args.top_k})"
     print(f"wrote {len(results)} {mode} segments for {len(groups)} clips to {args.out}")
@@ -144,7 +134,7 @@ def _build_predictor(args, taxonomy: Taxonomy):
         if args.workers > 1:
             # Script entries go to threads in arrival order, so output would vary run to run.
             raise UsageError("--llm-script replays its entries in request order; use --workers 1")
-        client = mock_from_script(load_script(args.llm_script))
+        client = MockLlmClient(load_script(args.llm_script))
     else:
         if not args.llm_endpoint or not args.llm_model:
             raise UsageError("--predictor llm requires --llm-endpoint and --llm-model (or --llm-script)")
@@ -168,6 +158,8 @@ def _build_predictor(args, taxonomy: Taxonomy):
 
 
 def _cmd_anticipate(args) -> None:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     taxonomy = load_taxonomy(args.taxonomy)
     results = load_recognition(args.recognition, taxonomy)
     groups: dict[str, list] = {}
@@ -178,11 +170,11 @@ def _cmd_anticipate(args) -> None:
     def run_clip(item):
         clip_id, clip_results = item
         history = [r.chosen for r in sorted(clip_results, key=lambda r: r.segment_index)]
-        return [predictor.predict(clip_id, history, args.horizon, args.candidates)]
+        return predictor.predict(clip_id, history, args.horizon, args.candidates)
 
-    predictions = _map_over_clips(
-        {cid: (cid, rs) for cid, rs in groups.items()}, run_clip, args.workers
-    )
+    # Threads overlap endpoint waits; map() returns results in clip order.
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        predictions = list(pool.map(run_clip, groups.items()))
     save_predictions(args.out, predictions, taxonomy)
     if args.llm_request_log and client is not None:
         atomic_write_text(args.llm_request_log, dump_jsonl(client.requests))
@@ -312,7 +304,6 @@ def _build_parser() -> tuple[_Parser, set[str], list[_Parser]]:
     arg(p, "--taxonomy", required=True, help="taxonomy file")
     arg(p, "--top-k", type=int, default=DEFAULT_TOP_K, help="anchors per branch")
     arg(p, "--naive", action="store_true", help="ablation: per-track argmax, no re-ranking")
-    arg(p, "--workers", type=int, default=1, help="clip-parallel worker threads")
     arg(p, "--out", required=True, help="recognition JSONL to write")
     p.set_defaults(handler=_cmd_recognize)
 

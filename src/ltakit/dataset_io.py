@@ -66,6 +66,23 @@ def _require(obj: dict, key: str, types, where: str):
     return value
 
 
+def segment_key(obj: dict, seen: set[tuple[str, int]], where: str) -> tuple[str, int]:
+    """A record's (clip_id, segment), checked and added to `seen`.
+
+    The segment must be a nonnegative int (not a bool, not a float) and the
+    pair must not be in `seen` already.
+    """
+    clip_id = _require(obj, "clip_id", str, where)
+    segment = _require(obj, "segment", int, where)
+    if isinstance(segment, bool) or segment < 0:
+        raise DataError(f"{where}: segment index must be a nonnegative integer")
+    key = (clip_id, segment)
+    if key in seen:
+        raise DataError(f"{where}: duplicate segment {segment} for clip {clip_id!r}")
+    seen.add(key)
+    return key
+
+
 def _parse_tokens(tokens, taxonomy: Taxonomy, where: str) -> list[Action]:
     actions = []
     for token in tokens:
@@ -137,14 +154,7 @@ def load_distributions(path, taxonomy: Taxonomy) -> list[SegmentDistribution]:
     seen: set[tuple[str, int]] = set()
     for lineno, obj in iter_jsonl(path):
         where = f"{path}:{lineno}"
-        clip_id = _require(obj, "clip_id", str, where)
-        segment = _require(obj, "segment", int, where)
-        if isinstance(segment, bool) or segment < 0:
-            raise DataError(f"{where}: segment index must be a nonnegative integer")
-        key = (clip_id, segment)
-        if key in seen:
-            raise DataError(f"{where}: duplicate segment {segment} for clip {clip_id!r}")
-        seen.add(key)
+        clip_id, segment = segment_key(obj, seen, where)
         verb_probs = _clean_probs(
             _require(obj, "verb_probs", list, where), taxonomy.num_verbs, "verb_probs", where
         )

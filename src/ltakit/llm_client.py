@@ -35,7 +35,6 @@ class LlmConfig:
     max_retries: int = 3
     auth_token_env_var: str = ""
     backoff_base: float = 0.5
-    max_concurrency: int = 4
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -62,7 +61,6 @@ class _ChatClient:
     def __init__(self, config: LlmConfig):
         self.config = config
         self.requests: list[dict] = []  # one body per attempt; bodies never hold the token
-        self._slots = threading.Semaphore(max(1, config.max_concurrency))
 
     def complete(self, system: str, user: str, temperature: float | None = None) -> str:
         """Send one completion; retry transport failures with exponential backoff."""
@@ -81,8 +79,7 @@ class _ChatClient:
             attempt += 1
             self.requests.append(copy.deepcopy(payload))
             try:
-                with self._slots:
-                    body = self._send(payload)
+                body = self._send(payload)
             except TransportError:
                 if attempt > self.config.max_retries:
                     raise
@@ -168,10 +165,6 @@ class MockLlmClient(_ChatClient):
         raise DataError(f"unsupported mock script entry of type {type(entry).__name__}")
 
 
-def mock_from_script(script, config: LlmConfig | None = None) -> MockLlmClient:
-    return MockLlmClient(script, config)
-
-
 def load_script(path) -> list:
     """Read a mock script file: a JSON array of entries.
 
@@ -196,8 +189,3 @@ def load_script(path) -> list:
         else:
             raise DataError(f"{path}: entry {i} is not a valid script entry")
     return script
-
-
-def complete(config: LlmConfig, system: str, user: str, temperature: float | None = None) -> str:
-    """One-shot helper: build a live client and send a single completion."""
-    return LlmClient(config).complete(system, user, temperature)

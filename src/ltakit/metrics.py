@@ -127,7 +127,7 @@ def ar_accuracy(
         if res.clip_id not in observed:
             raise DataError(f"recognition result for unknown clip {res.clip_id!r}")
         segments = observed[res.clip_id]
-        if res.segment_index >= len(segments):
+        if not 0 <= res.segment_index < len(segments):
             raise DataError(
                 f"clip {res.clip_id!r}: segment {res.segment_index} out of range "
                 f"({len(segments)} observed)"

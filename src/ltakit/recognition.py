@@ -23,7 +23,7 @@ import numpy as np
 
 from ._fileio import atomic_write_text, dump_jsonl, iter_jsonl
 from .cooccurrence import CooccurrenceMatrix
-from .dataset_io import SegmentDistribution
+from .dataset_io import SegmentDistribution, segment_key
 from .errors import DataError
 from .taxonomy import Action, Taxonomy, format_action, parse_action
 
@@ -186,8 +186,10 @@ def save_recognition(path, results: list[RecognitionResult], taxonomy: Taxonomy)
 
 def load_recognition(path, taxonomy: Taxonomy) -> list[RecognitionResult]:
     results = []
+    seen: set[tuple[str, int]] = set()
     for lineno, obj in iter_jsonl(path):
         where = f"{path}:{lineno}"
+        clip_id, segment = segment_key(obj, seen, where)
         try:
             candidates = []
             for raw in obj.get("candidates", []):
@@ -199,8 +201,8 @@ def load_recognition(path, taxonomy: Taxonomy) -> list[RecognitionResult]:
                 )
             results.append(
                 RecognitionResult(
-                    clip_id=obj["clip_id"],
-                    segment_index=int(obj["segment"]),
+                    clip_id=clip_id,
+                    segment_index=segment,
                     chosen=parse_action(obj["chosen"], taxonomy),
                     naive=parse_action(obj["naive"], taxonomy),
                     candidates=candidates,

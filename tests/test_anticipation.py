@@ -16,7 +16,6 @@ from ltakit.anticipation import (
     RepeatLastPredictor,
     fit_ngram,
     format_action_history,
-    format_history,
     load_prompt_template,
     parse_response,
     render_prompt,
@@ -24,7 +23,6 @@ from ltakit.anticipation import (
 from ltakit.dataset_io import ClipRecord
 from ltakit.errors import DataError, ScriptExhausted, TransportError
 from ltakit.llm_client import Failure, LlmConfig, MockLlmClient
-from ltakit.recognition import RecognitionResult
 from ltakit.taxonomy import Action, Taxonomy
 
 
@@ -45,13 +43,6 @@ class TestPromptPlumbing:
     def test_format_action_history_empty_rejected(self, kitchen):
         with pytest.raises(DataError, match="empty"):
             format_action_history([], kitchen)
-
-    def test_format_history_sorts_by_segment(self, kitchen):
-        results = [
-            RecognitionResult("c", 1, Action(1, 1), Action(1, 1)),
-            RecognitionResult("c", 0, Action(0, 0), Action(0, 0)),
-        ]
-        assert format_history(results, kitchen) == "take spoon, put pot"
 
     def test_render_prompt_substitutes_both(self):
         template = PromptTemplate("sys", "saw {history}; give {Z} more")

@@ -139,21 +139,6 @@ class TestPipeline:
         ]
         assert naive_chosen != rerank_chosen
 
-    def test_parallel_recognition_matches_serial(self, pipeline):
-        serial = pipeline["root"] / "serial.jsonl"
-        threaded = pipeline["root"] / "threaded.jsonl"
-        for out, workers in ((serial, "1"), (threaded, "4")):
-            assert run([
-                "recognize",
-                "--distributions", str(pipeline["distributions"]),
-                "--matrix", str(pipeline["matrix"]),
-                "--taxonomy", str(pipeline["taxonomy"]),
-                "--top-k", "4",
-                "--workers", workers,
-                "--out", str(out),
-            ]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
     @pytest.mark.parametrize("mode", ["greedy", "sample"])
     def test_parallel_anticipation_matches_serial(self, pipeline, mode):
         # Worker threads share the n-gram model's step memo; switch threads as
@@ -181,6 +166,33 @@ class TestPipeline:
                 outputs.append(out.read_bytes())
         finally:
             sys.setswitchinterval(interval)
+        assert outputs[0] == outputs[1]
+
+    def test_anticipation_orders_history_by_segment(self, pipeline):
+        # Each clip's rows in reverse segment order (clips keep their order):
+        # the history must still be read in segment order.
+        clips: dict[str, list[str]] = {}
+        for line in pipeline["recognition"].read_text().splitlines():
+            clips.setdefault(json.loads(line)["clip_id"], []).append(line)
+        reversed_rows = pipeline["root"] / "recognition_reversed.jsonl"
+        reversed_rows.write_text(
+            "".join(f"{line}\n" for rows in clips.values() for line in reversed(rows))
+        )
+        outputs = []
+        for recognition in (pipeline["recognition"], reversed_rows):
+            out = pipeline["root"] / f"anticipate_{recognition.stem}.jsonl"
+            assert run([
+                "anticipate",
+                "--recognition", str(recognition),
+                "--taxonomy", str(pipeline["taxonomy"]),
+                "--predictor", "ngram",
+                "--train-annotations", str(pipeline["annotations"]),
+                "--order", "2",
+                "--horizon", "5",
+                "--candidates", "3",
+                "--out", str(out),
+            ]) == 0
+            outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
     def test_report_dumps_one_clip(self, pipeline, capsys):
@@ -324,6 +336,21 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "--llm-script" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_anticipate_workers_below_one_is_usage_error(self, pipeline, tmp_path, capsys, workers):
+        out = tmp_path / "p.jsonl"
+        code = run([
+            "anticipate",
+            "--recognition", str(pipeline["recognition"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--predictor", "repeat-last",
+            "--workers", workers,
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_persistent_transport_failure_exits_three(self, pipeline, tmp_path, capsys):

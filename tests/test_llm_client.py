@@ -13,7 +13,6 @@ from ltakit.llm_client import (
     LlmConfig,
     MockLlmClient,
     load_script,
-    mock_from_script,
 )
 
 
@@ -305,7 +304,7 @@ class TestScriptFiles:
     def test_loaded_script_drives_mock(self, tmp_path):
         path = tmp_path / "script.json"
         path.write_text(json.dumps([{"fail": "first down"}, {"ok": "second up"}]))
-        client = mock_from_script(load_script(path), mock_config(max_retries=1))
+        client = MockLlmClient(load_script(path), mock_config(max_retries=1))
         assert client.complete("s", "u") == "second up"
 
     def test_non_array_script_rejected(self, tmp_path):

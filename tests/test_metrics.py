@@ -209,6 +209,12 @@ class TestArAccuracy:
         with pytest.raises(DataError, match="out of range"):
             ar_accuracy([recog("c", 1, (0, 0))], ann)
 
+    def test_negative_segment_rejected(self):
+        # -1 would otherwise score against the clip's last observed action.
+        ann = [ClipRecord("c", actions([(0, 0), (1, 1)]))]
+        with pytest.raises(DataError, match="out of range"):
+            ar_accuracy([recog("c", -1, (1, 1))], ann)
+
     def test_empty_recognition_rejected(self):
         with pytest.raises(DataError, match="no recognition"):
             ar_accuracy([], [ClipRecord("c", actions([(0, 0)]))])

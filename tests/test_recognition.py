@@ -265,6 +265,26 @@ class TestRecognitionFile:
         with pytest.raises(DataError, match="sideways"):
             load_recognition(path, kitchen)
 
+    ROW = '{{"clip_id": "c", "segment": {}, "chosen": "take spoon", "naive": "take spoon"}}\n'
+
+    def test_negative_segment_rejected(self, tmp_path, kitchen):
+        path = tmp_path / "recognition.jsonl"
+        path.write_text(self.ROW.format(0) + self.ROW.format(-1))
+        with pytest.raises(DataError, match=":2: segment index must be a nonnegative integer"):
+            load_recognition(path, kitchen)
+
+    def test_duplicate_segment_rejected(self, tmp_path, kitchen):
+        path = tmp_path / "recognition.jsonl"
+        path.write_text(self.ROW.format(0) + self.ROW.format(1) + self.ROW.format(1))
+        with pytest.raises(DataError, match=":3: duplicate segment 1 for clip 'c'"):
+            load_recognition(path, kitchen)
+
+    def test_fractional_segment_rejected(self, tmp_path, kitchen):
+        path = tmp_path / "recognition.jsonl"
+        path.write_text(self.ROW.format(0) + self.ROW.format(1.9))
+        with pytest.raises(DataError, match=":2: field 'segment' has the wrong type"):
+            load_recognition(path, kitchen)
+
     def test_missing_field_names_location(self, tmp_path, kitchen):
         path = tmp_path / "recognition.jsonl"
         path.write_text('{"clip_id": "c", "segment": 0, "chosen": "take spoon"}\n')
