@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import threading
 import zlib
 from collections import Counter
 from dataclasses import dataclass
@@ -25,10 +24,6 @@ from .taxonomy import Action, Taxonomy, format_action, parse_action
 logger = logging.getLogger(__name__)
 
 DEFAULT_CANDIDATES = 5
-# Cap on the n-gram step memo; an entry costs its two width-long arrays plus
-# about half a KB of Python objects (measured with tracemalloc at width 5).
-STEP_MEMO_BYTES = 64 << 20
-_STEP_ENTRY_OVERHEAD = 512
 
 
 @dataclass(frozen=True)
@@ -129,8 +124,7 @@ class NgramModel:
 
     Contexts are (m-1)-tuples of action ids (verb * |N| + noun); the
     smoothed conditional is a proper distribution for every context, seen
-    or unseen. Rollout steps are memoized per (context, pool width) until
-    the next observe().
+    or unseen.
     """
 
     def __init__(self, order: int, beta: float, num_verbs: int, num_nouns: int):
@@ -145,9 +139,6 @@ class NgramModel:
         self.num_actions = num_verbs * num_nouns
         self._transitions: dict[tuple[int, ...], Counter] = {}
         self._occurrences: Counter = Counter()
-        self._steps: dict[tuple[tuple[int, ...], int], tuple] = {}
-        self._steps_bytes = 0
-        self._steps_lock = threading.Lock()
 
     def action_id(self, action: Action) -> int:
         return action.verb * self.num_nouns + action.noun
@@ -158,9 +149,6 @@ class NgramModel:
     def observe(self, actions: list[Action]) -> None:
         """Tally every length-m window of one clip's action sequence."""
         ids = [self.action_id(a) for a in actions]
-        with self._steps_lock:
-            self._steps.clear()
-            self._steps_bytes = 0
         self._occurrences.update(ids)
         width = self.order
         for i in range(len(ids) - width + 1):
@@ -179,31 +167,25 @@ class NgramModel:
             probs[nxt] += count
         return probs / probs.sum()
 
-    def step(self, context: tuple[int, ...], width: int) -> tuple[int, np.ndarray, np.ndarray]:
+    def step(self, context: tuple[int, ...] | None, width: int) -> tuple[int, np.ndarray, np.ndarray]:
         """Greedy next id, the `width` most probable ids, and their renormalized weights.
 
-        Computed once per (context, width) from the dense conditional and then
-        reused. Threads share the memo: a race at worst computes an entry
-        twice, and entries are stored whole, under a lock. The memo starts
-        over when its estimated size passes STEP_MEMO_BYTES, so wide pools
-        over many distinct contexts cannot grow it without bound.
+        The pool is the context's observed successors by count, descending,
+        then the lowest unseen ids: the stable order of conditional(), so its
+        first id is the argmax with ties toward the lowest id. Weights are
+        (count + beta) over the pool's total. An unseen context, or None,
+        gives the uniform step over the lowest `width` ids.
         """
-        key = (context, width)
-        step = self._steps.get(key)
-        if step is None:
-            probs = self.conditional(context)
-            # Copy: a slice would keep the whole num_actions-wide argsort alive.
-            pool = np.argsort(-probs, kind="stable")[:width].copy()
-            weights = probs[pool]
-            # argmax takes the first occurrence, so ties go to the lowest id.
-            step = (int(np.argmax(probs)), pool, weights / weights.sum())
-            with self._steps_lock:
-                if self._steps_bytes > STEP_MEMO_BYTES:
-                    self._steps.clear()
-                    self._steps_bytes = 0
-                self._steps[key] = step
-                self._steps_bytes += _STEP_ENTRY_OVERHEAD + 2 * pool.nbytes
-        return step
+        counts = self._transitions.get(context, {})
+        successors = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:width]
+        pool = np.array([nxt for nxt, _ in successors], dtype=np.intp)
+        if len(pool) < width:
+            unseen = np.ones(self.num_actions, dtype=bool)
+            unseen[pool] = False
+            pool = np.concatenate([pool, np.flatnonzero(unseen)[: width - len(pool)]])
+        weights = np.full(width, self.beta)
+        weights[: len(successors)] += [count for _, count in successors]
+        return int(pool[0]), pool, weights / weights.sum()
 
     def most_frequent_action(self) -> Action:
         if not self._occurrences:
@@ -263,6 +245,11 @@ class NgramPredictor:
     all K are sampled. Sampling draws from the `sample_top_k` most probable
     next actions at each step, re-seeded per clip so results do not depend
     on clip processing order.
+
+    The predictor reads its model once, at construction: it tabulates the
+    step of every context the model has seen, plus one uniform step shared
+    by unseen contexts. Memory is O(contexts x min(sample_top_k, |V|*|N|)).
+    A later observe() on the model does not change an existing predictor.
     """
 
     def __init__(self, model: NgramModel, mode: str = "greedy", seed: int = 0, sample_top_k: int = 5):
@@ -274,6 +261,9 @@ class NgramPredictor:
         self.mode = mode
         self.seed = seed
         self.sample_top_k = sample_top_k
+        width = min(sample_top_k, model.num_actions)
+        self._steps = {context: model.step(context, width) for context in model._transitions}
+        self._unseen_step = model.step(None, width)
 
     def predict(
         self,
@@ -292,11 +282,10 @@ class NgramPredictor:
 
     def _rollout(self, history: list[Action], horizon: int, rng) -> list[Action]:
         model = self.model
-        width = min(self.sample_top_k, model.num_actions)
         ids = [model.action_id(a) for a in history]
         out: list[Action] = []
         for _ in range(horizon):
-            greedy, pool, weights = model.step(model.context_for(ids), width)
+            greedy, pool, weights = self._steps.get(model.context_for(ids), self._unseen_step)
             nxt = greedy if rng is None else int(rng.choice(pool, p=weights))
             ids.append(nxt)
             out.append(model.action_from_id(nxt))

@@ -43,6 +43,7 @@ from .recognition import (
     group_segments,
     load_recognition,
     naive_clip,
+    ordered_segments,
     recognize_clip,
     save_recognition,
 )
@@ -161,20 +162,19 @@ def _cmd_anticipate(args) -> None:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     taxonomy = load_taxonomy(args.taxonomy)
-    results = load_recognition(args.recognition, taxonomy)
-    groups: dict[str, list] = {}
-    for result in results:
-        groups.setdefault(result.clip_id, []).append(result)
+    groups = group_segments(load_recognition(args.recognition, taxonomy))
+    histories = {
+        clip_id: [r.chosen for r in ordered_segments(results)] for clip_id, results in groups.items()
+    }
     predictor, client = _build_predictor(args, taxonomy)
 
     def run_clip(item):
-        clip_id, clip_results = item
-        history = [r.chosen for r in sorted(clip_results, key=lambda r: r.segment_index)]
+        clip_id, history = item
         return predictor.predict(clip_id, history, args.horizon, args.candidates)
 
     # Threads overlap endpoint waits; map() returns results in clip order.
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        predictions = list(pool.map(run_clip, groups.items()))
+        predictions = list(pool.map(run_clip, histories.items()))
     save_predictions(args.out, predictions, taxonomy)
     if args.llm_request_log and client is not None:
         atomic_write_text(args.llm_request_log, dump_jsonl(client.requests))
@@ -205,10 +205,8 @@ def _cmd_report(args) -> None:
     lines = [f"clip {record.clip_id}"]
     recognition = None
     if args.recognition:
-        recognition = [
-            r for r in load_recognition(args.recognition, taxonomy) if r.clip_id == args.clip
-        ]
-        recognition.sort(key=lambda r: r.segment_index)
+        groups = group_segments(load_recognition(args.recognition, taxonomy))
+        recognition = ordered_segments(groups[args.clip]) if args.clip in groups else []
     lines.append("observed:")
     for i, action in enumerate(record.observed):
         line = f"  [{i}] {format_action(action, taxonomy)}"

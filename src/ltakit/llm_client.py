@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import threading
 import time
@@ -43,6 +44,8 @@ class LlmConfig:
             raise DataError("max_retries must be >= 0")
         if self.max_tokens < 1:
             raise DataError("max_tokens must be >= 1")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise DataError(f"timeout must be finite and > 0, got {self.timeout}")
 
 
 def _extract_message(body) -> str:

@@ -18,6 +18,7 @@ noun index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
@@ -121,18 +122,23 @@ def rerank(
     )
 
 
-def _ordered_segments(distributions: list[SegmentDistribution]) -> list[SegmentDistribution]:
-    if not distributions:
-        raise DataError("no segments to recognize")
-    clip_ids = {d.clip_id for d in distributions}
+# Per-segment records of one pipeline stage: inputs to or outputs of recognition.
+Segment = TypeVar("Segment", SegmentDistribution, RecognitionResult)
+
+
+def ordered_segments(segments: list[Segment]) -> list[Segment]:
+    """One clip's segments in segment order; their indices must run contiguously from 0."""
+    if not segments:
+        raise DataError("no segments given")
+    clip_ids = {s.clip_id for s in segments}
     if len(clip_ids) != 1:
         raise DataError(f"segments from multiple clips passed together: {sorted(clip_ids)}")
-    ordered = sorted(distributions, key=lambda d: d.segment_index)
-    for expected, dist in enumerate(ordered):
-        if dist.segment_index != expected:
+    ordered = sorted(segments, key=lambda s: s.segment_index)
+    for expected, segment in enumerate(ordered):
+        if segment.segment_index != expected:
             raise DataError(
-                f"clip {dist.clip_id!r}: segment indices must be contiguous from 0, "
-                f"expected {expected} but found {dist.segment_index}"
+                f"clip {segment.clip_id!r}: segment indices must be contiguous from 0, "
+                f"expected {expected} but found {segment.segment_index}"
             )
     return ordered
 
@@ -141,23 +147,23 @@ def recognize_clip(
     distributions: list[SegmentDistribution], matrix: CooccurrenceMatrix, k: int = DEFAULT_TOP_K
 ) -> list[RecognitionResult]:
     """Re-rank all segments of one clip, in segment order (input order may be shuffled)."""
-    return [rerank(d, matrix, k) for d in _ordered_segments(distributions)]
+    return [rerank(d, matrix, k) for d in ordered_segments(distributions)]
 
 
 def naive_clip(distributions: list[SegmentDistribution]) -> list[RecognitionResult]:
     """Ablation path: per-track argmax pairs, no co-occurrence candidates."""
     results = []
-    for dist in _ordered_segments(distributions):
+    for dist in ordered_segments(distributions):
         naive = Action(int(np.argmax(dist.verb_probs)), int(np.argmax(dist.noun_probs)))
         results.append(RecognitionResult(dist.clip_id, dist.segment_index, naive, naive))
     return results
 
 
-def group_segments(distributions: list[SegmentDistribution]) -> dict[str, list[SegmentDistribution]]:
+def group_segments(segments: list[Segment]) -> dict[str, list[Segment]]:
     """Bucket segments per clip, clips kept in first-appearance order."""
-    groups: dict[str, list[SegmentDistribution]] = {}
-    for dist in distributions:
-        groups.setdefault(dist.clip_id, []).append(dist)
+    groups: dict[str, list[Segment]] = {}
+    for segment in segments:
+        groups.setdefault(segment.clip_id, []).append(segment)
     return groups
 
 

@@ -303,7 +303,7 @@ class TestNgramPredictor:
 
 
 def reference_rollouts(model, mode, seed, sample_top_k, clip_id, history, horizon, num_candidates):
-    """Dense rollouts with no memo: a fresh conditional at every step."""
+    """Dense rollouts: a fresh conditional, argmax and stable argsort at every step."""
     rng = np.random.default_rng([seed, zlib.crc32(clip_id.encode("utf-8"))])
     candidates = []
     for index in range(num_candidates):
@@ -351,7 +351,7 @@ class TestMemoizedRollouts:
         taxonomy, records = tied_corpus()
         model = fit_ngram(records, order, 0.5, taxonomy)
         predictor = NgramPredictor(model, mode=mode, seed=4, sample_top_k=sample_top_k)
-        # The first clip runs on an empty memo; the repeat of every clip runs warm.
+        # Every clip runs twice: the predictor's step table must not change between runs.
         for clip_id, history in [*self.HISTORIES.items(), *self.HISTORIES.items()]:
             got = predictor.predict(clip_id, history, 12, 4).candidates
             want = reference_rollouts(model, mode, 4, sample_top_k, clip_id, history, 12, 4)
@@ -377,7 +377,9 @@ class TestMemoizedRollouts:
         stale = predictor.predict("clip", history, 6, 3)
         for rec in second:
             model.observe(rec.observed)
-        refreshed = predictor.predict("clip", history, 6, 3)
+        # A predictor reads its model at construction, so only a new one sees the update.
+        assert predictor.predict("clip", history, 6, 3).candidates == stale.candidates
+        refreshed = NgramPredictor(model, mode="greedy", seed=2).predict("clip", history, 6, 3)
         fresh_model = fit_ngram(first + second, 2, 0.1, taxonomy)
         fresh = NgramPredictor(fresh_model, mode="greedy", seed=2).predict("clip", history, 6, 3)
         assert refreshed.candidates == fresh.candidates
@@ -392,15 +394,24 @@ class TestMemoizedRollouts:
         assert pool.tolist() == [1, 2, 0]
         assert weights.sum() == pytest.approx(1.0)
 
-    def test_memo_is_bounded(self, monkeypatch):
-        import ltakit.anticipation as anticipation
-
-        monkeypatch.setattr(anticipation, "STEP_MEMO_BYTES", 4096)
-        model = NgramModel(2, 0.5, 10, 10)
-        for action in range(100):
-            model.step((action,), 100)
-        assert 0 < len(model._steps) < 100
-        assert model.step((3,), 100)[1].tolist() == list(range(100))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_sparse_step_matches_dense_conditional(self, order):
+        taxonomy, records = tied_corpus()
+        model = fit_ngram(records, order, 0.5, taxonomy)
+        contexts = list(model._transitions)
+        if order > 1:
+            unseen = (5,) * (order - 1)  # action 5 never occurs
+            assert unseen not in contexts
+            contexts.append(unseen)
+        for context in contexts:
+            probs = model.conditional(context)
+            for width in (1, 2, 3, model.num_actions):
+                greedy, pool, weights = model.step(context, width)
+                dense_pool = np.argsort(-probs, kind="stable")[:width]
+                assert pool.tolist() == dense_pool.tolist(), (context, width)
+                assert greedy == pool[0] == int(np.argmax(probs))
+                dense_weights = probs[dense_pool] / probs[dense_pool].sum()
+                np.testing.assert_allclose(weights, dense_weights, rtol=1e-12, atol=0)
 
 
 class TestRepeatLast:

@@ -141,8 +141,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("mode", ["greedy", "sample"])
     def test_parallel_anticipation_matches_serial(self, pipeline, mode):
-        # Worker threads share the n-gram model's step memo; switch threads as
-        # often as the interpreter allows so that races get a chance to show.
+        # Worker threads share one predictor; switch threads as often as the
+        # interpreter allows so that races get a chance to show.
         outputs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -351,6 +351,45 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    def test_bad_llm_timeout_is_data_error(self, pipeline, tmp_path, capsys, timeout):
+        # Rejected before any request: the endpoint below is never contacted.
+        out = tmp_path / "p.jsonl"
+        code = run([
+            "anticipate",
+            "--recognition", str(pipeline["recognition"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--predictor", "llm",
+            "--llm-endpoint", "http://localhost:1/v1",
+            "--llm-model", "m",
+            "--llm-timeout", timeout,
+            "--llm-max-retries", "0",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "ltakit: error: timeout" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["anticipate", "report"])
+    def test_recognition_gap_is_data_error(self, pipeline, tmp_path, capsys, command):
+        # Without segment 1, clip_00003's history would silently close over the gap.
+        gapped = tmp_path / "gapped.jsonl"
+        gapped.write_text("".join(
+            f"{line}\n"
+            for line in pipeline["recognition"].read_text().splitlines()
+            if (json.loads(line)["clip_id"], json.loads(line)["segment"]) != ("clip_00003", 1)
+        ))
+        common = ["--recognition", str(gapped), "--taxonomy", str(pipeline["taxonomy"]), "--horizon", "5"]
+        out = tmp_path / "p.jsonl"
+        if command == "anticipate":
+            argv = ["anticipate", *common, "--predictor", "repeat-last", "--out", str(out)]
+        else:
+            argv = ["report", *common, "--clip", "clip_00003", "--annotations", str(pipeline["annotations"])]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "ltakit: error: clip 'clip_00003'" in err and "contiguous" in err
         assert not out.exists()
 
     def test_persistent_transport_failure_exits_three(self, pipeline, tmp_path, capsys):

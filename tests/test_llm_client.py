@@ -39,6 +39,10 @@ class TestConfig:
             {"temperature": -0.1},
             {"max_retries": -1},
             {"max_tokens": 0},
+            {"timeout": 0},
+            {"timeout": -1.0},
+            {"timeout": float("nan")},
+            {"timeout": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
