@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import zlib
 from collections import Counter
@@ -130,8 +131,8 @@ class NgramModel:
     def __init__(self, order: int, beta: float, num_verbs: int, num_nouns: int):
         if order < 1:
             raise DataError("n-gram order must be >= 1")
-        if not beta > 0:
-            raise DataError("smoothing beta must be > 0")
+        if not (math.isfinite(beta) and beta > 0):
+            raise DataError(f"smoothing beta must be finite and > 0, got {beta}")
         self.order = order
         self.beta = float(beta)
         self.num_verbs = num_verbs

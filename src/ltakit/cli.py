@@ -239,16 +239,16 @@ def _cmd_report(args) -> None:
             for idx, candidate in enumerate(sets[0].candidates):
                 rendered = ", ".join(format_action(a, taxonomy) for a in candidate)
                 if record.future is not None:
-                    gt = [(a.verb, a.noun) for a in record.future]
-                    ed = normalized_ed([(a.verb, a.noun) for a in candidate], gt)
+                    gt = [a.verb * taxonomy.num_nouns + a.noun for a in record.future]  # action codes
+                    ed = normalized_ed([a.verb * taxonomy.num_nouns + a.noun for a in candidate], gt)
                     lines.append(f"  [{idx}] action ED {ed:.4f}: {rendered}")
                 else:
                     lines.append(f"  [{idx}] {rendered}")
     print("\n".join(lines))
 
 
-def _build_parser() -> tuple[_Parser, set[str], list[_Parser]]:
-    dests: set[str] = set()
+def _build_parser() -> tuple[_Parser, dict[str, argparse.Action], list[_Parser]]:
+    flags: dict[str, argparse.Action] = {}  # dest -> flag; a dest means the same on every subcommand
     parser = _Parser(
         prog="ltakit",
         description="Long-term action anticipation pipeline: synthesize, re-rank, anticipate, evaluate.",
@@ -270,7 +270,7 @@ def _build_parser() -> tuple[_Parser, set[str], list[_Parser]]:
 
     def arg(p, *names, **kwargs):
         action = p.add_argument(*names, **kwargs)
-        dests.add(action.dest)
+        flags[action.dest] = action
 
     p = new_command("synth", "generate a seeded synthetic corpus")
     arg(p, "--out-dir", required=True, help="directory for taxonomy/annotations/distributions")
@@ -350,7 +350,7 @@ def _build_parser() -> tuple[_Parser, set[str], list[_Parser]]:
     arg(p, "--horizon", type=int, default=DEFAULT_HORIZON, help="future length (Z)")
     p.set_defaults(handler=_cmd_report)
 
-    return parser, dests, parsers
+    return parser, flags, parsers
 
 
 def _peel_config(argv: list[str]) -> dict:
@@ -377,16 +377,36 @@ def _peel_config(argv: list[str]) -> dict:
     return raw
 
 
+def _config_value(key: str, value, flag: argparse.Action):
+    """A config value checked as the flag would check it on the command line."""
+    if flag.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise UsageError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"config key {key!r} must be a string or a number, got {value!r}")
+    try:
+        value = flag.type(str(value)) if flag.type else str(value)
+    except ValueError:
+        raise UsageError(f"config key {key!r}: invalid {flag.type.__name__} value {value!r}") from None
+    if flag.choices is not None and value not in flag.choices:
+        raise UsageError(f"config key {key!r}: invalid choice {value!r} (choose from {flag.choices})")
+    return value
+
+
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, dests, parsers = _build_parser()
+    parser, flags, parsers = _build_parser()
     try:
         config = _peel_config(argv)
         if config:
-            unknown = sorted(k for k in config if k.replace("-", "_") not in dests)
+            unknown = sorted(k for k in config if k.replace("-", "_") not in flags)
             if unknown:
                 raise UsageError(f"unknown config key {unknown[0]!r}")
-            defaults = {k.replace("-", "_"): v for k, v in config.items()}
+            defaults = {
+                k.replace("-", "_"): _config_value(k, v, flags[k.replace("-", "_")])
+                for k, v in config.items()
+            }
             for p in parsers:
                 p.set_defaults(**defaults)
         args = parser.parse_args(argv)

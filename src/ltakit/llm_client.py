@@ -38,8 +38,8 @@ class LlmConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise DataError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise DataError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_retries < 0:
             raise DataError("max_retries must be >= 0")
         if self.max_tokens < 1:

@@ -2,14 +2,18 @@
 
 The corpus metric is the mean, over clips, of the best (minimum) normalized
 edit distance among the K candidates, computed independently for the verb,
-noun, and action projections of each sequence.
+noun, and action projections of each sequence. The tracks are integer token
+codes: the verb id, the noun id, and verb * n + noun for the action, where n is
+1 + the largest noun id present, so equal codes mean equal actions.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from ._fileio import atomic_write_text
 from .dataset_io import ClipRecord, PredictionSet
@@ -18,37 +22,37 @@ from .recognition import RecognitionResult
 from .taxonomy import Action
 
 
-def damerau_levenshtein(a, b) -> int:
+def damerau_levenshtein(a, b) -> np.ndarray:
     """Damerau-Levenshtein distance, optimal string alignment (OSA) variant.
 
     Unit-cost insertions, deletions, substitutions, and transpositions of
     adjacent tokens. This is the restricted variant: no substring is edited
     more than once, so a transposed pair cannot be touched again. That makes
     e.g. distance("ca", "abc") == 3, where the unrestricted distance is 2.
-    Tokens may be any equality-comparable values.
+
+    `a` (..., La) and `b` (..., Lb) are integer token arrays whose leading
+    axes broadcast; the result has the broadcast leading shape. The DP runs
+    cell by cell over (i, j), and each cell is one array step over the batch.
     """
-    len_a, len_b = len(a), len(b)
-    if len_a == 0:
-        return len_b
-    if len_b == 0:
-        return len_a
-    dist = [[0] * (len_b + 1) for _ in range(len_a + 1)]
-    for i in range(len_a + 1):
-        dist[i][0] = i
-    for j in range(len_b + 1):
-        dist[0][j] = j
+    a, b = np.asarray(a), np.asarray(b)
+    # same[i, j] holds a[..., i] == b[..., j]; batch axes go last so each cell is contiguous.
+    same = np.moveaxis(a[..., :, None] == b[..., None, :], (-2, -1), (0, 1)).copy()
+    len_a, len_b, batch = same.shape[0], same.shape[1], same.shape[2:]
+    # DP rows i - 2 and i - 1; cell j of a row is the distance to b's first j tokens.
+    before, prev = None, np.zeros(batch, np.intp) + np.arange(len_b + 1).reshape(-1, *[1] * len(batch))
     for i in range(1, len_a + 1):
+        row = np.empty_like(prev)
+        row[0] = i
         for j in range(1, len_b + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            best = min(
-                dist[i - 1][j] + 1,  # delete
-                dist[i][j - 1] + 1,  # insert
-                dist[i - 1][j - 1] + cost,  # substitute / match
-            )
-            if i > 1 and j > 1 and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]:
-                best = min(best, dist[i - 2][j - 2] + 1)  # adjacent transposition
-            dist[i][j] = best
-    return dist[len_a][len_b]
+            # Every edit costs 1, so take the min of the predecessors first and add it once.
+            cell = row[j, ...]  # a view even when the batch is 0-d
+            np.minimum(prev[j], row[j - 1], out=cell)  # delete or insert
+            np.minimum(cell, prev[j - 1] - same[i - 1, j - 1], out=cell)  # substitute or match
+            if i > 1 and j > 1:  # adjacent transposition
+                np.minimum(cell, before[j - 2], out=cell, where=same[i - 1, j - 2] & same[i - 2, j - 1])
+            cell += 1
+        before, prev = prev, row
+    return prev[len_b]
 
 
 def normalized_ed(pred, gt) -> float:
@@ -57,7 +61,7 @@ def normalized_ed(pred, gt) -> float:
         raise DataError(f"sequence length mismatch: {len(pred)} vs {len(gt)}")
     if not gt:
         raise DataError("cannot normalize over empty sequences")
-    return min(1.0, damerau_levenshtein(pred, gt) / len(gt))
+    return min(1.0, int(damerau_levenshtein(pred, gt)) / len(gt))
 
 
 @dataclass
@@ -82,32 +86,6 @@ class EvalReport:
     ar_noun_acc: float | None
     ar_action_acc: float | None
     per_clip: list[ClipScores]
-
-
-def _track_min(candidates: list[list], gt_track: list) -> tuple[float, int]:
-    eds = [normalized_ed(cand, gt_track) for cand in candidates]
-    best = min(range(len(eds)), key=lambda i: (eds[i], i))  # ties: lowest candidate index
-    return eds[best], best
-
-
-def clip_ed(prediction: PredictionSet, gt: list[Action]) -> ClipScores:
-    """Min-over-candidates normalized ED for the verb, noun, and action tracks."""
-    if not prediction.candidates:
-        raise DataError(f"clip {prediction.clip_id!r} has no candidates (need K >= 1)")
-    try:
-        verb_ed, best_verb = _track_min(
-            [[a.verb for a in c] for c in prediction.candidates], [a.verb for a in gt]
-        )
-        noun_ed, best_noun = _track_min(
-            [[a.noun for a in c] for c in prediction.candidates], [a.noun for a in gt]
-        )
-        action_ed, best_action = _track_min(
-            [[(a.verb, a.noun) for a in c] for c in prediction.candidates],
-            [(a.verb, a.noun) for a in gt],
-        )
-    except DataError as exc:
-        raise DataError(f"clip {prediction.clip_id!r}: {exc}") from None
-    return ClipScores(prediction.clip_id, verb_ed, noun_ed, action_ed, best_verb, best_noun, best_action)
 
 
 def ar_accuracy(
@@ -149,10 +127,11 @@ def corpus_eval(
 ) -> EvalReport:
     """Evaluate predictions against every annotated clip that has a future.
 
-    Prediction clip ids must cover the ground-truth clip ids exactly. The
-    corpus EDs are unweighted per-clip means (fsum, so clip order cannot
-    change them). AR accuracies are filled in only when recognition results
-    are supplied.
+    Prediction clip ids must cover the ground-truth clip ids exactly, and all
+    scored clips must share one horizon (score each horizon in its own call).
+    Clips may differ in K. The corpus EDs are unweighted per-clip means (fsum,
+    so clip order cannot change them). AR accuracies are filled in only when
+    recognition results are supplied.
     """
     ground_truth: dict[str, list[Action]] = {}
     ordered_ids = []
@@ -177,7 +156,35 @@ def corpus_eval(
     if extra:
         raise DataError(f"prediction for unknown clip {extra[0]!r} ({len(extra)} extra in total)")
 
-    rows = [clip_ed(by_clip[cid], ground_truth[cid]) for cid in ordered_ids]
+    horizon = len(ground_truth[ordered_ids[0]])
+    for cid in ordered_ids:
+        if len(ground_truth[cid]) != horizon:  # one horizon per call
+            raise DataError(f"clip {cid!r}: future of {len(ground_truth[cid])} actions, not {horizon}")
+        if not by_clip[cid].candidates:
+            raise DataError(f"clip {cid!r} has no candidates (need K >= 1)")
+        for cand in by_clip[cid].candidates:
+            if len(cand) != horizon:
+                raise DataError(f"clip {cid!r}: sequence length mismatch: {len(cand)} vs {horizon}")
+    if horizon == 0:
+        raise DataError("cannot normalize over empty sequences")
+
+    # A clip with fewer than K candidates repeats its first one, which changes
+    # neither its minimum nor the lowest index that reaches it.
+    sets = [by_clip[cid].candidates for cid in ordered_ids]
+    num_k = max(len(s) for s in sets)
+    pred = np.array([[[(a.verb, a.noun) for a in c] for c in s + s[:1] * (num_k - len(s))] for s in sets])
+    truth = np.array([[[(a.verb, a.noun) for a in ground_truth[cid]]] for cid in ordered_ids])
+    n = 1 + max(pred[..., 1].max(), truth[..., 1].max())
+
+    def tracks(pairs):  # (clips, k, Z, 2) -> (3, clips, k, Z): verb, noun and action codes
+        return np.stack([pairs[..., 0], pairs[..., 1], pairs[..., 0] * n + pairs[..., 1]])
+
+    eds = np.minimum(1.0, damerau_levenshtein(tracks(pred), tracks(truth)) / horizon)
+    best = eds.argmin(axis=-1)  # the first minimum: ties go to the lowest candidate index
+    rows = [
+        ClipScores(cid, *ed, *idx)
+        for cid, ed, idx in zip(ordered_ids, eds.min(axis=-1).T.tolist(), best.T.tolist())
+    ]
     count = len(rows)
     verb_ed = math.fsum(r.verb_ed for r in rows) / count
     noun_ed = math.fsum(r.noun_ed for r in rows) / count
@@ -210,17 +217,6 @@ def save_report(path, report: EvalReport) -> None:
         "ar_verb_acc": report.ar_verb_acc,
         "ar_noun_acc": report.ar_noun_acc,
         "ar_action_acc": report.ar_action_acc,
-        "clips": [
-            {
-                "clip_id": r.clip_id,
-                "verb_ed": r.verb_ed,
-                "noun_ed": r.noun_ed,
-                "action_ed": r.action_ed,
-                "best_verb": r.best_verb,
-                "best_noun": r.best_noun,
-                "best_action": r.best_action,
-            }
-            for r in report.per_clip
-        ],
+        "clips": [asdict(r) for r in report.per_clip],  # ClipScores fields, in order
     }
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")

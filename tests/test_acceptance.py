@@ -17,13 +17,14 @@ from ltakit.anticipation import NgramPredictor, RepeatLastPredictor, fit_ngram, 
 from ltakit.cli import run
 from ltakit.cooccurrence import CooccurrenceMatrix, build_cooccurrence
 from ltakit.dataset_io import (
+    ClipRecord,
     PredictionSet,
     SegmentDistribution,
     load_annotations,
     load_predictions,
     save_predictions,
 )
-from ltakit.metrics import ar_accuracy, clip_ed, corpus_eval, damerau_levenshtein
+from ltakit.metrics import ar_accuracy, corpus_eval, damerau_levenshtein
 from ltakit.recognition import group_segments, naive_clip, recognize_clip, rerank
 from ltakit.synthgen import SynthConfig, generate_corpus
 from ltakit.taxonomy import Action, Taxonomy, load_taxonomy
@@ -272,7 +273,11 @@ def test_a08_extra_candidates_never_hurt():
             [Action(int(rng.integers(4)), int(rng.integers(5))) for _ in range(8)]
             for _ in range(4)
         ]
-        rows = [clip_ed(PredictionSet("c", cands[: j + 1]), gt) for j in range(4)]
+        # One corpus per K, each holding the same single clip.
+        rows = [
+            corpus_eval([PredictionSet("c", cands[: j + 1])], [ClipRecord("c", [], gt)]).per_clip[0]
+            for j in range(4)
+        ]
         total += 1
         monotone += all(
             rows[j + 1].verb_ed <= rows[j].verb_ed

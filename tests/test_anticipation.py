@@ -212,6 +212,8 @@ class TestNgramModel:
             NgramModel(0, 0.5, 2, 2)
         with pytest.raises(DataError, match="beta"):
             NgramModel(2, 0.0, 2, 2)
+        with pytest.raises(DataError, match="beta"):
+            NgramModel(2, float("inf"), 2, 2)
         with pytest.raises(DataError, match="empty"):
             fit_ngram([], 2, 0.5, cycle_taxonomy())
         with pytest.raises(DataError, match="no actions"):

@@ -372,6 +372,42 @@ class TestExitCodes:
         assert "ltakit: error: timeout" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("temperature", ["nan", "inf"])
+    def test_nonfinite_llm_temperature_is_data_error(self, pipeline, tmp_path, capsys, temperature):
+        # Rejected before any request: the endpoint below is never contacted.
+        out = tmp_path / "p.jsonl"
+        code = run([
+            "anticipate",
+            "--recognition", str(pipeline["recognition"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--predictor", "llm",
+            "--llm-endpoint", "http://localhost:1/v1",
+            "--llm-model", "m",
+            "--llm-temperature", temperature,
+            "--llm-max-retries", "0",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "ltakit: error: temperature" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_beta_is_data_error(self, pipeline, tmp_path, capsys):
+        # Sampling would otherwise draw from all-NaN weights.
+        out = tmp_path / "p.jsonl"
+        code = run([
+            "anticipate",
+            "--recognition", str(pipeline["recognition"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--train-annotations", str(pipeline["annotations"]),
+            "--beta", "inf",
+            "--mode", "sample",
+            "--horizon", "5",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "beta" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["anticipate", "report"])
     def test_recognition_gap_is_data_error(self, pipeline, tmp_path, capsys, command):
         # Without segment 1, clip_00003's history would silently close over the gap.
@@ -455,6 +491,59 @@ class TestConfigFile:
         cfg.write_text("{ not json")
         assert run(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, flag",
+        [
+            ({"candidates": 2.5}, "candidates"),  # the flag's type is int
+            ({"candidates": "three"}, "candidates"),
+            ({"mode": "bogus"}, "mode"),  # not one of the flag's choices
+            ({"order": None}, "order"),
+            ({"naive": "yes"}, "naive"),  # a store_true flag takes only true or false
+        ],
+    )
+    def test_config_value_is_checked_like_its_flag(self, pipeline, tmp_path, capsys, setting, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        out = tmp_path / "p.jsonl"
+        code = run([
+            "anticipate", "--config", str(cfg),
+            "--recognition", str(pipeline["recognition"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--train-annotations", str(pipeline["annotations"]),
+            "--horizon", "5",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert f"config key {flag!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_take_their_flags_types(self, pipeline, tmp_path):
+        # Numbers, numeric strings and booleans arrive as the flags would parse them.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"candidates": 2, "beta": "0.1", "mode": "sample", "naive": True}))
+        from_config = tmp_path / "config.jsonl"
+        from_flags = tmp_path / "flags.jsonl"
+        common = [
+            "--recognition", str(pipeline["recognition"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--train-annotations", str(pipeline["annotations"]),
+            "--horizon", "5",
+        ]
+        assert run(["anticipate", "--config", str(cfg), *common, "--out", str(from_config)]) == 0
+        assert run([
+            "anticipate", *common, "--candidates", "2", "--beta", "0.1", "--mode", "sample",
+            "--out", str(from_flags),
+        ]) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+        recognize = [
+            "--distributions", str(pipeline["distributions"]),
+            "--matrix", str(pipeline["matrix"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+        ]
+        assert run(["recognize", "--config", str(cfg), *recognize, "--out", str(from_config)]) == 0
+        assert run(["recognize", *recognize, "--naive", "--out", str(from_flags)]) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert run([

@@ -43,6 +43,8 @@ class TestConfig:
             {"timeout": -1.0},
             {"timeout": float("nan")},
             {"timeout": float("inf")},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -11,7 +11,6 @@ from ltakit.dataset_io import ClipRecord, PredictionSet
 from ltakit.errors import DataError
 from ltakit.metrics import (
     ar_accuracy,
-    clip_ed,
     corpus_eval,
     damerau_levenshtein,
     format_report,
@@ -22,6 +21,11 @@ from ltakit.recognition import RecognitionResult
 from ltakit.taxonomy import Action
 
 from oracles import min_track_ed, osa_distance
+
+
+def codes(text):
+    """A string as an integer token sequence, one code per character."""
+    return [ord(ch) for ch in text]
 
 
 class TestDamerauLevenshtein:
@@ -42,16 +46,18 @@ class TestDamerauLevenshtein:
         ],
     )
     def test_known_pairs(self, a, b, expected):
-        assert damerau_levenshtein(a, b) == expected
+        assert damerau_levenshtein(codes(a), codes(b)) == expected
 
     def test_restricted_variant_pins_transposition_rule(self):
         # The unrestricted distance would be 2 here (transpose, then insert).
-        assert damerau_levenshtein("ca", "abc") == 3
+        assert damerau_levenshtein(codes("ca"), codes("abc")) == 3
 
     def test_works_on_arbitrary_tokens(self):
-        a = [(0, 1), (2, 3), (4, 5)]
-        b = [(2, 3), (0, 1), (4, 5)]
+        # Action codes verb * |N| + noun, far apart and beyond 16 bits, plus a negative code.
+        a = [0 * 300 + 1, 96 * 300 + 299, -7, 2**40]
+        b = [96 * 300 + 299, 0 * 300 + 1, -7, 2**40]
         assert damerau_levenshtein(a, b) == 1
+        assert damerau_levenshtein(a, [0 * 300 + 2, 96 * 300 + 299, -7, 2**40]) == 1
 
     def test_matches_recursive_oracle(self):
         rng = np.random.default_rng(41)
@@ -59,6 +65,43 @@ class TestDamerauLevenshtein:
             a = [int(x) for x in rng.integers(0, 4, size=int(rng.integers(0, 8)))]
             b = [int(x) for x in rng.integers(0, 4, size=int(rng.integers(0, 8)))]
             assert damerau_levenshtein(a, b) == osa_distance(a, b)
+
+    @pytest.mark.parametrize("symbols", [2, 6])
+    def test_batch_matches_oracle_pair_by_pair(self, symbols):
+        # Every length pair 0..8 x 0..8, equal and unequal, 10 pairs each in one call.
+        rng = np.random.default_rng(45 + symbols)
+        for len_a in range(9):
+            for len_b in range(9):
+                a = rng.integers(0, symbols, size=(10, len_a))
+                b = rng.integers(0, symbols, size=(10, len_b))
+                got = damerau_levenshtein(a, b)
+                assert got.shape == (10,)
+                want = [osa_distance(x, y) for x, y in zip(a.tolist(), b.tolist())]
+                assert got.tolist() == want
+
+    def test_leading_axes_broadcast(self):
+        rng = np.random.default_rng(46)
+        a = rng.integers(0, 3, size=(4, 1, 5))
+        b = rng.integers(0, 3, size=(3, 6))
+        got = damerau_levenshtein(a, b)
+        assert got.shape == (4, 3)
+        for i in range(4):
+            for j in range(3):
+                assert got[i, j] == osa_distance(a[i, 0].tolist(), b[j].tolist())
+
+    @pytest.mark.parametrize("length", [64, 65, 100])
+    def test_long_sequences_match_oracle(self, length):
+        # Lengths at and past 64, the width of one machine word.
+        rng = np.random.default_rng(length)
+        a = rng.integers(0, 3, size=(20, length))
+        b = a.copy()
+        b[:, ::7] = rng.integers(0, 3, size=b[:, ::7].shape)  # near pairs, not only far ones
+        b[10:] = rng.integers(0, 3, size=(10, length))
+        want = [osa_distance(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert damerau_levenshtein(a, b).tolist() == want
+        assert damerau_levenshtein(a[:, :-3], b).tolist() == [
+            osa_distance(x, y) for x, y in zip(a[:, :-3].tolist(), b.tolist())
+        ]
 
     @given(
         st.lists(st.integers(0, 3), max_size=7),
@@ -108,11 +151,28 @@ def actions(pairs):
     return [Action(v, n) for v, n in pairs]
 
 
+def clip_scores(prediction, gt):
+    """The per-clip row of a one-clip corpus."""
+    report = corpus_eval([prediction], [ClipRecord(prediction.clip_id, [], gt)])
+    return report.per_clip[0]
+
+
+def assert_matches_loop_oracle(scores, cands, gt):
+    for track, got_ed, got_idx in [
+        (lambda a: a.verb, scores.verb_ed, scores.best_verb),
+        (lambda a: a.noun, scores.noun_ed, scores.best_noun),
+        (lambda a: (a.verb, a.noun), scores.action_ed, scores.best_action),
+    ]:
+        want_ed, want_idx = min_track_ed(cands, gt, track)
+        assert got_ed == want_ed
+        assert got_idx == want_idx
+
+
 class TestClipEd:
     def test_perfect_candidate_zeroes_all_tracks(self):
         gt = actions([(0, 1), (1, 2), (0, 3)])
         pred = pred_set("c", [[(1, 1), (1, 1), (1, 1)], [(0, 1), (1, 2), (0, 3)]])
-        scores = clip_ed(pred, gt)
+        scores = clip_scores(pred, gt)
         assert (scores.verb_ed, scores.noun_ed, scores.action_ed) == (0.0, 0.0, 0.0)
         assert (scores.best_verb, scores.best_noun, scores.best_action) == (1, 1, 1)
 
@@ -120,7 +180,7 @@ class TestClipEd:
         gt = actions([(0, 0), (1, 1)])
         # Candidate 0 nails the verbs, candidate 1 nails the nouns.
         pred = pred_set("c", [[(0, 9), (1, 9)], [(9, 0), (9, 1)]])
-        scores = clip_ed(pred, gt)
+        scores = clip_scores(pred, gt)
         assert scores.verb_ed == 0.0 and scores.best_verb == 0
         assert scores.noun_ed == 0.0 and scores.best_noun == 1
         assert scores.action_ed == 1.0
@@ -129,7 +189,7 @@ class TestClipEd:
     def test_action_track_needs_joint_match(self):
         gt = actions([(0, 0)])
         pred = pred_set("c", [[(0, 9)]])
-        scores = clip_ed(pred, gt)
+        scores = clip_scores(pred, gt)
         assert scores.verb_ed == 0.0
         assert scores.noun_ed == 1.0
         assert scores.action_ed == 1.0
@@ -144,15 +204,7 @@ class TestClipEd:
                 [Action(int(rng.integers(3)), int(rng.integers(4))) for _ in range(horizon)]
                 for _ in range(num_candidates)
             ]
-            scores = clip_ed(PredictionSet("c", cands), gt)
-            for track, got_ed, got_idx in [
-                (lambda a: a.verb, scores.verb_ed, scores.best_verb),
-                (lambda a: a.noun, scores.noun_ed, scores.best_noun),
-                (lambda a: (a.verb, a.noun), scores.action_ed, scores.best_action),
-            ]:
-                want_ed, want_idx = min_track_ed(cands, gt, track)
-                assert got_ed == want_ed
-                assert got_idx == want_idx
+            assert_matches_loop_oracle(clip_scores(PredictionSet("c", cands), gt), cands, gt)
 
     def test_more_candidates_never_hurt(self):
         rng = np.random.default_rng(43)
@@ -162,19 +214,19 @@ class TestClipEd:
                 [Action(int(rng.integers(3)), int(rng.integers(3))) for _ in range(6)]
                 for _ in range(4)
             ]
-            smaller = clip_ed(PredictionSet("c", cands[:2]), gt)
-            larger = clip_ed(PredictionSet("c", cands), gt)
+            smaller = clip_scores(PredictionSet("c", cands[:2]), gt)
+            larger = clip_scores(PredictionSet("c", cands), gt)
             assert larger.verb_ed <= smaller.verb_ed
             assert larger.noun_ed <= smaller.noun_ed
             assert larger.action_ed <= smaller.action_ed
 
     def test_no_candidates_rejected(self):
         with pytest.raises(DataError, match="K >= 1"):
-            clip_ed(PredictionSet("c", []), actions([(0, 0)]))
+            clip_scores(PredictionSet("c", []), actions([(0, 0)]))
 
     def test_length_mismatch_names_clip(self):
         with pytest.raises(DataError, match="'c9'"):
-            clip_ed(pred_set("c9", [[(0, 0), (0, 0)]]), actions([(0, 0)]))
+            clip_scores(pred_set("c9", [[(0, 0), (0, 0)]]), actions([(0, 0)]))
 
 
 def recog(clip_id, segment, chosen_pair, naive_pair=None):
@@ -301,6 +353,31 @@ class TestCorpusEval:
         assert again.verb_ed == base.verb_ed
         assert again.noun_ed == base.noun_ed
         assert again.action_ed == base.action_ed
+
+    def test_ragged_candidates_match_loop_oracle(self):
+        # K varies from clip to clip, as in an externally written predictions.jsonl.
+        rng = np.random.default_rng(47)
+        annotations, preds, sets = [], [], {}
+        for i in range(60):
+            gt = [Action(int(rng.integers(3)), int(rng.integers(4))) for _ in range(5)]
+            cands = [
+                [Action(int(rng.integers(3)), int(rng.integers(4))) for _ in range(5)]
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            annotations.append(ClipRecord(f"c{i}", actions([(0, 0)]), gt))
+            preds.append(PredictionSet(f"c{i}", cands))
+            sets[f"c{i}"] = (cands, gt)
+        assert len({len(p.candidates) for p in preds}) > 1
+        report = corpus_eval(preds, annotations)
+        for row in report.per_clip:
+            assert_matches_loop_oracle(row, *sets[row.clip_id])
+
+    def test_mixed_horizon_rejected(self):
+        annotations, gt_a, gt_b = self.corpus()
+        annotations[1] = ClipRecord("b", actions([(1, 1)]), actions(gt_b[:2]))
+        preds = [pred_set("a", [gt_a]), pred_set("b", [gt_b[:2]])]
+        with pytest.raises(DataError, match="clip 'b'"):
+            corpus_eval(preds, annotations)
 
     def test_mean_matches_fsum_of_per_clip_rows(self):
         annotations, gt_a, gt_b = self.corpus()
