@@ -20,6 +20,7 @@ import numpy as np
 
 from .dataset_io import ClipRecord, PredictionSet
 from .errors import DataError, LlmError
+from .llm_client import check_temperature
 from .taxonomy import Action, Taxonomy, format_action, parse_action
 
 logger = logging.getLogger(__name__)
@@ -131,8 +132,8 @@ class NgramModel:
     def __init__(self, order: int, beta: float, num_verbs: int, num_nouns: int):
         if order < 1:
             raise DataError("n-gram order must be >= 1")
-        if not (math.isfinite(beta) and beta > 0):
-            raise DataError(f"smoothing beta must be finite and > 0, got {beta}")
+        if not (math.isfinite(beta * num_verbs * num_nouns) and beta > 0):
+            raise DataError(f"smoothing beta must be > 0 with beta * |V| * |N| finite, got {beta}")
         self.order = order
         self.beta = float(beta)
         self.num_verbs = num_verbs
@@ -247,10 +248,11 @@ class NgramPredictor:
     next actions at each step, re-seeded per clip so results do not depend
     on clip processing order.
 
-    The predictor reads its model once, at construction: it tabulates the
-    step of every context the model has seen, plus one uniform step shared
-    by unseen contexts. Memory is O(contexts x min(sample_top_k, |V|*|N|)).
-    A later observe() on the model does not change an existing predictor.
+    The predictor reads its model once, at construction, into arrays with a
+    row per seen context and a last, uniform row for unseen ones: argmax id,
+    pool, and the pool's cdf as Generator.choice builds it, so a sampled step
+    is one searchsorted of a uniform. Memory is O(contexts x min(sample_top_k,
+    |V|*|N|)). A later observe() on the model does not change the predictor.
     """
 
     def __init__(self, model: NgramModel, mode: str = "greedy", seed: int = 0, sample_top_k: int = 5):
@@ -262,9 +264,16 @@ class NgramPredictor:
         self.mode = mode
         self.seed = seed
         self.sample_top_k = sample_top_k
-        width = min(sample_top_k, model.num_actions)
-        self._steps = {context: model.step(context, width) for context in model._transitions}
-        self._unseen_step = model.step(None, width)
+        self._rows = {context: row for row, context in enumerate(model._transitions)}  # unseen: row -1
+        rows, width = len(self._rows) + 1, min(sample_top_k, model.num_actions)
+        self._greedy = np.empty(rows, np.intp)
+        self._pool, self._cdf = np.empty((rows, width), np.intp), np.empty((rows, width))
+        for row, context in enumerate([*self._rows, None]):
+            self._greedy[row], self._pool[row], weights = model.step(context, width)
+            cdf = np.cumsum(weights, out=self._cdf[row])
+            if not abs(cdf[-1] - 1.0) <= np.sqrt(np.finfo(float).eps):  # choice's check on p
+                raise DataError(f"n-gram weights for context {context} are not a finite distribution")
+            cdf /= cdf[-1]
 
     def predict(
         self,
@@ -275,22 +284,23 @@ class NgramPredictor:
     ) -> PredictionSet:
         _check_predict_args(clip_id, history, horizon, num_candidates)
         rng = np.random.default_rng([self.seed, _clip_stream_key(clip_id)])
-        candidates = []
-        for index in range(num_candidates):
-            greedy = self.mode == "greedy" and index == 0
-            candidates.append(self._rollout(history, horizon, None if greedy else rng))
+        greedy = self.mode == "greedy"
+        # A uniform per sampled step, candidate-major as choice() drew them; None: argmax step.
+        draws = [[None] * horizon] * greedy + rng.random((num_candidates - greedy, horizon)).tolist()
+        ids = [self.model.action_id(a) for a in history]
+        candidates = [[self.model.action_from_id(i) for i in self._rollout(ids, row)] for row in draws]
         return PredictionSet(clip_id, candidates)
 
-    def _rollout(self, history: list[Action], horizon: int, rng) -> list[Action]:
-        model = self.model
-        ids = [model.action_id(a) for a in history]
-        out: list[Action] = []
-        for _ in range(horizon):
-            greedy, pool, weights = self._steps.get(model.context_for(ids), self._unseen_step)
-            nxt = greedy if rng is None else int(rng.choice(pool, p=weights))
-            ids.append(nxt)
-            out.append(model.action_from_id(nxt))
-        return out
+    def _rollout(self, history_ids: list[int], uniforms: list) -> list[int]:
+        ids, span = list(history_ids), self.model.order - 1
+        for u in uniforms:
+            # ids[-span:] is the context_for() slice; it also holds for histories shorter than span.
+            row = self._rows.get(tuple(ids[-span:]) if span else (), -1)
+            if u is None:
+                ids.append(int(self._greedy[row]))
+            else:
+                ids.append(int(self._pool[row, self._cdf[row].searchsorted(u, side="right")]))
+        return ids[len(history_ids) :]
 
 
 class LlmPredictor:
@@ -313,7 +323,7 @@ class LlmPredictor:
         self.taxonomy = taxonomy
         self.template = template
         self.fallback = fallback
-        self.temperature = temperature
+        self.temperature = temperature if temperature is None else check_temperature(temperature)
 
     def predict(
         self,

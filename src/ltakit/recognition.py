@@ -17,6 +17,7 @@ noun index.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TypeVar
 
@@ -193,6 +194,7 @@ def save_recognition(path, results: list[RecognitionResult], taxonomy: Taxonomy)
 def load_recognition(path, taxonomy: Taxonomy) -> list[RecognitionResult]:
     results = []
     seen: set[tuple[str, int]] = set()
+    parse = functools.cache(lambda text: parse_action(text, taxonomy))  # each distinct text parsed once
     for lineno, obj in iter_jsonl(path):
         where = f"{path}:{lineno}"
         clip_id, segment = segment_key(obj, seen, where)
@@ -202,15 +204,13 @@ def load_recognition(path, taxonomy: Taxonomy) -> list[RecognitionResult]:
                 branch = raw["branch"]
                 if branch not in (BRANCH_VERB, BRANCH_NOUN):
                     raise DataError(f"unknown branch {branch!r}")
-                candidates.append(
-                    CandidatePair(parse_action(raw["action"], taxonomy), float(raw["score"]), branch)
-                )
+                candidates.append(CandidatePair(parse(raw["action"]), float(raw["score"]), branch))
             results.append(
                 RecognitionResult(
                     clip_id=clip_id,
                     segment_index=segment,
-                    chosen=parse_action(obj["chosen"], taxonomy),
-                    naive=parse_action(obj["naive"], taxonomy),
+                    chosen=parse(obj["chosen"]),
+                    naive=parse(obj["naive"]),
                     candidates=candidates,
                     used_fallback=bool(obj.get("fallback", False)),
                 )

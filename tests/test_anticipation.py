@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import zlib
 
 import numpy as np
@@ -214,6 +215,11 @@ class TestNgramModel:
             NgramModel(2, 0.0, 2, 2)
         with pytest.raises(DataError, match="beta"):
             NgramModel(2, float("inf"), 2, 2)
+        # Finite, but beta summed over 97 * 300 actions is inf, so every weight would be 0.
+        for beta in (1e308, 1e305):
+            with pytest.raises(DataError, match="beta"):
+                NgramModel(2, beta, 97, 300)
+        assert NgramModel(2, 1e300, 97, 300).conditional(()).sum() == pytest.approx(1.0)
         with pytest.raises(DataError, match="empty"):
             fit_ngram([], 2, 0.5, cycle_taxonomy())
         with pytest.raises(DataError, match="no actions"):
@@ -337,6 +343,26 @@ def tied_corpus():
     return taxonomy, records
 
 
+@pytest.mark.parametrize("width", [1, 2, 5, 7, 29_100])
+@pytest.mark.parametrize("seed", [0, 1, 7, 31])
+def test_choice_draws_equal_cdf_search_of_uniforms(width, seed):
+    # NgramPredictor replaces Generator.choice(pool, p=p) with a search of p's
+    # cdf for one rng.random() uniform, all uniforms of a clip drawn at once.
+    # This pins that numpy draws choice() exactly that way.
+    weights = np.random.default_rng(seed + 100).integers(0, 40, width) + 0.5
+    p = weights / weights.sum()
+    pool = np.arange(width)[::-1] * 3  # ids that differ from positions
+    one_by_one = np.random.default_rng([seed, 11])
+    want = [int(one_by_one.choice(pool, p=p)) for _ in range(60)]
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    uniforms = np.random.default_rng([seed, 11]).random((3, 20))
+    got = pool[cdf.searchsorted(uniforms.ravel(), side="right")].tolist()
+    assert got == want
+    # The scalar form the rollout uses agrees with the vector form.
+    assert [int(pool[cdf.searchsorted(u, side="right")]) for u in uniforms.ravel().tolist()] == want
+
+
 class TestMemoizedRollouts:
     # Histories ending in a seen context, in a tie, and in the unseen action 5.
     HISTORIES = {
@@ -358,6 +384,27 @@ class TestMemoizedRollouts:
             got = predictor.predict(clip_id, history, 12, 4).candidates
             want = reference_rollouts(model, mode, 4, sample_top_k, clip_id, history, 12, 4)
             assert got == want, clip_id
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    @pytest.mark.parametrize("sample_top_k", [1, 5])
+    def test_history_shorter_than_context(self, mode, sample_top_k):
+        # Order 4 needs 3 context ids; a one-action history has 1, so the first steps
+        # are unseen and later ones can reach seen contexts through generated ids.
+        taxonomy, records = tied_corpus()
+        model = fit_ngram(records, 4, 0.5, taxonomy)
+        predictor = NgramPredictor(model, mode=mode, seed=3, sample_top_k=sample_top_k)
+        for clip_id, history in [("one", [Action(0, 0)]), ("two", [Action(0, 1), Action(0, 0)])]:
+            got = predictor.predict(clip_id, history, 12, 4).candidates
+            assert got == reference_rollouts(model, mode, 3, sample_top_k, clip_id, history, 12, 4)
+
+    @pytest.mark.filterwarnings("ignore:(invalid value|overflow):RuntimeWarning")
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, 1e308])
+    def test_table_rejects_weights_that_are_not_a_distribution(self, beta):
+        taxonomy, records = tied_corpus()
+        model = fit_ngram(records, 2, 0.5, taxonomy)
+        model.beta = beta  # past the constructor's check: NaN weights, or a sum that overflows
+        with pytest.raises(DataError, match="not a finite distribution"):
+            NgramPredictor(model, "sample", 0, 3)
 
     def test_predictors_with_different_pools_share_one_model(self):
         taxonomy, records = tied_corpus()
@@ -446,6 +493,12 @@ class TestLlmPredictor:
         client = MockLlmClient(["take spoon", "take spoon"], config)
         LlmPredictor(client, kitchen).predict("c", [Action(0, 0)], 1, 2)
         assert [r["temperature"] for r in client.requests] == [0.0, 0.8]
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -0.5])
+    def test_bad_temperature_rejected(self, kitchen, temperature):
+        # The scripted client's default config says nothing about this value.
+        with pytest.raises(DataError, match="temperature"):
+            LlmPredictor(MockLlmClient(["take spoon"]), kitchen, temperature=temperature)
 
     def test_prompt_carries_full_history(self, kitchen):
         client = MockLlmClient(["take spoon"])

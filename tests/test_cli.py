@@ -408,6 +408,45 @@ class TestExitCodes:
         assert "beta" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_beta_is_data_error(self, pipeline, tmp_path, capsys):
+        # Finite, but (count + beta) summed over a pool overflows to inf.
+        out = tmp_path / "p.jsonl"
+        code = run([
+            "anticipate",
+            "--recognition", str(pipeline["recognition"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--train-annotations", str(pipeline["annotations"]),
+            "--beta", "1e308",
+            "--mode", "sample",
+            "--horizon", "5",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "beta" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("temperature", ["nan", "inf", "-1"])
+    def test_bad_llm_temperature_with_script_is_data_error(self, pipeline, tmp_path, capsys, temperature):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["verb_000 noun_000"] * 24))
+        out = tmp_path / "p.jsonl"
+        log = tmp_path / "req.jsonl"
+        code = run([
+            "anticipate",
+            "--recognition", str(pipeline["recognition"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--predictor", "llm",
+            "--llm-script", str(script),
+            "--llm-temperature", temperature,
+            "--llm-request-log", str(log),
+            "--horizon", "5",
+            "--candidates", "2",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "ltakit: error: temperature" in capsys.readouterr().err
+        assert not out.exists() and not log.exists()
+
     @pytest.mark.parametrize("command", ["anticipate", "report"])
     def test_recognition_gap_is_data_error(self, pipeline, tmp_path, capsys, command):
         # Without segment 1, clip_00003's history would silently close over the gap.

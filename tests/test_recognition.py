@@ -6,6 +6,7 @@ import pytest
 from ltakit.cooccurrence import CooccurrenceMatrix
 from ltakit.dataset_io import SegmentDistribution
 from ltakit.errors import DataError
+from ltakit import recognition
 from ltakit.recognition import (
     BRANCH_NOUN,
     BRANCH_VERB,
@@ -254,6 +255,25 @@ class TestRecognitionFile:
             assert got.naive == want.naive
             assert got.used_fallback == want.used_fallback
             assert got.candidates == want.candidates
+
+    def test_each_distinct_action_text_parsed_once(self, tmp_path, kitchen, monkeypatch):
+        rows = [
+            '{"clip_id": "c", "segment": %d, "chosen": "take spoon", "naive": "stir pot",'
+            ' "candidates": [{"action": "take spoon", "score": 0.5, "branch": "verb_anchored"},'
+            ' {"action": "wash cup", "score": 0.2, "branch": "noun_anchored"}]}\n' % s
+            for s in range(3)
+        ]
+        path = tmp_path / "recognition.jsonl"
+        path.write_text("".join(rows))
+        calls = []
+        real = recognition.parse_action
+        monkeypatch.setattr(recognition, "parse_action", lambda text, tax: calls.append(text) or real(text, tax))
+        loaded = load_recognition(path, kitchen)
+        assert sorted(calls) == ["stir pot", "take spoon", "wash cup"]
+        assert [r.candidates[1].action for r in loaded] == [Action(3, 2)] * 3
+        # Each load starts from an empty table.
+        load_recognition(path, kitchen)
+        assert len(calls) == 6
 
     def test_unknown_branch_rejected(self, tmp_path, kitchen):
         path = tmp_path / "recognition.jsonl"
