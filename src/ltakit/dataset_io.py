@@ -86,8 +86,6 @@ def segment_key(obj: dict, seen: set[tuple[str, int]], where: str) -> tuple[str,
 def _parse_tokens(tokens, taxonomy: Taxonomy, where: str) -> list[Action]:
     actions = []
     for token in tokens:
-        if not isinstance(token, str):
-            raise DataError(f"{where}: action entries must be strings")
         try:
             actions.append(parse_action(token, taxonomy))
         except DataError as exc:

@@ -58,69 +58,22 @@ class RecognitionResult:
     used_fallback: bool = False
 
 
-def top_k(probs, k: int) -> list[tuple[int, float]]:
-    """The k highest entries as (index, value), ties broken by ascending index."""
-    arr = np.asarray(probs, dtype=float)
-    if arr.ndim != 1:
-        raise DataError("top_k expects a 1-D vector")
-    if k < 1 or k > arr.shape[0]:
-        raise DataError(f"k={k} out of range for a vector of length {arr.shape[0]}")
-    order = np.argsort(-arr, kind="stable")[:k]  # stable: equal values keep index order
-    return [(int(i), float(arr[i])) for i in order]
+def _branch(anchor_probs, other_probs, table, k: int):
+    """Score one branch for S segments: S x k*k scores, anchor ids and other ids.
+
+    `table[a]` is the other track's distribution given anchor a. Both top-k
+    steps sort stably, so equal values keep index order.
+    """
+    anchors = np.argsort(-anchor_probs, axis=1, kind="stable")[:, :k]
+    adjusted = other_probs[:, None, :] * table[anchors]
+    others = np.argsort(-adjusted, axis=2, kind="stable")[:, :, :k]
+    anchor_p = np.take_along_axis(anchor_probs, anchors, axis=1)
+    scores = anchor_p[..., None] * np.take_along_axis(adjusted, others, axis=2)
+    return scores.reshape(len(scores), -1), np.repeat(anchors, k, axis=1), others.reshape(len(scores), -1)
 
 
-def _order_key(candidate: CandidatePair):
-    return (-candidate.score, candidate.action.verb, candidate.action.noun)
-
-
-def _branch_best(candidates: list[CandidatePair], k: int) -> list[CandidatePair]:
-    return sorted(candidates, key=_order_key)[:k]
-
-
-def rerank(
-    dist: SegmentDistribution, matrix: CooccurrenceMatrix, k: int = DEFAULT_TOP_K
-) -> RecognitionResult:
-    """Re-rank one segment's verb/noun distributions against co-occurrence."""
-    num_verbs, num_nouns = matrix.shape
-    if dist.verb_probs.shape[0] != num_verbs or dist.noun_probs.shape[0] != num_nouns:
-        raise DataError(
-            f"segment {dist.clip_id!r}/{dist.segment_index}: distribution sizes "
-            f"({dist.verb_probs.shape[0]}, {dist.noun_probs.shape[0]}) do not match "
-            f"the {num_verbs}x{num_nouns} matrix"
-        )
-    if k < 1 or k > min(num_verbs, num_nouns):
-        raise DataError(f"top-k={k} needs 1 <= k <= min(|V|, |N|) = {min(num_verbs, num_nouns)}")
-
-    verb_probs = dist.verb_probs
-    noun_probs = dist.noun_probs
-
-    verb_branch = []
-    for v, p_verb in top_k(verb_probs, k):
-        adjusted = noun_probs * matrix.row_stochastic[v]
-        for n, q in top_k(adjusted, k):
-            verb_branch.append(CandidatePair(Action(v, n), float(p_verb * q), BRANCH_VERB))
-
-    noun_branch = []
-    for n, p_noun in top_k(noun_probs, k):
-        adjusted = verb_probs * matrix.col_stochastic[:, n]
-        for v, q in top_k(adjusted, k):
-            noun_branch.append(CandidatePair(Action(v, n), float(p_noun * q), BRANCH_NOUN))
-
-    merged: dict[Action, CandidatePair] = {}
-    for candidate in _branch_best(verb_branch, k) + _branch_best(noun_branch, k):
-        held = merged.get(candidate.action)
-        if held is None or candidate.score > held.score:
-            merged[candidate.action] = candidate
-    candidates = sorted(merged.values(), key=_order_key)
-
-    naive = Action(int(np.argmax(verb_probs)), int(np.argmax(noun_probs)))
-    if candidates[0].score > 0.0:
-        chosen, used_fallback = candidates[0].action, False
-    else:
-        chosen, used_fallback = naive, True
-    return RecognitionResult(
-        dist.clip_id, dist.segment_index, chosen, naive, candidates, used_fallback
-    )
+def _take(arrays, order) -> list[np.ndarray]:
+    return [np.take_along_axis(a, order, axis=1) for a in arrays]
 
 
 # Per-segment records of one pipeline stage: inputs to or outputs of recognition.
@@ -147,8 +100,52 @@ def ordered_segments(segments: list[Segment]) -> list[Segment]:
 def recognize_clip(
     distributions: list[SegmentDistribution], matrix: CooccurrenceMatrix, k: int = DEFAULT_TOP_K
 ) -> list[RecognitionResult]:
-    """Re-rank all segments of one clip, in segment order (input order may be shuffled)."""
-    return [rerank(d, matrix, k) for d in ordered_segments(distributions)]
+    """Re-rank all segments of one clip, in segment order (input order may be shuffled).
+
+    The clip is scored as S x |V| and S x |N| arrays at once; the largest
+    intermediate is S x k x max(|V|, |N|).
+    """
+    ordered = ordered_segments(distributions)
+    num_verbs, num_nouns = matrix.shape
+    for dist in ordered:
+        if dist.verb_probs.shape != (num_verbs,) or dist.noun_probs.shape != (num_nouns,):
+            raise DataError(
+                f"segment {dist.clip_id!r}/{dist.segment_index}: distribution sizes "
+                f"({dist.verb_probs.size}, {dist.noun_probs.size}) do not match "
+                f"the {num_verbs}x{num_nouns} matrix"
+            )
+    if k < 1 or k > min(num_verbs, num_nouns):
+        raise DataError(f"top-k={k} needs 1 <= k <= min(|V|, |N|) = {min(num_verbs, num_nouns)}")
+    verb_probs = np.stack([d.verb_probs for d in ordered])
+    noun_probs = np.stack([d.noun_probs for d in ordered])
+
+    v_scores, v_verbs, v_nouns = _branch(verb_probs, noun_probs, matrix.row_stochastic, k)
+    n_scores, n_nouns, n_verbs = _branch(noun_probs, verb_probs, matrix.col_stochastic.T, k)
+    cuts = [  # each branch keeps its k best by (-score, verb, noun)
+        _take((s, v, n), np.lexsort((n, v, -s), axis=1)[:, :k])
+        for s, v, n in ((v_scores, v_verbs, v_nouns), (n_scores, n_verbs, n_nouns))
+    ]
+    scores, verbs, nouns = (np.concatenate(c, axis=1) for c in zip(*cuts))
+    # Verb-anchored entries fill columns 0..k-1, so the column as last key breaks
+    # an exact tie toward them; then each action keeps its first entry.
+    columns = np.broadcast_to(np.arange(2 * k), scores.shape)
+    order = np.lexsort((columns, nouns, verbs, -scores), axis=1)
+    scores, verbs, nouns, columns = (a.tolist() for a in _take((scores, verbs, nouns, columns), order))
+    naive_verbs, naive_nouns = verb_probs.argmax(axis=1).tolist(), noun_probs.argmax(axis=1).tolist()
+
+    results = []
+    for i, dist in enumerate(ordered):
+        merged: dict[Action, CandidatePair] = {}
+        for score, v, n, column in zip(scores[i], verbs[i], nouns[i], columns[i]):
+            action = Action(v, n)
+            if action not in merged:
+                merged[action] = CandidatePair(action, score, BRANCH_VERB if column < k else BRANCH_NOUN)
+        candidates = list(merged.values())
+        naive = Action(naive_verbs[i], naive_nouns[i])
+        fallback = not candidates[0].score > 0.0
+        chosen = naive if fallback else candidates[0].action
+        results.append(RecognitionResult(dist.clip_id, dist.segment_index, chosen, naive, candidates, fallback))
+    return results
 
 
 def naive_clip(distributions: list[SegmentDistribution]) -> list[RecognitionResult]:
@@ -205,6 +202,8 @@ def load_recognition(path, taxonomy: Taxonomy) -> list[RecognitionResult]:
                 if branch not in (BRANCH_VERB, BRANCH_NOUN):
                     raise DataError(f"unknown branch {branch!r}")
                 candidates.append(CandidatePair(parse(raw["action"]), float(raw["score"]), branch))
+            if not isinstance(obj.get("fallback", False), bool):
+                raise DataError(f"field 'fallback' must be true or false, got {obj['fallback']!r}")
             results.append(
                 RecognitionResult(
                     clip_id=clip_id,
@@ -212,7 +211,7 @@ def load_recognition(path, taxonomy: Taxonomy) -> list[RecognitionResult]:
                     chosen=parse(obj["chosen"]),
                     naive=parse(obj["naive"]),
                     candidates=candidates,
-                    used_fallback=bool(obj.get("fallback", False)),
+                    used_fallback=obj.get("fallback", False),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -117,6 +117,8 @@ def save_taxonomy(path, taxonomy: Taxonomy) -> None:
 
 def parse_action(text: str, taxonomy: Taxonomy) -> Action:
     """Parse "verb_label noun_label" (single space) into an Action."""
+    if not isinstance(text, str):
+        raise DataError(f"action entries must be strings, got {text!r}")
     parts = text.split(" ")
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise DataError(f"malformed action {text!r}: expected 'verb noun' with a single space")

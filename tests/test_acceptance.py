@@ -25,7 +25,7 @@ from ltakit.dataset_io import (
     save_predictions,
 )
 from ltakit.metrics import ar_accuracy, corpus_eval, damerau_levenshtein
-from ltakit.recognition import group_segments, naive_clip, recognize_clip, rerank
+from ltakit.recognition import group_segments, naive_clip, recognize_clip
 from ltakit.synthgen import SynthConfig, generate_corpus
 from ltakit.taxonomy import Action, Taxonomy, load_taxonomy
 
@@ -85,7 +85,7 @@ def test_a02_reranking_matches_independent_oracle():
             matrix = CooccurrenceMatrix(counts, alpha)
             dist = segment(rng, num_verbs, num_nouns, quantized)
             k = int(rng.integers(1, min(num_verbs, num_nouns) + 1))
-            result = rerank(dist, matrix, k)
+            result = recognize_clip([dist], matrix, k)[0]
             chosen, candidates, naive, used_fallback = rerank_reference(
                 dist.verb_probs, dist.noun_probs,
                 matrix.row_stochastic, matrix.col_stochastic, k,
@@ -112,7 +112,7 @@ def test_a03_reranking_invariant_to_count_scale():
     counts = rng.uniform(0.0, 6.0, (7, 9))
     base = CooccurrenceMatrix(counts, alpha=0.0)
     dists = [segment(rng, 7, 9) for _ in range(200)]
-    base_results = [rerank(d, base, k=4) for d in dists]
+    base_results = [recognize_clip([d], base, k=4)[0] for d in dists]
     worst_delta = 0.0
     stable = True
     for factor in (0.5, 3.0, 1000.0):
@@ -123,7 +123,7 @@ def test_a03_reranking_invariant_to_count_scale():
             float(np.max(np.abs(scaled.col_stochastic - base.col_stochastic))),
         )
         for dist, want in zip(dists, base_results):
-            got = rerank(dist, scaled, k=4)
+            got = recognize_clip([dist], scaled, k=4)[0]
             if got.chosen != want.chosen or (
                 [c.action for c in got.candidates] != [c.action for c in want.candidates]
             ):
@@ -143,7 +143,7 @@ def test_a04_uniform_matrix_reduces_to_naive():
     total, agree = 1000, 0
     for _ in range(total):
         dist = segment(rng, 6, 8)
-        result = rerank(dist, matrix, k=3)
+        result = recognize_clip([dist], matrix, k=3)[0]
         agree += result.chosen == result.naive and not result.used_fallback
     ok = agree == total
     verdict(

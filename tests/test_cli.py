@@ -467,6 +467,23 @@ class TestExitCodes:
         assert "ltakit: error: clip 'clip_00003'" in err and "contiguous" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["anticipate", "report"])
+    def test_non_string_action_is_data_error(self, pipeline, tmp_path, capsys, command):
+        lines = pipeline["recognition"].read_text().splitlines()
+        first = json.loads(lines[0])
+        first["chosen"] = 5
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+        common = ["--recognition", str(broken), "--taxonomy", str(pipeline["taxonomy"]), "--horizon", "5"]
+        out = tmp_path / "p.jsonl"
+        if command == "anticipate":
+            argv = ["anticipate", *common, "--predictor", "repeat-last", "--out", str(out)]
+        else:
+            argv = ["report", *common, "--clip", first["clip_id"], "--annotations", str(pipeline["annotations"])]
+        assert run(argv) == 2
+        assert f"ltakit: error: {broken}:1: action entries must be strings, got 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_persistent_transport_failure_exits_three(self, pipeline, tmp_path, capsys):
         script = tmp_path / "script.json"
         script.write_text(json.dumps([{"fail": "endpoint down"}] * 8))

@@ -14,14 +14,12 @@ from ltakit.recognition import (
     load_recognition,
     naive_clip,
     recognize_clip,
-    rerank,
     save_recognition,
-    top_k,
 )
 from ltakit.taxonomy import Action, Taxonomy
 
 from conftest import random_distribution
-from oracles import rerank_reference, top_k_by_sort
+from oracles import rerank_reference
 
 
 def make_dist(verb_probs, noun_probs, clip_id="clip", segment=0):
@@ -30,38 +28,13 @@ def make_dist(verb_probs, noun_probs, clip_id="clip", segment=0):
     )
 
 
-class TestTopK:
-    def test_basic(self):
-        assert top_k([0.1, 0.7, 0.2], 2) == [(1, 0.7), (2, 0.2)]
-
-    def test_tie_prefers_lower_index(self):
-        assert top_k([0.4, 0.4, 0.2], 1) == [(0, 0.4)]
-        assert top_k([0.2, 0.4, 0.4], 2) == [(1, 0.4), (2, 0.4)]
-
-    def test_k_equals_length_is_full_ranking(self):
-        assert [i for i, _ in top_k([0.3, 0.5, 0.2], 3)] == [1, 0, 2]
-
-    @pytest.mark.parametrize("k", [0, 4, -1])
-    def test_k_out_of_range(self, k):
-        with pytest.raises(DataError, match="out of range"):
-            top_k([0.1, 0.2, 0.7], k)
-
-    def test_matches_sort_oracle(self):
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            size = int(rng.integers(1, 12))
-            values = rng.choice([0.0, 0.1, 0.25, 0.5], size=size).tolist()
-            k = int(rng.integers(1, size + 1))
-            assert top_k(values, k) == top_k_by_sort(values, k)
-
-
 class TestRerank:
     def test_one_hot_everything_agrees(self):
         counts = np.zeros((3, 4))
         counts[1, 2] = 5.0
         matrix = CooccurrenceMatrix(counts)
         dist = make_dist([0.1, 0.8, 0.1], [0.1, 0.1, 0.7, 0.1])
-        result = rerank(dist, matrix, k=2)
+        result = recognize_clip([dist], matrix, k=2)[0]
         assert result.chosen == Action(1, 2)
         assert result.naive == Action(1, 2)
         assert not result.used_fallback
@@ -72,7 +45,7 @@ class TestRerank:
         counts = np.array([[0.0, 10.0], [5.0, 5.0]])
         matrix = CooccurrenceMatrix(counts)
         dist = make_dist([0.9, 0.1], [0.55, 0.45])
-        result = rerank(dist, matrix, k=2)
+        result = recognize_clip([dist], matrix, k=2)[0]
         assert result.naive == Action(0, 0)
         assert result.chosen == Action(0, 1)
 
@@ -81,14 +54,14 @@ class TestRerank:
         rng = np.random.default_rng(22)
         for _ in range(50):
             dist = make_dist(random_distribution(rng, 4), random_distribution(rng, 6))
-            result = rerank(dist, matrix, k=3)
+            result = recognize_clip([dist], matrix, k=3)[0]
             assert result.chosen == result.naive
             assert not result.used_fallback
 
     def test_zero_matrix_falls_back_to_naive(self):
         matrix = CooccurrenceMatrix(np.zeros((3, 3)))
         dist = make_dist([0.2, 0.5, 0.3], [0.6, 0.3, 0.1])
-        result = rerank(dist, matrix, k=2)
+        result = recognize_clip([dist], matrix, k=2)[0]
         assert result.used_fallback
         assert result.chosen == result.naive == Action(1, 0)
         assert all(c.score == 0.0 for c in result.candidates)
@@ -99,7 +72,7 @@ class TestRerank:
         for _ in range(50):
             dist = make_dist(random_distribution(rng, 5), random_distribution(rng, 7))
             k = int(rng.integers(1, 6))
-            result = rerank(dist, matrix, k)
+            result = recognize_clip([dist], matrix, k)[0]
             assert 1 <= len(result.candidates) <= 2 * k
             scores = [c.score for c in result.candidates]
             assert scores == sorted(scores, reverse=True)
@@ -107,35 +80,50 @@ class TestRerank:
             assert result.chosen == result.candidates[0].action
 
     def test_matches_reference_exactly(self):
+        # Clips of 1-4 segments, passed in reverse order; each segment is checked
+        # against the oracle on its own, so no row of a clip can leak into another.
         rng = np.random.default_rng(24)
+        fallbacks = 0
         for _ in range(300):
             num_verbs = int(rng.integers(2, 9))
             num_nouns = int(rng.integers(2, 9))
-            matrix = CooccurrenceMatrix(
-                rng.choice([0.0, 1.0, 2.0, 5.0], size=(num_verbs, num_nouns)),
-                alpha=float(rng.choice([0.0, 0.5])),
-            )
-            dist = make_dist(
-                random_distribution(rng, num_verbs), random_distribution(rng, num_nouns)
-            )
+            counts = rng.choice([0.0, 1.0, 2.0, 5.0], size=(num_verbs, num_nouns))
+            alpha = float(rng.choice([0.0, 0.5]))
+            if alpha == 0.0:
+                # Verb 0 and noun 0 co-occur with nothing, so a segment certain of
+                # both scores zero on every candidate and falls back to naive.
+                counts[0, :] = counts[:, 0] = 0.0
+            matrix = CooccurrenceMatrix(counts, alpha)
+            dists = []
+            for s in range(int(rng.integers(1, 5))):
+                if alpha == 0.0 and rng.random() < 0.3:
+                    vectors = np.eye(num_verbs)[0], np.eye(num_nouns)[0]
+                else:
+                    vectors = random_distribution(rng, num_verbs), random_distribution(rng, num_nouns)
+                dists.append(make_dist(*vectors, "clip", s))
             k = int(rng.integers(1, min(num_verbs, num_nouns) + 1))
-            result = rerank(dist, matrix, k)
-            chosen, candidates, naive, used_fallback = rerank_reference(
-                dist.verb_probs, dist.noun_probs,
-                matrix.row_stochastic, matrix.col_stochastic, k,
-            )
-            assert (result.chosen.verb, result.chosen.noun) == chosen
-            assert (result.naive.verb, result.naive.noun) == naive
-            assert result.used_fallback == used_fallback
-            got = [(c.action.verb, c.action.noun, c.score, c.branch) for c in result.candidates]
-            assert got == candidates
+            results = recognize_clip(dists[::-1], matrix, k)
+            assert len(results) == len(dists)
+            for dist, result in zip(dists, results):
+                chosen, candidates, naive, used_fallback = rerank_reference(
+                    dist.verb_probs, dist.noun_probs,
+                    matrix.row_stochastic, matrix.col_stochastic, k,
+                )
+                assert result.segment_index == dist.segment_index
+                assert (result.chosen.verb, result.chosen.noun) == chosen
+                assert (result.naive.verb, result.naive.noun) == naive
+                assert result.used_fallback == used_fallback
+                got = [(c.action.verb, c.action.noun, c.score, c.branch) for c in result.candidates]
+                assert got == candidates
+                fallbacks += used_fallback
+        assert fallbacks > 0
 
     def test_branch_tie_keeps_verb_anchored_entry(self):
         # A fully symmetric setup makes both branches score every pair identically,
         # so after the tie rule the merged list carries only verb-anchored tags.
         matrix = CooccurrenceMatrix(np.array([[4.0, 0.0], [0.0, 4.0]]))
         dist = make_dist([0.7, 0.3], [0.7, 0.3])
-        result = rerank(dist, matrix, k=2)
+        result = recognize_clip([dist], matrix, k=2)[0]
         got = [(c.action, c.score, c.branch) for c in result.candidates]
         assert got == [
             (Action(0, 0), 0.7 * 0.7, BRANCH_VERB),
@@ -146,7 +134,7 @@ class TestRerank:
         # Pair (1, 0) is reachable only through the noun anchor at k=1.
         matrix = CooccurrenceMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         dist = make_dist([0.6, 0.4], [0.8, 0.2])
-        result = rerank(dist, matrix, k=1)
+        result = recognize_clip([dist], matrix, k=1)[0]
         by_action = {c.action: c.branch for c in result.candidates}
         assert by_action[Action(1, 0)] == BRANCH_NOUN
 
@@ -157,21 +145,30 @@ class TestRerank:
         scaled = CooccurrenceMatrix(counts * 250.0)
         for _ in range(50):
             dist = make_dist(random_distribution(rng, 4), random_distribution(rng, 5))
-            a = rerank(dist, matrix, k=3)
-            b = rerank(dist, scaled, k=3)
+            a = recognize_clip([dist], matrix, k=3)[0]
+            b = recognize_clip([dist], scaled, k=3)[0]
             assert a.chosen == b.chosen
             assert [c.action for c in a.candidates] == [c.action for c in b.candidates]
 
     def test_size_mismatch_rejected(self):
         matrix = CooccurrenceMatrix(np.ones((3, 4)))
         with pytest.raises(DataError, match="do not match"):
-            rerank(make_dist([0.5, 0.5], [0.25] * 4), matrix, k=2)
+            recognize_clip([make_dist([0.5, 0.5], [0.25] * 4)], matrix, k=2)
+
+    def test_ragged_clip_rejected_before_stacking(self):
+        matrix = CooccurrenceMatrix(np.ones((3, 4)))
+        dists = [
+            make_dist([0.2, 0.3, 0.5], [0.25] * 4, "c", 0),
+            make_dist([0.2, 0.3, 0.5], [0.2] * 5, "c", 1),
+        ]
+        with pytest.raises(DataError, match=r"'c'/1: distribution sizes \(3, 5\) do not match"):
+            recognize_clip(dists, matrix, k=2)
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_k_bounds_checked_against_min_dim(self, k):
         matrix = CooccurrenceMatrix(np.ones((3, 5)))
         with pytest.raises(DataError, match="min"):
-            rerank(make_dist([0.3, 0.3, 0.4], [0.2] * 5), matrix, k=k)
+            recognize_clip([make_dist([0.3, 0.3, 0.4], [0.2] * 5)], matrix, k=k)
 
 
 class TestClipLevel:
@@ -303,6 +300,17 @@ class TestRecognitionFile:
         path = tmp_path / "recognition.jsonl"
         path.write_text(self.ROW.format(0) + self.ROW.format(1.9))
         with pytest.raises(DataError, match=":2: field 'segment' has the wrong type"):
+            load_recognition(path, kitchen)
+
+    @pytest.mark.parametrize("value", ['"false"', "1", "null"])
+    def test_non_boolean_fallback_rejected(self, tmp_path, kitchen, value):
+        path = tmp_path / "recognition.jsonl"
+        path.write_text(
+            self.ROW.format(0)
+            + '{"clip_id": "c", "segment": 1, "chosen": "take spoon", "naive": "take spoon",'
+            ' "fallback": %s}\n' % value
+        )
+        with pytest.raises(DataError, match=":2: field 'fallback' must be true or false"):
             load_recognition(path, kitchen)
 
     def test_missing_field_names_location(self, tmp_path, kitchen):
