@@ -22,7 +22,7 @@ from .errors import (
     TransportError,
 )
 from .metrics import corpus_eval
-from .recognition import group_segments, recognize_clip
+from .recognition import recognize_clip
 from .synthgen import SynthConfig, generate_corpus
 
 __all__ = [
@@ -38,6 +38,5 @@ __all__ = [
     "corpus_eval",
     "fit_ngram",
     "generate_corpus",
-    "group_segments",
     "recognize_clip",
 ]

@@ -38,15 +38,7 @@ from .dataset_io import (
 from .errors import DataError, LlmError
 from .llm_client import LlmClient, LlmConfig, MockLlmClient, load_script
 from .metrics import corpus_eval, format_report, normalized_ed, save_report
-from .recognition import (
-    DEFAULT_TOP_K,
-    group_segments,
-    load_recognition,
-    naive_clip,
-    ordered_segments,
-    recognize_clip,
-    save_recognition,
-)
+from .recognition import DEFAULT_TOP_K, load_recognition, naive_clip, recognize_clip, save_recognition
 from .synthgen import SynthConfig, generate_corpus, provenance
 from .taxonomy import Taxonomy, format_action, load_taxonomy, save_taxonomy
 
@@ -85,9 +77,8 @@ def _cmd_synth(args) -> None:
     atomic_write_text(
         out_dir / "provenance.json", json.dumps(provenance(config, __version__), indent=2) + "\n"
     )
-    print(
-        f"wrote {len(corpus.annotations)} clips / {len(corpus.distributions)} segments to {out_dir}"
-    )
+    segments = sum(len(clip.verb_probs) for clip in corpus.distributions)
+    print(f"wrote {len(corpus.annotations)} clips / {segments} segments to {out_dir}")
 
 
 def _cmd_build_cooccur(args) -> None:
@@ -101,17 +92,13 @@ def _cmd_build_cooccur(args) -> None:
 def _cmd_recognize(args) -> None:
     taxonomy = load_taxonomy(args.taxonomy)
     matrix = load_matrix(args.matrix, taxonomy)
-    distributions = load_distributions(args.distributions, taxonomy)
-    groups = group_segments(distributions)
+    clips = load_distributions(args.distributions, taxonomy)
     results = []
-    for segments in groups.values():
-        if args.naive:
-            results += naive_clip(segments)
-        else:
-            results += recognize_clip(segments, matrix, args.top_k)
+    for clip in clips:
+        results += naive_clip(clip) if args.naive else recognize_clip(clip, matrix, args.top_k)
     save_recognition(args.out, results, taxonomy)
     mode = "naive" if args.naive else f"reranked (top-{args.top_k})"
-    print(f"wrote {len(results)} {mode} segments for {len(groups)} clips to {args.out}")
+    print(f"wrote {len(results)} {mode} segments for {len(clips)} clips to {args.out}")
 
 
 def _build_predictor(args, taxonomy: Taxonomy):
@@ -131,25 +118,24 @@ def _build_predictor(args, taxonomy: Taxonomy):
         return NgramPredictor(model, args.mode, args.seed, args.sample_top_k), None
 
     # LLM path: a scripted mock when --llm-script is given, a live client otherwise.
+    # Both take their config from the same flags; scripted failures never sleep.
     if args.llm_script:
         if args.workers > 1:
             # Script entries go to threads in arrival order, so output would vary run to run.
             raise UsageError("--llm-script replays its entries in request order; use --workers 1")
-        client = MockLlmClient(load_script(args.llm_script))
-    else:
-        if not args.llm_endpoint or not args.llm_model:
-            raise UsageError("--predictor llm requires --llm-endpoint and --llm-model (or --llm-script)")
-        client = LlmClient(
-            LlmConfig(
-                endpoint_url=args.llm_endpoint,
-                model_name=args.llm_model,
-                temperature=args.llm_temperature,
-                max_tokens=args.llm_max_tokens,
-                timeout=args.llm_timeout,
-                max_retries=args.llm_max_retries,
-                auth_token_env_var=args.llm_auth_env,
-            )
-        )
+    elif not args.llm_endpoint or not args.llm_model:
+        raise UsageError("--predictor llm requires --llm-endpoint and --llm-model (or --llm-script)")
+    config = LlmConfig(
+        endpoint_url="mock://local" if args.llm_script else args.llm_endpoint,
+        model_name=args.llm_model or "scripted-mock",
+        temperature=args.llm_temperature,
+        max_tokens=args.llm_max_tokens,
+        timeout=args.llm_timeout,
+        max_retries=args.llm_max_retries,
+        auth_token_env_var=args.llm_auth_env,
+        backoff_base=0.0 if args.llm_script else LlmConfig.backoff_base,
+    )
+    client = MockLlmClient(load_script(args.llm_script), config) if args.llm_script else LlmClient(config)
     template = load_prompt_template(args.prompt_template) if args.prompt_template else DEFAULT_PROMPT
     fallback = None
     if train:
@@ -162,9 +148,9 @@ def _cmd_anticipate(args) -> None:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     taxonomy = load_taxonomy(args.taxonomy)
-    groups = group_segments(load_recognition(args.recognition, taxonomy))
     histories = {
-        clip_id: [r.chosen for r in ordered_segments(results)] for clip_id, results in groups.items()
+        clip_id: [r.chosen for r in results]
+        for clip_id, results in load_recognition(args.recognition, taxonomy).items()
     }
     predictor, client = _build_predictor(args, taxonomy)
 
@@ -188,7 +174,10 @@ def _cmd_evaluate(args) -> None:
     taxonomy = load_taxonomy(args.taxonomy)
     annotations = load_annotations(args.annotations, taxonomy, args.horizon)
     predictions = load_predictions(args.predictions, taxonomy, args.horizon)
-    recognition = load_recognition(args.recognition, taxonomy) if args.recognition else None
+    recognition = None
+    if args.recognition:
+        clips = load_recognition(args.recognition, taxonomy).values()
+        recognition = [result for results in clips for result in results]
     report = corpus_eval(predictions, annotations, recognition)
     if args.out:
         save_report(args.out, report)
@@ -205,8 +194,7 @@ def _cmd_report(args) -> None:
     lines = [f"clip {record.clip_id}"]
     recognition = None
     if args.recognition:
-        groups = group_segments(load_recognition(args.recognition, taxonomy))
-        recognition = ordered_segments(groups[args.clip]) if args.clip in groups else []
+        recognition = load_recognition(args.recognition, taxonomy).get(args.clip, [])
     lines.append("observed:")
     for i, action in enumerate(record.observed):
         line = f"  [{i}] {format_action(action, taxonomy)}"

@@ -8,8 +8,10 @@ All three datasets are JSON lines, one record per line:
 
 `future` is optional (test-mode clips); when present it holds exactly the
 anticipation horizon worth of actions. Probability vectors are dense, one
-entry per vocabulary item. Loading preserves file order, and every
-save/load pair round-trips exactly on valid data.
+entry per vocabulary item. Loading preserves file order, except that
+per-segment records are grouped per clip (clips in first-appearance order,
+segments in index order), and every save/load pair round-trips exactly on
+valid data.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ class ClipRecord:
 
 
 @dataclass(eq=False)
-class SegmentDistribution:
-    """Recognition output for one observed segment: dense verb and noun probabilities."""
+class ClipDistributions:
+    """Recognition output for one clip: S x |V| verb and S x |N| noun probabilities, row i = segment i."""
 
     clip_id: str
-    segment_index: int
     verb_probs: np.ndarray
     noun_probs: np.ndarray
 
@@ -81,6 +82,25 @@ def segment_key(obj: dict, seen: set[tuple[str, int]], where: str) -> tuple[str,
         raise DataError(f"{where}: duplicate segment {segment} for clip {clip_id!r}")
     seen.add(key)
     return key
+
+
+def clip_rows(keys: list[tuple[str, int]]) -> dict[str, list[int]]:
+    """Positions of (clip_id, segment) keys per clip: clips in first-appearance order,
+    each clip's in segment order, and its segments contiguous from 0 (else a DataError)."""
+    groups: dict[str, list[tuple[int, int]]] = {}
+    for row, (clip_id, segment) in enumerate(keys):
+        groups.setdefault(clip_id, []).append((segment, row))
+    rows = {}
+    for clip_id, pairs in groups.items():
+        pairs.sort()
+        for expected, (segment, _) in enumerate(pairs):
+            if segment != expected:
+                raise DataError(
+                    f"clip {clip_id!r}: segment indices must be contiguous from 0, "
+                    f"expected {expected} but found {segment}"
+                )
+        rows[clip_id] = [row for _, row in pairs]
+    return rows
 
 
 def _parse_tokens(tokens, taxonomy: Taxonomy, where: str) -> list[Action]:
@@ -129,16 +149,18 @@ def save_annotations(path, records: list[ClipRecord], taxonomy: Taxonomy) -> Non
     atomic_write_text(path, dump_jsonl(rows))
 
 
-def _clean_probs(values, expected_len: int, name: str, where: str) -> np.ndarray:
+def _clean_probs(values: list, expected_len: int, name: str, where: str) -> np.ndarray:
+    if not set(map(type, values)) <= {float, int}:  # JSON numbers only: no str, bool, null or list
+        raise DataError(f"{where}: {name} is not a vector of numbers")
+    if len(values) != expected_len:
+        raise DataError(f"{where}: {name} has length {len(values)}, expected {expected_len}")
     try:
         arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise DataError(f"{where}: {name} is not a numeric vector") from None
-    if arr.ndim != 1 or arr.shape[0] != expected_len:
-        raise DataError(f"{where}: {name} has length {arr.size}, expected {expected_len}")
-    if not np.all(np.isfinite(arr)):
+    except OverflowError:
+        raise DataError(f"{where}: {name} contains a number too large for a float") from None
+    if not np.isfinite(arr).all():
         raise DataError(f"{where}: {name} contains non-finite entries")
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise DataError(f"{where}: {name} contains a negative probability")
     total = float(arr.sum())
     if abs(total - 1.0) > SUM_TOLERANCE:
@@ -146,32 +168,33 @@ def _clean_probs(values, expected_len: int, name: str, where: str) -> np.ndarray
     return arr / total
 
 
-def load_distributions(path, taxonomy: Taxonomy) -> list[SegmentDistribution]:
-    """Load per-segment probability vectors, renormalizing sums inside the tolerance band."""
-    out = []
+def load_distributions(path, taxonomy: Taxonomy) -> list[ClipDistributions]:
+    """Load per-segment probability vectors as one record per clip (see `clip_rows`),
+    renormalizing sums inside the tolerance band."""
+    keys, verbs, nouns = [], {}, {}
     seen: set[tuple[str, int]] = set()
     for lineno, obj in iter_jsonl(path):
         where = f"{path}:{lineno}"
-        clip_id, segment = segment_key(obj, seen, where)
-        verb_probs = _clean_probs(
+        key = segment_key(obj, seen, where)
+        verbs[len(keys)] = _clean_probs(
             _require(obj, "verb_probs", list, where), taxonomy.num_verbs, "verb_probs", where
         )
-        noun_probs = _clean_probs(
+        nouns[len(keys)] = _clean_probs(
             _require(obj, "noun_probs", list, where), taxonomy.num_nouns, "noun_probs", where
         )
-        out.append(SegmentDistribution(clip_id, segment, verb_probs, noun_probs))
-    return out
+        keys.append(key)
+    # Each row is dropped once its clip is stacked, so the file is held about once, not twice.
+    return [
+        ClipDistributions(clip_id, np.array([verbs.pop(r) for r in rows]), np.array([nouns.pop(r) for r in rows]))
+        for clip_id, rows in clip_rows(keys).items()
+    ]
 
 
-def save_distributions(path, distributions: list[SegmentDistribution]) -> None:
+def save_distributions(path, clips: list[ClipDistributions]) -> None:
     rows = [
-        {
-            "clip_id": d.clip_id,
-            "segment": int(d.segment_index),
-            "verb_probs": [float(x) for x in d.verb_probs],
-            "noun_probs": [float(x) for x in d.noun_probs],
-        }
-        for d in distributions
+        {"clip_id": clip.clip_id, "segment": i, "verb_probs": verb, "noun_probs": noun}
+        for clip in clips
+        for i, (verb, noun) in enumerate(zip(clip.verb_probs.tolist(), clip.noun_probs.tolist()))
     ]
     atomic_write_text(path, dump_jsonl(rows))
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TypeVar
 
 import numpy as np
 
 from ._fileio import atomic_write_text, dump_jsonl, iter_jsonl
 from .cooccurrence import CooccurrenceMatrix
-from .dataset_io import SegmentDistribution, segment_key
+from .dataset_io import ClipDistributions, clip_rows, segment_key
 from .errors import DataError
 from .taxonomy import Action, Taxonomy, format_action, parse_action
 
@@ -76,49 +75,30 @@ def _take(arrays, order) -> list[np.ndarray]:
     return [np.take_along_axis(a, order, axis=1) for a in arrays]
 
 
-# Per-segment records of one pipeline stage: inputs to or outputs of recognition.
-Segment = TypeVar("Segment", SegmentDistribution, RecognitionResult)
-
-
-def ordered_segments(segments: list[Segment]) -> list[Segment]:
-    """One clip's segments in segment order; their indices must run contiguously from 0."""
-    if not segments:
-        raise DataError("no segments given")
-    clip_ids = {s.clip_id for s in segments}
-    if len(clip_ids) != 1:
-        raise DataError(f"segments from multiple clips passed together: {sorted(clip_ids)}")
-    ordered = sorted(segments, key=lambda s: s.segment_index)
-    for expected, segment in enumerate(ordered):
-        if segment.segment_index != expected:
-            raise DataError(
-                f"clip {segment.clip_id!r}: segment indices must be contiguous from 0, "
-                f"expected {expected} but found {segment.segment_index}"
-            )
-    return ordered
+def _check_clip(clip: ClipDistributions, sizes: tuple[int, int] | None = None) -> None:
+    """Both arrays must be S x |V| and S x |N| with S >= 1; `sizes` pins (|V|, |N|)."""
+    verb, noun = clip.verb_probs.shape, clip.noun_probs.shape
+    if not (len(verb) == len(noun) == 2 and verb[0] == noun[0] > 0 and sizes in (None, (verb[1], noun[1]))):
+        target = "each other" if sizes is None else f"the {sizes[0]}x{sizes[1]} matrix"
+        raise DataError(
+            f"clip {clip.clip_id!r}: distribution shapes {verb} and {noun} do not match {target} "
+            "(need S x |V| and S x |N| with S >= 1)"
+        )
 
 
 def recognize_clip(
-    distributions: list[SegmentDistribution], matrix: CooccurrenceMatrix, k: int = DEFAULT_TOP_K
+    clip: ClipDistributions, matrix: CooccurrenceMatrix, k: int = DEFAULT_TOP_K
 ) -> list[RecognitionResult]:
-    """Re-rank all segments of one clip, in segment order (input order may be shuffled).
+    """Re-rank all segments of one clip, in segment order.
 
     The clip is scored as S x |V| and S x |N| arrays at once; the largest
     intermediate is S x k x max(|V|, |N|).
     """
-    ordered = ordered_segments(distributions)
+    _check_clip(clip, matrix.shape)
     num_verbs, num_nouns = matrix.shape
-    for dist in ordered:
-        if dist.verb_probs.shape != (num_verbs,) or dist.noun_probs.shape != (num_nouns,):
-            raise DataError(
-                f"segment {dist.clip_id!r}/{dist.segment_index}: distribution sizes "
-                f"({dist.verb_probs.size}, {dist.noun_probs.size}) do not match "
-                f"the {num_verbs}x{num_nouns} matrix"
-            )
     if k < 1 or k > min(num_verbs, num_nouns):
         raise DataError(f"top-k={k} needs 1 <= k <= min(|V|, |N|) = {min(num_verbs, num_nouns)}")
-    verb_probs = np.stack([d.verb_probs for d in ordered])
-    noun_probs = np.stack([d.noun_probs for d in ordered])
-
+    verb_probs, noun_probs = clip.verb_probs, clip.noun_probs
     v_scores, v_verbs, v_nouns = _branch(verb_probs, noun_probs, matrix.row_stochastic, k)
     n_scores, n_nouns, n_verbs = _branch(noun_probs, verb_probs, matrix.col_stochastic.T, k)
     cuts = [  # each branch keeps its k best by (-score, verb, noun)
@@ -134,7 +114,7 @@ def recognize_clip(
     naive_verbs, naive_nouns = verb_probs.argmax(axis=1).tolist(), noun_probs.argmax(axis=1).tolist()
 
     results = []
-    for i, dist in enumerate(ordered):
+    for i in range(len(verb_probs)):
         merged: dict[Action, CandidatePair] = {}
         for score, v, n, column in zip(scores[i], verbs[i], nouns[i], columns[i]):
             action = Action(v, n)
@@ -144,25 +124,15 @@ def recognize_clip(
         naive = Action(naive_verbs[i], naive_nouns[i])
         fallback = not candidates[0].score > 0.0
         chosen = naive if fallback else candidates[0].action
-        results.append(RecognitionResult(dist.clip_id, dist.segment_index, chosen, naive, candidates, fallback))
+        results.append(RecognitionResult(clip.clip_id, i, chosen, naive, candidates, fallback))
     return results
 
 
-def naive_clip(distributions: list[SegmentDistribution]) -> list[RecognitionResult]:
+def naive_clip(clip: ClipDistributions) -> list[RecognitionResult]:
     """Ablation path: per-track argmax pairs, no co-occurrence candidates."""
-    results = []
-    for dist in ordered_segments(distributions):
-        naive = Action(int(np.argmax(dist.verb_probs)), int(np.argmax(dist.noun_probs)))
-        results.append(RecognitionResult(dist.clip_id, dist.segment_index, naive, naive))
-    return results
-
-
-def group_segments(segments: list[Segment]) -> dict[str, list[Segment]]:
-    """Bucket segments per clip, clips kept in first-appearance order."""
-    groups: dict[str, list[Segment]] = {}
-    for segment in segments:
-        groups.setdefault(segment.clip_id, []).append(segment)
-    return groups
+    _check_clip(clip)
+    verbs, nouns = clip.verb_probs.argmax(axis=1).tolist(), clip.noun_probs.argmax(axis=1).tolist()
+    return [RecognitionResult(clip.clip_id, i, a, a) for i, a in enumerate(map(Action, verbs, nouns))]
 
 
 def save_recognition(path, results: list[RecognitionResult], taxonomy: Taxonomy) -> None:
@@ -188,7 +158,8 @@ def save_recognition(path, results: list[RecognitionResult], taxonomy: Taxonomy)
     atomic_write_text(path, dump_jsonl(rows))
 
 
-def load_recognition(path, taxonomy: Taxonomy) -> list[RecognitionResult]:
+def load_recognition(path, taxonomy: Taxonomy) -> dict[str, list[RecognitionResult]]:
+    """Recognition rows per clip, as `dataset_io.clip_rows` groups and checks them."""
     results = []
     seen: set[tuple[str, int]] = set()
     parse = functools.cache(lambda text: parse_action(text, taxonomy))  # each distinct text parsed once
@@ -218,4 +189,5 @@ def load_recognition(path, taxonomy: Taxonomy) -> list[RecognitionResult]:
             if isinstance(exc, DataError):
                 raise DataError(f"{where}: {exc}") from None
             raise DataError(f"{where}: malformed recognition record ({exc!r})") from None
-    return results
+    rows = clip_rows([(r.clip_id, r.segment_index) for r in results])
+    return {clip_id: [results[r] for r in clip] for clip_id, clip in rows.items()}

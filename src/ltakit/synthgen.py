@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset_io import ClipRecord, SegmentDistribution
+from .dataset_io import ClipDistributions, ClipRecord
 from .errors import DataError
 from .taxonomy import Action, Taxonomy
 
@@ -72,7 +72,7 @@ class SynthConfig:
 class SynthCorpus:
     taxonomy: Taxonomy
     annotations: list[ClipRecord]
-    distributions: list[SegmentDistribution]
+    distributions: list[ClipDistributions]
     compatible_nouns: list[list[int]] = field(default_factory=list)
     templates: list[list[Action]] = field(default_factory=list)
 
@@ -113,7 +113,7 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
 
     window = config.observed_segments + config.horizon
     annotations: list[ClipRecord] = []
-    distributions: list[SegmentDistribution] = []
+    distributions: list[ClipDistributions] = []
     for c in range(config.num_clips):
         routine = templates[int(rng.integers(config.num_templates))]
         offset = int(rng.integers(length))
@@ -126,23 +126,17 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
         clip_id = f"clip_{c:05d}"
         observed = actions[: config.observed_segments]
         annotations.append(ClipRecord(clip_id, observed, actions[config.observed_segments :]))
-        for i, action in enumerate(observed):
+        verbs, nouns = [], []
+        for action in observed:
             verb_pool = [v for v in range(num_verbs) if v != action.verb]
             noun_pool = [n for n in range(num_nouns) if n % num_verbs != action.verb]
-            distributions.append(
-                SegmentDistribution(
-                    clip_id,
-                    i,
-                    _noisy_vector(
-                        num_verbs, action.verb, verb_pool,
-                        config.verb_distractor_mass, config.noise_temperature, rng,
-                    ),
-                    _noisy_vector(
-                        num_nouns, action.noun, noun_pool,
-                        config.noun_distractor_mass, config.noise_temperature, rng,
-                    ),
-                )
-            )
+            verbs.append(_noisy_vector(
+                num_verbs, action.verb, verb_pool, config.verb_distractor_mass, config.noise_temperature, rng
+            ))
+            nouns.append(_noisy_vector(
+                num_nouns, action.noun, noun_pool, config.noun_distractor_mass, config.noise_temperature, rng
+            ))
+        distributions.append(ClipDistributions(clip_id, np.array(verbs), np.array(nouns)))
     return SynthCorpus(taxonomy, annotations, distributions, compatible, templates)
 
 

@@ -19,13 +19,13 @@ from ltakit.cooccurrence import CooccurrenceMatrix, build_cooccurrence
 from ltakit.dataset_io import (
     ClipRecord,
     PredictionSet,
-    SegmentDistribution,
+    ClipDistributions,
     load_annotations,
     load_predictions,
     save_predictions,
 )
 from ltakit.metrics import ar_accuracy, corpus_eval, damerau_levenshtein
-from ltakit.recognition import group_segments, naive_clip, recognize_clip
+from ltakit.recognition import naive_clip, recognize_clip
 from ltakit.synthgen import SynthConfig, generate_corpus
 from ltakit.taxonomy import Action, Taxonomy, load_taxonomy
 
@@ -48,7 +48,7 @@ def segment(rng, num_verbs, num_nouns, quantized=False):
     else:
         def vec(size):
             return random_distribution(rng, size)
-    return SegmentDistribution("clip", 0, vec(num_verbs), vec(num_nouns))
+    return ClipDistributions("clip", vec(num_verbs)[None], vec(num_nouns)[None])
 
 
 def test_a01_edit_distance_matches_independent_oracle():
@@ -85,9 +85,9 @@ def test_a02_reranking_matches_independent_oracle():
             matrix = CooccurrenceMatrix(counts, alpha)
             dist = segment(rng, num_verbs, num_nouns, quantized)
             k = int(rng.integers(1, min(num_verbs, num_nouns) + 1))
-            result = recognize_clip([dist], matrix, k)[0]
+            result = recognize_clip(dist, matrix, k)[0]
             chosen, candidates, naive, used_fallback = rerank_reference(
-                dist.verb_probs, dist.noun_probs,
+                dist.verb_probs[0], dist.noun_probs[0],
                 matrix.row_stochastic, matrix.col_stochastic, k,
             )
             got = [(c.action.verb, c.action.noun, c.score, c.branch) for c in result.candidates]
@@ -112,7 +112,7 @@ def test_a03_reranking_invariant_to_count_scale():
     counts = rng.uniform(0.0, 6.0, (7, 9))
     base = CooccurrenceMatrix(counts, alpha=0.0)
     dists = [segment(rng, 7, 9) for _ in range(200)]
-    base_results = [recognize_clip([d], base, k=4)[0] for d in dists]
+    base_results = [recognize_clip(d, base, k=4)[0] for d in dists]
     worst_delta = 0.0
     stable = True
     for factor in (0.5, 3.0, 1000.0):
@@ -123,7 +123,7 @@ def test_a03_reranking_invariant_to_count_scale():
             float(np.max(np.abs(scaled.col_stochastic - base.col_stochastic))),
         )
         for dist, want in zip(dists, base_results):
-            got = recognize_clip([dist], scaled, k=4)[0]
+            got = recognize_clip(dist, scaled, k=4)[0]
             if got.chosen != want.chosen or (
                 [c.action for c in got.candidates] != [c.action for c in want.candidates]
             ):
@@ -143,7 +143,7 @@ def test_a04_uniform_matrix_reduces_to_naive():
     total, agree = 1000, 0
     for _ in range(total):
         dist = segment(rng, 6, 8)
-        result = recognize_clip([dist], matrix, k=3)[0]
+        result = recognize_clip(dist, matrix, k=3)[0]
         agree += result.chosen == result.naive and not result.used_fallback
     ok = agree == total
     verdict(
@@ -172,9 +172,9 @@ def test_a05_reranking_beats_naive_on_corrupted_nouns():
         corpus = generate_corpus(config)
         matrix = build_cooccurrence(corpus.annotations, corpus.taxonomy, alpha=0.0)
         reranked, naive = [], []
-        for dists in group_segments(corpus.distributions).values():
-            reranked.extend(recognize_clip(dists, matrix, k=5))
-            naive.extend(naive_clip(dists))
+        for clip in corpus.distributions:
+            reranked.extend(recognize_clip(clip, matrix, k=5))
+            naive.extend(naive_clip(clip))
         _, _, rerank_acc = ar_accuracy(reranked, corpus.annotations)
         _, _, naive_acc = ar_accuracy(naive, corpus.annotations)
         margins.append(rerank_acc - naive_acc)

@@ -447,7 +447,7 @@ class TestExitCodes:
         assert "ltakit: error: temperature" in capsys.readouterr().err
         assert not out.exists() and not log.exists()
 
-    @pytest.mark.parametrize("command", ["anticipate", "report"])
+    @pytest.mark.parametrize("command", ["anticipate", "report", "evaluate"])
     def test_recognition_gap_is_data_error(self, pipeline, tmp_path, capsys, command):
         # Without segment 1, clip_00003's history would silently close over the gap.
         gapped = tmp_path / "gapped.jsonl"
@@ -460,11 +460,36 @@ class TestExitCodes:
         out = tmp_path / "p.jsonl"
         if command == "anticipate":
             argv = ["anticipate", *common, "--predictor", "repeat-last", "--out", str(out)]
+        elif command == "report":
+            # The gap is in another clip than --clip: the file is rejected as a whole.
+            argv = ["report", *common, "--clip", "clip_00000", "--annotations", str(pipeline["annotations"])]
         else:
-            argv = ["report", *common, "--clip", "clip_00003", "--annotations", str(pipeline["annotations"])]
+            argv = ["evaluate", *common, "--predictions", str(pipeline["predictions"]),
+                    "--annotations", str(pipeline["annotations"]), "--out", str(out)]
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert "ltakit: error: clip 'clip_00003'" in err and "contiguous" in err
+        assert not out.exists()
+
+    def test_distributions_gap_is_data_error(self, pipeline, tmp_path, capsys):
+        gapped = tmp_path / "gapped.jsonl"
+        gapped.write_text("".join(
+            f"{line}\n"
+            for line in pipeline["distributions"].read_text().splitlines()
+            if (json.loads(line)["clip_id"], json.loads(line)["segment"]) != ("clip_00005", 0)
+        ))
+        out = tmp_path / "r.jsonl"
+        code = run([
+            "recognize",
+            "--distributions", str(gapped),
+            "--matrix", str(pipeline["matrix"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--top-k", "4",
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ltakit: error: clip 'clip_00005': segment indices must be contiguous from 0, expected 0 but found 1" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["anticipate", "report"])
@@ -643,6 +668,44 @@ class TestLlmPath:
         # The user prompt carries the full recognized history of its clip.
         first_rec = json.loads(pipeline["recognition"].read_text().splitlines()[0])
         assert first_rec["chosen"] in logged[0]["messages"][1]["content"]
+
+    def test_script_takes_the_llm_flags(self, pipeline, tmp_path, capsys):
+        recognition = tmp_path / "one_clip.jsonl"
+        recognition.write_text("".join(
+            f"{line}\n"
+            for line in pipeline["recognition"].read_text().splitlines()
+            if json.loads(line)["clip_id"] == "clip_00000"
+        ))
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"fail": "x"}, "verb_000 noun_000"]))
+        log = tmp_path / "requests.jsonl"
+        out = tmp_path / "p.jsonl"
+        argv = [
+            "anticipate",
+            "--recognition", str(recognition),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--predictor", "llm",
+            "--llm-script", str(script),
+            "--llm-request-log", str(log),
+            "--horizon", "5",
+            "--candidates", "1",
+            "--out", str(out),
+        ]
+
+        def logged():
+            return [(b["model"], b["max_tokens"]) for b in map(json.loads, log.read_text().splitlines())]
+
+        assert run(argv) == 0
+        assert logged() == [("scripted-mock", 256)] * 2  # the flag defaults; one failure retried
+        assert run(argv + ["--llm-model", "m1", "--llm-max-tokens", "77"]) == 0
+        assert logged() == [("m1", 77)] * 2
+        out.unlink()
+        log.unlink()
+        assert run(argv + ["--llm-max-retries", "0"]) == 3
+        assert "ltakit: error: clip 'clip_00000': x" in capsys.readouterr().err
+        assert run(argv + ["--llm-timeout", "nan"]) == 2
+        assert "ltakit: error: timeout must be finite" in capsys.readouterr().err
+        assert not out.exists() and not log.exists()
 
     def test_prompt_template_flag(self, pipeline, tmp_path):
         template = tmp_path / "prompt.json"

@@ -8,7 +8,7 @@ import pytest
 from ltakit.dataset_io import (
     ClipRecord,
     PredictionSet,
-    SegmentDistribution,
+    ClipDistributions,
     load_annotations,
     load_distributions,
     load_predictions,
@@ -117,10 +117,13 @@ class TestDistributions:
         path = tmp_path / "dist.jsonl"
         write_jsonl(
             path,
-            [self.base_row(kitchen, segment=1), self.base_row(kitchen, segment=0)],
+            [self.base_row(kitchen, segment=1, verb_probs=[0.0, 1.0, 0.0, 0.0]), self.base_row(kitchen, segment=0)],
         )
-        dists = load_distributions(path, kitchen)
-        assert [d.segment_index for d in dists] == [1, 0]  # file order kept
+        [clip] = load_distributions(path, kitchen)
+        assert clip.clip_id == "c1"
+        # Row i is segment i, whatever the file order.
+        assert clip.verb_probs.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+        assert clip.noun_probs.shape == (2, 5)
 
     def test_renormalizes_inside_band(self, tmp_path, kitchen):
         path = tmp_path / "dist.jsonl"
@@ -149,6 +152,23 @@ class TestDistributions:
         with pytest.raises(DataError, match="length"):
             load_distributions(path, kitchen)
 
+    @pytest.mark.parametrize(
+        "verb_probs",
+        [["1.0", "0", "0", "0"], [True, False, False, False], [1.0, 0.0, 0.0, None], [[1.0], [0.0], [0.0], [0.0]],
+         [1.0, 0.0, 0.0, False]],
+    )
+    def test_non_number_entries_rejected(self, tmp_path, kitchen, verb_probs):
+        path = tmp_path / "dist.jsonl"
+        write_jsonl(path, [self.base_row(kitchen), self.base_row(kitchen, segment=1, verb_probs=verb_probs)])
+        with pytest.raises(DataError, match=r":2: verb_probs is not a vector of numbers"):
+            load_distributions(path, kitchen)
+
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path, kitchen):
+        path = tmp_path / "dist.jsonl"
+        write_jsonl(path, [self.base_row(kitchen, noun_probs=[10**400, 0, 0, 0, 0])])
+        with pytest.raises(DataError, match=r":1: noun_probs contains a number too large"):
+            load_distributions(path, kitchen)
+
     def test_non_finite_rejected(self, tmp_path, kitchen):
         path = tmp_path / "dist.jsonl"
         row = self.base_row(kitchen)
@@ -167,11 +187,10 @@ class TestDistributions:
         # Sums are exactly 1.0 here, so renormalization divides by 1.0 and
         # the JSON float round trip must reproduce every bit.
         dists = [
-            SegmentDistribution(
+            ClipDistributions(
                 "c1",
-                0,
-                np.array([0.5, 0.25, 0.125, 0.125]),
-                np.array([0.5, 0.25, 0.125, 0.0625, 0.0625]),
+                np.array([[0.5, 0.25, 0.125, 0.125], [0.125, 0.125, 0.25, 0.5]]),
+                np.array([[0.5, 0.25, 0.125, 0.0625, 0.0625], [0.0625, 0.0625, 0.125, 0.25, 0.5]]),
             )
         ]
         path = tmp_path / "dist.jsonl"
@@ -183,8 +202,8 @@ class TestDistributions:
     def test_round_trip_renormalizes_inexact_sums(self, tmp_path, kitchen):
         # 0.7 + 0.1 + 0.1 + 0.1 is one ulp shy of 1.0, so the loader rescales.
         dists = [
-            SegmentDistribution(
-                "c1", 0, np.array([0.7, 0.1, 0.1, 0.1]), np.array([0.5, 0.2, 0.1, 0.1, 0.1])
+            ClipDistributions(
+                "c1", np.array([[0.7, 0.1, 0.1, 0.1]]), np.array([[0.5, 0.2, 0.1, 0.1, 0.1]])
             )
         ]
         path = tmp_path / "dist.jsonl"

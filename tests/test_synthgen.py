@@ -14,7 +14,7 @@ from ltakit.dataset_io import (
 )
 from ltakit.errors import DataError
 from ltakit.metrics import ar_accuracy
-from ltakit.recognition import group_segments, naive_clip, recognize_clip
+from ltakit.recognition import naive_clip, recognize_clip
 from ltakit.synthgen import SynthConfig, generate_corpus, provenance
 from ltakit.taxonomy import save_taxonomy
 
@@ -63,7 +63,8 @@ class TestCorpusShape:
         assert corpus.taxonomy.num_verbs == 4
         assert corpus.taxonomy.num_nouns == 24
         assert len(corpus.annotations) == 12
-        assert len(corpus.distributions) == 12 * 3
+        assert [c.clip_id for c in corpus.distributions] == [r.clip_id for r in corpus.annotations]
+        assert all(c.verb_probs.shape == (3, 4) and c.noun_probs.shape == (3, 24) for c in corpus.distributions)
         for record in corpus.annotations:
             assert len(record.observed) == 3
             assert len(record.future) == 5
@@ -107,8 +108,8 @@ class TestCorpusShape:
     def test_distributions_are_normalized(self):
         corpus = generate_corpus(small_config(noun_distractor_mass=0.4))
         for dist in corpus.distributions:
-            assert dist.verb_probs.sum() == pytest.approx(1.0)
-            assert dist.noun_probs.sum() == pytest.approx(1.0)
+            assert dist.verb_probs.sum(axis=1) == pytest.approx(1.0)
+            assert dist.noun_probs.sum(axis=1) == pytest.approx(1.0)
             assert np.all(dist.verb_probs >= 0)
             assert np.all(dist.noun_probs >= 0)
 
@@ -150,6 +151,7 @@ class TestRoundTrip:
         distributions = load_distributions(tmp_path / "dist.jsonl", corpus.taxonomy)
         assert len(distributions) == len(corpus.distributions)
         for got, want in zip(distributions, corpus.distributions):
+            assert got.clip_id == want.clip_id
             assert np.allclose(got.verb_probs, want.verb_probs, atol=1e-12)
             assert np.allclose(got.noun_probs, want.noun_probs, atol=1e-12)
 
@@ -158,22 +160,24 @@ class TestNoiseBehaviour:
     def test_noiseless_distributions_argmax_to_truth(self):
         corpus = generate_corpus(small_config())
         truth = {(r.clip_id, i): a for r in corpus.annotations for i, a in enumerate(r.observed)}
-        for dist in corpus.distributions:
-            want = truth[(dist.clip_id, dist.segment_index)]
-            assert int(np.argmax(dist.verb_probs)) == want.verb
-            assert int(np.argmax(dist.noun_probs)) == want.noun
+        for clip in corpus.distributions:
+            for i, (verb_probs, noun_probs) in enumerate(zip(clip.verb_probs, clip.noun_probs)):
+                want = truth[(clip.clip_id, i)]
+                assert int(np.argmax(verb_probs)) == want.verb
+                assert int(np.argmax(noun_probs)) == want.noun
 
     def test_distractor_mass_lands_on_incompatible_nouns(self):
         config = small_config(noun_distractor_mass=0.4, num_clips=30)
         corpus = generate_corpus(config)
         truth = {(r.clip_id, i): a for r in corpus.annotations for i, a in enumerate(r.observed)}
         flipped = 0
-        for dist in corpus.distributions:
-            want = truth[(dist.clip_id, dist.segment_index)]
-            top = int(np.argmax(dist.noun_probs))
-            if top != want.noun:
-                flipped += 1
-                assert top % 4 != want.verb
+        for clip in corpus.distributions:
+            for i, noun_probs in enumerate(clip.noun_probs):
+                want = truth[(clip.clip_id, i)]
+                top = int(np.argmax(noun_probs))
+                if top != want.noun:
+                    flipped += 1
+                    assert top % 4 != want.verb
         assert flipped > 0
 
     def test_reranking_beats_naive_on_noisy_nouns(self):
@@ -183,9 +187,9 @@ class TestNoiseBehaviour:
         corpus = generate_corpus(config)
         matrix = build_cooccurrence(corpus.annotations, corpus.taxonomy, alpha=0.0)
         reranked, naive = [], []
-        for dists in group_segments(corpus.distributions).values():
-            reranked.extend(recognize_clip(dists, matrix, k=4))
-            naive.extend(naive_clip(dists))
+        for clip in corpus.distributions:
+            reranked.extend(recognize_clip(clip, matrix, k=4))
+            naive.extend(naive_clip(clip))
         _, _, rerank_acc = ar_accuracy(reranked, corpus.annotations)
         _, _, naive_acc = ar_accuracy(naive, corpus.annotations)
         assert rerank_acc > naive_acc
