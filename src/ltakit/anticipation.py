@@ -260,6 +260,8 @@ class NgramPredictor:
             raise DataError(f"unknown decoding mode {mode!r}")
         if sample_top_k < 1:
             raise DataError("sample_top_k must be >= 1")
+        if seed < 0:
+            raise DataError("seed must be >= 0")
         self.model = model
         self.mode = mode
         self.seed = seed

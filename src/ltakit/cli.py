@@ -93,12 +93,13 @@ def _cmd_recognize(args) -> None:
     taxonomy = load_taxonomy(args.taxonomy)
     matrix = load_matrix(args.matrix, taxonomy)
     clips = load_distributions(args.distributions, taxonomy)
-    results = []
-    for clip in clips:
-        results += naive_clip(clip) if args.naive else recognize_clip(clip, matrix, args.top_k)
-    save_recognition(args.out, results, taxonomy)
+    recognized = [
+        naive_clip(clip) if args.naive else recognize_clip(clip, matrix, args.top_k) for clip in clips
+    ]
+    save_recognition(args.out, recognized, taxonomy)
     mode = "naive" if args.naive else f"reranked (top-{args.top_k})"
-    print(f"wrote {len(results)} {mode} segments for {len(clips)} clips to {args.out}")
+    segments = sum(len(clip.chosen) for clip in recognized)
+    print(f"wrote {segments} {mode} segments for {len(clips)} clips to {args.out}")
 
 
 def _build_predictor(args, taxonomy: Taxonomy):
@@ -148,10 +149,7 @@ def _cmd_anticipate(args) -> None:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     taxonomy = load_taxonomy(args.taxonomy)
-    histories = {
-        clip_id: [r.chosen for r in results]
-        for clip_id, results in load_recognition(args.recognition, taxonomy).items()
-    }
+    histories = {clip.clip_id: clip.chosen for clip in load_recognition(args.recognition, taxonomy)}
     predictor, client = _build_predictor(args, taxonomy)
 
     def run_clip(item):
@@ -174,10 +172,7 @@ def _cmd_evaluate(args) -> None:
     taxonomy = load_taxonomy(args.taxonomy)
     annotations = load_annotations(args.annotations, taxonomy, args.horizon)
     predictions = load_predictions(args.predictions, taxonomy, args.horizon)
-    recognition = None
-    if args.recognition:
-        clips = load_recognition(args.recognition, taxonomy).values()
-        recognition = [result for results in clips for result in results]
+    recognition = load_recognition(args.recognition, taxonomy) if args.recognition else None
     report = corpus_eval(predictions, annotations, recognition)
     if args.out:
         save_report(args.out, report)
@@ -194,25 +189,24 @@ def _cmd_report(args) -> None:
     lines = [f"clip {record.clip_id}"]
     recognition = None
     if args.recognition:
-        recognition = load_recognition(args.recognition, taxonomy).get(args.clip, [])
+        clips = load_recognition(args.recognition, taxonomy)
+        recognition = next((clip for clip in clips if clip.clip_id == args.clip), None)
     lines.append("observed:")
     for i, action in enumerate(record.observed):
         line = f"  [{i}] {format_action(action, taxonomy)}"
-        if recognition is not None and i < len(recognition):
-            res = recognition[i]
-            line += f"  | chosen: {format_action(res.chosen, taxonomy)}"
-            line += f"  naive: {format_action(res.naive, taxonomy)}"
-            if res.used_fallback:
+        if recognition is not None and i < len(recognition.chosen):
+            line += f"  | chosen: {format_action(recognition.chosen[i], taxonomy)}"
+            line += f"  naive: {format_action(recognition.naive[i], taxonomy)}"
+            if recognition.fallback[i]:
                 line += "  (fallback)"
         lines.append(line)
-    if recognition:
+    if recognition is not None:
         lines.append("candidates per segment:")
-        for res in recognition:
+        for i, candidates in enumerate(recognition.candidates):
             rendered = ", ".join(
-                f"{format_action(c.action, taxonomy)} {c.score:.4g} ({c.branch})"
-                for c in res.candidates
+                f"{format_action(c.action, taxonomy)} {c.score:.4g} ({c.branch})" for c in candidates
             )
-            lines.append(f"  [{res.segment_index}] {rendered or '-'}")
+            lines.append(f"  [{i}] {rendered or '-'}")
     if record.future is not None:
         lines.append("future (ground truth):")
         lines.append("  " + ", ".join(format_action(a, taxonomy) for a in record.future))

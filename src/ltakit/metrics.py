@@ -18,7 +18,7 @@ import numpy as np
 from ._fileio import atomic_write_text
 from .dataset_io import ClipRecord, PredictionSet
 from .errors import DataError
-from .recognition import RecognitionResult
+from .recognition import ClipRecognition
 from .taxonomy import Action
 
 
@@ -89,7 +89,7 @@ class EvalReport:
 
 
 def ar_accuracy(
-    recognition: list[RecognitionResult], annotations: list[ClipRecord]
+    recognition: list[ClipRecognition], annotations: list[ClipRecord]
 ) -> tuple[float, float, float]:
     """Percentage of recognized segments whose chosen verb / noun / full action
     matches the annotated observed action."""
@@ -98,32 +98,31 @@ def ar_accuracy(
         if record.clip_id in observed:
             raise DataError(f"duplicate clip id {record.clip_id!r} in annotations")
         observed[record.clip_id] = record.observed
-    if not recognition:
-        raise DataError("no recognition results to score")
-    verb_ok = noun_ok = both_ok = 0
-    for res in recognition:
-        if res.clip_id not in observed:
-            raise DataError(f"recognition result for unknown clip {res.clip_id!r}")
-        segments = observed[res.clip_id]
-        if not 0 <= res.segment_index < len(segments):
+    verb_ok = noun_ok = both_ok = total = 0
+    for clip in recognition:
+        if clip.clip_id not in observed:
+            raise DataError(f"recognition result for unknown clip {clip.clip_id!r}")
+        segments = observed[clip.clip_id]
+        if len(clip.chosen) > len(segments):
             raise DataError(
-                f"clip {res.clip_id!r}: segment {res.segment_index} out of range "
-                f"({len(segments)} observed)"
+                f"clip {clip.clip_id!r}: segment {len(segments)} out of range ({len(segments)} observed)"
             )
-        truth = segments[res.segment_index]
-        verb_hit = res.chosen.verb == truth.verb
-        noun_hit = res.chosen.noun == truth.noun
-        verb_ok += verb_hit
-        noun_ok += noun_hit
-        both_ok += verb_hit and noun_hit
-    total = len(recognition)
+        for chosen, truth in zip(clip.chosen, segments):
+            verb_hit = chosen.verb == truth.verb
+            noun_hit = chosen.noun == truth.noun
+            verb_ok += verb_hit
+            noun_ok += noun_hit
+            both_ok += verb_hit and noun_hit
+        total += len(clip.chosen)
+    if not total:
+        raise DataError("no recognition results to score")
     return (100.0 * verb_ok / total, 100.0 * noun_ok / total, 100.0 * both_ok / total)
 
 
 def corpus_eval(
     predictions: list[PredictionSet],
     annotations: list[ClipRecord],
-    recognition: list[RecognitionResult] | None = None,
+    recognition: list[ClipRecognition] | None = None,
 ) -> EvalReport:
     """Evaluate predictions against every annotated clip that has a future.
 

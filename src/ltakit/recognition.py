@@ -18,7 +18,8 @@ noun index.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,19 +43,19 @@ class CandidatePair:
 
 
 @dataclass
-class RecognitionResult:
-    """Chosen pair, naive argmax pair, and the scored candidates for one segment.
+class ClipRecognition:
+    """Recognition output for one clip; entry i of each list belongs to segment i.
 
-    `used_fallback` marks the degenerate case where every candidate scored
-    zero and the naive pair was taken instead.
+    `fallback[i]` marks the degenerate case where every candidate of segment i
+    scored zero and the naive pair was taken instead. Naive recognition has no
+    candidates.
     """
 
     clip_id: str
-    segment_index: int
-    chosen: Action
-    naive: Action
-    candidates: list[CandidatePair] = field(default_factory=list)
-    used_fallback: bool = False
+    chosen: list[Action]
+    naive: list[Action]
+    candidates: list[list[CandidatePair]]
+    fallback: list[bool]
 
 
 def _branch(anchor_probs, other_probs, table, k: int):
@@ -88,8 +89,8 @@ def _check_clip(clip: ClipDistributions, sizes: tuple[int, int] | None = None) -
 
 def recognize_clip(
     clip: ClipDistributions, matrix: CooccurrenceMatrix, k: int = DEFAULT_TOP_K
-) -> list[RecognitionResult]:
-    """Re-rank all segments of one clip, in segment order.
+) -> ClipRecognition:
+    """Re-rank all segments of one clip.
 
     The clip is scored as S x |V| and S x |N| arrays at once; the largest
     intermediate is S x k x max(|V|, |N|).
@@ -111,83 +112,74 @@ def recognize_clip(
     columns = np.broadcast_to(np.arange(2 * k), scores.shape)
     order = np.lexsort((columns, nouns, verbs, -scores), axis=1)
     scores, verbs, nouns, columns = (a.tolist() for a in _take((scores, verbs, nouns, columns), order))
-    naive_verbs, naive_nouns = verb_probs.argmax(axis=1).tolist(), noun_probs.argmax(axis=1).tolist()
 
-    results = []
+    result = naive_clip(clip)
     for i in range(len(verb_probs)):
         merged: dict[Action, CandidatePair] = {}
         for score, v, n, column in zip(scores[i], verbs[i], nouns[i], columns[i]):
             action = Action(v, n)
             if action not in merged:
                 merged[action] = CandidatePair(action, score, BRANCH_VERB if column < k else BRANCH_NOUN)
-        candidates = list(merged.values())
-        naive = Action(naive_verbs[i], naive_nouns[i])
-        fallback = not candidates[0].score > 0.0
-        chosen = naive if fallback else candidates[0].action
-        results.append(RecognitionResult(clip.clip_id, i, chosen, naive, candidates, fallback))
-    return results
+        candidates = result.candidates[i] = list(merged.values())
+        fallback = result.fallback[i] = not candidates[0].score > 0.0
+        result.chosen[i] = result.naive[i] if fallback else candidates[0].action
+    return result
 
 
-def naive_clip(clip: ClipDistributions) -> list[RecognitionResult]:
+def naive_clip(clip: ClipDistributions) -> ClipRecognition:
     """Ablation path: per-track argmax pairs, no co-occurrence candidates."""
     _check_clip(clip)
-    verbs, nouns = clip.verb_probs.argmax(axis=1).tolist(), clip.noun_probs.argmax(axis=1).tolist()
-    return [RecognitionResult(clip.clip_id, i, a, a) for i, a in enumerate(map(Action, verbs, nouns))]
+    naive = list(map(Action, clip.verb_probs.argmax(axis=1).tolist(), clip.noun_probs.argmax(axis=1).tolist()))
+    return ClipRecognition(clip.clip_id, list(naive), naive, [[] for _ in naive], [False] * len(naive))
 
 
-def save_recognition(path, results: list[RecognitionResult], taxonomy: Taxonomy) -> None:
-    rows = []
-    for res in results:
-        rows.append(
-            {
-                "clip_id": res.clip_id,
-                "segment": int(res.segment_index),
-                "chosen": format_action(res.chosen, taxonomy),
-                "naive": format_action(res.naive, taxonomy),
-                "fallback": bool(res.used_fallback),
-                "candidates": [
-                    {
-                        "action": format_action(c.action, taxonomy),
-                        "score": float(c.score),
-                        "branch": c.branch,
-                    }
-                    for c in res.candidates
-                ],
-            }
+def save_recognition(path, clips: list[ClipRecognition], taxonomy: Taxonomy) -> None:
+    rows = [
+        {
+            "clip_id": clip.clip_id,
+            "segment": i,
+            "chosen": format_action(chosen, taxonomy),
+            "naive": format_action(naive, taxonomy),
+            "fallback": fallback,
+            "candidates": [
+                {"action": format_action(c.action, taxonomy), "score": float(c.score), "branch": c.branch}
+                for c in candidates
+            ],
+        }
+        for clip in clips
+        for i, (chosen, naive, candidates, fallback) in enumerate(
+            zip(clip.chosen, clip.naive, clip.candidates, clip.fallback)
         )
+    ]
     atomic_write_text(path, dump_jsonl(rows))
 
 
-def load_recognition(path, taxonomy: Taxonomy) -> dict[str, list[RecognitionResult]]:
-    """Recognition rows per clip, as `dataset_io.clip_rows` groups and checks them."""
-    results = []
+def load_recognition(path, taxonomy: Taxonomy) -> list[ClipRecognition]:
+    """One record per clip, as `dataset_io.clip_rows` groups and checks the rows."""
+    keys, rows = [], []
     seen: set[tuple[str, int]] = set()
     parse = functools.cache(lambda text: parse_action(text, taxonomy))  # each distinct text parsed once
     for lineno, obj in iter_jsonl(path):
         where = f"{path}:{lineno}"
-        clip_id, segment = segment_key(obj, seen, where)
+        keys.append(segment_key(obj, seen, where))
         try:
             candidates = []
             for raw in obj.get("candidates", []):
-                branch = raw["branch"]
+                branch, score = raw["branch"], raw["score"]
                 if branch not in (BRANCH_VERB, BRANCH_NOUN):
                     raise DataError(f"unknown branch {branch!r}")
-                candidates.append(CandidatePair(parse(raw["action"]), float(raw["score"]), branch))
-            if not isinstance(obj.get("fallback", False), bool):
-                raise DataError(f"field 'fallback' must be true or false, got {obj['fallback']!r}")
-            results.append(
-                RecognitionResult(
-                    clip_id=clip_id,
-                    segment_index=segment,
-                    chosen=parse(obj["chosen"]),
-                    naive=parse(obj["naive"]),
-                    candidates=candidates,
-                    used_fallback=obj.get("fallback", False),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+                if type(score) not in (int, float) or not math.isfinite(score):  # JSON numbers only, not bools
+                    raise DataError(f"candidate score must be a finite number, got {score!r}")
+                candidates.append(CandidatePair(parse(raw["action"]), float(score), branch))
+            fallback = obj.get("fallback", False)
+            if not isinstance(fallback, bool):
+                raise DataError(f"field 'fallback' must be true or false, got {fallback!r}")
+            rows.append((parse(obj["chosen"]), parse(obj["naive"]), candidates, fallback))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, DataError):
                 raise DataError(f"{where}: {exc}") from None
             raise DataError(f"{where}: malformed recognition record ({exc!r})") from None
-    rows = clip_rows([(r.clip_id, r.segment_index) for r in results])
-    return {clip_id: [results[r] for r in clip] for clip_id, clip in rows.items()}
+    return [
+        ClipRecognition(clip_id, *map(list, zip(*(rows[r] for r in positions))))
+        for clip_id, positions in clip_rows(keys).items()
+    ]

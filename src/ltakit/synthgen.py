@@ -47,6 +47,8 @@ class SynthConfig:
                      "observed_segments", "horizon"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         if self.observed_segments + self.horizon > self.routine_length:
             raise DataError(
                 f"observed_segments + horizon = {self.observed_segments + self.horizon} "

@@ -425,6 +425,29 @@ class TestExitCodes:
         assert "beta" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_synth_seed_is_data_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "corpus"
+        assert run(["synth", "--out-dir", str(out_dir), "--clips", "5", "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_negative_anticipate_seed_is_data_error(self, pipeline, tmp_path, capsys, mode):
+        out = tmp_path / "p.jsonl"
+        code = run([
+            "anticipate",
+            "--recognition", str(pipeline["recognition"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--train-annotations", str(pipeline["annotations"]),
+            "--seed", "-3",
+            "--mode", mode,
+            "--horizon", "5",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("temperature", ["nan", "inf", "-1"])
     def test_bad_llm_temperature_with_script_is_data_error(self, pipeline, tmp_path, capsys, temperature):
         script = tmp_path / "script.json"

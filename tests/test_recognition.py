@@ -12,6 +12,7 @@ from ltakit import recognition
 from ltakit.recognition import (
     BRANCH_NOUN,
     BRANCH_VERB,
+    CandidatePair,
     load_recognition,
     naive_clip,
     recognize_clip,
@@ -21,6 +22,12 @@ from ltakit.taxonomy import Action, Taxonomy
 
 from conftest import random_distribution
 from oracles import rerank_reference
+
+
+def only_segment(result):
+    """(chosen, naive, candidates, fallback) of a one-segment clip's recognition."""
+    [chosen], [naive], [candidates], [fallback] = result.chosen, result.naive, result.candidates, result.fallback
+    return chosen, naive, candidates, fallback
 
 
 def make_clip(verb_probs, noun_probs, clip_id="clip"):
@@ -36,37 +43,37 @@ class TestRerank:
         counts[1, 2] = 5.0
         matrix = CooccurrenceMatrix(counts)
         dist = make_clip([0.1, 0.8, 0.1], [0.1, 0.1, 0.7, 0.1])
-        result = recognize_clip(dist, matrix, k=2)[0]
-        assert result.chosen == Action(1, 2)
-        assert result.naive == Action(1, 2)
-        assert not result.used_fallback
-        assert result.candidates[0].score == pytest.approx(0.8 * 0.7)
+        chosen, naive, candidates, fallback = only_segment(recognize_clip(dist, matrix, k=2))
+        assert chosen == Action(1, 2)
+        assert naive == Action(1, 2)
+        assert not fallback
+        assert candidates[0].score == pytest.approx(0.8 * 0.7)
 
     def test_cooccurrence_overrides_argmax_noun(self):
         # Noun 0 is slightly more probable, but verb 0 never co-occurs with it.
         counts = np.array([[0.0, 10.0], [5.0, 5.0]])
         matrix = CooccurrenceMatrix(counts)
         dist = make_clip([0.9, 0.1], [0.55, 0.45])
-        result = recognize_clip(dist, matrix, k=2)[0]
-        assert result.naive == Action(0, 0)
-        assert result.chosen == Action(0, 1)
+        chosen, naive, _, _ = only_segment(recognize_clip(dist, matrix, k=2))
+        assert naive == Action(0, 0)
+        assert chosen == Action(0, 1)
 
     def test_uniform_matrix_keeps_naive_choice(self):
         matrix = CooccurrenceMatrix(np.ones((4, 6)))
         rng = np.random.default_rng(22)
         for _ in range(50):
             dist = make_clip(random_distribution(rng, 4), random_distribution(rng, 6))
-            result = recognize_clip(dist, matrix, k=3)[0]
-            assert result.chosen == result.naive
-            assert not result.used_fallback
+            chosen, naive, _, fallback = only_segment(recognize_clip(dist, matrix, k=3))
+            assert chosen == naive
+            assert not fallback
 
     def test_zero_matrix_falls_back_to_naive(self):
         matrix = CooccurrenceMatrix(np.zeros((3, 3)))
         dist = make_clip([0.2, 0.5, 0.3], [0.6, 0.3, 0.1])
-        result = recognize_clip(dist, matrix, k=2)[0]
-        assert result.used_fallback
-        assert result.chosen == result.naive == Action(1, 0)
-        assert all(c.score == 0.0 for c in result.candidates)
+        chosen, naive, candidates, fallback = only_segment(recognize_clip(dist, matrix, k=2))
+        assert fallback
+        assert chosen == naive == Action(1, 0)
+        assert all(c.score == 0.0 for c in candidates)
 
     def test_candidate_count_and_order(self):
         rng = np.random.default_rng(23)
@@ -74,12 +81,12 @@ class TestRerank:
         for _ in range(50):
             dist = make_clip(random_distribution(rng, 5), random_distribution(rng, 7))
             k = int(rng.integers(1, 6))
-            result = recognize_clip(dist, matrix, k)[0]
-            assert 1 <= len(result.candidates) <= 2 * k
-            scores = [c.score for c in result.candidates]
+            chosen, _, candidates, _ = only_segment(recognize_clip(dist, matrix, k))
+            assert 1 <= len(candidates) <= 2 * k
+            scores = [c.score for c in candidates]
             assert scores == sorted(scores, reverse=True)
-            assert len({c.action for c in result.candidates}) == len(result.candidates)
-            assert result.chosen == result.candidates[0].action
+            assert len({c.action for c in candidates}) == len(candidates)
+            assert chosen == candidates[0].action
 
     def test_matches_reference_exactly(self):
         # Clips of 1-4 segments; each segment is checked against the oracle on its
@@ -103,18 +110,19 @@ class TestRerank:
                 else:
                     rows.append((random_distribution(rng, num_verbs), random_distribution(rng, num_nouns)))
             k = int(rng.integers(1, min(num_verbs, num_nouns) + 1))
-            results = recognize_clip(make_clip(*zip(*rows)), matrix, k)
-            assert len(results) == len(rows)
-            for s, ((verb_probs, noun_probs), result) in enumerate(zip(rows, results)):
+            result = recognize_clip(make_clip(*zip(*rows)), matrix, k)
+            assert result.clip_id == "clip"
+            fields = result.chosen, result.naive, result.candidates, result.fallback
+            assert [len(f) for f in fields] == [len(rows)] * 4
+            for s, (verb_probs, noun_probs) in enumerate(rows):
                 chosen, candidates, naive, used_fallback = rerank_reference(
                     verb_probs, noun_probs,
                     matrix.row_stochastic, matrix.col_stochastic, k,
                 )
-                assert result.segment_index == s
-                assert (result.chosen.verb, result.chosen.noun) == chosen
-                assert (result.naive.verb, result.naive.noun) == naive
-                assert result.used_fallback == used_fallback
-                got = [(c.action.verb, c.action.noun, c.score, c.branch) for c in result.candidates]
+                assert (result.chosen[s].verb, result.chosen[s].noun) == chosen
+                assert (result.naive[s].verb, result.naive[s].noun) == naive
+                assert result.fallback[s] == used_fallback
+                got = [(c.action.verb, c.action.noun, c.score, c.branch) for c in result.candidates[s]]
                 assert got == candidates
                 fallbacks += used_fallback
         assert fallbacks > 0
@@ -124,8 +132,8 @@ class TestRerank:
         # so after the tie rule the merged list carries only verb-anchored tags.
         matrix = CooccurrenceMatrix(np.array([[4.0, 0.0], [0.0, 4.0]]))
         dist = make_clip([0.7, 0.3], [0.7, 0.3])
-        result = recognize_clip(dist, matrix, k=2)[0]
-        got = [(c.action, c.score, c.branch) for c in result.candidates]
+        _, _, candidates, _ = only_segment(recognize_clip(dist, matrix, k=2))
+        got = [(c.action, c.score, c.branch) for c in candidates]
         assert got == [
             (Action(0, 0), 0.7 * 0.7, BRANCH_VERB),
             (Action(1, 1), 0.3 * 0.3, BRANCH_VERB),
@@ -135,8 +143,8 @@ class TestRerank:
         # Pair (1, 0) is reachable only through the noun anchor at k=1.
         matrix = CooccurrenceMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         dist = make_clip([0.6, 0.4], [0.8, 0.2])
-        result = recognize_clip(dist, matrix, k=1)[0]
-        by_action = {c.action: c.branch for c in result.candidates}
+        _, _, candidates, _ = only_segment(recognize_clip(dist, matrix, k=1))
+        by_action = {c.action: c.branch for c in candidates}
         assert by_action[Action(1, 0)] == BRANCH_NOUN
 
     def test_scaling_both_inputs_keeps_ranking(self):
@@ -146,10 +154,10 @@ class TestRerank:
         scaled = CooccurrenceMatrix(counts * 250.0)
         for _ in range(50):
             dist = make_clip(random_distribution(rng, 4), random_distribution(rng, 5))
-            a = recognize_clip(dist, matrix, k=3)[0]
-            b = recognize_clip(dist, scaled, k=3)[0]
+            a = recognize_clip(dist, matrix, k=3)
+            b = recognize_clip(dist, scaled, k=3)
             assert a.chosen == b.chosen
-            assert [c.action for c in a.candidates] == [c.action for c in b.candidates]
+            assert [c.action for c in a.candidates[0]] == [c.action for c in b.candidates[0]]
 
     def test_size_mismatch_rejected(self):
         matrix = CooccurrenceMatrix(np.ones((3, 4)))
@@ -181,7 +189,7 @@ class TestRerank:
             with pytest.raises(DataError, match=r"clip 'c': distribution shapes .* do not match each other"):
                 naive_clip(clip)
         else:
-            assert len(naive_clip(clip)) == verb_shape[0]
+            assert len(naive_clip(clip).chosen) == verb_shape[0]
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_k_bounds_checked_against_min_dim(self, k):
@@ -218,9 +226,9 @@ class TestClipLevel:
         for s in range(4):
             assert np.allclose(clip.verb_probs[s], written["c", s][0], rtol=0, atol=1e-15)
             assert np.allclose(clip.noun_probs[s], written["c", s][1], rtol=0, atol=1e-15)
-        results = recognize_clip(clip, matrix, k=2)
-        assert [r.segment_index for r in results] == [0, 1, 2, 3]
-        assert all(r.clip_id == "c" for r in results)
+        result = recognize_clip(clip, matrix, k=2)
+        assert result.clip_id == "c"
+        assert len(result.chosen) == len(result.candidates) == 4
 
     def test_gap_in_segments_rejected(self, tmp_path, kitchen):
         rng = np.random.default_rng(27)
@@ -242,12 +250,12 @@ class TestClipLevel:
 
     def test_naive_clip_is_pure_argmax(self):
         clip = make_clip([[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.4, 0.1], [0.1, 0.3, 0.6]], "c")
-        results = naive_clip(clip)
-        assert [r.segment_index for r in results] == [0, 1]
-        assert results[0].chosen == results[0].naive == Action(0, 0)
-        assert results[1].chosen == Action(1, 2)
-        assert results[0].candidates == []
-        assert not results[0].used_fallback
+        result = naive_clip(clip)
+        assert result.clip_id == "c"
+        assert result.chosen == result.naive == [Action(0, 0), Action(1, 2)]
+        assert result.chosen is not result.naive
+        assert result.candidates == [[], []]
+        assert result.fallback == [False, False]
 
     def test_loaders_keep_first_appearance_order(self, tmp_path, kitchen):
         rng = np.random.default_rng(29)
@@ -260,9 +268,9 @@ class TestClipLevel:
         assert np.allclose(clips[0].noun_probs[0], written["z", 0][1], rtol=0, atol=1e-15)
         path = tmp_path / "recognition.jsonl"
         self.write_recognition(path, rows)
-        groups = load_recognition(path, kitchen)
-        assert list(groups) == ["z", "a"]
-        assert [r.segment_index for r in groups["z"]] == [0, 1]
+        clips = load_recognition(path, kitchen)
+        assert [c.clip_id for c in clips] == ["z", "a"]
+        assert [len(c.chosen) for c in clips] == [2, 1]
 
 
 class TestRecognitionFile:
@@ -276,20 +284,16 @@ class TestRecognitionFile:
             [random_distribution(rng, kitchen.num_nouns) for _ in range(3)],
             "clip_a",
         )
-        results = recognize_clip(clip, matrix, k=3)
+        want = recognize_clip(clip, matrix, k=3)
         path = tmp_path / "recognition.jsonl"
-        save_recognition(path, results, kitchen)
-        groups = load_recognition(path, kitchen)
-        assert list(groups) == ["clip_a"]
-        loaded = groups["clip_a"]
-        assert len(loaded) == len(results)
-        for got, want in zip(loaded, results):
-            assert got.clip_id == want.clip_id
-            assert got.segment_index == want.segment_index
-            assert got.chosen == want.chosen
-            assert got.naive == want.naive
-            assert got.used_fallback == want.used_fallback
-            assert got.candidates == want.candidates
+        save_recognition(path, [want], kitchen)
+        [got] = load_recognition(path, kitchen)
+        assert got.clip_id == want.clip_id == "clip_a"
+        assert len(got.chosen) == len(want.chosen) == 3
+        assert got.chosen == want.chosen
+        assert got.naive == want.naive
+        assert got.fallback == want.fallback
+        assert got.candidates == want.candidates
 
     def test_each_distinct_action_text_parsed_once(self, tmp_path, kitchen, monkeypatch):
         rows = [
@@ -305,7 +309,7 @@ class TestRecognitionFile:
         monkeypatch.setattr(recognition, "parse_action", lambda text, tax: calls.append(text) or real(text, tax))
         loaded = load_recognition(path, kitchen)
         assert sorted(calls) == ["stir pot", "take spoon", "wash cup"]
-        assert [r.candidates[1].action for r in loaded["c"]] == [Action(3, 2)] * 3
+        assert [candidates[1].action for candidates in loaded[0].candidates] == [Action(3, 2)] * 3
         # Each load starts from an empty table.
         load_recognition(path, kitchen)
         assert len(calls) == 6
@@ -350,6 +354,31 @@ class TestRecognitionFile:
         )
         with pytest.raises(DataError, match=":2: field 'fallback' must be true or false"):
             load_recognition(path, kitchen)
+
+    SCORED = (
+        '{"clip_id": "c", "segment": 1, "chosen": "take spoon", "naive": "take spoon",'
+        ' "candidates": [{"action": "take spoon", "score": %s, "branch": "verb_anchored"}]}\n'
+    )
+
+    @pytest.mark.parametrize("score", ['"nan"', '"0.5"', "true", "false", "null", "[0.5]", "NaN", "Infinity", "-1e999"])
+    def test_score_must_be_a_finite_number(self, tmp_path, kitchen, score):
+        path = tmp_path / "recognition.jsonl"
+        path.write_text(self.ROW.format(0) + self.SCORED % score)
+        with pytest.raises(DataError, match=":2: candidate score must be a finite number, got "):
+            load_recognition(path, kitchen)
+
+    def test_score_too_large_for_a_float_rejected(self, tmp_path, kitchen):
+        path = tmp_path / "recognition.jsonl"
+        path.write_text(self.ROW.format(0) + self.SCORED % ("1" + "0" * 400))
+        with pytest.raises(DataError, match=":2: .*too large"):
+            load_recognition(path, kitchen)
+
+    def test_integer_score_loads_as_float(self, tmp_path, kitchen):
+        path = tmp_path / "recognition.jsonl"
+        path.write_text(self.ROW.format(0) + self.SCORED % "1")
+        [clip] = load_recognition(path, kitchen)
+        assert clip.candidates == [[], [CandidatePair(Action(0, 0), 1.0, BRANCH_VERB)]]
+        assert type(clip.candidates[1][0].score) is float
 
     def test_missing_field_names_location(self, tmp_path, kitchen):
         path = tmp_path / "recognition.jsonl"

@@ -186,10 +186,8 @@ class TestNoiseBehaviour:
         )
         corpus = generate_corpus(config)
         matrix = build_cooccurrence(corpus.annotations, corpus.taxonomy, alpha=0.0)
-        reranked, naive = [], []
-        for clip in corpus.distributions:
-            reranked.extend(recognize_clip(clip, matrix, k=4))
-            naive.extend(naive_clip(clip))
+        reranked = [recognize_clip(clip, matrix, k=4) for clip in corpus.distributions]
+        naive = [naive_clip(clip) for clip in corpus.distributions]
         _, _, rerank_acc = ar_accuracy(reranked, corpus.annotations)
         _, _, naive_acc = ar_accuracy(naive, corpus.annotations)
         assert rerank_acc > naive_acc
