@@ -145,9 +145,6 @@ class NgramModel:
     def action_id(self, action: Action) -> int:
         return action.verb * self.num_nouns + action.noun
 
-    def action_from_id(self, idx: int) -> Action:
-        return Action(idx // self.num_nouns, idx % self.num_nouns)
-
     def observe(self, actions: list[Action]) -> None:
         """Tally every length-m window of one clip's action sequence."""
         ids = [self.action_id(a) for a in actions]
@@ -157,24 +154,13 @@ class NgramModel:
             context = tuple(ids[i : i + width - 1])
             self._transitions.setdefault(context, Counter())[ids[i + width - 1]] += 1
 
-    def context_for(self, ids: list[int]) -> tuple[int, ...]:
-        if self.order == 1:
-            return ()
-        return tuple(ids[-(self.order - 1) :])
-
-    def conditional(self, context) -> np.ndarray:
-        """Smoothed next-action distribution given a context of (m-1) action ids."""
-        probs = np.full(self.num_actions, self.beta, dtype=float)
-        for nxt, count in self._transitions.get(tuple(context), {}).items():
-            probs[nxt] += count
-        return probs / probs.sum()
-
     def step(self, context: tuple[int, ...] | None, width: int) -> tuple[int, np.ndarray, np.ndarray]:
         """Greedy next id, the `width` most probable ids, and their renormalized weights.
 
-        The pool is the context's observed successors by count, descending,
-        then the lowest unseen ids: the stable order of conditional(), so its
-        first id is the argmax with ties toward the lowest id. Weights are
+        Every id weighs beta plus its count after the context, and the pool
+        takes ids by weight, descending, ties toward the lowest id: the
+        observed successors by count, then the lowest unseen ids. So its first
+        id is the argmax with ties toward the lowest id. Weights are
         (count + beta) over the pool's total. An unseen context, or None,
         gives the uniform step over the lowest `width` ids.
         """
@@ -193,7 +179,7 @@ class NgramModel:
         if not self._occurrences:
             raise DataError("model has seen no actions")
         idx = min(self._occurrences, key=lambda a: (-self._occurrences[a], a))
-        return self.action_from_id(idx)
+        return Action(*divmod(idx, self.num_nouns))
 
 
 def fit_ngram(
@@ -235,8 +221,8 @@ class RepeatLastPredictor:
         num_candidates: int = DEFAULT_CANDIDATES,
     ) -> PredictionSet:
         _check_predict_args(clip_id, history, horizon, num_candidates)
-        sequence = [history[-1]] * horizon
-        return PredictionSet(clip_id, [list(sequence) for _ in range(num_candidates)])
+        last = history[-1]
+        return PredictionSet(clip_id, np.full((num_candidates, horizon, 2), (last.verb, last.noun), np.intp))
 
 
 class NgramPredictor:
@@ -290,13 +276,13 @@ class NgramPredictor:
         # A uniform per sampled step, candidate-major as choice() drew them; None: argmax step.
         draws = [[None] * horizon] * greedy + rng.random((num_candidates - greedy, horizon)).tolist()
         ids = [self.model.action_id(a) for a in history]
-        candidates = [[self.model.action_from_id(i) for i in self._rollout(ids, row)] for row in draws]
-        return PredictionSet(clip_id, candidates)
+        rollouts = np.array([self._rollout(ids, row) for row in draws], dtype=np.intp)
+        return PredictionSet(clip_id, np.stack(np.divmod(rollouts, self.model.num_nouns), axis=-1))
 
     def _rollout(self, history_ids: list[int], uniforms: list) -> list[int]:
         ids, span = list(history_ids), self.model.order - 1
         for u in uniforms:
-            # ids[-span:] is the context_for() slice; it also holds for histories shorter than span.
+            # The context is the last `span` ids (all of them while fewer), () for a unigram.
             row = self._rows.get(tuple(ids[-span:]) if span else (), -1)
             if u is None:
                 ids.append(int(self._greedy[row]))
@@ -354,5 +340,5 @@ class LlmPredictor:
                     len(parsed.skipped),
                     parsed.padded,
                 )
-            candidates.append(parsed.actions)
-        return PredictionSet(clip_id, candidates)
+            candidates.append([(a.verb, a.noun) for a in parsed.actions])
+        return PredictionSet(clip_id, np.array(candidates, dtype=np.intp))

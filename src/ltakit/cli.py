@@ -218,14 +218,13 @@ def _cmd_report(args) -> None:
         ]
         if sets:
             lines.append("predicted candidates:")
-            for idx, candidate in enumerate(sets[0].candidates):
-                rendered = ", ".join(format_action(a, taxonomy) for a in candidate)
-                if record.future is not None:
-                    gt = [a.verb * taxonomy.num_nouns + a.noun for a in record.future]  # action codes
-                    ed = normalized_ed([a.verb * taxonomy.num_nouns + a.noun for a in candidate], gt)
-                    lines.append(f"  [{idx}] action ED {ed:.4f}: {rendered}")
-                else:
-                    lines.append(f"  [{idx}] {rendered}")
+            pairs = sets[0].candidates
+            codes = (pairs[..., 0] * taxonomy.num_nouns + pairs[..., 1]).tolist()  # action codes
+            gt = [a.verb * taxonomy.num_nouns + a.noun for a in record.future or ()]
+            for idx, (candidate, code) in enumerate(zip(pairs.tolist(), codes)):
+                rendered = ", ".join(f"{taxonomy.verbs[v]} {taxonomy.nouns[n]}" for v, n in candidate)
+                ed = "" if record.future is None else f"action ED {normalized_ed(code, gt):.4f}: "
+                lines.append(f"  [{idx}] {ed}{rendered}")
     print("\n".join(lines))
 
 

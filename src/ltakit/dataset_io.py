@@ -8,15 +8,17 @@ All three datasets are JSON lines, one record per line:
 
 `future` is optional (test-mode clips); when present it holds exactly the
 anticipation horizon worth of actions. Probability vectors are dense, one
-entry per vocabulary item. Loading preserves file order, except that
+entry per vocabulary item. A clip's predictions load as one K x Z x 2 integer
+array of (verb id, noun id) steps. Loading preserves file order, except that
 per-segment records are grouped per clip (clips in first-appearance order,
-segments in index order), and every save/load pair round-trips exactly on
-valid data.
+segments in index order). Annotations and predictions round-trip exactly;
+distributions are renormalized on load, so a vector whose float sum is not
+exactly 1 comes back rescaled by a few ulps and saves to different bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +52,12 @@ class ClipDistributions:
     noun_probs: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class PredictionSet:
-    """K candidate future sequences for one clip, each exactly horizon long."""
+    """K candidate future sequences for one clip: a K x Z x 2 integer array, [k, z] = (verb id, noun id)."""
 
     clip_id: str
-    candidates: list[list[Action]] = field(default_factory=list)
+    candidates: np.ndarray
 
 
 def _require(obj: dict, key: str, types, where: str):
@@ -200,7 +202,8 @@ def save_distributions(path, clips: list[ClipDistributions]) -> None:
 
 
 def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -> list[PredictionSet]:
-    """Load candidate future sets; every candidate must be exactly `horizon` long."""
+    """Load candidate future sets as K x Z x 2 id arrays; every candidate must be exactly `horizon` long."""
+    verbs, nouns = taxonomy._verb_index, taxonomy._noun_index
     out = []
     seen: set[str] = set()
     for lineno, obj in iter_jsonl(path):
@@ -212,7 +215,7 @@ def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -
         raw = _require(obj, "candidates", list, where)
         if not raw:
             raise DataError(f"{where}: clip {clip_id!r} has no candidates (need K >= 1)")
-        candidates = []
+        steps = []
         for idx, tokens in enumerate(raw):
             if not isinstance(tokens, list):
                 raise DataError(f"{where}: candidate {idx} is not a list")
@@ -220,17 +223,26 @@ def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -
                 raise DataError(
                     f"{where}: candidate {idx} has {len(tokens)} actions, expected {horizon}"
                 )
-            candidates.append(_parse_tokens(tokens, taxonomy, where))
-        out.append(PredictionSet(clip_id, candidates))
+            try:
+                steps += [(verbs[v], nouns[n]) for v, n in (token.split(" ") for token in tokens)]
+            except (AttributeError, ValueError, KeyError):  # not a string, not two labels, unknown label
+                _parse_tokens(tokens, taxonomy, where)  # raises parse_action's error for the first bad token
+                raise
+        out.append(PredictionSet(clip_id, np.array(steps, dtype=np.intp).reshape(len(raw), horizon, 2)))
     return out
 
 
 def save_predictions(path, predictions: list[PredictionSet], taxonomy: Taxonomy) -> None:
-    rows = [
-        {
-            "clip_id": p.clip_id,
-            "candidates": [[format_action(a, taxonomy) for a in cand] for cand in p.candidates],
-        }
-        for p in predictions
-    ]
+    verbs, nouns = taxonomy.verbs, taxonomy.nouns
+    rows = []
+    for p in predictions:
+        outside = ((p.candidates < 0) | (p.candidates >= (len(verbs), len(nouns)))).any(axis=-1)
+        if outside.any():  # a negative id would otherwise index the label list from its end
+            verb, noun = p.candidates[outside][0].tolist()
+            raise DataError(
+                f"clip {p.clip_id!r}: action ({verb}, {noun}) out of range for "
+                f"|V|={len(verbs)}, |N|={len(nouns)}"
+            )
+        candidates = [[verbs[v] + " " + nouns[n] for v, n in cand] for cand in p.candidates.tolist()]
+        rows.append({"clip_id": p.clip_id, "candidates": candidates})
     atomic_write_text(path, dump_jsonl(rows))

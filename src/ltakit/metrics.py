@@ -159,11 +159,11 @@ def corpus_eval(
     for cid in ordered_ids:
         if len(ground_truth[cid]) != horizon:  # one horizon per call
             raise DataError(f"clip {cid!r}: future of {len(ground_truth[cid])} actions, not {horizon}")
-        if not by_clip[cid].candidates:
+        num_k, length, _ = by_clip[cid].candidates.shape
+        if not num_k:
             raise DataError(f"clip {cid!r} has no candidates (need K >= 1)")
-        for cand in by_clip[cid].candidates:
-            if len(cand) != horizon:
-                raise DataError(f"clip {cid!r}: sequence length mismatch: {len(cand)} vs {horizon}")
+        if length != horizon:
+            raise DataError(f"clip {cid!r}: sequence length mismatch: {length} vs {horizon}")
     if horizon == 0:
         raise DataError("cannot normalize over empty sequences")
 
@@ -171,7 +171,7 @@ def corpus_eval(
     # neither its minimum nor the lowest index that reaches it.
     sets = [by_clip[cid].candidates for cid in ordered_ids]
     num_k = max(len(s) for s in sets)
-    pred = np.array([[[(a.verb, a.noun) for a in c] for c in s + s[:1] * (num_k - len(s))] for s in sets])
+    pred = np.stack([np.concatenate([s, s[:1].repeat(num_k - len(s), axis=0)]) for s in sets])
     truth = np.array([[[(a.verb, a.noun) for a in ground_truth[cid]]] for cid in ordered_ids])
     n = 1 + max(pred[..., 1].max(), truth[..., 1].max())
 

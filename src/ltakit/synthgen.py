@@ -75,7 +75,6 @@ class SynthCorpus:
     taxonomy: Taxonomy
     annotations: list[ClipRecord]
     distributions: list[ClipDistributions]
-    compatible_nouns: list[list[int]] = field(default_factory=list)
     templates: list[list[Action]] = field(default_factory=list)
 
 
@@ -105,8 +104,9 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
         [f"verb_{i:03d}" for i in range(num_verbs)],
         [f"noun_{j:03d}" for j in range(num_nouns)],
     )
-    compatible = [[n for n in range(num_nouns) if n % num_verbs == v] for v in range(num_verbs)]
     pool = [Action(n % num_verbs, n) for n in range(num_nouns)]
+    verb_pools = [[u for u in range(num_verbs) if u != v] for v in range(num_verbs)]
+    noun_pools = [[n for n in range(num_nouns) if n % num_verbs != v] for v in range(num_verbs)]
 
     order = rng.permutation(num_nouns)
     length = config.routine_length
@@ -130,8 +130,7 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
         annotations.append(ClipRecord(clip_id, observed, actions[config.observed_segments :]))
         verbs, nouns = [], []
         for action in observed:
-            verb_pool = [v for v in range(num_verbs) if v != action.verb]
-            noun_pool = [n for n in range(num_nouns) if n % num_verbs != action.verb]
+            verb_pool, noun_pool = verb_pools[action.verb], noun_pools[action.verb]
             verbs.append(_noisy_vector(
                 num_verbs, action.verb, verb_pool, config.verb_distractor_mass, config.noise_temperature, rng
             ))
@@ -139,7 +138,7 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
                 num_nouns, action.noun, noun_pool, config.noun_distractor_mass, config.noise_temperature, rng
             ))
         distributions.append(ClipDistributions(clip_id, np.array(verbs), np.array(nouns)))
-    return SynthCorpus(taxonomy, annotations, distributions, compatible, templates)
+    return SynthCorpus(taxonomy, annotations, distributions, templates)
 
 
 def provenance(config: SynthConfig, version: str) -> dict:

@@ -7,6 +7,8 @@ twice to go unnoticed.
 
 from __future__ import annotations
 
+import math
+
 
 def osa_distance(a, b) -> int:
     """Edit distance by recursive search over edit scripts, memoized on prefix lengths.
@@ -111,3 +113,17 @@ def min_track_ed(candidates, gt, project) -> tuple[float, int]:
         if best_ed is None or ed < best_ed:
             best_ed, best_idx = ed, idx
     return best_ed, best_idx
+
+
+def ngram_conditional(model, ids) -> list[float]:
+    """Dense smoothed next-action distribution of an n-gram model after the action ids `ids`.
+
+    The context is the last m-1 ids (fewer if `ids` is shorter, none for a
+    unigram). Every one of the |V|*|N| ids weighs beta plus the number of
+    times it followed that context, divided by the total weight.
+    """
+    span = model.order - 1
+    counts = model._transitions.get(tuple(ids[-span:]) if span else (), {})
+    weights = [model.beta + counts.get(i, 0) for i in range(model.num_actions)]
+    total = math.fsum(weights)
+    return [w / total for w in weights]

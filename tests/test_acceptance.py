@@ -271,9 +271,10 @@ def test_a08_extra_candidates_never_hurt():
             [Action(int(rng.integers(4)), int(rng.integers(5))) for _ in range(8)]
             for _ in range(4)
         ]
+        pairs = np.array([[(a.verb, a.noun) for a in cand] for cand in cands])
         # One corpus per K, each holding the same single clip.
         rows = [
-            corpus_eval([PredictionSet("c", cands[: j + 1])], [ClipRecord("c", [], gt)]).per_clip[0]
+            corpus_eval([PredictionSet("c", pairs[: j + 1])], [ClipRecord("c", [], gt)]).per_clip[0]
             for j in range(4)
         ]
         total += 1
@@ -346,7 +347,7 @@ def test_a09_cli_chain_is_deterministic_and_calibrated(tmp_path):
 
     taxonomy = load_taxonomy(corpus_one / "taxonomy.txt")
     annotations = load_annotations(corpus_one / "annotations.jsonl", taxonomy, horizon=8)
-    perfect = [PredictionSet(r.clip_id, [list(r.future)]) for r in annotations]
+    perfect = [PredictionSet(r.clip_id, np.array([[(a.verb, a.noun) for a in r.future]])) for r in annotations]
     perfect_path = tmp_path / "perfect.jsonl"
     save_predictions(perfect_path, perfect, taxonomy)
     report_path = tmp_path / "perfect_report.json"

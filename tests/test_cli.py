@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ltakit.cli import run
@@ -108,7 +109,7 @@ class TestPipeline:
     def test_ground_truth_predictions_score_zero(self, pipeline, capsys):
         taxonomy = load_taxonomy(pipeline["taxonomy"])
         annotations = load_annotations(pipeline["annotations"], taxonomy, horizon=5)
-        perfect = [PredictionSet(r.clip_id, [list(r.future)]) for r in annotations]
+        perfect = [PredictionSet(r.clip_id, np.array([[(a.verb, a.noun) for a in r.future]])) for r in annotations]
         path = pipeline["root"] / "perfect.jsonl"
         dataset_io.save_predictions(path, perfect, taxonomy)
         code = run([

@@ -220,16 +220,53 @@ class TestPredictions:
         preds = [
             PredictionSet(
                 f"c{i}",
-                [
-                    [Action(int(rng.integers(4)), int(rng.integers(5))) for _ in range(20)]
+                np.array([
+                    [(int(rng.integers(4)), int(rng.integers(5))) for _ in range(20)]
                     for _ in range(5)
-                ],
+                ]),
             )
             for i in range(2)
         ]
         path = tmp_path / "pred.jsonl"
         save_predictions(path, preds, kitchen)
-        assert load_predictions(path, kitchen) == preds
+        loaded = load_predictions(path, kitchen)
+        assert [p.clip_id for p in loaded] == [p.clip_id for p in preds]
+        for got, want in zip(loaded, preds):
+            assert got.candidates.shape == (5, 20, 2)
+            assert np.array_equal(got.candidates, want.candidates)
+
+    def test_tokens_are_verb_then_noun_labels(self, tmp_path, kitchen):
+        path = tmp_path / "pred.jsonl"
+        save_predictions(path, [PredictionSet("c1", np.array([[(3, 0), (0, 4)]]))], kitchen)
+        assert json.loads(path.read_text())["candidates"] == [["wash spoon", "take bowl"]]
+        assert load_predictions(path, kitchen, horizon=2)[0].candidates.tolist() == [[[3, 0], [0, 4]]]
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            (7, "action entries must be strings, got 7"),
+            ("take", "malformed action 'take': expected 'verb noun' with a single space"),
+            ("take  spoon", "malformed action 'take  spoon': expected 'verb noun' with a single space"),
+            ("fold spoon", "unknown verb 'fold'"),
+            ("take knife", "unknown noun 'knife'"),
+        ],
+        ids=["not-a-string", "one-label", "two-spaces", "unknown-verb", "unknown-noun"],
+    )
+    def test_bad_token_names_the_line(self, tmp_path, kitchen, token, message):
+        path = tmp_path / "pred.jsonl"
+        write_jsonl(path, [{"clip_id": "c1", "candidates": [["take spoon", token]]}])
+        with pytest.raises(DataError) as info:
+            load_predictions(path, kitchen, horizon=2)
+        assert str(info.value) == f"{path}:1: {message}"
+
+    @pytest.mark.parametrize(
+        "pair", [(4, 0), (0, 5), (-1, 0), (0, -1)], ids=["verb-4", "noun-5", "verb-minus-1", "noun-minus-1"]
+    )
+    def test_save_rejects_ids_out_of_range(self, tmp_path, kitchen, pair):
+        path = tmp_path / "pred.jsonl"
+        with pytest.raises(DataError, match="out of range"):
+            save_predictions(path, [PredictionSet("c1", np.array([[(0, 0), pair]]))], kitchen)
+        assert not path.exists()
 
     def test_zero_candidates_rejected(self, tmp_path, kitchen):
         path = tmp_path / "pred.jsonl"

@@ -144,7 +144,13 @@ class TestNormalizedEd:
 
 
 def pred_set(clip_id, candidates):
-    return PredictionSet(clip_id, [[Action(v, n) for v, n in cand] for cand in candidates])
+    """One clip's predictions from K lists of (verb, noun) pairs."""
+    return PredictionSet(clip_id, np.array(candidates).reshape(len(candidates), -1, 2))
+
+
+def action_set(clip_id, candidates):
+    """One clip's predictions from K lists of Actions."""
+    return pred_set(clip_id, [[(a.verb, a.noun) for a in cand] for cand in candidates])
 
 
 def actions(pairs):
@@ -204,7 +210,7 @@ class TestClipEd:
                 [Action(int(rng.integers(3)), int(rng.integers(4))) for _ in range(horizon)]
                 for _ in range(num_candidates)
             ]
-            assert_matches_loop_oracle(clip_scores(PredictionSet("c", cands), gt), cands, gt)
+            assert_matches_loop_oracle(clip_scores(action_set("c", cands), gt), cands, gt)
 
     def test_more_candidates_never_hurt(self):
         rng = np.random.default_rng(43)
@@ -214,15 +220,15 @@ class TestClipEd:
                 [Action(int(rng.integers(3)), int(rng.integers(3))) for _ in range(6)]
                 for _ in range(4)
             ]
-            smaller = clip_scores(PredictionSet("c", cands[:2]), gt)
-            larger = clip_scores(PredictionSet("c", cands), gt)
+            smaller = clip_scores(action_set("c", cands[:2]), gt)
+            larger = clip_scores(action_set("c", cands), gt)
             assert larger.verb_ed <= smaller.verb_ed
             assert larger.noun_ed <= smaller.noun_ed
             assert larger.action_ed <= smaller.action_ed
 
     def test_no_candidates_rejected(self):
         with pytest.raises(DataError, match="K >= 1"):
-            clip_scores(PredictionSet("c", []), actions([(0, 0)]))
+            clip_scores(PredictionSet("c", np.empty((0, 1, 2), np.intp)), actions([(0, 0)]))
 
     def test_length_mismatch_names_clip(self):
         with pytest.raises(DataError, match="'c9'"):
@@ -353,7 +359,7 @@ class TestCorpusEval:
             gt = [Action(int(rng.integers(3)), int(rng.integers(4))) for _ in range(5)]
             cand = [Action(int(rng.integers(3)), int(rng.integers(4))) for _ in range(5)]
             annotations.append(ClipRecord(f"c{i}", actions([(0, 0)]), gt))
-            preds.append(PredictionSet(f"c{i}", [cand]))
+            preds.append(action_set(f"c{i}", [cand]))
         base = corpus_eval(preds, annotations)
         shuffled = list(preds)
         rng.shuffle(shuffled)
@@ -373,7 +379,7 @@ class TestCorpusEval:
                 for _ in range(int(rng.integers(1, 6)))
             ]
             annotations.append(ClipRecord(f"c{i}", actions([(0, 0)]), gt))
-            preds.append(PredictionSet(f"c{i}", cands))
+            preds.append(action_set(f"c{i}", cands))
             sets[f"c{i}"] = (cands, gt)
         assert len({len(p.candidates) for p in preds}) > 1
         report = corpus_eval(preds, annotations)
