@@ -3,12 +3,12 @@
 Three families: a repeat-last baseline, order-m Markov (n-gram) rollouts
 with additive smoothing, and an LLM-backed predictor that renders a prompt,
 queries a chat endpoint, and parses the reply back into actions. All of
-them return exactly K candidate sequences of exactly the horizon length.
+them take the history as an L x 2 array of (verb id, noun id) rows and return
+exactly K candidate sequences of exactly the horizon length.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fileio import load_json
 from .dataset_io import ClipRecord, PredictionSet
 from .errors import DataError, LlmError
 from .llm_client import check_temperature
-from .taxonomy import Action, Taxonomy, format_action, parse_action
+from .taxonomy import Taxonomy, format_actions, parse_action
 
 logger = logging.getLogger(__name__)
 
@@ -51,8 +52,7 @@ DEFAULT_PROMPT = PromptTemplate(
 
 def load_prompt_template(path) -> PromptTemplate:
     """Read a template config file: JSON with system_text and user_template."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_json(path)
     if not isinstance(raw, dict):
         raise DataError(f"{path}: template file must hold a JSON object")
     for key in ("system_text", "user_template"):
@@ -69,17 +69,17 @@ def render_prompt(template: PromptTemplate, history: str, horizon: int) -> str:
     return template.user_template.replace("{history}", history).replace("{Z}", str(int(horizon)))
 
 
-def format_action_history(actions: list[Action], taxonomy: Taxonomy) -> str:
-    if not actions:
+def format_action_history(actions: np.ndarray, taxonomy: Taxonomy) -> str:
+    if not len(actions):
         raise DataError("cannot format an empty action history")
-    return ", ".join(format_action(a, taxonomy) for a in actions)
+    return ", ".join(format_actions(actions, taxonomy))
 
 
-@dataclass
+@dataclass(eq=False)
 class ParsedResponse:
-    """Actions recovered from a model reply, plus what was skipped or padded."""
+    """Actions recovered from a model reply (a horizon x 2 id array), plus what was skipped or padded."""
 
-    actions: list[Action]
+    actions: np.ndarray
     skipped: list[str]
     padded: int
 
@@ -88,18 +88,18 @@ _ENUM_PREFIX = re.compile(r"^\(?\d+[.):]\s*")
 
 
 def parse_response(
-    text: str, taxonomy: Taxonomy, horizon: int, fallback: Action | None = None
+    text: str, taxonomy: Taxonomy, horizon: int, fallback: tuple[int, int] | None = None
 ) -> ParsedResponse:
     """Total parser for model replies; always yields exactly `horizon` actions.
 
     Tokens are split on commas and newlines; a leading "1." / "2)" style
     enumeration marker is tolerated. Unparseable tokens are skipped and
     reported. Short outputs are padded by repeating the last parsed action,
-    or `fallback` (pass the most frequent training action) when nothing
-    parsed at all, or action (0, 0) as the last resort. Long outputs are
-    truncated.
+    or `fallback` (pass the most frequent training action's (verb id, noun
+    id)) when nothing parsed at all, or action (0, 0) as the last resort. Long
+    outputs are truncated.
     """
-    actions: list[Action] = []
+    actions: list[tuple[int, int]] = []
     skipped: list[str] = []
     for raw in re.split(r"[,\n]+", text or ""):
         token = _ENUM_PREFIX.sub("", " ".join(raw.split()))
@@ -109,16 +109,10 @@ def parse_response(
             actions.append(parse_action(token, taxonomy))
         except DataError:
             skipped.append(token)
-    if len(actions) >= horizon:
-        return ParsedResponse(actions[:horizon], skipped, 0)
+    actions = actions[:horizon]
     pad = horizon - len(actions)
-    if actions:
-        filler = actions[-1]
-    elif fallback is not None:
-        filler = fallback
-    else:
-        filler = Action(0, 0)
-    return ParsedResponse(actions + [filler] * pad, skipped, pad)
+    filler = (actions or [fallback or (0, 0)])[-1]  # the last parsed action, else the fallback, else (0, 0)
+    return ParsedResponse(np.array(actions + [filler] * pad, np.intp).reshape(-1, 2), skipped, pad)
 
 
 class NgramModel:
@@ -142,12 +136,9 @@ class NgramModel:
         self._transitions: dict[tuple[int, ...], Counter] = {}
         self._occurrences: Counter = Counter()
 
-    def action_id(self, action: Action) -> int:
-        return action.verb * self.num_nouns + action.noun
-
-    def observe(self, actions: list[Action]) -> None:
-        """Tally every length-m window of one clip's action sequence."""
-        ids = [self.action_id(a) for a in actions]
+    def observe(self, actions: np.ndarray) -> None:
+        """Tally every length-m window of one clip's L x 2 action sequence."""
+        ids = (actions[:, 0] * self.num_nouns + actions[:, 1]).tolist()
         self._occurrences.update(ids)
         width = self.order
         for i in range(len(ids) - width + 1):
@@ -175,11 +166,12 @@ class NgramModel:
         weights[: len(successors)] += [count for _, count in successors]
         return int(pool[0]), pool, weights / weights.sum()
 
-    def most_frequent_action(self) -> Action:
+    def most_frequent_action(self) -> tuple[int, int]:
+        """(verb id, noun id) of the most frequent action, ties toward the lowest id."""
         if not self._occurrences:
             raise DataError("model has seen no actions")
         idx = min(self._occurrences, key=lambda a: (-self._occurrences[a], a))
-        return Action(*divmod(idx, self.num_nouns))
+        return divmod(idx, self.num_nouns)
 
 
 def fit_ngram(
@@ -190,14 +182,14 @@ def fit_ngram(
         raise DataError("cannot fit an n-gram model on an empty corpus")
     model = NgramModel(order, beta, taxonomy.num_verbs, taxonomy.num_nouns)
     for record in annotations:
-        model.observe(record.observed + list(record.future or ()))
+        model.observe(record.actions())
     if not model._occurrences:
         raise DataError("annotation corpus contains no actions")
     return model
 
 
 def _check_predict_args(clip_id: str, history, horizon: int, num_candidates: int) -> None:
-    if not history:
+    if not len(history):
         raise DataError(f"clip {clip_id!r}: empty history, nothing to anticipate from")
     if horizon < 1:
         raise DataError("horizon must be >= 1")
@@ -216,13 +208,12 @@ class RepeatLastPredictor:
     def predict(
         self,
         clip_id: str,
-        history: list[Action],
+        history: np.ndarray,
         horizon: int = 20,
         num_candidates: int = DEFAULT_CANDIDATES,
     ) -> PredictionSet:
         _check_predict_args(clip_id, history, horizon, num_candidates)
-        last = history[-1]
-        return PredictionSet(clip_id, np.full((num_candidates, horizon, 2), (last.verb, last.noun), np.intp))
+        return PredictionSet(clip_id, np.full((num_candidates, horizon, 2), history[-1], np.intp))
 
 
 class NgramPredictor:
@@ -266,7 +257,7 @@ class NgramPredictor:
     def predict(
         self,
         clip_id: str,
-        history: list[Action],
+        history: np.ndarray,
         horizon: int = 20,
         num_candidates: int = DEFAULT_CANDIDATES,
     ) -> PredictionSet:
@@ -275,7 +266,7 @@ class NgramPredictor:
         greedy = self.mode == "greedy"
         # A uniform per sampled step, candidate-major as choice() drew them; None: argmax step.
         draws = [[None] * horizon] * greedy + rng.random((num_candidates - greedy, horizon)).tolist()
-        ids = [self.model.action_id(a) for a in history]
+        ids = (history[:, 0] * self.model.num_nouns + history[:, 1]).tolist()
         rollouts = np.array([self._rollout(ids, row) for row in draws], dtype=np.intp)
         return PredictionSet(clip_id, np.stack(np.divmod(rollouts, self.model.num_nouns), axis=-1))
 
@@ -304,7 +295,7 @@ class LlmPredictor:
         client,
         taxonomy: Taxonomy,
         template: PromptTemplate = DEFAULT_PROMPT,
-        fallback: Action | None = None,
+        fallback: tuple[int, int] | None = None,
         temperature: float | None = None,
     ):
         self.client = client
@@ -316,7 +307,7 @@ class LlmPredictor:
     def predict(
         self,
         clip_id: str,
-        history: list[Action],
+        history: np.ndarray,
         horizon: int = 20,
         num_candidates: int = DEFAULT_CANDIDATES,
     ) -> PredictionSet:
@@ -340,5 +331,5 @@ class LlmPredictor:
                     len(parsed.skipped),
                     parsed.padded,
                 )
-            candidates.append([(a.verb, a.noun) for a in parsed.actions])
-        return PredictionSet(clip_id, np.array(candidates, dtype=np.intp))
+            candidates.append(parsed.actions)
+        return PredictionSet(clip_id, np.stack(candidates))

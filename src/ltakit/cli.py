@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from ._fileio import atomic_write_text, dump_jsonl
+from ._fileio import atomic_write_text, dump_jsonl, load_json
 from .anticipation import (
     DEFAULT_PROMPT,
     LlmPredictor,
@@ -38,9 +38,11 @@ from .dataset_io import (
 from .errors import DataError, LlmError
 from .llm_client import LlmClient, LlmConfig, MockLlmClient, load_script
 from .metrics import corpus_eval, format_report, normalized_ed, save_report
-from .recognition import DEFAULT_TOP_K, load_recognition, naive_clip, recognize_clip, save_recognition
+from .recognition import (
+    DEFAULT_TOP_K, load_recognition, naive_clip, recognize_clip, save_recognition, segment_records,
+)
 from .synthgen import SynthConfig, generate_corpus, provenance
-from .taxonomy import Taxonomy, format_action, load_taxonomy, save_taxonomy
+from .taxonomy import Taxonomy, format_actions, load_taxonomy, save_taxonomy
 
 
 class UsageError(Exception):
@@ -138,9 +140,7 @@ def _build_predictor(args, taxonomy: Taxonomy):
     )
     client = MockLlmClient(load_script(args.llm_script), config) if args.llm_script else LlmClient(config)
     template = load_prompt_template(args.prompt_template) if args.prompt_template else DEFAULT_PROMPT
-    fallback = None
-    if train:
-        fallback = fit_ngram(train, 1, 1.0, taxonomy).most_frequent_action()
+    fallback = fit_ngram(train, 1, 1.0, taxonomy).most_frequent_action() if train else None
     predictor = LlmPredictor(client, taxonomy, template, fallback, args.llm_temperature)
     return predictor, client
 
@@ -187,44 +187,35 @@ def _cmd_report(args) -> None:
         raise DataError(f"clip {args.clip!r} not found in {args.annotations}")
 
     lines = [f"clip {record.clip_id}"]
-    recognition = None
-    if args.recognition:
-        clips = load_recognition(args.recognition, taxonomy)
-        recognition = next((clip for clip in clips if clip.clip_id == args.clip), None)
+    clips = load_recognition(args.recognition, taxonomy) if args.recognition else []
+    recognition = next((clip for clip in clips if clip.clip_id == args.clip), None)
+    rows = [] if recognition is None else segment_records(recognition, taxonomy)
     lines.append("observed:")
-    for i, action in enumerate(record.observed):
-        line = f"  [{i}] {format_action(action, taxonomy)}"
-        if recognition is not None and i < len(recognition.chosen):
-            line += f"  | chosen: {format_action(recognition.chosen[i], taxonomy)}"
-            line += f"  naive: {format_action(recognition.naive[i], taxonomy)}"
-            if recognition.fallback[i]:
+    for i, action in enumerate(format_actions(record.observed, taxonomy)):
+        line = f"  [{i}] {action}"
+        if i < len(rows):
+            line += f"  | chosen: {rows[i]['chosen']}  naive: {rows[i]['naive']}"
+            if rows[i]["fallback"]:
                 line += "  (fallback)"
         lines.append(line)
     if recognition is not None:
         lines.append("candidates per segment:")
-        for i, candidates in enumerate(recognition.candidates):
-            rendered = ", ".join(
-                f"{format_action(c.action, taxonomy)} {c.score:.4g} ({c.branch})" for c in candidates
-            )
-            lines.append(f"  [{i}] {rendered or '-'}")
+        for row in rows:
+            rendered = ", ".join(f"{c['action']} {c['score']:.4g} ({c['branch']})" for c in row["candidates"])
+            lines.append(f"  [{row['segment']}] {rendered or '-'}")
     if record.future is not None:
         lines.append("future (ground truth):")
-        lines.append("  " + ", ".join(format_action(a, taxonomy) for a in record.future))
-    if args.predictions:
-        sets = [
-            p
-            for p in load_predictions(args.predictions, taxonomy, args.horizon)
-            if p.clip_id == args.clip
-        ]
-        if sets:
-            lines.append("predicted candidates:")
-            pairs = sets[0].candidates
-            codes = (pairs[..., 0] * taxonomy.num_nouns + pairs[..., 1]).tolist()  # action codes
-            gt = [a.verb * taxonomy.num_nouns + a.noun for a in record.future or ()]
-            for idx, (candidate, code) in enumerate(zip(pairs.tolist(), codes)):
-                rendered = ", ".join(f"{taxonomy.verbs[v]} {taxonomy.nouns[n]}" for v, n in candidate)
-                ed = "" if record.future is None else f"action ED {normalized_ed(code, gt):.4f}: "
-                lines.append(f"  [{idx}] {ed}{rendered}")
+        lines.append("  " + ", ".join(format_actions(record.future, taxonomy)))
+    predictions = load_predictions(args.predictions, taxonomy, args.horizon) if args.predictions else []
+    prediction = next((p for p in predictions if p.clip_id == args.clip), None)
+    if prediction is not None:
+        lines.append("predicted candidates:")
+        codes = lambda pairs: (pairs[..., 0] * taxonomy.num_nouns + pairs[..., 1]).tolist()  # action codes
+        for idx, candidate in enumerate(prediction.candidates):
+            ed = ""
+            if record.future is not None:
+                ed = f"action ED {normalized_ed(codes(candidate), codes(record.future)):.4f}: "
+            lines.append(f"  [{idx}] {ed}{', '.join(format_actions(candidate, taxonomy))}")
     print("\n".join(lines))
 
 
@@ -347,12 +338,11 @@ def _peel_config(argv: list[str]) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = load_json(path)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path}: invalid JSON ({exc})") from None
+    except DataError as exc:  # undecodable bytes or invalid JSON
+        raise UsageError(f"config file {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return raw

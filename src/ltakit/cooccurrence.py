@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import hashlib
-from itertools import chain
 
 import numpy as np
 
-from ._fileio import atomic_write_text
+from ._fileio import atomic_write_text, open_text
 from .errors import DataError, IntegrityError
 from .dataset_io import ClipRecord
 from .taxonomy import Taxonomy
@@ -65,13 +64,10 @@ def build_cooccurrence(
     corpus with alpha == 0 has no normalizable mass and is rejected.
     """
     counts = np.zeros((taxonomy.num_verbs, taxonomy.num_nouns))
-    total = 0
-    for record in annotations:
-        for action in chain(record.observed, record.future or ()):
-            taxonomy.check_action(action)
-            counts[action.verb, action.noun] += 1
-            total += 1
-    if total == 0 and alpha == 0:
+    pairs = np.concatenate([np.empty((0, 2), np.intp)] + [record.actions() for record in annotations])
+    taxonomy.check_ids(pairs)
+    np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
+    if len(pairs) == 0 and alpha == 0:
         raise DataError("no actions to count and alpha == 0: nothing to normalize")
     return CooccurrenceMatrix(counts, alpha)
 
@@ -117,7 +113,7 @@ def load_matrix(path, taxonomy: Taxonomy | None = None) -> CooccurrenceMatrix:
     Stochastic forms are recomputed from the stored counts, never trusted
     from disk.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if len(lines) < 5 or lines[0] != _HEADER:
         raise DataError(f"{path}: not a co-occurrence matrix file")

@@ -8,8 +8,10 @@ All three datasets are JSON lines, one record per line:
 
 `future` is optional (test-mode clips); when present it holds exactly the
 anticipation horizon worth of actions. Probability vectors are dense, one
-entry per vocabulary item. A clip's predictions load as one K x Z x 2 integer
-array of (verb id, noun id) steps. Loading preserves file order, except that
+entry per vocabulary item. In memory every action sequence is an integer
+array of (verb id, noun id) rows: `observed` and `future` load as L x 2
+arrays, and a clip's predictions as one K x Z x 2 array; `taxonomy` converts
+between ids and text. Loading preserves file order, except that
 per-segment records are grouped per clip (clips in first-appearance order,
 segments in index order). Annotations and predictions round-trip exactly;
 distributions are renormalized on load, so a vector whose float sum is not
@@ -19,28 +21,32 @@ exactly 1 comes back rescaled by a few ulps and saves to different bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from ._fileio import atomic_write_text, dump_jsonl, iter_jsonl
 from .errors import DataError
-from .taxonomy import Action, Taxonomy, format_action, parse_action
+from .taxonomy import Taxonomy, format_actions, parse_actions
 
 DEFAULT_HORIZON = 20
-DEFAULT_OBSERVED_SEGMENTS = 8
 
 # Vectors whose sum strays further than this from 1 are rejected; anything
 # inside the band is renormalized to sum exactly 1.
 SUM_TOLERANCE = 1e-4
 
 
-@dataclass
+@dataclass(eq=False)
 class ClipRecord:
-    """One clip: its id, the observed action sequence, optionally the future one."""
+    """One clip: its id, the observed action sequence, optionally the future one (L x 2 id arrays)."""
 
     clip_id: str
-    observed: list[Action]
-    future: list[Action] | None = None
+    observed: np.ndarray
+    future: np.ndarray | None = None
+
+    def actions(self) -> np.ndarray:
+        """Observed then future actions as one L x 2 array."""
+        return self.observed if self.future is None else np.concatenate([self.observed, self.future])
 
 
 @dataclass(eq=False)
@@ -105,16 +111,6 @@ def clip_rows(keys: list[tuple[str, int]]) -> dict[str, list[int]]:
     return rows
 
 
-def _parse_tokens(tokens, taxonomy: Taxonomy, where: str) -> list[Action]:
-    actions = []
-    for token in tokens:
-        try:
-            actions.append(parse_action(token, taxonomy))
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from None
-    return actions
-
-
 def load_annotations(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -> list[ClipRecord]:
     """Load clip annotations; any `future` present must be exactly `horizon` long."""
     records = []
@@ -125,7 +121,7 @@ def load_annotations(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -
         if clip_id in seen:
             raise DataError(f"{where}: duplicate clip_id {clip_id!r}")
         seen.add(clip_id)
-        observed = _parse_tokens(_require(obj, "observed", list, where), taxonomy, where)
+        observed = parse_actions(_require(obj, "observed", list, where), taxonomy, where)
         future = None
         if obj.get("future") is not None:
             tokens = _require(obj, "future", list, where)
@@ -133,7 +129,7 @@ def load_annotations(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -
                 raise DataError(
                     f"{where}: clip {clip_id!r} has a future of {len(tokens)} actions, expected {horizon}"
                 )
-            future = _parse_tokens(tokens, taxonomy, where)
+            future = parse_actions(tokens, taxonomy, where)
         records.append(ClipRecord(clip_id, observed, future))
     return records
 
@@ -143,10 +139,10 @@ def save_annotations(path, records: list[ClipRecord], taxonomy: Taxonomy) -> Non
     for record in records:
         row = {
             "clip_id": record.clip_id,
-            "observed": [format_action(a, taxonomy) for a in record.observed],
+            "observed": format_actions(record.observed, taxonomy),
         }
         if record.future is not None:
-            row["future"] = [format_action(a, taxonomy) for a in record.future]
+            row["future"] = format_actions(record.future, taxonomy)
         rows.append(row)
     atomic_write_text(path, dump_jsonl(rows))
 
@@ -203,7 +199,6 @@ def save_distributions(path, clips: list[ClipDistributions]) -> None:
 
 def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -> list[PredictionSet]:
     """Load candidate future sets as K x Z x 2 id arrays; every candidate must be exactly `horizon` long."""
-    verbs, nouns = taxonomy._verb_index, taxonomy._noun_index
     out = []
     seen: set[str] = set()
     for lineno, obj in iter_jsonl(path):
@@ -215,7 +210,6 @@ def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -
         raw = _require(obj, "candidates", list, where)
         if not raw:
             raise DataError(f"{where}: clip {clip_id!r} has no candidates (need K >= 1)")
-        steps = []
         for idx, tokens in enumerate(raw):
             if not isinstance(tokens, list):
                 raise DataError(f"{where}: candidate {idx} is not a list")
@@ -223,26 +217,19 @@ def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -
                 raise DataError(
                     f"{where}: candidate {idx} has {len(tokens)} actions, expected {horizon}"
                 )
-            try:
-                steps += [(verbs[v], nouns[n]) for v, n in (token.split(" ") for token in tokens)]
-            except (AttributeError, ValueError, KeyError):  # not a string, not two labels, unknown label
-                _parse_tokens(tokens, taxonomy, where)  # raises parse_action's error for the first bad token
-                raise
-        out.append(PredictionSet(clip_id, np.array(steps, dtype=np.intp).reshape(len(raw), horizon, 2)))
+        steps = parse_actions(list(chain.from_iterable(raw)), taxonomy, where)
+        out.append(PredictionSet(clip_id, steps.reshape(len(raw), horizon, 2)))
     return out
 
 
 def save_predictions(path, predictions: list[PredictionSet], taxonomy: Taxonomy) -> None:
-    verbs, nouns = taxonomy.verbs, taxonomy.nouns
     rows = []
     for p in predictions:
-        outside = ((p.candidates < 0) | (p.candidates >= (len(verbs), len(nouns)))).any(axis=-1)
-        if outside.any():  # a negative id would otherwise index the label list from its end
-            verb, noun = p.candidates[outside][0].tolist()
-            raise DataError(
-                f"clip {p.clip_id!r}: action ({verb}, {noun}) out of range for "
-                f"|V|={len(verbs)}, |N|={len(nouns)}"
-            )
-        candidates = [[verbs[v] + " " + nouns[n] for v, n in cand] for cand in p.candidates.tolist()]
+        num_k, horizon, _ = p.candidates.shape
+        try:
+            texts = format_actions(p.candidates.reshape(-1, 2), taxonomy)
+        except DataError as exc:
+            raise DataError(f"clip {p.clip_id!r}: {exc}") from None
+        candidates = [texts[i * horizon : (i + 1) * horizon] for i in range(num_k)]
         rows.append({"clip_id": p.clip_id, "candidates": candidates})
     atomic_write_text(path, dump_jsonl(rows))

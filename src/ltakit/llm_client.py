@@ -14,7 +14,6 @@ this module records or logs) never contain it.
 from __future__ import annotations
 
 import copy
-import json
 import math
 import os
 import threading
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 
 import requests
 
+from ._fileio import load_json
 from .errors import DataError, LlmError, ProtocolError, ScriptExhausted, TransportError
 
 
@@ -180,8 +180,7 @@ def load_script(path) -> list:
     {"fail": "message"} (a scripted transport failure), or {"body": {...}}
     (a verbatim response body).
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_json(path)
     if not isinstance(raw, list):
         raise DataError(f"{path}: mock script must be a JSON array")
     script = []

@@ -19,7 +19,6 @@ from ._fileio import atomic_write_text
 from .dataset_io import ClipRecord, PredictionSet
 from .errors import DataError
 from .recognition import ClipRecognition
-from .taxonomy import Action
 
 
 def damerau_levenshtein(a, b) -> np.ndarray:
@@ -98,7 +97,7 @@ def ar_accuracy(
         if record.clip_id in observed:
             raise DataError(f"duplicate clip id {record.clip_id!r} in annotations")
         observed[record.clip_id] = record.observed
-    verb_ok = noun_ok = both_ok = total = 0
+    hits, total = np.zeros(3, np.int64), 0  # verb, noun and action matches; segments
     for clip in recognition:
         if clip.clip_id not in observed:
             raise DataError(f"recognition result for unknown clip {clip.clip_id!r}")
@@ -107,15 +106,12 @@ def ar_accuracy(
             raise DataError(
                 f"clip {clip.clip_id!r}: segment {len(segments)} out of range ({len(segments)} observed)"
             )
-        for chosen, truth in zip(clip.chosen, segments):
-            verb_hit = chosen.verb == truth.verb
-            noun_hit = chosen.noun == truth.noun
-            verb_ok += verb_hit
-            noun_ok += noun_hit
-            both_ok += verb_hit and noun_hit
+        same = clip.chosen == segments[: len(clip.chosen)]  # S x 2: verb match, noun match
+        hits += [*same.sum(axis=0), same.all(axis=1).sum()]
         total += len(clip.chosen)
     if not total:
         raise DataError("no recognition results to score")
+    verb_ok, noun_ok, both_ok = hits.tolist()
     return (100.0 * verb_ok / total, 100.0 * noun_ok / total, 100.0 * both_ok / total)
 
 
@@ -132,7 +128,7 @@ def corpus_eval(
     so clip order cannot change them). AR accuracies are filled in only when
     recognition results are supplied.
     """
-    ground_truth: dict[str, list[Action]] = {}
+    ground_truth: dict[str, np.ndarray] = {}
     ordered_ids = []
     for record in annotations:
         if record.clip_id in ground_truth:
@@ -172,7 +168,7 @@ def corpus_eval(
     sets = [by_clip[cid].candidates for cid in ordered_ids]
     num_k = max(len(s) for s in sets)
     pred = np.stack([np.concatenate([s, s[:1].repeat(num_k - len(s), axis=0)]) for s in sets])
-    truth = np.array([[[(a.verb, a.noun) for a in ground_truth[cid]]] for cid in ordered_ids])
+    truth = np.stack([ground_truth[cid] for cid in ordered_ids])[:, None]
     n = 1 + max(pred[..., 1].max(), truth[..., 1].max())
 
     def tracks(pairs):  # (clips, k, Z, 2) -> (3, clips, k, Z): verb, noun and action codes

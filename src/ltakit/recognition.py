@@ -13,13 +13,16 @@ unioned (an action appearing in both keeps its higher-scoring entry, the
 verb-anchored one on an exact tie), and the chosen pair is the highest
 score. Ties everywhere break toward the lower verb index, then the lower
 noun index.
+
+A clip's result is one `ClipRecognition` of arrays, with no object per
+segment or candidate.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from ._fileio import atomic_write_text, dump_jsonl, iter_jsonl
 from .cooccurrence import CooccurrenceMatrix
 from .dataset_io import ClipDistributions, clip_rows, segment_key
 from .errors import DataError
-from .taxonomy import Action, Taxonomy, format_action, parse_action
+from .taxonomy import Taxonomy, format_actions, parse_actions
 
 BRANCH_VERB = "verb_anchored"
 BRANCH_NOUN = "noun_anchored"
@@ -35,27 +38,26 @@ BRANCH_NOUN = "noun_anchored"
 DEFAULT_TOP_K = 5
 
 
-@dataclass(frozen=True)
-class CandidatePair:
-    action: Action
-    score: float
-    branch: str
-
-
-@dataclass
+@dataclass(eq=False)
 class ClipRecognition:
-    """Recognition output for one clip; entry i of each list belongs to segment i.
+    """Recognition output for one clip of S segments.
 
-    `fallback[i]` marks the degenerate case where every candidate of segment i
-    scored zero and the naive pair was taken instead. Naive recognition has no
-    candidates.
+    `chosen` and `naive` are S x 2 (verb id, noun id) arrays; `fallback[i]`
+    marks segment i's degenerate case, every candidate scored zero and the
+    naive pair taken instead. All segments' candidates lie end to end in
+    segment order, best first: C x 2 `candidates`, C `scores` and C
+    `verb_anchored` branch flags, of which `counts[i]` belong to segment i.
+    Naive recognition has no candidates.
     """
 
     clip_id: str
-    chosen: list[Action]
-    naive: list[Action]
-    candidates: list[list[CandidatePair]]
-    fallback: list[bool]
+    chosen: np.ndarray
+    naive: np.ndarray
+    candidates: np.ndarray
+    scores: np.ndarray
+    verb_anchored: np.ndarray
+    counts: np.ndarray
+    fallback: np.ndarray
 
 
 def _branch(anchor_probs, other_probs, table, k: int):
@@ -93,7 +95,8 @@ def recognize_clip(
     """Re-rank all segments of one clip.
 
     The clip is scored as S x |V| and S x |N| arrays at once; the largest
-    intermediate is S x k x max(|V|, |N|).
+    intermediates are S x k x max(|V|, |N|) scores and an S x 2k x 2k
+    duplicate mask.
     """
     _check_clip(clip, matrix.shape)
     num_verbs, num_nouns = matrix.shape
@@ -111,75 +114,82 @@ def recognize_clip(
     # an exact tie toward them; then each action keeps its first entry.
     columns = np.broadcast_to(np.arange(2 * k), scores.shape)
     order = np.lexsort((columns, nouns, verbs, -scores), axis=1)
-    scores, verbs, nouns, columns = (a.tolist() for a in _take((scores, verbs, nouns, columns), order))
-
-    result = naive_clip(clip)
-    for i in range(len(verb_probs)):
-        merged: dict[Action, CandidatePair] = {}
-        for score, v, n, column in zip(scores[i], verbs[i], nouns[i], columns[i]):
-            action = Action(v, n)
-            if action not in merged:
-                merged[action] = CandidatePair(action, score, BRANCH_VERB if column < k else BRANCH_NOUN)
-        candidates = result.candidates[i] = list(merged.values())
-        fallback = result.fallback[i] = not candidates[0].score > 0.0
-        result.chosen[i] = result.naive[i] if fallback else candidates[0].action
-    return result
+    scores, verbs, nouns, columns = _take((scores, verbs, nouns, columns), order)
+    same = (verbs[:, :, None] == verbs[:, None, :]) & (nouns[:, :, None] == nouns[:, None, :])
+    first = ~np.tril(same, -1).any(axis=2)  # no earlier entry of the row holds this action
+    naive = naive_clip(clip).naive
+    fallback = ~(scores[:, 0] > 0.0)
+    chosen = np.where(fallback[:, None], naive, np.stack([verbs[:, 0], nouns[:, 0]], axis=1))
+    return ClipRecognition(
+        clip.clip_id, chosen, naive, np.stack([verbs[first], nouns[first]], axis=1), scores[first],
+        columns[first] < k, first.sum(axis=1), fallback,
+    )
 
 
 def naive_clip(clip: ClipDistributions) -> ClipRecognition:
     """Ablation path: per-track argmax pairs, no co-occurrence candidates."""
     _check_clip(clip)
-    naive = list(map(Action, clip.verb_probs.argmax(axis=1).tolist(), clip.noun_probs.argmax(axis=1).tolist()))
-    return ClipRecognition(clip.clip_id, list(naive), naive, [[] for _ in naive], [False] * len(naive))
+    naive = np.stack([clip.verb_probs.argmax(axis=1), clip.noun_probs.argmax(axis=1)], axis=1)
+    return ClipRecognition(
+        clip.clip_id, naive.copy(), naive, np.empty((0, 2), np.intp), np.empty(0), np.empty(0, bool),
+        np.zeros(len(naive), np.intp), np.zeros(len(naive), bool),
+    )
+
+
+def segment_records(clip: ClipRecognition, taxonomy: Taxonomy) -> list[dict]:
+    """The clip's per-segment records as `save_recognition` writes them, actions as text."""
+    chosen, naive = format_actions(clip.chosen, taxonomy), format_actions(clip.naive, taxonomy)
+    candidates = [
+        {"action": action, "score": score, "branch": BRANCH_VERB if verb_anchored else BRANCH_NOUN}
+        for action, score, verb_anchored in zip(
+            format_actions(clip.candidates, taxonomy), clip.scores.tolist(), clip.verb_anchored.tolist()
+        )
+    ]
+    bounds = [0, *np.cumsum(clip.counts).tolist()]  # segment i's candidates are bounds[i]:bounds[i + 1]
+    return [
+        {"clip_id": clip.clip_id, "segment": i, "chosen": chosen[i], "naive": naive[i], "fallback": fallback,
+         "candidates": candidates[bounds[i] : bounds[i + 1]]}
+        for i, fallback in enumerate(clip.fallback.tolist())
+    ]
 
 
 def save_recognition(path, clips: list[ClipRecognition], taxonomy: Taxonomy) -> None:
-    rows = [
-        {
-            "clip_id": clip.clip_id,
-            "segment": i,
-            "chosen": format_action(chosen, taxonomy),
-            "naive": format_action(naive, taxonomy),
-            "fallback": fallback,
-            "candidates": [
-                {"action": format_action(c.action, taxonomy), "score": float(c.score), "branch": c.branch}
-                for c in candidates
-            ],
-        }
-        for clip in clips
-        for i, (chosen, naive, candidates, fallback) in enumerate(
-            zip(clip.chosen, clip.naive, clip.candidates, clip.fallback)
-        )
-    ]
-    atomic_write_text(path, dump_jsonl(rows))
+    atomic_write_text(path, dump_jsonl(row for clip in clips for row in segment_records(clip, taxonomy)))
 
 
 def load_recognition(path, taxonomy: Taxonomy) -> list[ClipRecognition]:
     """One record per clip, as `dataset_io.clip_rows` groups and checks the rows."""
     keys, rows = [], []
     seen: set[tuple[str, int]] = set()
-    parse = functools.cache(lambda text: parse_action(text, taxonomy))  # each distinct text parsed once
     for lineno, obj in iter_jsonl(path):
         where = f"{path}:{lineno}"
         keys.append(segment_key(obj, seen, where))
         try:
-            candidates = []
+            actions, scores, verb_anchored = [obj["chosen"], obj["naive"]], [], []
             for raw in obj.get("candidates", []):
                 branch, score = raw["branch"], raw["score"]
                 if branch not in (BRANCH_VERB, BRANCH_NOUN):
                     raise DataError(f"unknown branch {branch!r}")
                 if type(score) not in (int, float) or not math.isfinite(score):  # JSON numbers only, not bools
                     raise DataError(f"candidate score must be a finite number, got {score!r}")
-                candidates.append(CandidatePair(parse(raw["action"]), float(score), branch))
+                actions.append(raw["action"])
+                scores.append(float(score))
+                verb_anchored.append(branch == BRANCH_VERB)
             fallback = obj.get("fallback", False)
             if not isinstance(fallback, bool):
                 raise DataError(f"field 'fallback' must be true or false, got {fallback!r}")
-            rows.append((parse(obj["chosen"]), parse(obj["naive"]), candidates, fallback))
+            rows.append((parse_actions(actions, taxonomy), scores, verb_anchored, fallback))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, DataError):
                 raise DataError(f"{where}: {exc}") from None
             raise DataError(f"{where}: malformed recognition record ({exc!r})") from None
-    return [
-        ClipRecognition(clip_id, *map(list, zip(*(rows[r] for r in positions))))
-        for clip_id, positions in clip_rows(keys).items()
-    ]
+    clips = []
+    for clip_id, positions in clip_rows(keys).items():
+        ids, scores, verb_anchored, fallback = zip(*(rows[r] for r in positions))
+        heads = np.stack([a[:2] for a in ids])  # each row's ids: chosen, naive, then its candidates
+        clips.append(ClipRecognition(
+            clip_id, heads[:, 0], heads[:, 1], np.concatenate([a[2:] for a in ids]),
+            np.fromiter(chain.from_iterable(scores), float), np.fromiter(chain.from_iterable(verb_anchored), bool),
+            np.array([len(a) - 2 for a in ids], np.intp), np.array(fallback),
+        ))
+    return clips

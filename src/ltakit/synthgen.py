@@ -18,13 +18,13 @@ their argmax and some do not.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dataset_io import ClipDistributions, ClipRecord
 from .errors import DataError
-from .taxonomy import Action, Taxonomy
+from .taxonomy import Taxonomy
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,14 @@ class SynthConfig:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class SynthCorpus:
+    """A generated corpus; `templates` is T x routine_length x 2, one (verb id, noun id) routine per row."""
+
     taxonomy: Taxonomy
     annotations: list[ClipRecord]
     distributions: list[ClipDistributions]
-    templates: list[list[Action]] = field(default_factory=list)
+    templates: np.ndarray
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -104,14 +106,12 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
         [f"verb_{i:03d}" for i in range(num_verbs)],
         [f"noun_{j:03d}" for j in range(num_nouns)],
     )
-    pool = [Action(n % num_verbs, n) for n in range(num_nouns)]
     verb_pools = [[u for u in range(num_verbs) if u != v] for v in range(num_verbs)]
     noun_pools = [[n for n in range(num_nouns) if n % num_verbs != v] for v in range(num_verbs)]
 
-    order = rng.permutation(num_nouns)
     length = config.routine_length
-    drawn = [pool[int(i)] for i in order[: config.num_templates * length]]
-    templates = [drawn[t * length : (t + 1) * length] for t in range(config.num_templates)]
+    drawn = rng.permutation(num_nouns)[: config.num_templates * length].astype(np.intp)
+    templates = np.stack([drawn % num_verbs, drawn], axis=1).reshape(config.num_templates, length, 2)
 
     window = config.observed_segments + config.horizon
     annotations: list[ClipRecord] = []
@@ -119,23 +119,22 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
     for c in range(config.num_clips):
         routine = templates[int(rng.integers(config.num_templates))]
         offset = int(rng.integers(length))
-        actions = [routine[(offset + i) % length] for i in range(window)]
+        actions = routine[(offset + np.arange(window)) % length]
         if config.routine_jitter > 0:
-            actions = [
-                pool[int(rng.integers(num_nouns))] if rng.random() < config.routine_jitter else a
-                for a in actions
-            ]
+            for i in range(window):
+                if rng.random() < config.routine_jitter:
+                    noun = int(rng.integers(num_nouns))
+                    actions[i] = noun % num_verbs, noun
         clip_id = f"clip_{c:05d}"
         observed = actions[: config.observed_segments]
         annotations.append(ClipRecord(clip_id, observed, actions[config.observed_segments :]))
         verbs, nouns = [], []
-        for action in observed:
-            verb_pool, noun_pool = verb_pools[action.verb], noun_pools[action.verb]
+        for verb, noun in observed.tolist():
             verbs.append(_noisy_vector(
-                num_verbs, action.verb, verb_pool, config.verb_distractor_mass, config.noise_temperature, rng
+                num_verbs, verb, verb_pools[verb], config.verb_distractor_mass, config.noise_temperature, rng
             ))
             nouns.append(_noisy_vector(
-                num_nouns, action.noun, noun_pool, config.noun_distractor_mass, config.noise_temperature, rng
+                num_nouns, noun, noun_pools[verb], config.noun_distractor_mass, config.noise_temperature, rng
             ))
         distributions.append(ClipDistributions(clip_id, np.array(verbs), np.array(nouns)))
     return SynthCorpus(taxonomy, annotations, distributions, templates)

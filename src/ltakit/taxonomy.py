@@ -1,5 +1,7 @@
-"""Verb/noun vocabularies and the (verb, noun) action unit.
+"""Verb/noun vocabularies and the text form of (verb, noun) actions.
 
+In memory an action sequence is an L x 2 integer array of (verb id, noun id)
+rows; this module is the only place that converts it to and from text.
 Labels may contain underscores but never spaces; the single space is the
 separator in the textual "verb noun" rendering. Index order is file order
 and is never sorted, so downstream tie-breaking stays stable.
@@ -7,25 +9,19 @@ and is never sorted, so downstream tie-breaking stays stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
-from ._fileio import atomic_write_text
+import numpy as np
+
+from ._fileio import atomic_write_text, open_text
 from .errors import DataError
 
 VERB_HEADER = "#verbs"
 NOUN_HEADER = "#nouns"
 
 
-@dataclass(frozen=True)
-class Action:
-    """A verb index paired with a noun index."""
-
-    verb: int
-    noun: int
-
-
 class Taxonomy:
-    """Ordered verb and noun vocabularies with label/index lookups both ways."""
+    """Ordered verb and noun vocabularies; an id is a label's position in its list."""
 
     def __init__(self, verbs, nouns):
         self.verbs = list(verbs)
@@ -53,23 +49,13 @@ class Taxonomy:
     def num_nouns(self) -> int:
         return len(self.nouns)
 
-    def verb_index(self, label: str) -> int:
-        try:
-            return self._verb_index[label]
-        except KeyError:
-            raise DataError(f"unknown verb {label!r}") from None
-
-    def noun_index(self, label: str) -> int:
-        try:
-            return self._noun_index[label]
-        except KeyError:
-            raise DataError(f"unknown noun {label!r}") from None
-
-    def check_action(self, action: Action) -> None:
-        if not (0 <= action.verb < self.num_verbs and 0 <= action.noun < self.num_nouns):
+    def check_ids(self, pairs: np.ndarray) -> None:
+        """Every (verb id, noun id) row of `pairs` (any leading shape) must index the vocabularies."""
+        outside = ((pairs < 0) | (pairs >= (self.num_verbs, self.num_nouns))).any(axis=-1)
+        if outside.any():  # a negative id would otherwise index a label list from its end
+            verb, noun = pairs[outside][0].tolist()
             raise DataError(
-                f"action ({action.verb}, {action.noun}) out of range for "
-                f"|V|={self.num_verbs}, |N|={self.num_nouns}"
+                f"action ({verb}, {noun}) out of range for |V|={self.num_verbs}, |N|={self.num_nouns}"
             )
 
     def __eq__(self, other) -> bool:
@@ -91,7 +77,7 @@ def load_taxonomy(path) -> Taxonomy:
     sections = {VERB_HEADER: [], NOUN_HEADER: []}
     opened = set()
     current = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
@@ -115,17 +101,42 @@ def save_taxonomy(path, taxonomy: Taxonomy) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def parse_action(text: str, taxonomy: Taxonomy) -> Action:
-    """Parse "verb_label noun_label" (single space) into an Action."""
+def parse_action(text: str, taxonomy: Taxonomy) -> tuple[int, int]:
+    """Parse "verb_label noun_label" (single space) into (verb id, noun id)."""
     if not isinstance(text, str):
         raise DataError(f"action entries must be strings, got {text!r}")
     parts = text.split(" ")
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise DataError(f"malformed action {text!r}: expected 'verb noun' with a single space")
-    return Action(taxonomy.verb_index(parts[0]), taxonomy.noun_index(parts[1]))
+    verb, noun = parts
+    if verb not in taxonomy._verb_index:
+        raise DataError(f"unknown verb {verb!r}")
+    if noun not in taxonomy._noun_index:
+        raise DataError(f"unknown noun {noun!r}")
+    return taxonomy._verb_index[verb], taxonomy._noun_index[noun]
 
 
-def format_action(action: Action, taxonomy: Taxonomy) -> str:
-    """Render an Action back to its "verb noun" text form."""
-    taxonomy.check_action(action)
-    return f"{taxonomy.verbs[action.verb]} {taxonomy.nouns[action.noun]}"
+def parse_actions(tokens: list, taxonomy: Taxonomy, where: str = "") -> np.ndarray:
+    """Parse "verb noun" texts into an L x 2 array of (verb id, noun id) rows.
+
+    A bad token raises `parse_action`'s error for the first one, prefixed
+    with `where: ` when `where` is given.
+    """
+    verbs, nouns = taxonomy._verb_index, taxonomy._noun_index
+    try:
+        ids = chain.from_iterable((verbs[v], nouns[n]) for v, n in (token.split(" ") for token in tokens))
+        return np.fromiter(ids, np.intp, 2 * len(tokens)).reshape(-1, 2)
+    except (AttributeError, ValueError, KeyError):  # not a string, not two labels, unknown label
+        for token in tokens:
+            try:
+                parse_action(token, taxonomy)
+            except DataError as exc:
+                raise DataError(f"{where}: {exc}" if where else str(exc)) from None
+        raise
+
+
+def format_actions(pairs: np.ndarray, taxonomy: Taxonomy) -> list[str]:
+    """Render an L x 2 array of (verb id, noun id) rows as "verb noun" texts; ids must be in range."""
+    taxonomy.check_ids(pairs)
+    verbs, nouns = taxonomy.verbs, taxonomy.nouns
+    return [verbs[v] + " " + nouns[n] for v, n in pairs.tolist()]

@@ -18,6 +18,11 @@ def kitchen() -> Taxonomy:
     )
 
 
+def actions(*pairs) -> np.ndarray:
+    """An L x 2 array of (verb id, noun id) rows, one per pair given."""
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+
 def random_distribution(rng: np.random.Generator, size: int) -> np.ndarray:
     raw = rng.uniform(0.01, 1.0, size)
     return raw / raw.sum()

@@ -25,9 +25,9 @@ from ltakit.dataset_io import (
     save_predictions,
 )
 from ltakit.metrics import ar_accuracy, corpus_eval, damerau_levenshtein
-from ltakit.recognition import naive_clip, recognize_clip
+from ltakit.recognition import BRANCH_NOUN, BRANCH_VERB, naive_clip, recognize_clip
 from ltakit.synthgen import SynthConfig, generate_corpus
-from ltakit.taxonomy import Action, Taxonomy, load_taxonomy
+from ltakit.taxonomy import Taxonomy, load_taxonomy
 
 from conftest import random_distribution
 from oracles import osa_distance, rerank_reference
@@ -90,12 +90,18 @@ def test_a02_reranking_matches_independent_oracle():
                 dist.verb_probs[0], dist.noun_probs[0],
                 matrix.row_stochastic, matrix.col_stochastic, k,
             )
-            got = [(c.action.verb, c.action.noun, c.score, c.branch) for c in result.candidates[0]]
+            got = [
+                (v, n, score, BRANCH_VERB if verb_anchored else BRANCH_NOUN)
+                for (v, n), score, verb_anchored in zip(
+                    result.candidates.tolist(), result.scores.tolist(), result.verb_anchored.tolist()
+                )
+            ]
             total += 1
             exact += (
-                [(a.verb, a.noun) for a in result.chosen] == [chosen]
-                and [(a.verb, a.noun) for a in result.naive] == [naive]
-                and result.fallback == [used_fallback]
+                list(map(tuple, result.chosen.tolist())) == [chosen]
+                and list(map(tuple, result.naive.tolist())) == [naive]
+                and result.fallback.tolist() == [used_fallback]
+                and result.counts.tolist() == [len(got)]
                 and got == candidates
             )
     elapsed = time.monotonic() - start
@@ -124,9 +130,7 @@ def test_a03_reranking_invariant_to_count_scale():
         )
         for dist, want in zip(dists, base_results):
             got = recognize_clip(dist, scaled, k=4)
-            if got.chosen != want.chosen or (
-                [c.action for c in got.candidates[0]] != [c.action for c in want.candidates[0]]
-            ):
+            if not (np.array_equal(got.chosen, want.chosen) and np.array_equal(got.candidates, want.candidates)):
                 stable = False
     ok = worst_delta <= 1e-12 and stable
     verdict(
@@ -144,7 +148,7 @@ def test_a04_uniform_matrix_reduces_to_naive():
     for _ in range(total):
         dist = segment(rng, 6, 8)
         result = recognize_clip(dist, matrix, k=3)
-        agree += result.chosen == result.naive and result.fallback == [False]
+        agree += np.array_equal(result.chosen, result.naive) and result.fallback.tolist() == [False]
     ok = agree == total
     verdict(
         "A04 uniform co-occurrence is a no-op",
@@ -243,16 +247,16 @@ def test_a07_response_parser_is_total():
         for horizon in (1, 5, 20):
             parsed = parse_response(text, taxonomy, horizon)
             total += 1
-            ok_count += len(parsed.actions) == horizon and all(
-                0 <= a.verb < 3 and 0 <= a.noun < 4 for a in parsed.actions
+            ok_count += parsed.actions.shape == (horizon, 2) and all(
+                0 <= v < 3 and 0 <= n < 4 for v, n in parsed.actions.tolist()
             )
     for _ in range(1200):
         blob = bytes(rng.integers(0, 256, size=int(rng.integers(0, 80)), dtype=np.uint8))
         horizon = int(rng.integers(1, 26))
         parsed = parse_response(blob.decode("latin-1"), taxonomy, horizon)
         total += 1
-        ok_count += len(parsed.actions) == horizon and all(
-            0 <= a.verb < 3 and 0 <= a.noun < 4 for a in parsed.actions
+        ok_count += parsed.actions.shape == (horizon, 2) and all(
+            0 <= v < 3 and 0 <= n < 4 for v, n in parsed.actions.tolist()
         )
     ok = ok_count == total
     verdict(
@@ -266,15 +270,15 @@ def test_a08_extra_candidates_never_hurt():
     rng = np.random.default_rng(1008)
     total = monotone = 0
     for _ in range(1000):
-        gt = [Action(int(rng.integers(4)), int(rng.integers(5))) for _ in range(8)]
+        gt = np.array([(int(rng.integers(4)), int(rng.integers(5))) for _ in range(8)])
         cands = [
-            [Action(int(rng.integers(4)), int(rng.integers(5))) for _ in range(8)]
+            [(int(rng.integers(4)), int(rng.integers(5))) for _ in range(8)]
             for _ in range(4)
         ]
-        pairs = np.array([[(a.verb, a.noun) for a in cand] for cand in cands])
+        pairs = np.array(cands)
         # One corpus per K, each holding the same single clip.
         rows = [
-            corpus_eval([PredictionSet("c", pairs[: j + 1])], [ClipRecord("c", [], gt)]).per_clip[0]
+            corpus_eval([PredictionSet("c", pairs[: j + 1])], [ClipRecord("c", gt[:0], gt)]).per_clip[0]
             for j in range(4)
         ]
         total += 1
@@ -347,7 +351,7 @@ def test_a09_cli_chain_is_deterministic_and_calibrated(tmp_path):
 
     taxonomy = load_taxonomy(corpus_one / "taxonomy.txt")
     annotations = load_annotations(corpus_one / "annotations.jsonl", taxonomy, horizon=8)
-    perfect = [PredictionSet(r.clip_id, np.array([[(a.verb, a.noun) for a in r.future]])) for r in annotations]
+    perfect = [PredictionSet(r.clip_id, r.future[None]) for r in annotations]
     perfect_path = tmp_path / "perfect.jsonl"
     save_predictions(perfect_path, perfect, taxonomy)
     report_path = tmp_path / "perfect_report.json"

@@ -24,8 +24,9 @@ from ltakit.anticipation import (
 from ltakit.dataset_io import ClipRecord
 from ltakit.errors import DataError, ScriptExhausted, TransportError
 from ltakit.llm_client import Failure, LlmConfig, MockLlmClient
-from ltakit.taxonomy import Action, Taxonomy
+from ltakit.taxonomy import Taxonomy
 
+from conftest import actions
 from oracles import ngram_conditional
 
 
@@ -35,17 +36,17 @@ def cycle_taxonomy():
 
 
 def record(clip_id, verb_ids, taxonomy=None):
-    return ClipRecord(clip_id, [Action(v, 0) for v in verb_ids])
+    return ClipRecord(clip_id, actions(*[(v, 0) for v in verb_ids]))
 
 
 class TestPromptPlumbing:
     def test_format_action_history(self, kitchen):
-        text = format_action_history([Action(0, 0), Action(2, 1)], kitchen)
+        text = format_action_history(actions((0, 0), (2, 1)), kitchen)
         assert text == "take spoon, stir pot"
 
     def test_format_action_history_empty_rejected(self, kitchen):
         with pytest.raises(DataError, match="empty"):
-            format_action_history([], kitchen)
+            format_action_history(actions(), kitchen)
 
     def test_render_prompt_substitutes_both(self):
         template = PromptTemplate("sys", "saw {history}; give {Z} more")
@@ -82,6 +83,7 @@ class TestPromptPlumbing:
             '["not", "an", "object"]',
             '{"system_text": "s"}',
             '{"system_text": 3, "user_template": "u"}',
+            '{"system_text": "s", "user_template": ',
         ],
     )
     def test_load_prompt_template_rejects_bad_files(self, tmp_path, payload):
@@ -94,49 +96,48 @@ class TestPromptPlumbing:
 class TestParseResponse:
     def test_exact_reply(self, kitchen):
         parsed = parse_response("take spoon, stir pot", kitchen, 2)
-        assert parsed.actions == [Action(0, 0), Action(2, 1)]
+        assert parsed.actions.tolist() == [[0, 0], [2, 1]]
         assert parsed.skipped == [] and parsed.padded == 0
 
     def test_newlines_and_enumeration_markers(self, kitchen):
         text = "1. take spoon\n2) stir pot\n(3) wash cup"
         parsed = parse_response(text, kitchen, 3)
-        assert parsed.actions == [Action(0, 0), Action(2, 1), Action(3, 2)]
+        assert parsed.actions.tolist() == [[0, 0], [2, 1], [3, 2]]
 
     def test_whitespace_collapsed(self, kitchen):
         parsed = parse_response("  take   spoon  ", kitchen, 1)
-        assert parsed.actions == [Action(0, 0)]
+        assert parsed.actions.tolist() == [[0, 0]]
 
     def test_unparseable_tokens_skipped_and_reported(self, kitchen):
         parsed = parse_response("take spoon, fly rocket, stir pot", kitchen, 3)
         assert parsed.skipped == ["fly rocket"]
-        assert parsed.actions[:2] == [Action(0, 0), Action(2, 1)]
+        assert parsed.actions[:2].tolist() == [[0, 0], [2, 1]]
 
     def test_short_reply_padded_with_last_action(self, kitchen):
         parsed = parse_response("stir pot", kitchen, 4)
-        assert parsed.actions == [Action(2, 1)] * 4
+        assert parsed.actions.tolist() == [[2, 1]] * 4
         assert parsed.padded == 3
 
     def test_empty_reply_uses_fallback(self, kitchen):
-        parsed = parse_response("", kitchen, 3, fallback=Action(1, 2))
-        assert parsed.actions == [Action(1, 2)] * 3
+        parsed = parse_response("", kitchen, 3, fallback=(1, 2))
+        assert parsed.actions.tolist() == [[1, 2]] * 3
         assert parsed.padded == 3
 
     def test_empty_reply_without_fallback_uses_origin(self, kitchen):
         parsed = parse_response("gibberish only", kitchen, 2)
-        assert parsed.actions == [Action(0, 0)] * 2
+        assert parsed.actions.tolist() == [[0, 0]] * 2
 
     def test_long_reply_truncated(self, kitchen):
         text = ", ".join(["take spoon"] * 9)
         parsed = parse_response(text, kitchen, 4)
-        assert len(parsed.actions) == 4 and parsed.padded == 0
+        assert parsed.actions.shape == (4, 2) and parsed.padded == 0
 
     @given(st.text(max_size=200), st.integers(1, 12))
     def test_total_on_arbitrary_text(self, text, horizon):
         taxonomy = Taxonomy(["take", "put"], ["spoon", "pot"])
         parsed = parse_response(text, taxonomy, horizon)
-        assert len(parsed.actions) == horizon
-        for action in parsed.actions:
-            taxonomy.check_action(action)
+        assert parsed.actions.shape == (horizon, 2) and parsed.actions.dtype == np.intp
+        taxonomy.check_ids(parsed.actions)
 
     def test_total_on_random_bytes(self, kitchen):
         rng = np.random.default_rng(51)
@@ -167,7 +168,7 @@ class TestNgramModel:
         records = [
             ClipRecord(
                 f"c{i}",
-                [Action(int(rng.integers(2)), int(rng.integers(2))) for _ in range(6)],
+                actions(*[(int(rng.integers(2)), int(rng.integers(2))) for _ in range(6)]),
             )
             for i in range(10)
         ]
@@ -200,7 +201,7 @@ class TestNgramModel:
 
     def test_futures_feed_the_fit(self):
         taxonomy = cycle_taxonomy()
-        rec = ClipRecord("c", [Action(0, 0)], [Action(1, 0), Action(2, 0)])
+        rec = ClipRecord("c", actions((0, 0)), actions((1, 0), (2, 0)))
         model = fit_ngram([rec], 2, 0.5, taxonomy)
         probs = ngram_conditional(model, (0,))
         assert probs[1] > probs[0]
@@ -208,7 +209,7 @@ class TestNgramModel:
     def test_most_frequent_action_breaks_ties_low(self):
         taxonomy = cycle_taxonomy()
         model = fit_ngram([record("c", [2, 1, 1, 2])], 1, 0.5, taxonomy)
-        assert model.most_frequent_action() == Action(1, 0)
+        assert model.most_frequent_action() == (1, 0)
 
     def test_invalid_parameters(self):
         with pytest.raises(DataError, match="order"):
@@ -225,7 +226,7 @@ class TestNgramModel:
         with pytest.raises(DataError, match="empty"):
             fit_ngram([], 2, 0.5, cycle_taxonomy())
         with pytest.raises(DataError, match="no actions"):
-            fit_ngram([ClipRecord("c", [])], 2, 0.5, cycle_taxonomy())
+            fit_ngram([ClipRecord("c", actions())], 2, 0.5, cycle_taxonomy())
 
 
 class TestNgramPredictor:
@@ -233,31 +234,31 @@ class TestNgramPredictor:
         taxonomy = cycle_taxonomy()
         model = fit_ngram([record("c", [0, 1, 2, 0, 1, 2, 0])], 2, 0.1, taxonomy)
         predictor = NgramPredictor(model, mode="greedy")
-        result = predictor.predict("clip", [Action(0, 0)], horizon=6, num_candidates=1)
+        result = predictor.predict("clip", actions((0, 0)), horizon=6, num_candidates=1)
         verbs = result.candidates[0, :, 0].tolist()
         assert verbs == [1, 2, 0, 1, 2, 0]
 
     def test_greedy_tie_breaks_to_lowest_action_id(self):
         taxonomy = cycle_taxonomy()
         model = NgramModel(2, 0.5, taxonomy.num_verbs, taxonomy.num_nouns)
-        model.observe([Action(0, 0), Action(1, 0)])
-        model.observe([Action(0, 0), Action(2, 0)])
+        model.observe(actions((0, 0), (1, 0)))
+        model.observe(actions((0, 0), (2, 0)))
         predictor = NgramPredictor(model, mode="greedy")
-        result = predictor.predict("clip", [Action(0, 0)], horizon=1, num_candidates=1)
+        result = predictor.predict("clip", actions((0, 0)), horizon=1, num_candidates=1)
         assert result.candidates[0, 0].tolist() == [1, 0]
 
     def test_same_seed_same_output(self):
         taxonomy = cycle_taxonomy()
         model = fit_ngram([record(f"c{i}", [0, 1, 2, 0, 1]) for i in range(3)], 2, 0.5, taxonomy)
-        a = NgramPredictor(model, mode="sample", seed=9).predict("clip", [Action(0, 0)], 8, 4)
-        b = NgramPredictor(model, mode="sample", seed=9).predict("clip", [Action(0, 0)], 8, 4)
+        a = NgramPredictor(model, mode="sample", seed=9).predict("clip", actions((0, 0)), 8, 4)
+        b = NgramPredictor(model, mode="sample", seed=9).predict("clip", actions((0, 0)), 8, 4)
         assert np.array_equal(a.candidates, b.candidates)
 
     def test_different_seeds_differ_somewhere(self):
         taxonomy = cycle_taxonomy()
         model = fit_ngram([record(f"c{i}", [0, 1, 2, 0, 1]) for i in range(3)], 2, 0.5, taxonomy)
         outs = [
-            NgramPredictor(model, mode="sample", seed=s).predict("clip", [Action(0, 0)], 12, 4)
+            NgramPredictor(model, mode="sample", seed=s).predict("clip", actions((0, 0)), 12, 4)
             for s in range(6)
         ]
         assert len({o.candidates.tobytes() for o in outs}) > 1
@@ -266,7 +267,7 @@ class TestNgramPredictor:
         taxonomy = cycle_taxonomy()
         model = fit_ngram([record(f"c{i}", [0, 1, 2, 0, 1]) for i in range(3)], 2, 0.5, taxonomy)
         predictor = NgramPredictor(model, mode="sample", seed=3)
-        history = [Action(0, 0)]
+        history = actions((0, 0))
         forward = {cid: predictor.predict(cid, history, 6, 3) for cid in ["u", "v", "w"]}
         backward = {cid: predictor.predict(cid, history, 6, 3) for cid in ["w", "v", "u"]}
         for cid in ["u", "v", "w"]:
@@ -276,23 +277,23 @@ class TestNgramPredictor:
         taxonomy = cycle_taxonomy()
         model = fit_ngram([record("c", [0, 1, 2, 0, 1, 2, 0])], 2, 0.1, taxonomy)
         predictor = NgramPredictor(model, mode="greedy", seed=1)
-        result = predictor.predict("clip", [Action(0, 0)], 6, 5)
+        result = predictor.predict("clip", actions((0, 0)), 6, 5)
         assert result.candidates[0, :, 0].tolist() == [1, 2, 0, 1, 2, 0]
         assert len(result.candidates) == 5
 
     def test_sample_top_k_one_is_deterministic_argmax(self):
         taxonomy = cycle_taxonomy()
         model = fit_ngram([record("c", [0, 1, 2, 0, 1, 2, 0])], 2, 0.1, taxonomy)
-        greedy = NgramPredictor(model, mode="greedy").predict("clip", [Action(0, 0)], 6, 1)
+        greedy = NgramPredictor(model, mode="greedy").predict("clip", actions((0, 0)), 6, 1)
         narrow = NgramPredictor(model, mode="sample", sample_top_k=1, seed=77).predict(
-            "clip", [Action(0, 0)], 6, 1
+            "clip", actions((0, 0)), 6, 1
         )
         assert np.array_equal(narrow.candidates[0], greedy.candidates[0])
 
     def test_candidate_shape(self):
         taxonomy = cycle_taxonomy()
         model = fit_ngram([record("c", [0, 1, 2])], 2, 0.5, taxonomy)
-        result = NgramPredictor(model, mode="sample", seed=0).predict("x", [Action(2, 0)], 7, 3)
+        result = NgramPredictor(model, mode="sample", seed=0).predict("x", actions((2, 0)), 7, 3)
         assert len(result.candidates) == 3
         assert all(len(c) == 7 for c in result.candidates)
         assert result.candidates.shape == (3, 7, 2)
@@ -306,11 +307,11 @@ class TestNgramPredictor:
             NgramPredictor(model, sample_top_k=0)
         predictor = NgramPredictor(model)
         with pytest.raises(DataError, match="empty history"):
-            predictor.predict("c", [], 5, 1)
+            predictor.predict("c", actions(), 5, 1)
         with pytest.raises(DataError, match="horizon"):
-            predictor.predict("c", [Action(0, 0)], 0, 1)
+            predictor.predict("c", actions((0, 0)), 0, 1)
         with pytest.raises(DataError, match="candidate"):
-            predictor.predict("c", [Action(0, 0)], 5, 0)
+            predictor.predict("c", actions((0, 0)), 5, 0)
 
 
 def reference_rollouts(model, mode, seed, sample_top_k, clip_id, history, horizon, num_candidates):
@@ -318,7 +319,7 @@ def reference_rollouts(model, mode, seed, sample_top_k, clip_id, history, horizo
     rng = np.random.default_rng([seed, zlib.crc32(clip_id.encode("utf-8"))])
     candidates = []
     for index in range(num_candidates):
-        ids = [model.action_id(a) for a in history]
+        ids = [v * model.num_nouns + n for v, n in history.tolist()]
         out = []
         for _ in range(horizon):
             probs = np.array(ngram_conditional(model, ids))
@@ -341,7 +342,7 @@ def tied_corpus():
     taxonomy = Taxonomy(["a", "b", "c"], ["x", "y"])
     ids = [[0, 1, 0, 2, 0, 1, 0, 2], [3, 4, 0, 1, 3, 4, 0, 2], [1, 3, 1, 3, 2, 2]]
     records = [
-        ClipRecord(f"t{i}", [Action(a // 2, a % 2) for a in seq]) for i, seq in enumerate(ids)
+        ClipRecord(f"t{i}", actions(*[divmod(a, 2) for a in seq])) for i, seq in enumerate(ids)
     ]
     return taxonomy, records
 
@@ -369,10 +370,10 @@ def test_choice_draws_equal_cdf_search_of_uniforms(width, seed):
 class TestMemoizedRollouts:
     # Histories ending in a seen context, in a tie, and in the unseen action 5.
     HISTORIES = {
-        "seen": [Action(1, 1), Action(2, 0)],
-        "tied": [Action(0, 0)],
-        "unseen": [Action(2, 1)],
-        "long": [Action(0, 1), Action(2, 0), Action(0, 0), Action(1, 0)],
+        "seen": actions((1, 1), (2, 0)),
+        "tied": actions((0, 0)),
+        "unseen": actions((2, 1)),
+        "long": actions((0, 1), (2, 0), (0, 0), (1, 0)),
     }
 
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -396,7 +397,7 @@ class TestMemoizedRollouts:
         taxonomy, records = tied_corpus()
         model = fit_ngram(records, 4, 0.5, taxonomy)
         predictor = NgramPredictor(model, mode=mode, seed=3, sample_top_k=sample_top_k)
-        for clip_id, history in [("one", [Action(0, 0)]), ("two", [Action(0, 1), Action(0, 0)])]:
+        for clip_id, history in [("one", actions((0, 0))), ("two", actions((0, 1), (0, 0)))]:
             got = predictor.predict(clip_id, history, 12, 4).candidates
             assert np.array_equal(got, reference_rollouts(model, mode, 3, sample_top_k, clip_id, history, 12, 4))
 
@@ -425,7 +426,7 @@ class TestMemoizedRollouts:
         second = [record(f"d{i}", [0, 2, 0, 2]) for i in range(3)]
         model = fit_ngram(first, 2, 0.1, taxonomy)
         predictor = NgramPredictor(model, mode="greedy", seed=2)
-        history = [Action(0, 0)]
+        history = actions((0, 0))
         stale = predictor.predict("clip", history, 6, 3)
         for rec in second:
             model.observe(rec.observed)
@@ -468,11 +469,11 @@ class TestMemoizedRollouts:
 
 class TestRepeatLast:
     def test_repeats_final_history_action(self):
-        result = RepeatLastPredictor().predict("c", [Action(1, 2), Action(3, 4)], 5, 2)
+        result = RepeatLastPredictor().predict("c", actions((1, 2), (3, 4)), 5, 2)
         assert result.candidates.tolist() == [[[3, 4]] * 5] * 2
 
     def test_candidates_are_independent_lists(self):
-        result = RepeatLastPredictor().predict("c", [Action(1, 1)], 3, 2)
+        result = RepeatLastPredictor().predict("c", actions((1, 1)), 3, 2)
         result.candidates[0][0] = (0, 0)
         assert result.candidates[1][0].tolist() == [1, 1]
 
@@ -481,20 +482,20 @@ class TestLlmPredictor:
     def test_parses_scripted_completions(self, kitchen):
         client = MockLlmClient(["take spoon, stir pot", "wash cup"])
         predictor = LlmPredictor(client, kitchen)
-        result = predictor.predict("clip", [Action(0, 0)], horizon=2, num_candidates=2)
+        result = predictor.predict("clip", actions((0, 0)), horizon=2, num_candidates=2)
         assert result.candidates[0].tolist() == [[0, 0], [2, 1]]
         assert result.candidates[1].tolist() == [[3, 2], [3, 2]]
 
     def test_first_request_is_temperature_zero(self, kitchen):
         config = LlmConfig("mock://local", "m", temperature=0.8, backoff_base=0.0)
         client = MockLlmClient(["take spoon", "take spoon", "take spoon"], config)
-        LlmPredictor(client, kitchen, temperature=0.6).predict("c", [Action(0, 0)], 1, 3)
+        LlmPredictor(client, kitchen, temperature=0.6).predict("c", actions((0, 0)), 1, 3)
         assert [r["temperature"] for r in client.requests] == [0.0, 0.6, 0.6]
 
     def test_none_temperature_falls_back_to_config(self, kitchen):
         config = LlmConfig("mock://local", "m", temperature=0.8, backoff_base=0.0)
         client = MockLlmClient(["take spoon", "take spoon"], config)
-        LlmPredictor(client, kitchen).predict("c", [Action(0, 0)], 1, 2)
+        LlmPredictor(client, kitchen).predict("c", actions((0, 0)), 1, 2)
         assert [r["temperature"] for r in client.requests] == [0.0, 0.8]
 
     @pytest.mark.parametrize("temperature", [math.nan, math.inf, -0.5])
@@ -505,7 +506,7 @@ class TestLlmPredictor:
 
     def test_prompt_carries_full_history(self, kitchen):
         client = MockLlmClient(["take spoon"])
-        history = [Action(0, 0), Action(1, 1), Action(2, 3)]
+        history = actions((0, 0), (1, 1), (2, 3))
         LlmPredictor(client, kitchen).predict("c", history, 1, 1)
         user = client.requests[0]["messages"][1]["content"]
         assert "take spoon, put pot, stir pan" in user
@@ -514,7 +515,7 @@ class TestLlmPredictor:
     def test_transport_failures_retried_then_succeed(self, kitchen):
         config = LlmConfig("mock://local", "m", max_retries=2, backoff_base=0.0)
         client = MockLlmClient([Failure(), Failure(), "take spoon"], config)
-        result = LlmPredictor(client, kitchen).predict("c", [Action(0, 0)], 2, 1)
+        result = LlmPredictor(client, kitchen).predict("c", actions((0, 0)), 2, 1)
         assert result.candidates.tolist() == [[[0, 0], [0, 0]]]
         assert len(client.requests) == 3
 
@@ -522,19 +523,19 @@ class TestLlmPredictor:
         config = LlmConfig("mock://local", "m", max_retries=0, backoff_base=0.0)
         client = MockLlmClient([Failure("down")], config)
         with pytest.raises(TransportError, match="clip 'c07'"):
-            LlmPredictor(client, kitchen).predict("c07", [Action(0, 0)], 2, 1)
+            LlmPredictor(client, kitchen).predict("c07", actions((0, 0)), 2, 1)
 
     def test_custom_template_and_fallback(self, kitchen):
         client = MockLlmClient(["nothing usable here"])
         template = PromptTemplate("short sys", "H={history} Z={Z}")
-        predictor = LlmPredictor(client, kitchen, template=template, fallback=Action(2, 2))
-        result = predictor.predict("c", [Action(1, 1)], 3, 1)
+        predictor = LlmPredictor(client, kitchen, template=template, fallback=(2, 2))
+        result = predictor.predict("c", actions((1, 1)), 3, 1)
         assert result.candidates[0].tolist() == [[2, 2]] * 3
         assert client.requests[0]["messages"][1]["content"] == "H=put pot Z=3"
 
     def test_script_exhaustion_not_swallowed(self, kitchen):
         client = MockLlmClient(["take spoon"])
         predictor = LlmPredictor(client, kitchen)
-        predictor.predict("c", [Action(0, 0)], 1, 1)
+        predictor.predict("c", actions((0, 0)), 1, 1)
         with pytest.raises(ScriptExhausted):
-            predictor.predict("c", [Action(0, 0)], 1, 1)
+            predictor.predict("c", actions((0, 0)), 1, 1)

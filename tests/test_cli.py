@@ -109,7 +109,7 @@ class TestPipeline:
     def test_ground_truth_predictions_score_zero(self, pipeline, capsys):
         taxonomy = load_taxonomy(pipeline["taxonomy"])
         annotations = load_annotations(pipeline["annotations"], taxonomy, horizon=5)
-        perfect = [PredictionSet(r.clip_id, np.array([[(a.verb, a.noun) for a in r.future]])) for r in annotations]
+        perfect = [PredictionSet(r.clip_id, r.future[None]) for r in annotations]
         path = pipeline["root"] / "perfect.jsonl"
         dataset_io.save_predictions(path, perfect, taxonomy)
         code = run([
@@ -282,6 +282,59 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    NOT_UTF8 = b'{"clip_id": "c\xff"}\n'
+
+    @pytest.mark.parametrize(
+        "kind, content",
+        [
+            ("taxonomy", b"#verbs\ntake\xff\n#nouns\nspoon\n"),
+            ("annotations", NOT_UTF8),
+            ("distributions", NOT_UTF8),
+            ("matrix", b"#cooccurrence-matrix v1\nverbs \xff\n"),
+            ("recognition", NOT_UTF8),
+            ("predictions", NOT_UTF8),
+            ("prompt_template", b'{"system_text": "s", '),
+            ("prompt_template", b'{"system_text": "\xff", "user_template": "{history} {Z}"}'),
+            ("llm_script", b'["take spoon", '),
+            ("llm_script", b'["take \xff"]'),
+        ],
+        ids=["taxonomy", "annotations", "distributions", "matrix", "recognition", "predictions",
+             "prompt-template-json", "prompt-template-utf8", "llm-script-json", "llm-script-utf8"],
+    )
+    def test_unreadable_input_file_is_data_error(self, pipeline, tmp_path, capsys, kind, content):
+        # Each file a command reads; the one under test is replaced by undecodable or invalid bytes.
+        files = {key: str(pipeline[key]) for key in ("taxonomy", "annotations", "distributions", "matrix",
+                                                    "recognition", "predictions")}
+        files["prompt_template"] = str(tmp_path / "prompt.json")
+        files["llm_script"] = str(tmp_path / "script.json")
+        (tmp_path / "prompt.json").write_text(json.dumps({"system_text": "s", "user_template": "{history} {Z}"}))
+        (tmp_path / "script.json").write_text(json.dumps(["take spoon"]))
+        bad = tmp_path / f"bad_{kind}"
+        bad.write_bytes(content)
+        files[kind] = str(bad)
+        out = str(tmp_path / "out")
+        tax = ["--taxonomy", files["taxonomy"], "--horizon", "5"]
+        build = ["build-cooccur", "--annotations", files["annotations"], *tax, "--out", out]
+        recognize = ["recognize", "--distributions", files["distributions"], "--matrix", files["matrix"],
+                     "--taxonomy", files["taxonomy"], "--out", out]
+        anticipate = ["anticipate", "--recognition", files["recognition"], *tax, "--out", out]
+        argv = {
+            "taxonomy": build,
+            "annotations": build,
+            "distributions": recognize,
+            "matrix": recognize,
+            "recognition": [*anticipate, "--predictor", "repeat-last"],
+            "predictions": ["evaluate", "--predictions", files["predictions"], "--annotations", files["annotations"],
+                            *tax],
+            "prompt_template": [*anticipate, "--predictor", "llm", "--llm-script", files["llm_script"],
+                                "--prompt-template", files["prompt_template"]],
+            "llm_script": [*anticipate, "--predictor", "llm", "--llm-script", files["llm_script"]],
+        }[kind]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ltakit: error: {bad}: ")
+        assert "Traceback" not in err
 
     def test_tampered_matrix_is_data_error(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad_matrix.txt"
@@ -649,6 +702,14 @@ class TestConfigFile:
         assert run(["recognize", "--config", str(cfg), *recognize, "--out", str(from_config)]) == 0
         assert run(["recognize", *recognize, "--naive", "--out", str(from_flags)]) == 0
         assert from_config.read_bytes() == from_flags.read_bytes()
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"clips": "\xff"}')
+        assert run(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ltakit: error: config file {cfg}: not UTF-8 text")
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert run([

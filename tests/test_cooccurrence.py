@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from ltakit.cooccurrence import CooccurrenceMatrix, build_cooccurrence, load_matrix, save_matrix
 from ltakit.dataset_io import ClipRecord
 from ltakit.errors import DataError, IntegrityError
-from ltakit.taxonomy import Action, Taxonomy
+from ltakit.taxonomy import Taxonomy
 
+from conftest import actions
 from oracles import tally_cooccurrence
 
 
@@ -21,23 +24,23 @@ def small_taxonomy(num_verbs=4, num_nouns=5):
 def random_records(rng, num_records, num_verbs=4, num_nouns=5):
     records = []
     for i in range(num_records):
-        observed = [
-            Action(int(rng.integers(num_verbs)), int(rng.integers(num_nouns)))
+        observed = actions(*[
+            (int(rng.integers(num_verbs)), int(rng.integers(num_nouns)))
             for _ in range(int(rng.integers(1, 6)))
-        ]
+        ])
         future = None
         if rng.random() < 0.5:
-            future = [
-                Action(int(rng.integers(num_verbs)), int(rng.integers(num_nouns)))
+            future = actions(*[
+                (int(rng.integers(num_verbs)), int(rng.integers(num_nouns)))
                 for _ in range(3)
-            ]
+            ])
         records.append(ClipRecord(f"c{i}", observed, future))
     return records
 
 
 def test_single_action_lands_in_one_cell():
     tax = small_taxonomy()
-    matrix = build_cooccurrence([ClipRecord("c", [Action(0, 1)])], tax, alpha=0.5)
+    matrix = build_cooccurrence([ClipRecord("c", actions((0, 1)))], tax, alpha=0.5)
     expected = np.zeros((4, 5))
     expected[0, 1] = 1
     assert np.array_equal(matrix.counts, expected)
@@ -45,7 +48,7 @@ def test_single_action_lands_in_one_cell():
 
 def test_row_normalization_two_nouns():
     tax = small_taxonomy(num_verbs=1, num_nouns=2)
-    record = ClipRecord("c", [Action(0, 0), Action(0, 0), Action(0, 1), Action(0, 1)])
+    record = ClipRecord("c", actions((0, 0), (0, 0), (0, 1), (0, 1)))
     matrix = build_cooccurrence([record], tax, alpha=0.0)
     assert np.allclose(matrix.row_stochastic[0], [0.5, 0.5])
 
@@ -55,13 +58,19 @@ def test_counts_match_flat_tally_oracle():
     for _ in range(20):
         records = random_records(rng, 10)
         matrix = build_cooccurrence(records, small_taxonomy(), alpha=0.0)
-        assert np.array_equal(matrix.counts, np.array(tally_cooccurrence(records, 4, 5)))
+        # The oracle reads attribute-style actions, as the benchmark's check hands it.
+        as_objects = lambda pairs: [SimpleNamespace(verb=v, noun=n) for v, n in pairs.tolist()]
+        flat = [
+            SimpleNamespace(observed=as_objects(r.observed), future=None if r.future is None else as_objects(r.future))
+            for r in records
+        ]
+        assert np.array_equal(matrix.counts, np.array(tally_cooccurrence(flat, 4, 5)))
 
 
 def test_futures_are_counted():
     tax = small_taxonomy()
-    record = ClipRecord("c", [Action(0, 0)], None)
-    with_future = ClipRecord("c", [Action(0, 0)], [Action(1, 1)])
+    record = ClipRecord("c", actions((0, 0)), None)
+    with_future = ClipRecord("c", actions((0, 0)), actions((1, 1)))
     assert build_cooccurrence([record], tax, 0.1).total() == 1
     assert build_cooccurrence([with_future], tax, 0.1).total() == 2
 
@@ -69,7 +78,7 @@ def test_futures_are_counted():
 def test_total_equals_action_count():
     rng = np.random.default_rng(12)
     records = random_records(rng, 25)
-    total = sum(len(r.observed) + len(r.future or []) for r in records)
+    total = sum(len(r.observed) + (0 if r.future is None else len(r.future)) for r in records)
     assert build_cooccurrence(records, small_taxonomy(), 0.0).total() == total
 
 
@@ -109,8 +118,10 @@ def test_empty_corpus_smoothed_is_uniform():
 
 
 def test_out_of_range_action_rejected():
-    with pytest.raises(DataError, match="out of range"):
-        build_cooccurrence([ClipRecord("c", [Action(4, 0)])], small_taxonomy(), 0.1)
+    # A negative id must not wrap around to the last row or column.
+    for pair in [(4, 0), (0, 5), (-1, 0), (0, -1)]:
+        with pytest.raises(DataError, match="out of range"):
+            build_cooccurrence([ClipRecord("c", actions((0, 0), pair))], small_taxonomy(), 0.1)
 
 
 def test_scaling_counts_leaves_normalizations_put():

@@ -17,7 +17,8 @@ from ltakit.dataset_io import (
     save_predictions,
 )
 from ltakit.errors import DataError
-from ltakit.taxonomy import Action
+
+from conftest import actions
 
 
 def write_jsonl(path, rows):
@@ -40,8 +41,9 @@ class TestAnnotations:
         records = load_annotations(path, kitchen)
         assert len(records) == 1
         assert records[0].clip_id == "c1"
-        assert records[0].observed == [Action(0, 0)] * 8
-        assert records[0].future == [Action(2, 1)] * 20
+        assert records[0].observed.tolist() == [[0, 0]] * 8
+        assert records[0].future.tolist() == [[2, 1]] * 20
+        assert records[0].observed.dtype == np.intp
 
     def test_future_optional(self, tmp_path, kitchen):
         path = tmp_path / "ann.jsonl"
@@ -57,7 +59,7 @@ class TestAnnotations:
     def test_horizon_parameter(self, tmp_path, kitchen):
         path = tmp_path / "ann.jsonl"
         write_jsonl(path, [{"clip_id": "c1", "observed": [], "future": ["take spoon"] * 3}])
-        assert load_annotations(path, kitchen, horizon=3)[0].future == [Action(0, 0)] * 3
+        assert load_annotations(path, kitchen, horizon=3)[0].future.tolist() == [[0, 0]] * 3
 
     def test_empty_file(self, tmp_path, kitchen):
         path = tmp_path / "ann.jsonl"
@@ -94,12 +96,18 @@ class TestAnnotations:
 
     def test_round_trip(self, tmp_path, kitchen):
         records = [
-            ClipRecord("a", [Action(0, 0), Action(2, 1)], [Action(1, 1)] * 20),
-            ClipRecord("b", [Action(3, 4)], None),
+            ClipRecord("a", actions((0, 0), (2, 1)), actions(*[(1, 1)] * 20)),
+            ClipRecord("b", actions((3, 4)), None),
+            ClipRecord("c", actions(), None),
         ]
         path = tmp_path / "ann.jsonl"
         save_annotations(path, records, kitchen)
-        assert load_annotations(path, kitchen) == records
+        loaded = load_annotations(path, kitchen)
+        assert [r.clip_id for r in loaded] == ["a", "b", "c"]
+        for got, want in zip(loaded, records):
+            assert np.array_equal(got.observed, want.observed) and got.observed.shape == want.observed.shape
+            assert (got.future is None) == (want.future is None)
+            assert want.future is None or np.array_equal(got.future, want.future)
 
 
 class TestDistributions:

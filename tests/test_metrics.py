@@ -18,7 +18,6 @@ from ltakit.metrics import (
     save_report,
 )
 from ltakit.recognition import ClipRecognition
-from ltakit.taxonomy import Action
 
 from oracles import min_track_ed, osa_distance
 
@@ -148,26 +147,26 @@ def pred_set(clip_id, candidates):
     return PredictionSet(clip_id, np.array(candidates).reshape(len(candidates), -1, 2))
 
 
-def action_set(clip_id, candidates):
-    """One clip's predictions from K lists of Actions."""
-    return pred_set(clip_id, [[(a.verb, a.noun) for a in cand] for cand in candidates])
-
-
 def actions(pairs):
-    return [Action(v, n) for v, n in pairs]
+    """An L x 2 (verb id, noun id) array from a list of pairs."""
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+
+def random_pairs(rng, length, num_verbs, num_nouns):
+    return [(int(rng.integers(num_verbs)), int(rng.integers(num_nouns))) for _ in range(length)]
 
 
 def clip_scores(prediction, gt):
     """The per-clip row of a one-clip corpus."""
-    report = corpus_eval([prediction], [ClipRecord(prediction.clip_id, [], gt)])
+    report = corpus_eval([prediction], [ClipRecord(prediction.clip_id, actions([]), actions(gt))])
     return report.per_clip[0]
 
 
 def assert_matches_loop_oracle(scores, cands, gt):
     for track, got_ed, got_idx in [
-        (lambda a: a.verb, scores.verb_ed, scores.best_verb),
-        (lambda a: a.noun, scores.noun_ed, scores.best_noun),
-        (lambda a: (a.verb, a.noun), scores.action_ed, scores.best_action),
+        (lambda a: a[0], scores.verb_ed, scores.best_verb),
+        (lambda a: a[1], scores.noun_ed, scores.best_noun),
+        (lambda a: a, scores.action_ed, scores.best_action),
     ]:
         want_ed, want_idx = min_track_ed(cands, gt, track)
         assert got_ed == want_ed
@@ -205,23 +204,23 @@ class TestClipEd:
         for _ in range(100):
             horizon = int(rng.integers(1, 9))
             num_candidates = int(rng.integers(1, 5))
-            gt = [Action(int(rng.integers(3)), int(rng.integers(4))) for _ in range(horizon)]
+            gt = random_pairs(rng, horizon, 3, 4)
             cands = [
-                [Action(int(rng.integers(3)), int(rng.integers(4))) for _ in range(horizon)]
+                random_pairs(rng, horizon, 3, 4)
                 for _ in range(num_candidates)
             ]
-            assert_matches_loop_oracle(clip_scores(action_set("c", cands), gt), cands, gt)
+            assert_matches_loop_oracle(clip_scores(pred_set("c", cands), gt), cands, gt)
 
     def test_more_candidates_never_hurt(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
-            gt = [Action(int(rng.integers(3)), int(rng.integers(3))) for _ in range(6)]
+            gt = random_pairs(rng, 6, 3, 3)
             cands = [
-                [Action(int(rng.integers(3)), int(rng.integers(3))) for _ in range(6)]
+                random_pairs(rng, 6, 3, 3)
                 for _ in range(4)
             ]
-            smaller = clip_scores(action_set("c", cands[:2]), gt)
-            larger = clip_scores(action_set("c", cands), gt)
+            smaller = clip_scores(pred_set("c", cands[:2]), gt)
+            larger = clip_scores(pred_set("c", cands), gt)
             assert larger.verb_ed <= smaller.verb_ed
             assert larger.noun_ed <= smaller.noun_ed
             assert larger.action_ed <= smaller.action_ed
@@ -237,8 +236,11 @@ class TestClipEd:
 
 def recog(clip_id, *chosen_pairs):
     """One clip's recognition: segment i chose `chosen_pairs[i]`, naive agreeing."""
-    chosen = [Action(*pair) for pair in chosen_pairs]
-    return ClipRecognition(clip_id, chosen, list(chosen), [[] for _ in chosen], [False] * len(chosen))
+    chosen = actions(list(chosen_pairs))
+    return ClipRecognition(
+        clip_id, chosen, chosen.copy(), actions([]), np.empty(0), np.empty(0, bool),
+        np.zeros(len(chosen), np.intp), np.zeros(len(chosen), bool),
+    )
 
 
 class TestArAccuracy:
@@ -356,10 +358,10 @@ class TestCorpusEval:
         annotations = []
         preds = []
         for i in range(40):
-            gt = [Action(int(rng.integers(3)), int(rng.integers(4))) for _ in range(5)]
-            cand = [Action(int(rng.integers(3)), int(rng.integers(4))) for _ in range(5)]
-            annotations.append(ClipRecord(f"c{i}", actions([(0, 0)]), gt))
-            preds.append(action_set(f"c{i}", [cand]))
+            gt = random_pairs(rng, 5, 3, 4)
+            cand = random_pairs(rng, 5, 3, 4)
+            annotations.append(ClipRecord(f"c{i}", actions([(0, 0)]), actions(gt)))
+            preds.append(pred_set(f"c{i}", [cand]))
         base = corpus_eval(preds, annotations)
         shuffled = list(preds)
         rng.shuffle(shuffled)
@@ -373,13 +375,13 @@ class TestCorpusEval:
         rng = np.random.default_rng(47)
         annotations, preds, sets = [], [], {}
         for i in range(60):
-            gt = [Action(int(rng.integers(3)), int(rng.integers(4))) for _ in range(5)]
+            gt = random_pairs(rng, 5, 3, 4)
             cands = [
-                [Action(int(rng.integers(3)), int(rng.integers(4))) for _ in range(5)]
+                random_pairs(rng, 5, 3, 4)
                 for _ in range(int(rng.integers(1, 6)))
             ]
-            annotations.append(ClipRecord(f"c{i}", actions([(0, 0)]), gt))
-            preds.append(action_set(f"c{i}", cands))
+            annotations.append(ClipRecord(f"c{i}", actions([(0, 0)]), actions(gt)))
+            preds.append(pred_set(f"c{i}", cands))
             sets[f"c{i}"] = (cands, gt)
         assert len({len(p.candidates) for p in preds}) > 1
         report = corpus_eval(preds, annotations)

@@ -8,26 +8,48 @@ import pytest
 from ltakit.cooccurrence import CooccurrenceMatrix
 from ltakit.dataset_io import ClipDistributions, load_distributions
 from ltakit.errors import DataError
-from ltakit import recognition
 from ltakit.recognition import (
     BRANCH_NOUN,
     BRANCH_VERB,
-    CandidatePair,
     load_recognition,
     naive_clip,
     recognize_clip,
     save_recognition,
 )
-from ltakit.taxonomy import Action, Taxonomy
 
 from conftest import random_distribution
 from oracles import rerank_reference
 
 
+def segments(result):
+    """Per segment: (chosen, naive, candidates, fallback), with pairs as (verb, noun) tuples
+    and each candidate as ((verb, noun), score, branch)."""
+    candidates = [
+        (tuple(pair), score, BRANCH_VERB if verb_anchored else BRANCH_NOUN)
+        for pair, score, verb_anchored in zip(
+            result.candidates.tolist(), result.scores.tolist(), result.verb_anchored.tolist()
+        )
+    ]
+    bounds = [0, *np.cumsum(result.counts).tolist()]
+    return [
+        (tuple(chosen), tuple(naive), candidates[bounds[i] : bounds[i + 1]], fallback)
+        for i, (chosen, naive, fallback) in enumerate(
+            zip(result.chosen.tolist(), result.naive.tolist(), result.fallback.tolist())
+        )
+    ]
+
+
 def only_segment(result):
     """(chosen, naive, candidates, fallback) of a one-segment clip's recognition."""
-    [chosen], [naive], [candidates], [fallback] = result.chosen, result.naive, result.candidates, result.fallback
-    return chosen, naive, candidates, fallback
+    [segment] = segments(result)
+    return segment
+
+
+def assert_same_recognition(got, want):
+    assert got.clip_id == want.clip_id
+    for name in ("chosen", "naive", "candidates", "scores", "verb_anchored", "counts", "fallback"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
 
 
 def make_clip(verb_probs, noun_probs, clip_id="clip"):
@@ -44,10 +66,10 @@ class TestRerank:
         matrix = CooccurrenceMatrix(counts)
         dist = make_clip([0.1, 0.8, 0.1], [0.1, 0.1, 0.7, 0.1])
         chosen, naive, candidates, fallback = only_segment(recognize_clip(dist, matrix, k=2))
-        assert chosen == Action(1, 2)
-        assert naive == Action(1, 2)
+        assert chosen == (1, 2)
+        assert naive == (1, 2)
         assert not fallback
-        assert candidates[0].score == pytest.approx(0.8 * 0.7)
+        assert candidates[0][1] == pytest.approx(0.8 * 0.7)
 
     def test_cooccurrence_overrides_argmax_noun(self):
         # Noun 0 is slightly more probable, but verb 0 never co-occurs with it.
@@ -55,8 +77,8 @@ class TestRerank:
         matrix = CooccurrenceMatrix(counts)
         dist = make_clip([0.9, 0.1], [0.55, 0.45])
         chosen, naive, _, _ = only_segment(recognize_clip(dist, matrix, k=2))
-        assert naive == Action(0, 0)
-        assert chosen == Action(0, 1)
+        assert naive == (0, 0)
+        assert chosen == (0, 1)
 
     def test_uniform_matrix_keeps_naive_choice(self):
         matrix = CooccurrenceMatrix(np.ones((4, 6)))
@@ -72,8 +94,8 @@ class TestRerank:
         dist = make_clip([0.2, 0.5, 0.3], [0.6, 0.3, 0.1])
         chosen, naive, candidates, fallback = only_segment(recognize_clip(dist, matrix, k=2))
         assert fallback
-        assert chosen == naive == Action(1, 0)
-        assert all(c.score == 0.0 for c in candidates)
+        assert chosen == naive == (1, 0)
+        assert all(score == 0.0 for _, score, _ in candidates)
 
     def test_candidate_count_and_order(self):
         rng = np.random.default_rng(23)
@@ -83,10 +105,10 @@ class TestRerank:
             k = int(rng.integers(1, 6))
             chosen, _, candidates, _ = only_segment(recognize_clip(dist, matrix, k))
             assert 1 <= len(candidates) <= 2 * k
-            scores = [c.score for c in candidates]
+            scores = [score for _, score, _ in candidates]
             assert scores == sorted(scores, reverse=True)
-            assert len({c.action for c in candidates}) == len(candidates)
-            assert chosen == candidates[0].action
+            assert len({action for action, _, _ in candidates}) == len(candidates)
+            assert chosen == candidates[0][0]
 
     def test_matches_reference_exactly(self):
         # Clips of 1-4 segments; each segment is checked against the oracle on its
@@ -112,18 +134,18 @@ class TestRerank:
             k = int(rng.integers(1, min(num_verbs, num_nouns) + 1))
             result = recognize_clip(make_clip(*zip(*rows)), matrix, k)
             assert result.clip_id == "clip"
-            fields = result.chosen, result.naive, result.candidates, result.fallback
+            fields = result.chosen, result.naive, result.counts, result.fallback
             assert [len(f) for f in fields] == [len(rows)] * 4
-            for s, (verb_probs, noun_probs) in enumerate(rows):
+            assert len(result.candidates) == len(result.scores) == len(result.verb_anchored) == result.counts.sum()
+            for s, ((verb_probs, noun_probs), got) in enumerate(zip(rows, segments(result))):
                 chosen, candidates, naive, used_fallback = rerank_reference(
                     verb_probs, noun_probs,
                     matrix.row_stochastic, matrix.col_stochastic, k,
                 )
-                assert (result.chosen[s].verb, result.chosen[s].noun) == chosen
-                assert (result.naive[s].verb, result.naive[s].noun) == naive
-                assert result.fallback[s] == used_fallback
-                got = [(c.action.verb, c.action.noun, c.score, c.branch) for c in result.candidates[s]]
-                assert got == candidates
+                assert got[0] == chosen
+                assert got[1] == naive
+                assert got[3] == used_fallback
+                assert [(v, n, score, branch) for (v, n), score, branch in got[2]] == candidates
                 fallbacks += used_fallback
         assert fallbacks > 0
 
@@ -133,10 +155,9 @@ class TestRerank:
         matrix = CooccurrenceMatrix(np.array([[4.0, 0.0], [0.0, 4.0]]))
         dist = make_clip([0.7, 0.3], [0.7, 0.3])
         _, _, candidates, _ = only_segment(recognize_clip(dist, matrix, k=2))
-        got = [(c.action, c.score, c.branch) for c in candidates]
-        assert got == [
-            (Action(0, 0), 0.7 * 0.7, BRANCH_VERB),
-            (Action(1, 1), 0.3 * 0.3, BRANCH_VERB),
+        assert candidates == [
+            ((0, 0), 0.7 * 0.7, BRANCH_VERB),
+            ((1, 1), 0.3 * 0.3, BRANCH_VERB),
         ]
 
     def test_noun_branch_entry_survives_when_strictly_better(self):
@@ -144,8 +165,8 @@ class TestRerank:
         matrix = CooccurrenceMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         dist = make_clip([0.6, 0.4], [0.8, 0.2])
         _, _, candidates, _ = only_segment(recognize_clip(dist, matrix, k=1))
-        by_action = {c.action: c.branch for c in candidates}
-        assert by_action[Action(1, 0)] == BRANCH_NOUN
+        by_action = {action: branch for action, _, branch in candidates}
+        assert by_action[(1, 0)] == BRANCH_NOUN
 
     def test_scaling_both_inputs_keeps_ranking(self):
         rng = np.random.default_rng(25)
@@ -156,8 +177,8 @@ class TestRerank:
             dist = make_clip(random_distribution(rng, 4), random_distribution(rng, 5))
             a = recognize_clip(dist, matrix, k=3)
             b = recognize_clip(dist, scaled, k=3)
-            assert a.chosen == b.chosen
-            assert [c.action for c in a.candidates[0]] == [c.action for c in b.candidates[0]]
+            assert np.array_equal(a.chosen, b.chosen)
+            assert np.array_equal(a.candidates, b.candidates)
 
     def test_size_mismatch_rejected(self):
         matrix = CooccurrenceMatrix(np.ones((3, 4)))
@@ -228,7 +249,7 @@ class TestClipLevel:
             assert np.allclose(clip.noun_probs[s], written["c", s][1], rtol=0, atol=1e-15)
         result = recognize_clip(clip, matrix, k=2)
         assert result.clip_id == "c"
-        assert len(result.chosen) == len(result.candidates) == 4
+        assert len(result.chosen) == len(result.counts) == 4
 
     def test_gap_in_segments_rejected(self, tmp_path, kitchen):
         rng = np.random.default_rng(27)
@@ -252,10 +273,11 @@ class TestClipLevel:
         clip = make_clip([[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.4, 0.1], [0.1, 0.3, 0.6]], "c")
         result = naive_clip(clip)
         assert result.clip_id == "c"
-        assert result.chosen == result.naive == [Action(0, 0), Action(1, 2)]
-        assert result.chosen is not result.naive
-        assert result.candidates == [[], []]
-        assert result.fallback == [False, False]
+        assert result.chosen.tolist() == result.naive.tolist() == [[0, 0], [1, 2]]
+        assert not np.shares_memory(result.chosen, result.naive)
+        assert result.candidates.shape == (0, 2) and len(result.scores) == len(result.verb_anchored) == 0
+        assert result.counts.tolist() == [0, 0]
+        assert result.fallback.tolist() == [False, False]
 
     def test_loaders_keep_first_appearance_order(self, tmp_path, kitchen):
         rng = np.random.default_rng(29)
@@ -290,29 +312,53 @@ class TestRecognitionFile:
         [got] = load_recognition(path, kitchen)
         assert got.clip_id == want.clip_id == "clip_a"
         assert len(got.chosen) == len(want.chosen) == 3
-        assert got.chosen == want.chosen
-        assert got.naive == want.naive
-        assert got.fallback == want.fallback
-        assert got.candidates == want.candidates
-
-    def test_each_distinct_action_text_parsed_once(self, tmp_path, kitchen, monkeypatch):
+        assert_same_recognition(got, want)
+        # Hand-written rows load to the ids their texts name.
         rows = [
             '{"clip_id": "c", "segment": %d, "chosen": "take spoon", "naive": "stir pot",'
             ' "candidates": [{"action": "take spoon", "score": 0.5, "branch": "verb_anchored"},'
             ' {"action": "wash cup", "score": 0.2, "branch": "noun_anchored"}]}\n' % s
             for s in range(3)
         ]
-        path = tmp_path / "recognition.jsonl"
         path.write_text("".join(rows))
-        calls = []
-        real = recognition.parse_action
-        monkeypatch.setattr(recognition, "parse_action", lambda text, tax: calls.append(text) or real(text, tax))
-        loaded = load_recognition(path, kitchen)
-        assert sorted(calls) == ["stir pot", "take spoon", "wash cup"]
-        assert [candidates[1].action for candidates in loaded[0].candidates] == [Action(3, 2)] * 3
-        # Each load starts from an empty table.
-        load_recognition(path, kitchen)
-        assert len(calls) == 6
+        [loaded] = load_recognition(path, kitchen)
+        assert [candidates[1][0] for _, _, candidates, _ in segments(loaded)] == [(3, 2)] * 3
+        assert loaded.chosen.tolist() == [[0, 0]] * 3 and loaded.naive.tolist() == [[2, 1]] * 3
+
+    def test_ragged_candidates_save_load_save_is_byte_identical(self, tmp_path, kitchen):
+        # Segments with no candidates field, 0, 1 and 2k candidates (k = 2), in two interleaved clips.
+        candidate = '{"action": "%s", "score": %s, "branch": "%s"}'
+        four = ", ".join([
+            candidate % ("wash cup", "0.375", "verb_anchored"),
+            candidate % ("take spoon", "0.25", "noun_anchored"),
+            candidate % ("stir pot", "0.25", "verb_anchored"),
+            candidate % ("put bowl", "0", "noun_anchored"),
+        ])
+        head = '{"clip_id": "%s", "segment": %d, "chosen": "wash cup", "naive": "put pan", "fallback": %s'
+        lines = [
+            head % ("a", 1, "false") + ', "candidates": []}',
+            head % ("b", 0, "true") + "}",
+            head % ("a", 0, "false") + ', "candidates": [%s]}' % four,
+            head % ("a", 2, "false") + ', "candidates": [%s]}' % candidate % ("take pot", "1", "noun_anchored"),
+        ]
+        source = tmp_path / "source.jsonl"
+        source.write_text("\n".join(lines) + "\n")
+        loaded = load_recognition(source, kitchen)
+        assert [clip.clip_id for clip in loaded] == ["a", "b"]
+        assert loaded[0].counts.tolist() == [4, 0, 1] and loaded[1].counts.tolist() == [0]
+        assert loaded[0].verb_anchored.tolist() == [True, False, True, False, False]
+        assert loaded[0].scores.tolist() == [0.375, 0.25, 0.25, 0.0, 1.0]
+        assert loaded[1].fallback.tolist() == [True] and loaded[1].candidates.shape == (0, 2)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        save_recognition(first, loaded, kitchen)
+        for got, want in zip(load_recognition(first, kitchen), loaded):
+            assert_same_recognition(got, want)
+        save_recognition(second, load_recognition(first, kitchen), kitchen)
+        assert first.read_bytes() == second.read_bytes()
+        saved = [json.loads(line) for line in first.read_text().splitlines()]
+        assert [(row["clip_id"], row["segment"], len(row["candidates"])) for row in saved] == [
+            ("a", 0, 4), ("a", 1, 0), ("a", 2, 1), ("b", 0, 0)
+        ]
 
     def test_unknown_branch_rejected(self, tmp_path, kitchen):
         path = tmp_path / "recognition.jsonl"
@@ -377,8 +423,8 @@ class TestRecognitionFile:
         path = tmp_path / "recognition.jsonl"
         path.write_text(self.ROW.format(0) + self.SCORED % "1")
         [clip] = load_recognition(path, kitchen)
-        assert clip.candidates == [[], [CandidatePair(Action(0, 0), 1.0, BRANCH_VERB)]]
-        assert type(clip.candidates[1][0].score) is float
+        assert segments(clip)[1][2] == [((0, 0), 1.0, BRANCH_VERB)]
+        assert clip.scores.dtype == np.float64 and type(clip.scores.tolist()[0]) is float
 
     def test_missing_field_names_location(self, tmp_path, kitchen):
         path = tmp_path / "recognition.jsonl"

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ltakit.errors import DataError
 from ltakit.taxonomy import (
-    Action,
     Taxonomy,
-    format_action,
+    format_actions,
     load_taxonomy,
     parse_action,
+    parse_actions,
     save_taxonomy,
 )
+
+from conftest import actions
 
 
 def write_taxonomy(path, verbs, nouns):
@@ -32,8 +35,7 @@ def test_index_order_is_file_order_not_sorted(tmp_path):
     path = tmp_path / "tax.txt"
     write_taxonomy(path, ["zebra", "apple"], ["yak", "ant"])
     tax = load_taxonomy(path)
-    assert tax.verb_index("zebra") == 0
-    assert tax.noun_index("ant") == 1
+    assert parse_action("zebra ant", tax) == (0, 1)
 
 
 def test_blank_lines_ignored(tmp_path):
@@ -91,8 +93,11 @@ def test_save_load_round_trip(tmp_path, kitchen):
 
 
 def test_parse_action_basic(kitchen):
-    assert parse_action("take spoon", kitchen) == Action(0, 0)
-    assert parse_action("wash bowl", kitchen) == Action(3, 4)
+    assert parse_action("take spoon", kitchen) == (0, 0)
+    assert parse_action("wash bowl", kitchen) == (3, 4)
+    parsed = parse_actions(["take spoon", "wash bowl"], kitchen)
+    assert parsed.dtype == np.intp and parsed.tolist() == [[0, 0], [3, 4]]
+    assert parse_actions([], kitchen).shape == (0, 2)
 
 
 def test_parse_action_unknown_token_named(kitchen):
@@ -102,22 +107,26 @@ def test_parse_action_unknown_token_named(kitchen):
         parse_action("take rocket", kitchen)
 
 
-@pytest.mark.parametrize("text", ["takespoon", "take  spoon", " take spoon", "take spoon pot", ""])
+@pytest.mark.parametrize("text", ["takespoon", "take  spoon", " take spoon", "take spoon pot", "", "take "])
 def test_parse_action_malformed(kitchen, text):
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as single:
         parse_action(text, kitchen)
+    # The vector parse raises the same error for the first bad token, with the location given.
+    with pytest.raises(DataError) as vector:
+        parse_actions(["take spoon", text, 7], kitchen, "f.jsonl:3")
+    assert str(vector.value) == f"f.jsonl:3: {single.value}"
 
 
 def test_format_action(kitchen):
-    assert format_action(Action(0, 0), kitchen) == "take spoon"
-    assert format_action(Action(1, 0), kitchen) == "put spoon"
+    assert format_actions(actions((0, 0), (1, 0)), kitchen) == ["take spoon", "put spoon"]
+    assert format_actions(actions(), kitchen) == []
 
 
 def test_format_action_out_of_range(kitchen):
-    with pytest.raises(DataError):
-        format_action(Action(5, 0), kitchen)
-    with pytest.raises(DataError):
-        format_action(Action(0, -1), kitchen)
+    with pytest.raises(DataError, match=r"action \(5, 0\) out of range for \|V\|=4, \|N\|=5"):
+        format_actions(actions((0, 0), (5, 0)), kitchen)
+    with pytest.raises(DataError, match=r"action \(0, -1\) out of range"):
+        format_actions(actions((0, -1)), kitchen)
 
 
 def test_labels_with_spaces_rejected():
@@ -135,7 +144,6 @@ _label = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True)
 )
 def test_parse_format_round_trip(verbs, nouns, data):
     tax = Taxonomy(verbs, nouns)
-    verb = data.draw(st.integers(0, tax.num_verbs - 1))
-    noun = data.draw(st.integers(0, tax.num_nouns - 1))
-    action = Action(verb, noun)
-    assert parse_action(format_action(action, tax), tax) == action
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, tax.num_verbs - 1), st.integers(0, tax.num_nouns - 1))))
+    ids = actions(*pairs)
+    assert np.array_equal(parse_actions(format_actions(ids, tax), tax), ids)
