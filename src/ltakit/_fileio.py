@@ -47,20 +47,21 @@ def load_json(path):
             raise DataError(f"{path}: invalid JSON ({exc})") from None
 
 
-def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) for every non-blank line of a JSON-lines file."""
+def iter_jsonl(path) -> Iterator[tuple[str, dict]]:
+    """Yield ("path:line", record) for every non-blank line of a JSON-lines file."""
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+                raise DataError(f"{where}: invalid JSON ({exc})") from None
             if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object per line")
-            yield lineno, obj
+                raise DataError(f"{where}: expected a JSON object per line")
+            yield where, obj
 
 
 def dump_jsonl(records) -> str:

@@ -21,7 +21,6 @@ import numpy as np
 from ._fileio import load_json
 from .dataset_io import ClipRecord, PredictionSet
 from .errors import DataError, LlmError
-from .llm_client import check_temperature
 from .taxonomy import Taxonomy, format_actions, parse_action
 
 logger = logging.getLogger(__name__)
@@ -31,10 +30,15 @@ DEFAULT_CANDIDATES = 5
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """System text plus a user template with {history} and {Z} placeholders."""
+    """System text plus a user template with each of the {history} and {Z} placeholders exactly once."""
 
     system_text: str
     user_template: str
+
+    def __post_init__(self):
+        for placeholder in ("{history}", "{Z}"):
+            if self.user_template.count(placeholder) != 1:
+                raise DataError(f"user template must contain {placeholder} exactly once")
 
 
 DEFAULT_PROMPT = PromptTemplate(
@@ -58,14 +62,14 @@ def load_prompt_template(path) -> PromptTemplate:
     for key in ("system_text", "user_template"):
         if not isinstance(raw.get(key), str):
             raise DataError(f"{path}: missing or non-string field {key!r}")
-    return PromptTemplate(raw["system_text"], raw["user_template"])
+    try:
+        return PromptTemplate(raw["system_text"], raw["user_template"])
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def render_prompt(template: PromptTemplate, history: str, horizon: int) -> str:
     """Substitute the history text and the horizon into the user template."""
-    for placeholder in ("{history}", "{Z}"):
-        if template.user_template.count(placeholder) != 1:
-            raise DataError(f"user template must contain {placeholder} exactly once")
     return template.user_template.replace("{history}", history).replace("{Z}", str(int(horizon)))
 
 
@@ -145,8 +149,8 @@ class NgramModel:
             context = tuple(ids[i : i + width - 1])
             self._transitions.setdefault(context, Counter())[ids[i + width - 1]] += 1
 
-    def step(self, context: tuple[int, ...] | None, width: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """Greedy next id, the `width` most probable ids, and their renormalized weights.
+    def step(self, context: tuple[int, ...] | None, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The `width` most probable next ids and their renormalized weights.
 
         Every id weighs beta plus its count after the context, and the pool
         takes ids by weight, descending, ties toward the lowest id: the
@@ -164,7 +168,7 @@ class NgramModel:
             pool = np.concatenate([pool, np.flatnonzero(unseen)[: width - len(pool)]])
         weights = np.full(width, self.beta)
         weights[: len(successors)] += [count for _, count in successors]
-        return int(pool[0]), pool, weights / weights.sum()
+        return pool, weights / weights.sum()
 
     def most_frequent_action(self) -> tuple[int, int]:
         """(verb id, noun id) of the most frequent action, ties toward the lowest id."""
@@ -226,10 +230,11 @@ class NgramPredictor:
     on clip processing order.
 
     The predictor reads its model once, at construction, into arrays with a
-    row per seen context and a last, uniform row for unseen ones: argmax id,
-    pool, and the pool's cdf as Generator.choice builds it, so a sampled step
-    is one searchsorted of a uniform. Memory is O(contexts x min(sample_top_k,
-    |V|*|N|)). A later observe() on the model does not change the predictor.
+    row per seen context and a last, uniform row for unseen ones: the pool,
+    argmax first, and its cdf as Generator.choice builds it, so a step is one
+    searchsorted of a uniform, and an argmax step one of 0.0 (cdf[0] > 0).
+    Memory is O(contexts x min(sample_top_k, |V|*|N|)). A later observe() on
+    the model does not change the predictor.
     """
 
     def __init__(self, model: NgramModel, mode: str = "greedy", seed: int = 0, sample_top_k: int = 5):
@@ -245,10 +250,9 @@ class NgramPredictor:
         self.sample_top_k = sample_top_k
         self._rows = {context: row for row, context in enumerate(model._transitions)}  # unseen: row -1
         rows, width = len(self._rows) + 1, min(sample_top_k, model.num_actions)
-        self._greedy = np.empty(rows, np.intp)
         self._pool, self._cdf = np.empty((rows, width), np.intp), np.empty((rows, width))
         for row, context in enumerate([*self._rows, None]):
-            self._greedy[row], self._pool[row], weights = model.step(context, width)
+            self._pool[row], weights = model.step(context, width)
             cdf = np.cumsum(weights, out=self._cdf[row])
             if not abs(cdf[-1] - 1.0) <= np.sqrt(np.finfo(float).eps):  # choice's check on p
                 raise DataError(f"n-gram weights for context {context} are not a finite distribution")
@@ -264,30 +268,27 @@ class NgramPredictor:
         _check_predict_args(clip_id, history, horizon, num_candidates)
         rng = np.random.default_rng([self.seed, _clip_stream_key(clip_id)])
         greedy = self.mode == "greedy"
-        # A uniform per sampled step, candidate-major as choice() drew them; None: argmax step.
-        draws = [[None] * horizon] * greedy + rng.random((num_candidates - greedy, horizon)).tolist()
+        # A uniform per sampled step, candidate-major as choice() drew them; 0.0: argmax step.
+        draws = [[0.0] * horizon] * greedy + rng.random((num_candidates - greedy, horizon)).tolist()
         ids = (history[:, 0] * self.model.num_nouns + history[:, 1]).tolist()
         rollouts = np.array([self._rollout(ids, row) for row in draws], dtype=np.intp)
         return PredictionSet(clip_id, np.stack(np.divmod(rollouts, self.model.num_nouns), axis=-1))
 
-    def _rollout(self, history_ids: list[int], uniforms: list) -> list[int]:
+    def _rollout(self, history_ids: list[int], uniforms: list[float]) -> list[int]:
         ids, span = list(history_ids), self.model.order - 1
         for u in uniforms:
             # The context is the last `span` ids (all of them while fewer), () for a unigram.
             row = self._rows.get(tuple(ids[-span:]) if span else (), -1)
-            if u is None:
-                ids.append(int(self._greedy[row]))
-            else:
-                ids.append(int(self._pool[row, self._cdf[row].searchsorted(u, side="right")]))
+            ids.append(int(self._pool[row, self._cdf[row].searchsorted(u, side="right")]))
         return ids[len(history_ids) :]
 
 
 class LlmPredictor:
     """Prompt a chat endpoint for K completions and parse each into a sequence.
 
-    The first completion is requested at temperature 0, the rest at the
-    configured sampling temperature. Endpoint errors are re-raised with the
-    clip id attached.
+    The first completion is requested at temperature 0, the rest at the client
+    config's sampling temperature. Endpoint errors are re-raised with the clip
+    id attached.
     """
 
     def __init__(
@@ -296,13 +297,11 @@ class LlmPredictor:
         taxonomy: Taxonomy,
         template: PromptTemplate = DEFAULT_PROMPT,
         fallback: tuple[int, int] | None = None,
-        temperature: float | None = None,
     ):
         self.client = client
         self.taxonomy = taxonomy
         self.template = template
         self.fallback = fallback
-        self.temperature = temperature if temperature is None else check_temperature(temperature)
 
     def predict(
         self,
@@ -317,9 +316,8 @@ class LlmPredictor:
         )
         candidates = []
         for index in range(num_candidates):
-            temperature = 0.0 if index == 0 else self.temperature
             try:
-                text = self.client.complete(self.template.system_text, user, temperature)
+                text = self.client.complete(self.template.system_text, user, 0.0 if index == 0 else None)
             except LlmError as exc:
                 raise type(exc)(f"clip {clip_id!r}: {exc}") from exc
             parsed = parse_response(text, self.taxonomy, horizon, self.fallback)

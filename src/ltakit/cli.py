@@ -141,7 +141,7 @@ def _build_predictor(args, taxonomy: Taxonomy):
     client = MockLlmClient(load_script(args.llm_script), config) if args.llm_script else LlmClient(config)
     template = load_prompt_template(args.prompt_template) if args.prompt_template else DEFAULT_PROMPT
     fallback = fit_ngram(train, 1, 1.0, taxonomy).most_frequent_action() if train else None
-    predictor = LlmPredictor(client, taxonomy, template, fallback, args.llm_temperature)
+    predictor = LlmPredictor(client, taxonomy, template, fallback)
     return predictor, client
 
 

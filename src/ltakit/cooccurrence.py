@@ -123,19 +123,22 @@ def load_matrix(path, taxonomy: Taxonomy | None = None) -> CooccurrenceMatrix:
         alpha = float(_header_value(lines[3], "alpha", path))
     except ValueError:
         raise DataError(f"{path}: malformed header") from None
+    if min(num_verbs, num_nouns) < 1:
+        raise DataError(f"{path}: matrix must be at least 1x1, header says {num_verbs}x{num_nouns}")
     stored = _header_value(lines[4], "sha256", path)
     rows = lines[5:]
     if len(rows) != num_verbs:
         raise DataError(f"{path}: expected {num_verbs} count rows, found {len(rows)}")
-    counts = np.zeros((num_verbs, num_nouns))
+    counts = []  # allocated from the rows read, never from the header's claim
     for i, row in enumerate(rows):
         values = row.split()
         if len(values) != num_nouns:
             raise DataError(f"{path}: row {i} has {len(values)} entries, expected {num_nouns}")
         try:
-            counts[i] = [float(v) for v in values]
+            counts.append([float(v) for v in values])
         except ValueError:
             raise DataError(f"{path}: row {i} contains a non-numeric entry") from None
+    counts = np.array(counts)
     if _digest(alpha, counts) != stored:
         raise IntegrityError(f"{path}: checksum mismatch, file contents were altered")
     if taxonomy is not None and (num_verbs, num_nouns) != (taxonomy.num_verbs, taxonomy.num_nouns):

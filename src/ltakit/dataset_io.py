@@ -11,17 +11,20 @@ anticipation horizon worth of actions. Probability vectors are dense, one
 entry per vocabulary item. In memory every action sequence is an integer
 array of (verb id, noun id) rows: `observed` and `future` load as L x 2
 arrays, and a clip's predictions as one K x Z x 2 array; `taxonomy` converts
-between ids and text. Loading preserves file order, except that
-per-segment records are grouped per clip (clips in first-appearance order,
-segments in index order). Annotations and predictions round-trip exactly;
+between ids and text. Annotations and predictions round-trip exactly;
 distributions are renormalized on load, so a vector whose float sum is not
 exactly 1 comes back rescaled by a few ulps and saves to different bytes.
+
+`read_clips` (one line per clip) and `read_segments` (one line per segment,
+here and in `recognition`) are the one place where the stage files' rules
+live: how lines are keyed, checked, ordered and grouped per clip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -75,52 +78,52 @@ def _require(obj: dict, key: str, types, where: str):
     return value
 
 
-def segment_key(obj: dict, seen: set[tuple[str, int]], where: str) -> tuple[str, int]:
-    """A record's (clip_id, segment), checked and added to `seen`.
+def read_clips(path) -> Iterator[tuple[str, str, dict]]:
+    """Yield (where, clip_id, record) for each line of a one-line-per-clip file;
+    every clip_id must be a string, and unique."""
+    seen: set[str] = set()
+    for where, obj in iter_jsonl(path):
+        clip_id = _require(obj, "clip_id", str, where)
+        if clip_id in seen:
+            raise DataError(f"{where}: duplicate clip_id {clip_id!r}")
+        seen.add(clip_id)
+        yield where, clip_id, obj
 
-    The segment must be a nonnegative int (not a bool, not a float) and the
-    pair must not be in `seen` already.
+
+def read_segments(path, parse, build) -> list:
+    """`build(clip_id, rows)` for each clip of a one-line-per-segment file, with
+    `rows` the clip's `parse(record, where)` results in segment order.
+
+    Clips come in first-appearance order. Each (clip_id, segment) must be
+    unique, the segment a nonnegative int (not a bool, not a float), and a
+    clip's segments contiguous from 0. Every line is checked before any gap
+    is reported, and a clip's rows are dropped once it is built, so the file
+    is held about once, not twice.
     """
-    clip_id = _require(obj, "clip_id", str, where)
-    segment = _require(obj, "segment", int, where)
-    if isinstance(segment, bool) or segment < 0:
-        raise DataError(f"{where}: segment index must be a nonnegative integer")
-    key = (clip_id, segment)
-    if key in seen:
-        raise DataError(f"{where}: duplicate segment {segment} for clip {clip_id!r}")
-    seen.add(key)
-    return key
-
-
-def clip_rows(keys: list[tuple[str, int]]) -> dict[str, list[int]]:
-    """Positions of (clip_id, segment) keys per clip: clips in first-appearance order,
-    each clip's in segment order, and its segments contiguous from 0 (else a DataError)."""
-    groups: dict[str, list[tuple[int, int]]] = {}
-    for row, (clip_id, segment) in enumerate(keys):
-        groups.setdefault(clip_id, []).append((segment, row))
-    rows = {}
-    for clip_id, pairs in groups.items():
-        pairs.sort()
-        for expected, (segment, _) in enumerate(pairs):
+    clips: dict[str, dict] = {}  # clip_id -> {segment: row}
+    for where, obj in iter_jsonl(path):
+        clip_id = _require(obj, "clip_id", str, where)
+        segment = _require(obj, "segment", int, where)
+        if isinstance(segment, bool) or segment < 0:
+            raise DataError(f"{where}: segment index must be a nonnegative integer")
+        rows = clips.setdefault(clip_id, {})
+        if segment in rows:
+            raise DataError(f"{where}: duplicate segment {segment} for clip {clip_id!r}")
+        rows[segment] = parse(obj, where)
+    for clip_id, rows in clips.items():
+        for expected, segment in enumerate(sorted(rows)):
             if segment != expected:
                 raise DataError(
                     f"clip {clip_id!r}: segment indices must be contiguous from 0, "
                     f"expected {expected} but found {segment}"
                 )
-        rows[clip_id] = [row for _, row in pairs]
-    return rows
+    return [build(clip_id, [rows.pop(s) for s in range(len(rows))]) for clip_id, rows in clips.items()]
 
 
 def load_annotations(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -> list[ClipRecord]:
     """Load clip annotations; any `future` present must be exactly `horizon` long."""
     records = []
-    seen: set[str] = set()
-    for lineno, obj in iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        clip_id = _require(obj, "clip_id", str, where)
-        if clip_id in seen:
-            raise DataError(f"{where}: duplicate clip_id {clip_id!r}")
-        seen.add(clip_id)
+    for where, clip_id, obj in read_clips(path):
         observed = parse_actions(_require(obj, "observed", list, where), taxonomy, where)
         future = None
         if obj.get("future") is not None:
@@ -167,25 +170,16 @@ def _clean_probs(values: list, expected_len: int, name: str, where: str) -> np.n
 
 
 def load_distributions(path, taxonomy: Taxonomy) -> list[ClipDistributions]:
-    """Load per-segment probability vectors as one record per clip (see `clip_rows`),
+    """Load per-segment probability vectors as one record per clip (see `read_segments`),
     renormalizing sums inside the tolerance band."""
-    keys, verbs, nouns = [], {}, {}
-    seen: set[tuple[str, int]] = set()
-    for lineno, obj in iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        key = segment_key(obj, seen, where)
-        verbs[len(keys)] = _clean_probs(
-            _require(obj, "verb_probs", list, where), taxonomy.num_verbs, "verb_probs", where
-        )
-        nouns[len(keys)] = _clean_probs(
-            _require(obj, "noun_probs", list, where), taxonomy.num_nouns, "noun_probs", where
-        )
-        keys.append(key)
-    # Each row is dropped once its clip is stacked, so the file is held about once, not twice.
-    return [
-        ClipDistributions(clip_id, np.array([verbs.pop(r) for r in rows]), np.array([nouns.pop(r) for r in rows]))
-        for clip_id, rows in clip_rows(keys).items()
-    ]
+
+    def parse(obj: dict, where: str) -> list[np.ndarray]:  # [verb_probs, noun_probs]
+        return [
+            _clean_probs(_require(obj, name, list, where), size, name, where)
+            for name, size in (("verb_probs", taxonomy.num_verbs), ("noun_probs", taxonomy.num_nouns))
+        ]
+
+    return read_segments(path, parse, lambda clip_id, rows: ClipDistributions(clip_id, *map(np.array, zip(*rows))))
 
 
 def save_distributions(path, clips: list[ClipDistributions]) -> None:
@@ -200,13 +194,7 @@ def save_distributions(path, clips: list[ClipDistributions]) -> None:
 def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -> list[PredictionSet]:
     """Load candidate future sets as K x Z x 2 id arrays; every candidate must be exactly `horizon` long."""
     out = []
-    seen: set[str] = set()
-    for lineno, obj in iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        clip_id = _require(obj, "clip_id", str, where)
-        if clip_id in seen:
-            raise DataError(f"{where}: duplicate clip_id {clip_id!r}")
-        seen.add(clip_id)
+    for where, clip_id, obj in read_clips(path):
         raw = _require(obj, "candidates", list, where)
         if not raw:
             raise DataError(f"{where}: clip {clip_id!r} has no candidates (need K >= 1)")

@@ -26,12 +26,6 @@ from ._fileio import load_json
 from .errors import DataError, LlmError, ProtocolError, ScriptExhausted, TransportError
 
 
-def check_temperature(value: float) -> float:
-    if not (math.isfinite(value) and value >= 0):
-        raise DataError(f"temperature must be finite and >= 0, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class LlmConfig:
     endpoint_url: str
@@ -44,7 +38,8 @@ class LlmConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self):
-        check_temperature(self.temperature)
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise DataError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_retries < 0:
             raise DataError("max_retries must be >= 0")
         if self.max_tokens < 1:

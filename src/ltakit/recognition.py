@@ -26,9 +26,9 @@ from itertools import chain
 
 import numpy as np
 
-from ._fileio import atomic_write_text, dump_jsonl, iter_jsonl
+from ._fileio import atomic_write_text, dump_jsonl
 from .cooccurrence import CooccurrenceMatrix
-from .dataset_io import ClipDistributions, clip_rows, segment_key
+from .dataset_io import ClipDistributions, read_segments
 from .errors import DataError
 from .taxonomy import Taxonomy, format_actions, parse_actions
 
@@ -158,12 +158,9 @@ def save_recognition(path, clips: list[ClipRecognition], taxonomy: Taxonomy) -> 
 
 
 def load_recognition(path, taxonomy: Taxonomy) -> list[ClipRecognition]:
-    """One record per clip, as `dataset_io.clip_rows` groups and checks the rows."""
-    keys, rows = [], []
-    seen: set[tuple[str, int]] = set()
-    for lineno, obj in iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        keys.append(segment_key(obj, seen, where))
+    """One record per clip, as `dataset_io.read_segments` groups and checks the rows."""
+
+    def parse(obj: dict, where: str):
         try:
             actions, scores, verb_anchored = [obj["chosen"], obj["naive"]], [], []
             for raw in obj.get("candidates", []):
@@ -178,18 +175,19 @@ def load_recognition(path, taxonomy: Taxonomy) -> list[ClipRecognition]:
             fallback = obj.get("fallback", False)
             if not isinstance(fallback, bool):
                 raise DataError(f"field 'fallback' must be true or false, got {fallback!r}")
-            rows.append((parse_actions(actions, taxonomy), scores, verb_anchored, fallback))
+            return parse_actions(actions, taxonomy), scores, verb_anchored, fallback
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, DataError):
                 raise DataError(f"{where}: {exc}") from None
             raise DataError(f"{where}: malformed recognition record ({exc!r})") from None
-    clips = []
-    for clip_id, positions in clip_rows(keys).items():
-        ids, scores, verb_anchored, fallback = zip(*(rows[r] for r in positions))
+
+    def build(clip_id: str, rows: list) -> ClipRecognition:
+        ids, scores, verb_anchored, fallback = zip(*rows)
         heads = np.stack([a[:2] for a in ids])  # each row's ids: chosen, naive, then its candidates
-        clips.append(ClipRecognition(
+        return ClipRecognition(
             clip_id, heads[:, 0], heads[:, 1], np.concatenate([a[2:] for a in ids]),
             np.fromiter(chain.from_iterable(scores), float), np.fromiter(chain.from_iterable(verb_anchored), bool),
             np.array([len(a) - 2 for a in ids], np.intp), np.array(fallback),
-        ))
-    return clips
+        )
+
+    return read_segments(path, parse, build)

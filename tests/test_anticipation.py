@@ -63,8 +63,9 @@ class TestPromptPlumbing:
         ],
     )
     def test_render_prompt_requires_each_placeholder_once(self, user_template):
+        # Checked once, when the template is built.
         with pytest.raises(DataError, match="exactly once"):
-            render_prompt(PromptTemplate("sys", user_template), "h", 5)
+            PromptTemplate("sys", user_template)
 
     def test_default_prompt_renders(self):
         text = render_prompt(DEFAULT_PROMPT, "take spoon", 20)
@@ -441,8 +442,7 @@ class TestMemoizedRollouts:
     def test_memoized_pools_own_their_memory(self):
         taxonomy, records = tied_corpus()
         model = fit_ngram(records, 2, 0.5, taxonomy)
-        greedy, pool, weights = model.step((0,), 3)
-        assert greedy == 1
+        pool, weights = model.step((0,), 3)
         assert pool.base is None and weights.base is None
         assert pool.tolist() == [1, 2, 0]
         assert weights.sum() == pytest.approx(1.0)
@@ -459,10 +459,10 @@ class TestMemoizedRollouts:
         for context in contexts:
             probs = np.array(ngram_conditional(model, context))
             for width in (1, 2, 3, model.num_actions):
-                greedy, pool, weights = model.step(context, width)
+                pool, weights = model.step(context, width)
                 dense_pool = np.argsort(-probs, kind="stable")[:width]
                 assert pool.tolist() == dense_pool.tolist(), (context, width)
-                assert greedy == pool[0] == int(np.argmax(probs))
+                assert pool[0] == int(np.argmax(probs))
                 dense_weights = probs[dense_pool] / probs[dense_pool].sum()
                 np.testing.assert_allclose(weights, dense_weights, rtol=1e-12, atol=0)
 
@@ -487,9 +487,9 @@ class TestLlmPredictor:
         assert result.candidates[1].tolist() == [[3, 2], [3, 2]]
 
     def test_first_request_is_temperature_zero(self, kitchen):
-        config = LlmConfig("mock://local", "m", temperature=0.8, backoff_base=0.0)
+        config = LlmConfig("mock://local", "m", temperature=0.6, backoff_base=0.0)
         client = MockLlmClient(["take spoon", "take spoon", "take spoon"], config)
-        LlmPredictor(client, kitchen, temperature=0.6).predict("c", actions((0, 0)), 1, 3)
+        LlmPredictor(client, kitchen).predict("c", actions((0, 0)), 1, 3)
         assert [r["temperature"] for r in client.requests] == [0.0, 0.6, 0.6]
 
     def test_none_temperature_falls_back_to_config(self, kitchen):
@@ -497,12 +497,6 @@ class TestLlmPredictor:
         client = MockLlmClient(["take spoon", "take spoon"], config)
         LlmPredictor(client, kitchen).predict("c", actions((0, 0)), 1, 2)
         assert [r["temperature"] for r in client.requests] == [0.0, 0.8]
-
-    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -0.5])
-    def test_bad_temperature_rejected(self, kitchen, temperature):
-        # The scripted client's default config says nothing about this value.
-        with pytest.raises(DataError, match="temperature"):
-            LlmPredictor(MockLlmClient(["take spoon"]), kitchen, temperature=temperature)
 
     def test_prompt_carries_full_history(self, kitchen):
         client = MockLlmClient(["take spoon"])

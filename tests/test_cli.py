@@ -351,6 +351,20 @@ class TestExitCodes:
         assert code == 2
         assert "checksum" in capsys.readouterr().err
 
+    def test_negative_matrix_dimension_is_data_error(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad_matrix.txt"
+        bad.write_text("#cooccurrence-matrix v1\nverbs 1\nnouns -1\nalpha 0.0\nsha256 0\n\n")
+        code = run([
+            "recognize",
+            "--distributions", str(pipeline["distributions"]),
+            "--matrix", str(bad),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"ltakit: error: {bad}: matrix must be at least 1x1, header says 1x-1\n"
+
     def test_ngram_without_training_data_is_usage_error(self, pipeline, tmp_path, capsys):
         code = run([
             "anticipate",
@@ -819,6 +833,27 @@ class TestLlmPath:
         assert body["messages"][0]["content"] == "forecast"
         assert body["messages"][1]["content"].startswith("past: ")
         assert body["messages"][1]["content"].endswith("next 5")
+
+    def test_prompt_template_without_horizon_names_the_file(self, pipeline, tmp_path, capsys):
+        template = tmp_path / "prompt.json"
+        template.write_text(json.dumps({"system_text": "forecast", "user_template": "past: {history}"}))
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["verb_000 noun_000"]))
+        out = tmp_path / "p.jsonl"
+        code = run([
+            "anticipate",
+            "--recognition", str(pipeline["recognition"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--predictor", "llm",
+            "--llm-script", str(script),
+            "--prompt-template", str(template),
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ltakit: error: {template}: ")
+        assert err.endswith(": user template must contain {Z} exactly once\n")
+        assert not out.exists()
 
 
 def _pyproject() -> dict:

@@ -182,6 +182,24 @@ class TestMatrixFile:
         with pytest.raises(DataError, match="2x3"):
             load_matrix(path, small_taxonomy())
 
+    @pytest.mark.parametrize(
+        "verbs, nouns, rows", [(1, -1, "\n"), (0, 3, ""), (2, 0, "\n\n")], ids=["negative", "no-verbs", "no-nouns"]
+    )
+    def test_dimension_below_one_rejected(self, tmp_path, verbs, nouns, rows):
+        path = tmp_path / "matrix.txt"
+        path.write_text(f"#cooccurrence-matrix v1\nverbs {verbs}\nnouns {nouns}\nalpha 0.0\nsha256 0\n{rows}")
+        with pytest.raises(DataError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: matrix must be at least 1x1, header says {verbs}x{nouns}"
+
+    def test_header_larger_than_the_rows_rejected(self, tmp_path):
+        # A header claiming ~7 PiB of counts must not be allocated before the rows are read.
+        path = tmp_path / "matrix.txt"
+        path.write_text(f"#cooccurrence-matrix v1\nverbs 1\nnouns {10**15}\nalpha 0.0\nsha256 0\n1.0\n")
+        with pytest.raises(DataError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: row 0 has 1 entries, expected {10**15}"
+
     def test_not_a_matrix_file(self, tmp_path):
         path = tmp_path / "matrix.txt"
         path.write_text("something else\n")

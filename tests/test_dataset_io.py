@@ -17,12 +17,70 @@ from ltakit.dataset_io import (
     save_predictions,
 )
 from ltakit.errors import DataError
+from ltakit.recognition import load_recognition
 
 from conftest import actions
 
 
 def write_jsonl(path, rows):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+class TestReaders:
+    """The file rules every loader shares, pinned to their full messages."""
+
+    SEGMENT_LOADERS = {
+        "distributions": (load_distributions, {"verb_probs": [1, 0, 0, 0], "noun_probs": [1, 0, 0, 0, 0]}),
+        "recognition": (load_recognition, {"chosen": "take spoon", "naive": "take spoon"}),
+    }
+    CLIP_LOADERS = {
+        "annotations": (load_annotations, {"observed": ["take spoon"]}),
+        "predictions": (load_predictions, {"candidates": [["take spoon"] * 20]}),
+    }
+    GAP = "clip 'c': segment indices must be contiguous from 0, expected 1 but found 2"
+
+    @pytest.mark.parametrize("loader", list(SEGMENT_LOADERS))
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ([{"segment": 0}], ":1: missing field 'clip_id'"),
+            ([{"clip_id": "c", "segment": 0}, {"clip_id": 7, "segment": 1}], ":2: field 'clip_id' has the wrong type"),
+            ([{"clip_id": "c"}], ":1: missing field 'segment'"),
+            ([{"clip_id": "c", "segment": True}], ":1: segment index must be a nonnegative integer"),
+            ([{"clip_id": "c", "segment": 1.0}], ":1: field 'segment' has the wrong type"),
+            ([{"clip_id": "c", "segment": -1}], ":1: segment index must be a nonnegative integer"),
+            ([{"clip_id": "c", "segment": s} for s in (0, 1, 1)], ":3: duplicate segment 1 for clip 'c'"),
+            ([{"clip_id": "c", "segment": s} for s in (0, 2)], GAP),
+            # Every line is read before a gap is reported.
+            ([{"clip_id": "c", "segment": s} for s in (0, 2, -1)], ":3: segment index must be a nonnegative integer"),
+        ],
+        ids=["no-clip-id", "int-clip-id", "no-segment", "bool-segment", "float-segment", "negative-segment",
+             "duplicate", "gap", "bad-line-before-gap"],
+    )
+    def test_segment_file_rules(self, tmp_path, kitchen, loader, keys, message):
+        load, payload = self.SEGMENT_LOADERS[loader]
+        path = tmp_path / f"{loader}.jsonl"
+        write_jsonl(path, [{**key, **payload} for key in keys])
+        with pytest.raises(DataError) as info:
+            load(path, kitchen)
+        assert str(info.value) == (message if message == self.GAP else f"{path}{message}")
+
+    @pytest.mark.parametrize("loader", list(CLIP_LOADERS))
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ([{}], ":1: missing field 'clip_id'"),
+            ([{"clip_id": "c1"}, {"clip_id": "c1"}], ":2: duplicate clip_id 'c1'"),
+        ],
+        ids=["no-clip-id", "duplicate"],
+    )
+    def test_clip_file_rules(self, tmp_path, kitchen, loader, keys, message):
+        load, payload = self.CLIP_LOADERS[loader]
+        path = tmp_path / f"{loader}.jsonl"
+        write_jsonl(path, [{**key, **payload} for key in keys])
+        with pytest.raises(DataError) as info:
+            load(path, kitchen)
+        assert str(info.value) == f"{path}{message}"
 
 
 class TestAnnotations:
