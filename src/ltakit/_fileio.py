@@ -6,19 +6,29 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DataError
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write through a sibling temp file plus rename, so readers never see partial output."""
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
+    """Write `text`, or its chunks in order, through a sibling temp file plus rename,
+    so readers never see partial output. The file gets a plain `open()`'s mode for a
+    new file (0o666 less the umask), not the temp file's 0o600."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
+        # The umask is read by setting it; 0o077 for that instant makes any file
+        # another thread creates then tighter than intended, never looser.
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -18,10 +18,15 @@ exactly 1 comes back rescaled by a few ulps and saves to different bytes.
 `read_clips` (one line per clip) and `read_segments` (one line per segment,
 here and in `recognition`) are the one place where the stage files' rules
 live: how lines are keyed, checked, ordered and grouped per clip.
+
+Writing distributions costs float formatting, so `save_distributions` pays it
+once per distinct value in a clip, not once per cell: a synth row holds only
+2-3 distinct values. Each clip's text is written as it is made.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
@@ -183,12 +188,31 @@ def load_distributions(path, taxonomy: Taxonomy) -> list[ClipDistributions]:
 
 
 def save_distributions(path, clips: list[ClipDistributions]) -> None:
-    rows = [
-        {"clip_id": clip.clip_id, "segment": i, "verb_probs": verb, "noun_probs": noun}
-        for clip in clips
-        for i, (verb, noun) in enumerate(zip(clip.verb_probs.tolist(), clip.noun_probs.tolist()))
-    ]
-    atomic_write_text(path, dump_jsonl(rows))
+    """Write one line per segment, byte for byte what `json.dumps` writes for its
+    {clip_id, segment, verb_probs, noun_probs} record, with every probability
+    cast to float64 first (an int 1 is written as 1.0). Clips are streamed.
+
+    Per clip, one `json.dumps` formats the unique values (keyed by bit pattern,
+    which keeps -0.0 apart from 0.0), and rows are joined from those texts. On
+    the bench's 1,280 synth segments (97 + 300 values each) this is ~10x faster
+    than formatting every cell: 0.41-0.46 -> 0.04-0.05 s. Rows whose values are
+    all distinct save nothing and pay for the unique and the join, up to ~1.3x
+    slower: 0.33-0.35 -> 0.35-0.45 s on 1,280 Dirichlet rows.
+    """
+    atomic_write_text(path, map(_distribution_lines, clips))
+
+
+def _distribution_lines(clip: ClipDistributions) -> str:
+    probs = np.concatenate([clip.verb_probs, clip.noun_probs], axis=1, dtype=np.float64)
+    bits, inverse = np.unique(probs.view(np.uint64), return_inverse=True)
+    texts = np.array(json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+    cells = texts[inverse.reshape(probs.shape)]  # numpy < 2 returns the inverse flat
+    num_verbs = clip.verb_probs.shape[1]
+    head = '{"clip_id": ' + json.dumps(clip.clip_id) + ', "segment": '
+    return "".join(
+        f'{head}{i}, "verb_probs": [{", ".join(verb)}], "noun_probs": [{", ".join(noun)}]}}\n'
+        for i, (verb, noun) in enumerate(zip(cells[:, :num_verbs].tolist(), cells[:, num_verbs:].tolist()))
+    )
 
 
 def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -> list[PredictionSet]:

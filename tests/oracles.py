@@ -7,6 +7,7 @@ twice to go unnoticed.
 
 from __future__ import annotations
 
+import json
 import math
 
 
@@ -127,3 +128,17 @@ def ngram_conditional(model, ids) -> list[float]:
     weights = [model.beta + counts.get(i, 0) for i in range(model.num_actions)]
     total = math.fsum(weights)
     return [w / total for w in weights]
+
+
+def distributions_jsonl(clips) -> str:
+    """The distributions file as one `json.dumps` of a record dict per segment.
+
+    Rows go through `tolist()`, so an int array writes ints (1) where the
+    package writes floats (1.0); compare int input after casting to float.
+    """
+    rows = [
+        {"clip_id": clip.clip_id, "segment": i, "verb_probs": verb, "noun_probs": noun}
+        for clip in clips
+        for i, (verb, noun) in enumerate(zip(clip.verb_probs.tolist(), clip.noun_probs.tolist()))
+    ]
+    return "".join(json.dumps(row) + "\n" for row in rows)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ltakit.dataset_io import (
     ClipRecord,
@@ -18,8 +21,10 @@ from ltakit.dataset_io import (
 )
 from ltakit.errors import DataError
 from ltakit.recognition import load_recognition
+from ltakit.synthgen import SynthConfig, generate_corpus
 
 from conftest import actions
+from oracles import distributions_jsonl
 
 
 def write_jsonl(path, rows):
@@ -278,6 +283,85 @@ class TestDistributions:
         assert loaded[0].verb_probs.sum() == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(loaded[0].verb_probs, dists[0].verb_probs, atol=1e-12)
         assert np.allclose(loaded[0].noun_probs, dists[0].noun_probs, atol=1e-12)
+
+
+class TestSaveDistributionsBytes:
+    """save_distributions formats each distinct value once; its bytes must equal
+    one json.dumps per segment record (oracles.distributions_jsonl)."""
+
+    @staticmethod
+    def saved(tmp_path, clips) -> str:
+        path = tmp_path / "dist.jsonl"
+        save_distributions(path, clips)
+        return path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_generated_corpus(self, tmp_path, seed):
+        config = SynthConfig(
+            num_verbs=9, num_nouns=40, num_templates=2, routine_length=12, num_clips=30,
+            observed_segments=4, horizon=6, verb_distractor_mass=0.2, noun_distractor_mass=0.3,
+            routine_jitter=0.1, seed=seed,
+        )
+        clips = generate_corpus(config).distributions
+        assert self.saved(tmp_path, clips) == distributions_jsonl(clips)
+
+    def test_edge_values(self, tmp_path):
+        # -0.0 and 0.0 in one row must not share a text; the rest span json's float
+        # forms: subnormal, exponent, short decimal, large, one and non-finite.
+        verb = np.array([[-0.0, 0.0, 5e-324, 1e-05], [0.1, 1e16, 1.0, 0.0]])
+        noun = np.array([[float("nan"), float("inf"), -float("inf"), 1 / 3, 0.0], [0.0, -0.0, 0.1, 0.1, 2.5e-300]])
+        clips = [ClipDistributions("edge", verb, noun)]
+        text = self.saved(tmp_path, clips)
+        assert text == distributions_jsonl(clips)
+        assert '"verb_probs": [-0.0, 0.0, 5e-324, 1e-05]' in text
+        assert '"noun_probs": [NaN, Infinity, -Infinity, 0.3333333333333333, 0.0]' in text
+
+    @given(st.data())
+    def test_any_floats(self, data):
+        # Cells come from a small pool, so values repeat within and across rows;
+        # 0.0 and -0.0 are equal as floats but must keep their own texts.
+        pool = [0.0, -0.0] + data.draw(st.lists(st.floats(width=64), max_size=5))
+        rows, verbs, nouns = (data.draw(st.integers(0, 4)) for _ in range(3))
+        cells = data.draw(st.lists(st.sampled_from(pool), min_size=rows * (verbs + nouns),
+                                   max_size=rows * (verbs + nouns)))
+        probs = np.array(cells, dtype=np.float64).reshape(rows, verbs + nouns)
+        clips = [ClipDistributions("h", probs[:, :verbs], probs[:, verbs:])]
+        with tempfile.TemporaryDirectory() as tmp:
+            assert self.saved(Path(tmp), clips) == distributions_jsonl(clips)
+
+    def test_float32_input(self, tmp_path):
+        rng = np.random.default_rng(5)
+        clips = [
+            ClipDistributions("f32", rng.dirichlet(np.ones(4), 3).astype(np.float32),
+                              rng.dirichlet(np.ones(5), 3).astype(np.float32))
+        ]
+        assert self.saved(tmp_path, clips) == distributions_jsonl(clips)
+
+    def test_clip_id_is_json_escaped(self, tmp_path):
+        clips = [ClipDistributions('qu"ote \\ caf\u00e9 \u53a8\u623f', np.eye(2, 4), np.eye(2, 5))]
+        text = self.saved(tmp_path, clips)
+        assert text == distributions_jsonl(clips)
+        assert text.startswith('{"clip_id": "qu\\"ote \\\\ caf\\u00e9 \\u53a8\\u623f", "segment": 0, ')
+
+    def test_int_input_is_written_as_floats(self, tmp_path):
+        # Every entry is cast to float64: an int 1 is written as 1.0, never as the
+        # float whose bits are 1 (5e-324).
+        ints = ClipDistributions("i", np.array([[1, 0, 0, 0]]), np.array([[0, 0, 1, 0, 0]]))
+        text = self.saved(tmp_path, [ints])
+        assert text == (
+            '{"clip_id": "i", "segment": 0, "verb_probs": [1.0, 0.0, 0.0, 0.0], '
+            '"noun_probs": [0.0, 0.0, 1.0, 0.0, 0.0]}\n'
+        )
+        floats = ClipDistributions("i", ints.verb_probs.astype(float), ints.noun_probs.astype(float))
+        assert text == distributions_jsonl([floats])
+
+    def test_every_line_starts_with_the_clip_id(self, tmp_path):
+        # bench/run.py splits the file by reading the id off this prefix.
+        clips = generate_corpus(SynthConfig(num_clips=5, seed=3)).distributions
+        clips.insert(2, ClipDistributions("empty", np.zeros((0, 8)), np.zeros((0, 96))))
+        lines = self.saved(tmp_path, clips).splitlines()
+        assert len(lines) == sum(len(clip.verb_probs) for clip in clips)
+        assert all(line.startswith('{"clip_id": ') for line in lines)
 
 
 class TestPredictions:
