@@ -7,20 +7,24 @@ exponential backoff up to max_retries; a well-formed HTTP reply whose body
 is not a chat completion is a protocol error and is not retried.
 
 The bearer token is read from the environment variable named in the config.
-It travels only in the Authorization header: request bodies (the only thing
-this module records or logs) never contain it.
+It travels only in the Authorization header, which is not resent on a
+redirect; request bodies (the only thing this module records or logs) never
+contain it.
 """
 
 from __future__ import annotations
 
 import copy
+import http.client
+import json
 import math
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
-
-import requests
+from urllib.parse import urlsplit
 
 from ._fileio import load_json
 from .errors import DataError, LlmError, ProtocolError, ScriptExhausted, TransportError
@@ -99,25 +103,36 @@ class _ChatClient:
 class LlmClient(_ChatClient):
     """Live HTTP client for a chat-completions endpoint."""
 
+    def __init__(self, config: LlmConfig):
+        # urlopen would also open file:, ftp: and data: URLs; a chat endpoint is HTTP.
+        try:
+            parts = urlsplit(config.endpoint_url)
+        except ValueError:
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise DataError(f"endpoint URL must be http or https with a host, got {config.endpoint_url!r}")
+        super().__init__(config)
+
     def _send(self, payload: dict) -> dict:
-        headers = {"Content-Type": "application/json"}
+        body = json.dumps(payload).encode()
+        request = urllib.request.Request(self.config.endpoint_url, body, {"Content-Type": "application/json"})
         env_var = self.config.auth_token_env_var
         if env_var:
             token = os.environ.get(env_var)
             if not token:
                 # Not a transport problem: retrying will not make the token appear.
                 raise LlmError(f"auth token environment variable {env_var!r} is not set")
-            headers["Authorization"] = f"Bearer {token}"
+            request.add_unredirected_header("Authorization", f"Bearer {token}")
         try:
-            resp = requests.post(
-                self.config.endpoint_url, json=payload, headers=headers, timeout=self.config.timeout
-            )
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
+                raw = resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            raise TransportError(f"endpoint returned HTTP {exc.code}") from None
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"request failed: {exc}") from exc
-        if resp.status_code >= 400:
-            raise TransportError(f"endpoint returned HTTP {resp.status_code}")
         try:
-            return resp.json()
+            return json.loads(raw)
         except ValueError:
             raise ProtocolError("response body is not JSON") from None
 

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -26,3 +30,49 @@ def actions(*pairs) -> np.ndarray:
 def random_distribution(rng: np.random.Generator, size: int) -> np.ndarray:
     raw = rng.uniform(0.01, 1.0, size)
     return raw / raw.sum()
+
+
+class JsonHandler(BaseHTTPRequestHandler):
+    """Request handler base for test endpoints served by the `serve` fixture."""
+
+    def read_json(self):
+        return json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+
+    def reply(self, status: int, body, headers: dict | None = None) -> None:
+        """Send `body` (bytes as they are, anything else as JSON) with `status`."""
+        data = body if isinstance(body, bytes) else json.dumps(body).encode()
+        self.send_response(status)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def chat_completion(text: str) -> dict:
+    return {"choices": [{"message": {"role": "assistant", "content": text}}]}
+
+
+@pytest.fixture
+def serve():
+    """`serve(handler_class)` starts an HTTP server on 127.0.0.1 and returns its base URL.
+
+    Servers run in daemon threads and are shut down when the test ends.
+    """
+    servers = []
+
+    def start(handler) -> str:
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        server.daemon_threads = True
+        # A short poll interval keeps shutdown() at teardown quick.
+        threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_address[1]}"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()

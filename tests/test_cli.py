@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import JsonHandler, chat_completion
 from ltakit.cli import run
 from ltakit.dataset_io import PredictionSet, load_annotations, load_predictions
 from ltakit.taxonomy import load_taxonomy
@@ -27,6 +31,19 @@ SYNTH_FLAGS = [
     "--eps-noun", "0.4",
     "--seed", "9",
 ]
+
+
+class DeterministicChat(JsonHandler):
+    """A chat endpoint whose reply depends only on the request's messages and temperature."""
+
+    def do_POST(self):
+        request = self.read_json()
+        key = json.dumps([request["messages"], request["temperature"]], sort_keys=True)
+        rng = random.Random(hashlib.sha256(key.encode()).digest())
+        # Five actions from the SYNTH_FLAGS vocabulary, plus a token the parser skips.
+        tokens = [f"verb_{rng.randrange(4):03d} noun_{rng.randrange(24):03d}" for _ in range(5)]
+        tokens.insert(rng.randrange(6), "n/a")
+        self.reply(200, chat_completion(", ".join(tokens)))
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +157,14 @@ class TestPipeline:
         ]
         assert naive_chosen != rerank_chosen
 
-    @pytest.mark.parametrize("mode", ["greedy", "sample"])
-    def test_parallel_anticipation_matches_serial(self, pipeline, mode):
+    @pytest.mark.parametrize("mode", ["greedy", "sample", "llm"])
+    def test_parallel_anticipation_matches_serial(self, pipeline, mode, serve):
         # Worker threads share one predictor; switch threads as often as the
         # interpreter allows so that races get a chance to show.
+        if mode == "llm":
+            predictor = ["--predictor", "llm", "--llm-endpoint", serve(DeterministicChat), "--llm-model", "m"]
+        else:
+            predictor = ["--predictor", "ngram", "--order", "2", "--mode", mode, "--seed", "21"]
         outputs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -154,11 +175,8 @@ class TestPipeline:
                     "anticipate",
                     "--recognition", str(pipeline["recognition"]),
                     "--taxonomy", str(pipeline["taxonomy"]),
-                    "--predictor", "ngram",
                     "--train-annotations", str(pipeline["annotations"]),
-                    "--order", "2",
-                    "--mode", mode,
-                    "--seed", "21",
+                    *predictor,
                     "--horizon", "5",
                     "--candidates", "3",
                     "--workers", workers,
@@ -458,6 +476,29 @@ class TestExitCodes:
         assert code == 2
         assert "ltakit: error: temperature" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "endpoint", ["file:///etc/hostname", "ftp://127.0.0.1:9/v1", "localhost:8000/v1", "http://[::1"]
+    )
+    def test_non_http_llm_endpoint_is_data_error(self, pipeline, tmp_path, capsys, endpoint):
+        # Rejected at once: no request, no retry and no backoff sleep.
+        out = tmp_path / "p.jsonl"
+        log = tmp_path / "requests.jsonl"
+        start = time.monotonic()
+        code = run([
+            "anticipate",
+            "--recognition", str(pipeline["recognition"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--predictor", "llm",
+            "--llm-endpoint", endpoint,
+            "--llm-model", "m",
+            "--llm-request-log", str(log),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "ltakit: error: endpoint URL must be http or https" in capsys.readouterr().err
+        assert time.monotonic() - start < 2.0  # retrying would sleep 0.5 + 1 + 2 s of backoff
+        assert not out.exists() and not log.exists()
 
     def test_infinite_beta_is_data_error(self, pipeline, tmp_path, capsys):
         # Sampling would otherwise draw from all-NaN weights.
@@ -878,6 +919,15 @@ class TestInstalledEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == _version_line()
+
+    def test_cli_import_pulls_in_no_http_library(self):
+        # The live client uses the standard library; numpy is the only runtime dependency.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, ltakit.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_console_script_on_path(self, tmp_path):
         """The declared ``ltakit`` script, written as installers write it, is found and runs."""

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from conftest import JsonHandler, chat_completion
 from ltakit.errors import DataError, LlmError, ProtocolError, ScriptExhausted, TransportError
 from ltakit.llm_client import (
     Failure,
@@ -50,6 +51,20 @@ class TestConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(DataError):
             LlmConfig("http://localhost:1", "m", **kwargs)
+
+    @pytest.mark.parametrize(
+        "url", ["http://localhost:1/v1", "https://example.invalid/v1", "HTTP://h", "http://[::1]:8000/v1"]
+    )
+    def test_live_client_accepts_http_endpoints(self, url):
+        assert LlmClient(LlmConfig(url, "m")).config.endpoint_url == url
+
+    @pytest.mark.parametrize(
+        "url",
+        ["file:///etc/hostname", "ftp://localhost/v1", "data:,x", "localhost:8000/v1", "http://[::1", "", "http:///v1"],
+    )
+    def test_live_client_rejects_other_endpoints(self, url):
+        with pytest.raises(DataError, match="endpoint URL must be http or https"):
+            LlmClient(LlmConfig(url, "m"))
 
 
 class TestMockClient:
@@ -200,84 +215,91 @@ class TestTokenHandling:
         # Not a transport error, so no retries happened.
         assert len(client.requests) == 1
 
-    def test_token_goes_to_header_not_body(self, monkeypatch):
+    def test_token_goes_to_header_not_body(self, monkeypatch, serve):
         secret = "super-secret-bearer-token-value"
         monkeypatch.setenv("LTAKIT_TEST_TOKEN", secret)
         seen = {}
 
-        class FakeResponse:
-            status_code = 200
+        class Handler(JsonHandler):
+            def do_POST(self):
+                seen["path"] = self.path
+                seen["headers"] = dict(self.headers)
+                seen["body"] = self.rfile.read(int(self.headers["Content-Length"]))
+                self.reply(200, chat_completion("fine"))
 
-            @staticmethod
-            def json():
-                return {"choices": [{"message": {"content": "fine"}}]}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen["url"] = url
-            seen["json"] = json
-            seen["headers"] = headers
-            return FakeResponse()
-
-        monkeypatch.setattr("ltakit.llm_client.requests.post", fake_post)
-        config = LlmConfig("http://example.invalid/v1", "m", auth_token_env_var="LTAKIT_TEST_TOKEN")
+        url = serve(Handler) + "/v1"
+        config = LlmConfig(url, "m", auth_token_env_var="LTAKIT_TEST_TOKEN")
         client = LlmClient(config)
         assert client.complete("sys", "usr") == "fine"
+        assert seen["path"] == "/v1"
         assert seen["headers"]["Authorization"] == f"Bearer {secret}"
-        assert secret not in json.dumps(seen["json"])
+        assert seen["headers"]["Content-Type"] == "application/json"
+        assert json.loads(seen["body"]) == client.requests[0]
+        assert secret.encode() not in seen["body"]
         assert secret not in json.dumps(client.requests)
 
-    def test_no_auth_header_when_env_var_unset_in_config(self, monkeypatch):
+    def test_no_auth_header_when_env_var_unset_in_config(self, serve):
         seen = {}
 
-        class FakeResponse:
-            status_code = 200
+        class Handler(JsonHandler):
+            def do_POST(self):
+                seen["headers"] = dict(self.headers)
+                self.read_json()
+                self.reply(200, chat_completion("fine"))
 
-            @staticmethod
-            def json():
-                return {"choices": [{"message": {"content": "fine"}}]}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen["headers"] = headers
-            return FakeResponse()
-
-        monkeypatch.setattr("ltakit.llm_client.requests.post", fake_post)
-        client = LlmClient(LlmConfig("http://example.invalid/v1", "m"))
+        client = LlmClient(LlmConfig(serve(Handler) + "/v1", "m"))
         client.complete("s", "u")
         assert "Authorization" not in seen["headers"]
 
+    def test_token_is_not_sent_on_a_redirect(self, monkeypatch, serve):
+        monkeypatch.setenv("LTAKIT_TEST_TOKEN", "bearer-value")
+        seen = {}
+
+        class Target(JsonHandler):
+            def do_GET(self):  # a 302 turns the POST into a GET
+                seen["target"] = dict(self.headers)
+                self.reply(200, chat_completion("redirected"))
+
+        target = serve(Target) + "/elsewhere"
+
+        class Origin(JsonHandler):
+            def do_POST(self):
+                seen["origin"] = dict(self.headers)
+                self.read_json()
+                self.reply(302, b"", {"Location": target})
+
+        config = LlmConfig(serve(Origin) + "/v1", "m", auth_token_env_var="LTAKIT_TEST_TOKEN")
+        assert LlmClient(config).complete("s", "u") == "redirected"
+        assert seen["origin"]["Authorization"] == "Bearer bearer-value"
+        assert "Authorization" not in seen["target"]
+
 
 class TestLiveTransport:
-    def test_http_error_status_is_transport_error(self, monkeypatch):
-        class FakeResponse:
-            status_code = 503
+    def test_http_error_status_is_transport_error(self, serve):
+        hits = []
 
-            @staticmethod
-            def json():
-                return {}
+        class Handler(JsonHandler):
+            def do_POST(self):
+                hits.append(self.read_json())
+                self.reply(503, {"error": "overloaded"})
 
-        monkeypatch.setattr(
-            "ltakit.llm_client.requests.post", lambda *a, **k: FakeResponse()
-        )
-        config = LlmConfig("http://example.invalid/v1", "m", max_retries=1, backoff_base=0.0)
+        config = LlmConfig(serve(Handler) + "/v1", "m", max_retries=1, backoff_base=0.0)
         client = LlmClient(config)
         with pytest.raises(TransportError, match="503"):
             client.complete("s", "u")
         assert len(client.requests) == 2
+        assert hits == client.requests
 
-    def test_non_json_reply_is_protocol_error(self, monkeypatch):
-        class FakeResponse:
-            status_code = 200
+    def test_non_json_reply_is_protocol_error(self, serve):
+        class Handler(JsonHandler):
+            def do_POST(self):
+                self.read_json()
+                self.reply(200, b"<html>not json</html>", {"Content-Type": "text/html"})
 
-            @staticmethod
-            def json():
-                raise ValueError("not json")
-
-        monkeypatch.setattr(
-            "ltakit.llm_client.requests.post", lambda *a, **k: FakeResponse()
-        )
-        client = LlmClient(LlmConfig("http://example.invalid/v1", "m", backoff_base=0.0))
+        client = LlmClient(LlmConfig(serve(Handler) + "/v1", "m", backoff_base=0.0))
         with pytest.raises(ProtocolError, match="not JSON"):
             client.complete("s", "u")
+        assert len(client.requests) == 1
 
     def test_refused_connection_is_transport_error(self):
         # Port 9 on localhost is the discard port; nothing should be listening.
@@ -286,6 +308,39 @@ class TestLiveTransport:
         )
         with pytest.raises(TransportError):
             LlmClient(config).complete("s", "u")
+
+    def test_read_timeout_is_retried_then_transport_error(self, serve):
+        release = threading.Event()
+
+        class Handler(JsonHandler):
+            def do_POST(self):
+                self.read_json()
+                release.wait(10)  # far past the client's timeout
+
+        config = LlmConfig(serve(Handler) + "/v1", "m", timeout=0.2, max_retries=2, backoff_base=0.0)
+        client = LlmClient(config)
+        try:
+            with pytest.raises(TransportError, match="request failed"):
+                client.complete("s", "u")
+        finally:
+            release.set()
+        assert len(client.requests) == 3
+
+    def test_connection_closed_mid_body_is_transport_error(self, serve):
+        class Handler(JsonHandler):
+            def do_POST(self):
+                self.read_json()
+                self.send_response(200)
+                self.send_header("Content-Length", "1000")
+                self.end_headers()
+                self.wfile.write(b'{"choices": [')
+                self.close_connection = True
+
+        config = LlmConfig(serve(Handler) + "/v1", "m", max_retries=1, backoff_base=0.0)
+        client = LlmClient(config)
+        with pytest.raises(TransportError, match="request failed"):
+            client.complete("s", "u")
+        assert len(client.requests) == 2
 
 
 class TestScriptFiles:
