@@ -91,9 +91,8 @@ class ParsedResponse:
 _ENUM_PREFIX = re.compile(r"^\(?\d+[.):]\s*")
 
 
-def parse_response(
-    text: str, taxonomy: Taxonomy, horizon: int, fallback: tuple[int, int] | None = None
-) -> ParsedResponse:
+def parse_response(text: str, taxonomy: Taxonomy, horizon: int,
+                   fallback: tuple[int, int] | None = None) -> ParsedResponse:
     """Total parser for model replies; always yields exactly `horizon` actions.
 
     Tokens are split on commas and newlines; a leading "1." / "2)" style
@@ -150,7 +149,7 @@ class NgramModel:
             self._transitions.setdefault(context, Counter())[ids[i + width - 1]] += 1
 
     def step(self, context: tuple[int, ...] | None, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """The `width` most probable next ids and their renormalized weights.
+        """The `width` (<= |V|*|N|) most probable next ids and their renormalized weights.
 
         Every id weighs beta plus its count after the context, and the pool
         takes ids by weight, descending, ties toward the lowest id: the
@@ -163,8 +162,9 @@ class NgramModel:
         successors = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:width]
         pool = np.array([nxt for nxt, _ in successors], dtype=np.intp)
         if len(pool) < width:
-            unseen = np.ones(self.num_actions, dtype=bool)
-            unseen[pool] = False
+            # Every successor is in the pool, so the lowest unseen ids lie below width.
+            unseen = np.ones(width, dtype=bool)
+            unseen[pool[pool < width]] = False
             pool = np.concatenate([pool, np.flatnonzero(unseen)[: width - len(pool)]])
         weights = np.full(width, self.beta)
         weights[: len(successors)] += [count for _, count in successors]
@@ -178,9 +178,7 @@ class NgramModel:
         return divmod(idx, self.num_nouns)
 
 
-def fit_ngram(
-    annotations: list[ClipRecord], order: int, beta: float, taxonomy: Taxonomy
-) -> NgramModel:
+def fit_ngram(annotations: list[ClipRecord], order: int, beta: float, taxonomy: Taxonomy) -> NgramModel:
     """Fit transition counts over each clip's observed+future actions."""
     if not annotations:
         raise DataError("cannot fit an n-gram model on an empty corpus")
@@ -209,32 +207,29 @@ def _clip_stream_key(clip_id: str) -> int:
 class RepeatLastPredictor:
     """K copies of the last observed action repeated across the horizon."""
 
-    def predict(
-        self,
-        clip_id: str,
-        history: np.ndarray,
-        horizon: int = 20,
-        num_candidates: int = DEFAULT_CANDIDATES,
-    ) -> PredictionSet:
+    def predict(self, clip_id: str, history: np.ndarray, horizon: int = 20,
+                num_candidates: int = DEFAULT_CANDIDATES) -> PredictionSet:
         _check_predict_args(clip_id, history, horizon, num_candidates)
         return PredictionSet(clip_id, np.full((num_candidates, horizon, 2), history[-1], np.intp))
 
 
 class NgramPredictor:
-    """Rollouts from an NgramModel.
+    """Rollouts from an NgramModel, for one clip (`predict`) or a whole corpus at once (`predict_corpus`).
 
     In greedy mode the first candidate is the argmax rollout (ties toward
     the lowest action id) and the remaining K-1 are sampled; in sample mode
     all K are sampled. Sampling draws from the `sample_top_k` most probable
-    next actions at each step, re-seeded per clip so results do not depend
-    on clip processing order.
+    next actions at each step, re-seeded per clip, so a clip's result does
+    not depend on clip order or on which clips share a batch.
 
-    The predictor reads its model once, at construction, into arrays with a
-    row per seen context and a last, uniform row for unseen ones: the pool,
-    argmax first, and its cdf as Generator.choice builds it, so a step is one
-    searchsorted of a uniform, and an argmax step one of 0.0 (cdf[0] > 0).
-    Memory is O(contexts x min(sample_top_k, |V|*|N|)). A later observe() on
-    the model does not change the predictor.
+    At construction the model is read into a table with a row per seen
+    context and a last, uniform row for unseen ones: the pool, argmax first,
+    and its cdf as Generator.choice builds it. A step finds every rollout's
+    row through one sorted key array per context position (prefix code so
+    far * (|V|*|N| + 1) + next id, so keys stay below (contexts + 1) *
+    (|V|*|N| + 1) at any order), then searches the row's cdf for its uniform;
+    an argmax step searches for 0.0. Memory is O(contexts x min(sample_top_k,
+    |V|*|N|)). A later observe() on the model does not change the predictor.
     """
 
     def __init__(self, model: NgramModel, mode: str = "greedy", seed: int = 0, sample_top_k: int = 5):
@@ -248,39 +243,68 @@ class NgramPredictor:
         self.mode = mode
         self.seed = seed
         self.sample_top_k = sample_top_k
-        self._rows = {context: row for row, context in enumerate(model._transitions)}  # unseen: row -1
-        rows, width = len(self._rows) + 1, min(sample_top_k, model.num_actions)
-        self._pool, self._cdf = np.empty((rows, width), np.intp), np.empty((rows, width))
-        for row, context in enumerate([*self._rows, None]):
+        contexts, radix = list(model._transitions), model.num_actions + 1
+        if (len(contexts) + 1) * radix >= 2**63:
+            raise DataError(f"{len(contexts)} contexts over {model.num_actions} actions overflow int64 keys")
+        # Prefix codes, one level per context position; the last level's code is the row.
+        grid = np.array(contexts, np.intp).reshape(len(contexts), model.order - 1)
+        codes, self._levels = np.zeros(len(contexts), np.intp), []
+        for position in range(model.order - 1):
+            keys, codes = np.unique(codes * radix + grid[:, position], return_inverse=True)
+            self._levels.append(np.append(keys, np.iinfo(np.int64).max))  # sentinel's index: unseen code
+        rows = np.append(codes, len(contexts))  # each context's row, then the unseen row
+        width = min(sample_top_k, model.num_actions)
+        self._pool, self._cdf = np.empty((len(rows), width), np.intp), np.empty((len(rows), width))
+        for row, context in zip(rows.tolist(), [*contexts, None]):
             self._pool[row], weights = model.step(context, width)
             cdf = np.cumsum(weights, out=self._cdf[row])
             if not abs(cdf[-1] - 1.0) <= np.sqrt(np.finfo(float).eps):  # choice's check on p
                 raise DataError(f"n-gram weights for context {context} are not a finite distribution")
             cdf /= cdf[-1]
 
-    def predict(
-        self,
-        clip_id: str,
-        history: np.ndarray,
-        horizon: int = 20,
-        num_candidates: int = DEFAULT_CANDIDATES,
-    ) -> PredictionSet:
-        _check_predict_args(clip_id, history, horizon, num_candidates)
-        rng = np.random.default_rng([self.seed, _clip_stream_key(clip_id)])
-        greedy = self.mode == "greedy"
-        # A uniform per sampled step, candidate-major as choice() drew them; 0.0: argmax step.
-        draws = [[0.0] * horizon] * greedy + rng.random((num_candidates - greedy, horizon)).tolist()
-        ids = (history[:, 0] * self.model.num_nouns + history[:, 1]).tolist()
-        rollouts = np.array([self._rollout(ids, row) for row in draws], dtype=np.intp)
-        return PredictionSet(clip_id, np.stack(np.divmod(rollouts, self.model.num_nouns), axis=-1))
+    def predict(self, clip_id: str, history: np.ndarray, horizon: int = 20,
+                num_candidates: int = DEFAULT_CANDIDATES) -> PredictionSet:
+        return self.predict_corpus({clip_id: history}, horizon, num_candidates)[0]
 
-    def _rollout(self, history_ids: list[int], uniforms: list[float]) -> list[int]:
-        ids, span = list(history_ids), self.model.order - 1
-        for u in uniforms:
-            # The context is the last `span` ids (all of them while fewer), () for a unigram.
-            row = self._rows.get(tuple(ids[-span:]) if span else (), -1)
-            ids.append(int(self._pool[row, self._cdf[row].searchsorted(u, side="right")]))
-        return ids[len(history_ids) :]
+    def predict_corpus(self, histories: dict[str, np.ndarray], horizon: int = 20,
+                       num_candidates: int = DEFAULT_CANDIDATES) -> list[PredictionSet]:
+        """predict() for every clip id -> L x 2 history, in order; each step advances all C*K rollouts."""
+        for clip_id, history in histories.items():
+            _check_predict_args(clip_id, history, horizon, num_candidates)
+        span, greedy, pad = self.model.order - 1, self.mode == "greedy", self.model.num_actions
+        num_nouns = self.model.num_nouns
+        # Each rollout's ids: its context, padded on the left with the unseen id |A|, then its future.
+        ids = np.full((len(histories), num_candidates, span + horizon), pad, np.intp)
+        uniforms = np.zeros((len(histories), num_candidates, horizon))
+        for clip, (clip_id, history) in enumerate(histories.items()):
+            # A uniform per sampled step, candidate-major as choice() drew them; 0.0: argmax step.
+            rng = np.random.default_rng([self.seed, _clip_stream_key(clip_id)])
+            uniforms[clip, greedy:] = rng.random((num_candidates - greedy, horizon))
+            tail = history[-span:] if span else history[:0]
+            ids[clip, :, span - len(tail) : span] = tail[:, 0] * num_nouns + tail[:, 1]
+        ids, uniforms = ids.reshape(-1, span + horizon), uniforms.reshape(-1, horizon)
+        for step in range(horizon):
+            rows = np.zeros(len(ids), np.intp)  # each rollout's context row, one key level per position
+            for position, keys in enumerate(self._levels):
+                key = rows * (pad + 1) + ids[:, step + position]
+                rows = keys.searchsorted(key)
+                rows[keys[rows] != key] = len(keys) - 1  # the sentinel's index: unseen from here on
+            ids[:, span + step] = self._pool[rows, _search_right(self._cdf, rows, uniforms[:, step])]
+        futures = np.stack(np.divmod(ids[:, span:], num_nouns), axis=-1)
+        futures = futures.reshape(len(histories), num_candidates, horizon, 2)
+        return [PredictionSet(clip_id, candidates) for clip_id, candidates in zip(histories, futures)]
+
+
+def _search_right(cdf: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """cdf[row].searchsorted(value, side="right") per (row, value): a binary search, one gather a probe."""
+    width, flat = cdf.shape[1], cdf.ravel()
+    base, count = rows * width - 1, np.zeros_like(rows)
+    step = 1 << (width.bit_length() - 1)
+    while step:
+        probe = np.minimum(count + step, width)
+        count = np.where(flat[base + probe] <= values, probe, count)
+        step >>= 1
+    return count
 
 
 class LlmPredictor:
@@ -291,29 +315,17 @@ class LlmPredictor:
     id attached.
     """
 
-    def __init__(
-        self,
-        client,
-        taxonomy: Taxonomy,
-        template: PromptTemplate = DEFAULT_PROMPT,
-        fallback: tuple[int, int] | None = None,
-    ):
+    def __init__(self, client, taxonomy: Taxonomy, template: PromptTemplate = DEFAULT_PROMPT,
+                 fallback: tuple[int, int] | None = None):
         self.client = client
         self.taxonomy = taxonomy
         self.template = template
         self.fallback = fallback
 
-    def predict(
-        self,
-        clip_id: str,
-        history: np.ndarray,
-        horizon: int = 20,
-        num_candidates: int = DEFAULT_CANDIDATES,
-    ) -> PredictionSet:
+    def predict(self, clip_id: str, history: np.ndarray, horizon: int = 20,
+                num_candidates: int = DEFAULT_CANDIDATES) -> PredictionSet:
         _check_predict_args(clip_id, history, horizon, num_candidates)
-        user = render_prompt(
-            self.template, format_action_history(history, self.taxonomy), horizon
-        )
+        user = render_prompt(self.template, format_action_history(history, self.taxonomy), horizon)
         candidates = []
         for index in range(num_candidates):
             try:
@@ -322,12 +334,7 @@ class LlmPredictor:
                 raise type(exc)(f"clip {clip_id!r}: {exc}") from exc
             parsed = parse_response(text, self.taxonomy, horizon, self.fallback)
             if parsed.skipped or parsed.padded:
-                logger.debug(
-                    "clip %s candidate %d: skipped %d tokens, padded %d actions",
-                    clip_id,
-                    index,
-                    len(parsed.skipped),
-                    parsed.padded,
-                )
+                logger.debug("clip %s candidate %d: skipped %d tokens, padded %d actions",
+                             clip_id, index, len(parsed.skipped), parsed.padded)
             candidates.append(parsed.actions)
         return PredictionSet(clip_id, np.stack(candidates))

@@ -76,9 +76,7 @@ def _cmd_synth(args) -> None:
     save_taxonomy(out_dir / "taxonomy.txt", corpus.taxonomy)
     save_annotations(out_dir / "annotations.jsonl", corpus.annotations, corpus.taxonomy)
     save_distributions(out_dir / "distributions.jsonl", corpus.distributions)
-    atomic_write_text(
-        out_dir / "provenance.json", json.dumps(provenance(config, __version__), indent=2) + "\n"
-    )
+    atomic_write_text(out_dir / "provenance.json", json.dumps(provenance(config, __version__), indent=2) + "\n")
     segments = sum(len(clip.verb_probs) for clip in corpus.distributions)
     print(f"wrote {len(corpus.annotations)} clips / {segments} segments to {out_dir}")
 
@@ -152,20 +150,20 @@ def _cmd_anticipate(args) -> None:
     histories = {clip.clip_id: clip.chosen for clip in load_recognition(args.recognition, taxonomy)}
     predictor, client = _build_predictor(args, taxonomy)
 
-    def run_clip(item):
-        clip_id, history = item
-        return predictor.predict(clip_id, history, args.horizon, args.candidates)
-
-    # Threads overlap endpoint waits; map() returns results in clip order.
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        predictions = list(pool.map(run_clip, histories.items()))
+    if isinstance(predictor, NgramPredictor):
+        predictions = predictor.predict_corpus(histories, args.horizon, args.candidates)
+    else:
+        run_clip = lambda item: predictor.predict(*item, args.horizon, args.candidates)
+        if client is None:
+            predictions = list(map(run_clip, histories.items()))
+        else:
+            # Threads overlap endpoint waits; map() returns results in clip order.
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
+                predictions = list(pool.map(run_clip, histories.items()))
     save_predictions(args.out, predictions, taxonomy)
     if args.llm_request_log and client is not None:
         atomic_write_text(args.llm_request_log, dump_jsonl(client.requests))
-    print(
-        f"wrote {len(predictions)} prediction sets "
-        f"({args.candidates} x {args.horizon} each) to {args.out}"
-    )
+    print(f"wrote {len(predictions)} prediction sets ({args.candidates} x {args.horizon} each) to {args.out}")
 
 
 def _cmd_evaluate(args) -> None:
@@ -221,10 +219,8 @@ def _cmd_report(args) -> None:
 
 def _build_parser() -> tuple[_Parser, dict[str, argparse.Action], list[_Parser]]:
     flags: dict[str, argparse.Action] = {}  # dest -> flag; a dest means the same on every subcommand
-    parser = _Parser(
-        prog="ltakit",
-        description="Long-term action anticipation pipeline: synthesize, re-rank, anticipate, evaluate.",
-    )
+    parser = _Parser(prog="ltakit", description="Long-term action anticipation pipeline: "
+                     "synthesize, re-rank, anticipate, evaluate.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", help="JSON file supplying flag defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -233,9 +229,7 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.Action], list[_Parser]]
     parsers = [parser]
 
     def new_command(name, help_text):
-        p = sub.add_parser(
-            name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
-        )
+        p = sub.add_parser(name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", help="JSON file supplying flag defaults; explicit flags win")
         parsers.append(p)
         return p
@@ -388,15 +382,9 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         args.handler(args)
-    except UsageError as exc:
+    except (UsageError, DataError, OSError, LlmError) as exc:
         print(f"ltakit: error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, OSError) as exc:
-        print(f"ltakit: error: {exc}", file=sys.stderr)
-        return 2
-    except LlmError as exc:
-        print(f"ltakit: error: {exc}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(exc, UsageError) else 3 if isinstance(exc, LlmError) else 2
     return 0
 
 

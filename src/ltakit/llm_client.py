@@ -104,13 +104,17 @@ class LlmClient(_ChatClient):
     """Live HTTP client for a chat-completions endpoint."""
 
     def __init__(self, config: LlmConfig):
-        # urlopen would also open file:, ftp: and data: URLs; a chat endpoint is HTTP.
+        # urlopen would also open file:, ftp: and data: URLs; a chat endpoint is HTTP. http.client
+        # refuses a space or control character in a URL, so no attempt could succeed.
+        url = config.endpoint_url
         try:
-            parts = urlsplit(config.endpoint_url)
+            parts = urlsplit(url)
         except ValueError:
             parts = None
-        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
-            raise DataError(f"endpoint URL must be http or https with a host, got {config.endpoint_url!r}")
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname or any(
+                ch <= " " or ch == "\x7f" for ch in url):
+            raise DataError(f"endpoint URL must be http or https with a host and no space or control character"
+                            f" (percent-encode them), got {url!r}")
         super().__init__(config)
 
     def _send(self, payload: dict) -> dict:
@@ -160,10 +164,7 @@ class MockLlmClient(_ChatClient):
         script = list(script)
         if not script:
             raise DataError("mock script must contain at least one entry")
-        super().__init__(
-            config
-            or LlmConfig(endpoint_url="mock://local", model_name="scripted-mock", backoff_base=0.0)
-        )
+        super().__init__(config or LlmConfig("mock://local", "scripted-mock", backoff_base=0.0))
         self._script = script
         self._cursor = 0
         self._cursor_lock = threading.Lock()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -15,6 +16,7 @@ from ltakit.anticipation import (
     NgramPredictor,
     PromptTemplate,
     RepeatLastPredictor,
+    _search_right,
     fit_ngram,
     format_action_history,
     load_prompt_template,
@@ -439,6 +441,21 @@ class TestMemoizedRollouts:
         assert np.array_equal(refreshed.candidates, fresh.candidates)
         assert not np.array_equal(refreshed.candidates[0], stale.candidates[0])
 
+    def test_wide_table_is_built_without_a_second_copy(self):
+        # At a wide sample_top_k the table is most of anticipate's memory (pool and cdf, 16 bytes
+        # an entry), so building it, normalising the cdf included, must not copy it whole.
+        model = NgramModel(2, 0.5, 100, 100)
+        for verb in range(40):
+            model.observe(actions(*[(verb, noun) for noun in range(4)]))
+        tracemalloc.start()
+        try:
+            predictor = NgramPredictor(model, "sample", 0, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = predictor._pool.nbytes + predictor._cdf.nbytes
+        assert table > 19_000_000 and peak < 1.2 * table
+
     def test_memoized_pools_own_their_memory(self):
         taxonomy, records = tied_corpus()
         model = fit_ngram(records, 2, 0.5, taxonomy)
@@ -465,6 +482,88 @@ class TestMemoizedRollouts:
                 assert pool[0] == int(np.argmax(probs))
                 dense_weights = probs[dense_pool] / probs[dense_pool].sum()
                 np.testing.assert_allclose(weights, dense_weights, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 29_100])
+def test_vectorised_search_equals_searchsorted_right(width):
+    # The batched rollout searches every rollout's cdf row at once; it must give exactly
+    # searchsorted(side="right"), ties included, which random uniforms almost never hit.
+    rng = np.random.default_rng(width)
+    cdf = np.cumsum(rng.integers(0, 3, (7, width)) + 0.0, axis=1)  # zero weights: repeated entries
+    cdf = np.hstack([cdf, cdf[:, -1:] + 1]) / (cdf[:, -1:] + 1)  # rows end in 1.0, as in the table
+    rows = rng.integers(0, len(cdf), 500)
+    values = np.concatenate([cdf[rows[:200], rng.integers(0, width + 1, 200)],  # exact ties
+                             rng.random(200), [-1.0, 0.0, 1.0, 2.0] * 25])
+    want = [int(cdf[row].searchsorted(value, side="right")) for row, value in zip(rows.tolist(), values.tolist())]
+    assert _search_right(cdf, rows, values).tolist() == want
+
+
+class TestCorpusRollouts:
+    """predict_corpus advances every clip's K rollouts together; each clip must match its own dense oracle."""
+
+    # Endings that are seen, tied and unseen (action 5), an unseen action inside the last
+    # m-1 at orders 3 and 4, and histories shorter than m-1 at orders 3 and 4.
+    HISTORIES = {**TestMemoizedRollouts.HISTORIES, "short": actions((0, 1), (0, 0)),
+                 "through-unseen": actions((1, 1), (2, 1), (0, 0)),
+                 "routine": actions((1, 1), (2, 0), (0, 0), (1, 1))}
+
+    def check(self, model, histories, mode, seed, sample_top_k, horizon, num_candidates):
+        predictor = NgramPredictor(model, mode=mode, seed=seed, sample_top_k=sample_top_k)
+        got = predictor.predict_corpus(histories, horizon, num_candidates)
+        assert [p.clip_id for p in got] == list(histories)
+        for clip_id, prediction in zip(histories, got):
+            want = reference_rollouts(model, mode, seed, sample_top_k, clip_id, histories[clip_id], horizon,
+                                      num_candidates)
+            assert np.array_equal(prediction.candidates, want), clip_id
+            single = predictor.predict(clip_id, histories[clip_id], horizon, num_candidates)
+            assert np.array_equal(single.candidates, want), clip_id
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    @pytest.mark.parametrize("sample_top_k", [1, 5, 6])  # 6 = |A|: the whole vocabulary
+    def test_matches_dense_reference(self, order, mode, sample_top_k):
+        taxonomy, records = tied_corpus()
+        model = fit_ngram(records, order, 0.5, taxonomy)
+        self.check(model, self.HISTORIES, mode, 5, sample_top_k, 12, 4)
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_order_past_single_int64_keys(self, mode):
+        # Base-(|A|+1) keys of 23 ids would pass 2**63 (7**23 > 2**63); the per-position
+        # prefix codes stay small. Clips long enough for order-24 windows, and histories
+        # that end on seen contexts, unseen ones and ones shorter than 23 ids.
+        taxonomy, records = tied_corpus()
+        assert (taxonomy.num_verbs * taxonomy.num_nouns + 1) ** 23 > 2**63
+        long = [ClipRecord(f"r{i}", np.concatenate([r.observed] * 4)) for i, r in enumerate(records)]
+        model = fit_ngram(long, 24, 0.5, taxonomy)
+        assert model._transitions
+        histories = {f"h{i}": r.observed[: 23 + i] for i, r in enumerate(long)}
+        histories.update(self.HISTORIES)
+        self.check(model, histories, mode, 2, 3, 15, 3)
+
+    def test_table_keys_that_could_overflow_are_rejected(self):
+        model = NgramModel(2, 0.5, 2**31, 2**31)  # |A| = 2**62: (1 context + 1) * (|A| + 1) > 2**63
+        model.observe(actions((0, 0), (0, 1)))
+        with pytest.raises(DataError, match="overflow int64 keys"):
+            NgramPredictor(model)
+
+    def test_first_empty_history_in_order_is_reported(self):
+        taxonomy, records = tied_corpus()
+        predictor = NgramPredictor(fit_ngram(records, 2, 0.5, taxonomy))
+        histories = {"ok": actions((0, 0)), "first": actions(), "second": actions()}
+        with pytest.raises(DataError, match=r"^clip 'first': empty history, nothing to anticipate from$"):
+            predictor.predict_corpus(histories, 5, 2)
+        with pytest.raises(DataError, match="horizon"):
+            predictor.predict_corpus({"ok": actions((0, 0))}, 0, 2)
+        assert predictor.predict_corpus({}, 5, 2) == []
+
+    def test_clip_results_do_not_depend_on_batch_order(self):
+        taxonomy, records = tied_corpus()
+        predictor = NgramPredictor(fit_ngram(records, 3, 0.5, taxonomy), mode="sample", seed=6, sample_top_k=4)
+        forward = predictor.predict_corpus(self.HISTORIES, 9, 3)
+        backward = predictor.predict_corpus(dict(reversed(self.HISTORIES.items())), 9, 3)
+        assert [p.clip_id for p in backward] == list(reversed(self.HISTORIES))
+        by_clip = lambda predictions: {p.clip_id: p.candidates.tolist() for p in predictions}
+        assert by_clip(forward) == by_clip(backward)
 
 
 class TestRepeatLast:

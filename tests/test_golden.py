@@ -59,6 +59,8 @@ DIGESTS = {
     "recognition_naive.jsonl": "0739be6bb44c7d5285adc500d1a47a83dc18e905ef44211e0b701bc7a3261095",
     "ngram_greedy.jsonl": "71c61c3638bcbd817adadd9926b3d93e3c8a147e283db3be25b908e298cb3147",
     "ngram_sample.jsonl": "cee928d631909dcb139169fc1b62f1719dd9f8aab981a2fe1fb8a55fe4d29b7c",
+    "ngram_order3_sample_wide.jsonl": "b4afbab1283596b76043d8c9da82f8bc1230d36dc6547d9ccbbbb8ad6159dac7",
+    "ngram_order5_greedy.jsonl": "afdd07343f5e96fab4a6af89a6bc87b4122f812da301ee734849cd00572c37e1",
     "frequency.jsonl": "13939045c68815fc7fff7ef1a6d6fa9fc853fe141c7fda00e7cfb2144dc01246",
     "repeat_last.jsonl": "b9e77ef304da644a694da6ac07bfc8f1de79d57f4a1e461e782771100c4c75a5",
     "llm.jsonl": "37f9961dfd3a53f7c56639cd10d2b4dc348a60b8886275d396c35b39e8946dac",
@@ -102,6 +104,12 @@ def test_stage_outputs_match_pinned_digests(tmp_path, capsys):
     ok(*anticipate, "--predictor", "ngram", "--beta", "0.5", "--candidates", "3", "--out", p("ngram_greedy.jsonl"))
     ok(*anticipate, "--predictor", "ngram", "--mode", "sample", "--seed", "3", "--sample-top-k", "3",
        "--out", p("ngram_sample.jsonl"))
+    # The whole 20-action vocabulary as the sampling pool; order 5 needs 4 context ids
+    # and every history has 3, so the rollout starts from padded contexts.
+    ok(*anticipate, "--predictor", "ngram", "--order", "3", "--mode", "sample", "--seed", "5",
+       "--sample-top-k", "40000", "--out", p("ngram_order3_sample_wide.jsonl"))
+    ok(*anticipate, "--predictor", "ngram", "--order", "5", "--mode", "greedy", "--candidates", "3",
+       "--out", p("ngram_order5_greedy.jsonl"))
     ok(*anticipate, "--predictor", "frequency", "--out", p("frequency.jsonl"))
     ok(*anticipate, "--predictor", "repeat-last", "--out", p("repeat_last.jsonl"))
     ok(*anticipate, "--predictor", "llm", "--llm-script", p("script.json"), "--llm-max-retries", "1",

@@ -53,7 +53,8 @@ class TestConfig:
             LlmConfig("http://localhost:1", "m", **kwargs)
 
     @pytest.mark.parametrize(
-        "url", ["http://localhost:1/v1", "https://example.invalid/v1", "HTTP://h", "http://[::1]:8000/v1"]
+        "url",
+        ["http://localhost:1/v1", "https://example.invalid/v1", "HTTP://h", "http://[::1]:8000/v1", "http://h/a%20b"],
     )
     def test_live_client_accepts_http_endpoints(self, url):
         assert LlmClient(LlmConfig(url, "m")).config.endpoint_url == url
@@ -65,6 +66,17 @@ class TestConfig:
     def test_live_client_rejects_other_endpoints(self, url):
         with pytest.raises(DataError, match="endpoint URL must be http or https"):
             LlmClient(LlmConfig(url, "m"))
+
+    @pytest.mark.parametrize(
+        "url",
+        ["http://127.0.0.1:9/a b", "http://127.0.0.1:9/v1?q=a b", "http://127.0.0.1:9/a\tb",
+         "http://127.0.0.1:9/a\x7fb", "http://127.0.0.1:9/v1\n", " http://127.0.0.1:9/v1", "http://local host/v1"],
+    )
+    def test_live_client_rejects_spaces_and_control_characters(self, url):
+        # http.client refuses these in the request line on every attempt, so each would be
+        # retried with backoff and end as a transport error; they are rejected before any request.
+        with pytest.raises(DataError, match="no space or control character"):
+            LlmClient(LlmConfig(url, "m", max_retries=2))
 
 
 class TestMockClient:
