@@ -1,4 +1,4 @@
-"""Small shared file helpers: atomic text writes and UTF-8, JSON and JSON-lines reads."""
+"""Small shared file helpers: atomic text writes, UTF-8 and JSON reads, JSON-lines text."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DataError
 
@@ -55,23 +55,6 @@ def load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON ({exc})") from None
-
-
-def iter_jsonl(path) -> Iterator[tuple[str, dict]]:
-    """Yield ("path:line", record) for every non-blank line of a JSON-lines file."""
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: invalid JSON ({exc})") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{where}: expected a JSON object per line")
-            yield where, obj
 
 
 def dump_jsonl(records) -> str:

@@ -278,8 +278,9 @@ class NgramPredictor:
         uniforms = np.zeros((len(histories), num_candidates, horizon))
         for clip, (clip_id, history) in enumerate(histories.items()):
             # A uniform per sampled step, candidate-major as choice() drew them; 0.0: argmax step.
-            rng = np.random.default_rng([self.seed, _clip_stream_key(clip_id)])
-            uniforms[clip, greedy:] = rng.random((num_candidates - greedy, horizon))
+            if num_candidates > greedy:  # greedy with K=1 samples nothing: no Generator to seed
+                rng = np.random.default_rng([self.seed, _clip_stream_key(clip_id)])
+                uniforms[clip, greedy:] = rng.random((num_candidates - greedy, horizon))
             tail = history[-span:] if span else history[:0]
             ids[clip, :, span - len(tail) : span] = tail[:, 0] * num_nouns + tail[:, 1]
         ids, uniforms = ids.reshape(-1, span + horizon), uniforms.reshape(-1, horizon)

@@ -77,10 +77,11 @@ def _rows_text(counts: np.ndarray) -> list[str]:
     return [" ".join(repr(float(x)) for x in row) for row in counts]
 
 
-def _digest(alpha: float, counts: np.ndarray) -> str:
+def _digest(alpha: float, shape: tuple[int, int], rows: list[str]) -> str:
+    """sha256 of the dims, alpha and the count rows as `_rows_text` formats them."""
     h = hashlib.sha256()
-    h.update(f"{counts.shape[0]}x{counts.shape[1]};alpha={float(alpha)!r}".encode())
-    for line in _rows_text(counts):
+    h.update(f"{shape[0]}x{shape[1]};alpha={float(alpha)!r}".encode())
+    for line in rows:
         h.update(b"\n")
         h.update(line.encode())
     return h.hexdigest()
@@ -89,13 +90,14 @@ def _digest(alpha: float, counts: np.ndarray) -> str:
 def save_matrix(path, matrix: CooccurrenceMatrix) -> None:
     """Write the textual matrix file: header (dims, alpha, checksum) + dense count rows."""
     num_verbs, num_nouns = matrix.shape
+    rows = _rows_text(matrix.counts)  # formatted once, for the digest and the file
     lines = [
         _HEADER,
         f"verbs {num_verbs}",
         f"nouns {num_nouns}",
         f"alpha {matrix.alpha!r}",
-        f"sha256 {_digest(matrix.alpha, matrix.counts)}",
-        *_rows_text(matrix.counts),
+        f"sha256 {_digest(matrix.alpha, matrix.shape, rows)}",
+        *rows,
     ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -139,7 +141,7 @@ def load_matrix(path, taxonomy: Taxonomy | None = None) -> CooccurrenceMatrix:
         except ValueError:
             raise DataError(f"{path}: row {i} contains a non-numeric entry") from None
     counts = np.array(counts)
-    if _digest(alpha, counts) != stored:
+    if _digest(alpha, counts.shape, _rows_text(counts)) != stored:
         raise IntegrityError(f"{path}: checksum mismatch, file contents were altered")
     if taxonomy is not None and (num_verbs, num_nouns) != (taxonomy.num_verbs, taxonomy.num_nouns):
         raise DataError(

@@ -15,9 +15,14 @@ between ids and text. Annotations and predictions round-trip exactly;
 distributions are renormalized on load, so a vector whose float sum is not
 exactly 1 comes back rescaled by a few ulps and saves to different bytes.
 
-`read_clips` (one line per clip) and `read_segments` (one line per segment,
-here and in `recognition`) are the one place where the stage files' rules
-live: how lines are keyed, checked, ordered and grouped per clip.
+`StageFile` reads every stage file (per clip, or per segment here and in
+`recognition`) in one pass, and is the one place where their rules live. Each
+line is reduced at once to numbers appended to flat columns for the whole
+file; an action text becomes a code, each distinct text kept once and
+resolved by one `parse_actions` call. Checks that need no Python per value
+run on whole arrays after the pass (one lexsort of the (clip, segment) keys,
+the probability rules), yet the error raised is the first in the file. Each
+clip's record is a slice of the columns.
 
 Writing distributions costs float formatting, so `save_distributions` pays it
 once per distinct value in a clip, not once per cell: a synth row holds only
@@ -27,17 +32,23 @@ once per distinct value in a clip, not once per cell: a synth row holds only
 from __future__ import annotations
 
 import json
+from array import array
+from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
-from ._fileio import atomic_write_text, dump_jsonl, iter_jsonl
+from ._fileio import atomic_write_text, dump_jsonl, open_text
 from .errors import DataError
 from .taxonomy import Taxonomy, format_actions, parse_actions
 
 DEFAULT_HORIZON = 20
+
+_scan_json = json.JSONDecoder().scan_once  # (value, end) for the JSON value starting at an index
 
 # Vectors whose sum strays further than this from 1 are rejected; anything
 # inside the band is renormalized to sum exactly 1.
@@ -83,63 +94,145 @@ def _require(obj: dict, key: str, types, where: str):
     return value
 
 
-def read_clips(path) -> Iterator[tuple[str, str, dict]]:
-    """Yield (where, clip_id, record) for each line of a one-line-per-clip file;
-    every clip_id must be a string, and unique."""
-    seen: set[str] = set()
-    for where, obj in iter_jsonl(path):
-        clip_id = _require(obj, "clip_id", str, where)
-        if clip_id in seen:
-            raise DataError(f"{where}: duplicate clip_id {clip_id!r}")
-        seen.add(clip_id)
-        yield where, clip_id, obj
+class _TextCodes(dict):
+    """Action text -> code by first appearance; `rows[code]` is the row of `lines` a text first appears on."""
+
+    def __init__(self, lines: array):
+        super().__init__()
+        self.lines, self.texts, self.rows = lines, [], array("q")
+
+    def new(self, text) -> int:  # also takes a JSON list or object, kept apart for its error
+        self.texts.append(text)
+        self.rows.append(len(self.lines) - 1)
+        return len(self.texts) - 1
+
+    def __missing__(self, text) -> int:
+        self[text] = code = self.new(text)
+        return code
 
 
-def read_segments(path, parse, build) -> list:
-    """`build(clip_id, rows)` for each clip of a one-line-per-segment file, with
-    `rows` the clip's `parse(record, where)` results in segment order.
+class StageFile:
+    """A JSONL stage file read into flat columns, row r its r-th record. A loader iterates `rows()`
+    inside `checking()`, appends its own columns and codes its action texts with `code()`; after
+    the block `table[code]` is a text's (verb id, noun id) row, and `order()` sorts the segments."""
 
-    Clips come in first-appearance order. Each (clip_id, segment) must be
-    unique, the segment a nonnegative int (not a bool, not a float), and a
-    clip's segments contiguous from 0. Every line is checked before any gap
-    is reported, and a clip's rows are dropped once it is built, so the file
-    is held about once, not twice.
-    """
-    clips: dict[str, dict] = {}  # clip_id -> {segment: row}
-    for where, obj in iter_jsonl(path):
-        clip_id = _require(obj, "clip_id", str, where)
-        segment = _require(obj, "segment", int, where)
-        if isinstance(segment, bool) or segment < 0:
-            raise DataError(f"{where}: segment index must be a nonnegative integer")
-        rows = clips.setdefault(clip_id, {})
-        if segment in rows:
-            raise DataError(f"{where}: duplicate segment {segment} for clip {clip_id!r}")
-        rows[segment] = parse(obj, where)
-    for clip_id, rows in clips.items():
-        for expected, segment in enumerate(sorted(rows)):
-            if segment != expected:
-                raise DataError(
-                    f"clip {clip_id!r}: segment indices must be contiguous from 0, "
-                    f"expected {expected} but found {segment}"
-                )
-    return [build(clip_id, [rows.pop(s) for s in range(len(rows))]) for clip_id, rows in clips.items()]
+    def __init__(self, path, taxonomy: Taxonomy, per_segment: bool = False):
+        self.path, self.taxonomy, self.per_segment = path, taxonomy, per_segment
+        self.clip_ids: dict[str, int] = {}  # clip_id -> code, in first-appearance order
+        self.lines, self.clip_codes, self.segments = array("q"), array("q"), []  # per row; segments of any size
+        self.codes = _TextCodes(self.lines)
+
+    def where(self, row: int) -> str:
+        return f"{self.path}:{self.lines[row]}"
+
+    def rows(self) -> Iterator[tuple[str, dict]]:
+        """("path:line", record) per non-blank line. Every clip_id is a string and every segment (0
+        in a clip file) a nonnegative int, not a bool or a float; `checking()` finds a repeated
+        (clip_id, segment) and `order()` a gap."""
+        with open_text(self.path) as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line, where = raw.strip(), f"{self.path}:{lineno}"
+                if not line:
+                    continue
+                try:  # json.loads less its per-call checks, about half of its time on a short line
+                    obj, end = _scan_json(line, 0)
+                except (StopIteration, ValueError):
+                    end = -1
+                if end != len(line):  # not one JSON value: json.loads raises its own message
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise DataError(f"{where}: invalid JSON ({exc})") from None
+                if not isinstance(obj, dict):
+                    raise DataError(f"{where}: expected a JSON object per line")
+                clip_id = _require(obj, "clip_id", str, where)
+                segment = _require(obj, "segment", int, where) if self.per_segment else 0
+                if isinstance(segment, bool) or segment < 0:
+                    raise DataError(f"{where}: segment index must be a nonnegative integer")
+                self.clip_codes.append(self.clip_ids.setdefault(clip_id, len(self.clip_ids)))
+                self.segments.append(segment)
+                self.lines.append(lineno)
+                yield where, obj
+
+    def code(self, tokens: list) -> list[int]:
+        """Each token's text code; a text first seen here is kept with the current row."""
+        try:
+            return list(map(self.codes.__getitem__, tokens))
+        except TypeError:  # a JSON list or object
+            return [self.codes.new(t) if isinstance(t, (list, dict)) else self.codes[t] for t in tokens]
+
+    @contextmanager
+    def checking(self, *checks):
+        """Read the file in this block, then run the deferred checks. Each returns (row, DataError)
+        for its first bad row, or None; within a row, a repeated key comes first, then `checks` in
+        order, then action texts. An error raised in the block gives way to a deferred one from an
+        earlier row or earlier in its own, so the error raised is the first in the file."""
+        checks = (self._repeated_key, *checks)
+        try:
+            yield
+        except DataError:
+            self._raise_first(checks)
+            raise
+        self._raise_first(checks)
+
+    def _raise_first(self, checks) -> None:
+        hits = [hit for hit in (check() for check in checks) if hit]
+        row, error = min(hits, key=lambda hit: hit[0]) if hits else (len(self.lines), None)
+        count = bisect_left(self.codes.rows, row)  # the texts first seen before that row
+        wheres = [self.where(r) for r in self.codes.rows[:count]]
+        self.table = parse_actions(self.codes.texts[:count], self.taxonomy, wheres)
+        if error:
+            raise error from None
+
+    def _repeated_key(self):
+        try:
+            segments = np.array(self.segments, np.int64)
+        except OverflowError:  # past int64: a gap for certain, kept exact for its message
+            segments = np.array(self.segments, object)
+        clips = np.array(self.clip_codes, np.int64)
+        order = np.lexsort((segments, clips))
+        self._sorted = order, clips[order], segments[order]  # for `order()`, once every row is read
+        order, clips, segments = self._sorted
+        repeats = order[1:][(clips[1:] == clips[:-1]) & (segments[1:] == segments[:-1])]
+        if len(repeats):
+            row = int(repeats.min())
+            clip_id = list(self.clip_ids)[self.clip_codes[row]]
+            rule = f"segment {self.segments[row]} for clip {clip_id!r}" if self.per_segment else f"clip_id {clip_id!r}"
+            return row, DataError(f"{self.where(row)}: duplicate {rule}")
+
+    def order(self) -> tuple[np.ndarray | slice, list[int]]:
+        """The rows in (clip, segment) order (a plain slice, so no copy, if the file is in it) and
+        each clip's span starts[k]:starts[k + 1] in it. Segments must be contiguous from 0."""
+        order, clips, segments = self._sorted
+        starts = np.searchsorted(clips, np.arange(len(self.clip_ids) + 1))
+        positions = np.arange(len(order)) - starts[clips]
+        gaps = np.flatnonzero(segments != positions)
+        if len(gaps):
+            first = gaps[0]
+            raise DataError(
+                f"clip {list(self.clip_ids)[clips[first]]!r}: segment indices must be contiguous from 0, "
+                f"expected {positions[first]} but found {segments[first]}"
+            )
+        return slice(None) if (order == np.arange(len(order))).all() else order, starts.tolist()
 
 
 def load_annotations(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -> list[ClipRecord]:
     """Load clip annotations; any `future` present must be exactly `horizon` long."""
-    records = []
-    for where, clip_id, obj in read_clips(path):
-        observed = parse_actions(_require(obj, "observed", list, where), taxonomy, where)
-        future = None
-        if obj.get("future") is not None:
-            tokens = _require(obj, "future", list, where)
-            if len(tokens) != horizon:
+    file, codes, sizes = StageFile(path, taxonomy), array("q"), array("q")  # sizes: observed, future (-1: none)
+    with file.checking():
+        for where, obj in file.rows():
+            observed = _require(obj, "observed", list, where)
+            codes.fromlist(file.code(observed))
+            future = None if obj.get("future") is None else _require(obj, "future", list, where)
+            if future is not None and len(future) != horizon:
                 raise DataError(
-                    f"{where}: clip {clip_id!r} has a future of {len(tokens)} actions, expected {horizon}"
+                    f"{where}: clip {obj['clip_id']!r} has a future of {len(future)} actions, expected {horizon}"
                 )
-            future = parse_actions(tokens, taxonomy, where)
-        records.append(ClipRecord(clip_id, observed, future))
-    return records
+            codes.fromlist(file.code(future or []))
+            sizes.fromlist([len(observed), -1 if future is None else horizon])
+    parts = np.split(file.table[np.frombuffer(codes, np.int64)], np.cumsum(np.maximum(sizes, 0))[:-1])
+    return [ClipRecord(clip_id, observed, None if size < 0 else future)
+            for clip_id, observed, future, size in zip(file.clip_ids, parts[::2], parts[1::2], sizes[1::2])]
 
 
 def save_annotations(path, records: list[ClipRecord], taxonomy: Taxonomy) -> None:
@@ -155,36 +248,49 @@ def save_annotations(path, records: list[ClipRecord], taxonomy: Taxonomy) -> Non
     atomic_write_text(path, dump_jsonl(rows))
 
 
-def _clean_probs(values: list, expected_len: int, name: str, where: str) -> np.ndarray:
-    if not set(map(type, values)) <= {float, int}:  # JSON numbers only: no str, bool, null or list
-        raise DataError(f"{where}: {name} is not a vector of numbers")
-    if len(values) != expected_len:
-        raise DataError(f"{where}: {name} has length {len(values)}, expected {expected_len}")
-    try:
-        arr = np.asarray(values, dtype=float)
-    except OverflowError:
-        raise DataError(f"{where}: {name} contains a number too large for a float") from None
-    if not np.isfinite(arr).all():
-        raise DataError(f"{where}: {name} contains non-finite entries")
-    if (arr < 0).any():
-        raise DataError(f"{where}: {name} contains a negative probability")
-    total = float(arr.sum())
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise DataError(f"{where}: {name} sums to {total!r}, outside 1 +/- {SUM_TOLERANCE}")
-    return arr / total
+def _probs(column: array, size: int) -> np.ndarray:
+    """The column's complete rows (a line can fail between its two vectors) as a rows x size view."""
+    rows = len(column) // size
+    return np.frombuffer(column, np.float64, rows * size).reshape(rows, size)
+
+
+def _probs_error(file: StageFile, name: str, size: int, column: array):
+    """(row, error) for the first row that is not finite, has a negative entry, or sums outside the band."""
+    probs = _probs(column, size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        totals = probs.sum(axis=1)
+        rules = [~np.isfinite(probs).all(axis=1), (probs < 0).any(axis=1), np.abs(totals - 1.0) > SUM_TOLERANCE]
+    bad = np.flatnonzero(np.logical_or.reduce(rules))
+    if len(bad):
+        row = int(bad[0])
+        texts = ["contains non-finite entries", "contains a negative probability",
+                 f"sums to {float(totals[row])!r}, outside 1 +/- {SUM_TOLERANCE}"]
+        return row, DataError(f"{file.where(row)}: {name} {next(t for t, r in zip(texts, rules) if r[row])}")
 
 
 def load_distributions(path, taxonomy: Taxonomy) -> list[ClipDistributions]:
-    """Load per-segment probability vectors as one record per clip (see `read_segments`),
+    """Load per-segment probability vectors as one record per clip (see `StageFile`),
     renormalizing sums inside the tolerance band."""
-
-    def parse(obj: dict, where: str) -> list[np.ndarray]:  # [verb_probs, noun_probs]
-        return [
-            _clean_probs(_require(obj, name, list, where), size, name, where)
-            for name, size in (("verb_probs", taxonomy.num_verbs), ("noun_probs", taxonomy.num_nouns))
-        ]
-
-    return read_segments(path, parse, lambda clip_id, rows: ClipDistributions(clip_id, *map(np.array, zip(*rows))))
+    file = StageFile(path, taxonomy, per_segment=True)
+    fields = [("verb_probs", taxonomy.num_verbs, array("d")), ("noun_probs", taxonomy.num_nouns, array("d"))]
+    with file.checking(*(partial(_probs_error, file, *field) for field in fields)):
+        for where, obj in file.rows():
+            for name, size, column in fields:
+                values = _require(obj, name, list, where)
+                if not set(map(type, values)) <= {float, int}:  # JSON numbers only: no str, bool, null or list
+                    raise DataError(f"{where}: {name} is not a vector of numbers")
+                if len(values) != size:
+                    raise DataError(f"{where}: {name} has length {len(values)}, expected {size}")
+                try:
+                    column.frombytes(np.asarray(values, np.float64).tobytes())
+                except OverflowError:
+                    raise DataError(f"{where}: {name} contains a number too large for a float") from None
+    order, starts = file.order()
+    verb, noun = (_probs(column, size)[order] for _, size, column in fields)
+    for probs in (verb, noun):
+        probs /= probs.sum(axis=1, keepdims=True)  # each row by its own sum, as checked
+    return [ClipDistributions(clip_id, verb[a:b], noun[a:b])
+            for clip_id, a, b in zip(file.clip_ids, starts, starts[1:])]
 
 
 def save_distributions(path, clips: list[ClipDistributions]) -> None:
@@ -217,21 +323,22 @@ def _distribution_lines(clip: ClipDistributions) -> str:
 
 def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -> list[PredictionSet]:
     """Load candidate future sets as K x Z x 2 id arrays; every candidate must be exactly `horizon` long."""
-    out = []
-    for where, clip_id, obj in read_clips(path):
-        raw = _require(obj, "candidates", list, where)
-        if not raw:
-            raise DataError(f"{where}: clip {clip_id!r} has no candidates (need K >= 1)")
-        for idx, tokens in enumerate(raw):
-            if not isinstance(tokens, list):
-                raise DataError(f"{where}: candidate {idx} is not a list")
-            if len(tokens) != horizon:
-                raise DataError(
-                    f"{where}: candidate {idx} has {len(tokens)} actions, expected {horizon}"
-                )
-        steps = parse_actions(list(chain.from_iterable(raw)), taxonomy, where)
-        out.append(PredictionSet(clip_id, steps.reshape(len(raw), horizon, 2)))
-    return out
+    file, codes, num_candidates = StageFile(path, taxonomy), array("q"), array("q")
+    with file.checking():
+        for where, obj in file.rows():
+            raw = _require(obj, "candidates", list, where)
+            if not raw:
+                raise DataError(f"{where}: clip {obj['clip_id']!r} has no candidates (need K >= 1)")
+            for idx, tokens in enumerate(raw):
+                if not isinstance(tokens, list):
+                    raise DataError(f"{where}: candidate {idx} is not a list")
+                if len(tokens) != horizon:
+                    raise DataError(f"{where}: candidate {idx} has {len(tokens)} actions, expected {horizon}")
+            codes.fromlist(file.code(list(chain.from_iterable(raw))))
+            num_candidates.append(len(raw))
+    steps = np.split(file.table[np.frombuffer(codes, np.int64)], np.cumsum(num_candidates)[:-1] * horizon)
+    return [PredictionSet(clip_id, clip_steps.reshape(num_k, horizon, 2))
+            for clip_id, num_k, clip_steps in zip(file.clip_ids, num_candidates, steps)]
 
 
 def save_predictions(path, predictions: list[PredictionSet], taxonomy: Taxonomy) -> None:

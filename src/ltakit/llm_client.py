@@ -105,16 +105,17 @@ class LlmClient(_ChatClient):
 
     def __init__(self, config: LlmConfig):
         # urlopen would also open file:, ftp: and data: URLs; a chat endpoint is HTTP. http.client
-        # refuses a space or control character in a URL, so no attempt could succeed.
+        # refuses a space or control character in a URL, and a non-ASCII one in the request line
+        # (the host goes through IDNA), so no attempt could succeed.
         url = config.endpoint_url
         try:
             parts = urlsplit(url)
         except ValueError:
             parts = None
         if parts is None or parts.scheme not in ("http", "https") or not parts.hostname or any(
-                ch <= " " or ch == "\x7f" for ch in url):
-            raise DataError(f"endpoint URL must be http or https with a host and no space or control character"
-                            f" (percent-encode them), got {url!r}")
+                ch <= " " or ch == "\x7f" for ch in url) or not (parts.path + parts.query).isascii():
+            raise DataError(f"endpoint URL must be http or https with a host and no space or control character,"
+                            f" nor a non-ASCII one in the path or query (percent-encode them), got {url!r}")
         super().__init__(config)
 
     def _send(self, payload: dict) -> dict:

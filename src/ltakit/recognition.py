@@ -21,16 +21,16 @@ segment or candidate.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from ._fileio import atomic_write_text, dump_jsonl
 from .cooccurrence import CooccurrenceMatrix
-from .dataset_io import ClipDistributions, read_segments
+from .dataset_io import ClipDistributions, StageFile
 from .errors import DataError
-from .taxonomy import Taxonomy, format_actions, parse_actions
+from .taxonomy import Taxonomy, format_actions
 
 BRANCH_VERB = "verb_anchored"
 BRANCH_NOUN = "noun_anchored"
@@ -158,36 +158,49 @@ def save_recognition(path, clips: list[ClipRecognition], taxonomy: Taxonomy) -> 
 
 
 def load_recognition(path, taxonomy: Taxonomy) -> list[ClipRecognition]:
-    """One record per clip, as `dataset_io.read_segments` groups and checks the rows."""
-
-    def parse(obj: dict, where: str):
-        try:
-            actions, scores, verb_anchored = [obj["chosen"], obj["naive"]], [], []
-            for raw in obj.get("candidates", []):
-                branch, score = raw["branch"], raw["score"]
-                if branch not in (BRANCH_VERB, BRANCH_NOUN):
-                    raise DataError(f"unknown branch {branch!r}")
-                if type(score) not in (int, float) or not math.isfinite(score):  # JSON numbers only, not bools
-                    raise DataError(f"candidate score must be a finite number, got {score!r}")
-                actions.append(raw["action"])
-                scores.append(float(score))
-                verb_anchored.append(branch == BRANCH_VERB)
-            fallback = obj.get("fallback", False)
-            if not isinstance(fallback, bool):
-                raise DataError(f"field 'fallback' must be true or false, got {fallback!r}")
-            return parse_actions(actions, taxonomy), scores, verb_anchored, fallback
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, DataError):
-                raise DataError(f"{where}: {exc}") from None
-            raise DataError(f"{where}: malformed recognition record ({exc!r})") from None
-
-    def build(clip_id: str, rows: list) -> ClipRecognition:
-        ids, scores, verb_anchored, fallback = zip(*rows)
-        heads = np.stack([a[:2] for a in ids])  # each row's ids: chosen, naive, then its candidates
-        return ClipRecognition(
-            clip_id, heads[:, 0], heads[:, 1], np.concatenate([a[2:] for a in ids]),
-            np.fromiter(chain.from_iterable(scores), float), np.fromiter(chain.from_iterable(verb_anchored), bool),
-            np.array([len(a) - 2 for a in ids], np.intp), np.array(fallback),
+    """One record per clip, read as `dataset_io.StageFile` reads and checks a segment file."""
+    file = StageFile(path, taxonomy, per_segment=True)
+    heads, candidates, scores = array("q"), array("q"), array("d")  # heads: each row's chosen, naive
+    verb_anchored, counts, fallback = array("b"), array("q"), array("b")
+    with file.checking():
+        for where, obj in file.rows():
+            try:
+                actions = [obj["chosen"], obj["naive"]]
+                for raw in obj.get("candidates", []):
+                    branch, score = raw["branch"], raw["score"]
+                    if branch not in (BRANCH_VERB, BRANCH_NOUN):
+                        raise DataError(f"unknown branch {branch!r}")
+                    if type(score) not in (int, float) or not math.isfinite(score):  # JSON numbers only, not bools
+                        raise DataError(f"candidate score must be a finite number, got {score!r}")
+                    actions.append(raw["action"])
+                    scores.append(score)
+                    verb_anchored.append(branch == BRANCH_VERB)
+                flag = obj.get("fallback", False)
+                if not isinstance(flag, bool):
+                    raise DataError(f"field 'fallback' must be true or false, got {flag!r}")
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                if isinstance(exc, DataError):
+                    raise DataError(f"{where}: {exc}") from None
+                raise DataError(f"{where}: malformed recognition record ({exc!r})") from None
+            codes = file.code(actions)
+            heads.fromlist(codes[:2])
+            candidates.fromlist(codes[2:])
+            counts.append(len(codes) - 2)
+            fallback.append(flag)
+    order, starts = file.order()
+    counts = np.array(counts, np.intp)
+    place = np.empty_like(counts)
+    place[order] = np.arange(len(counts))  # each row's place in (clip, segment) order
+    taken = np.argsort(np.repeat(place, counts), kind="stable")  # the candidates in that order
+    heads = file.table[np.frombuffer(heads, np.int64)].reshape(-1, 2, 2)[order]
+    candidates = file.table[np.frombuffer(candidates, np.int64)[taken]]
+    scores, verb_anchored = np.frombuffer(scores)[taken], np.frombuffer(verb_anchored, bool)[taken]
+    counts, fallback = counts[order], np.frombuffer(fallback, bool)[order]
+    bounds = [0, *np.cumsum(counts).tolist()]  # row i's candidates are bounds[i]:bounds[i + 1]
+    return [
+        ClipRecognition(
+            clip_id, heads[a:b, 0], heads[a:b, 1], candidates[bounds[a] : bounds[b]], scores[bounds[a] : bounds[b]],
+            verb_anchored[bounds[a] : bounds[b]], counts[a:b], fallback[a:b],
         )
-
-    return read_segments(path, parse, build)
+        for clip_id, a, b in zip(file.clip_ids, starts, starts[1:])
+    ]

@@ -116,22 +116,26 @@ def parse_action(text: str, taxonomy: Taxonomy) -> tuple[int, int]:
     return taxonomy._verb_index[verb], taxonomy._noun_index[noun]
 
 
-def parse_actions(tokens: list, taxonomy: Taxonomy, where: str = "") -> np.ndarray:
-    """Parse "verb noun" texts into an L x 2 array of (verb id, noun id) rows.
+def parse_actions(tokens: list, taxonomy: Taxonomy, where: str | list[str] = "") -> np.ndarray:
+    """Parse "verb noun" texts into an L x 2 array of (verb id, noun id) rows, resolving each distinct text once.
 
     A bad token raises `parse_action`'s error for the first one, prefixed
-    with `where: ` when `where` is given.
+    with `where: ` when `where` is given, or with `where[i]: ` for token i
+    when it is a list.
     """
     verbs, nouns = taxonomy._verb_index, taxonomy._noun_index
     try:
-        ids = chain.from_iterable((verbs[v], nouns[n]) for v, n in (token.split(" ") for token in tokens))
-        return np.fromiter(ids, np.intp, 2 * len(tokens)).reshape(-1, 2)
-    except (AttributeError, ValueError, KeyError):  # not a string, not two labels, unknown label
-        for token in tokens:
+        codes = {token: code for code, token in enumerate(dict.fromkeys(tokens))}  # first-appearance order
+        ids = chain.from_iterable((verbs[v], nouns[n]) for v, n in (text.split(" ") for text in codes))
+        table = np.fromiter(ids, np.intp, 2 * len(codes)).reshape(-1, 2)
+        return table[np.fromiter(map(codes.__getitem__, tokens), np.intp, len(tokens))]
+    except (AttributeError, ValueError, KeyError, TypeError):  # not a string, not two labels, unknown label
+        for i, token in enumerate(tokens):
             try:
                 parse_action(token, taxonomy)
             except DataError as exc:
-                raise DataError(f"{where}: {exc}" if where else str(exc)) from None
+                prefix = where if isinstance(where, str) else where[i]
+                raise DataError(f"{prefix}: {exc}" if prefix else str(exc)) from None
         raise
 
 

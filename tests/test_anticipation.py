@@ -556,6 +556,18 @@ class TestCorpusRollouts:
             predictor.predict_corpus({"ok": actions((0, 0))}, 0, 2)
         assert predictor.predict_corpus({}, 5, 2) == []
 
+    def test_greedy_single_candidate_seeds_no_generator(self, monkeypatch):
+        # Greedy K=1 is the argmax rollout alone: no uniform is drawn, so no per-clip Generator is built.
+        taxonomy, records = tied_corpus()
+        model = fit_ngram(records, 2, 0.5, taxonomy)
+        self.check(model, self.HISTORIES, "greedy", 5, 3, 12, 1)
+        seeded, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: seeded.append(args) or default_rng(*args))
+        NgramPredictor(model).predict_corpus(self.HISTORIES, 12, 1)
+        assert seeded == []
+        NgramPredictor(model).predict_corpus(self.HISTORIES, 12, 2)
+        assert len(seeded) == len(self.HISTORIES)
+
     def test_clip_results_do_not_depend_on_batch_order(self):
         taxonomy, records = tied_corpus()
         predictor = NgramPredictor(fit_ngram(records, 3, 0.5, taxonomy), mode="sample", seed=6, sample_top_k=4)

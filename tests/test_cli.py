@@ -479,7 +479,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "endpoint",
-        ["file:///etc/hostname", "ftp://127.0.0.1:9/v1", "localhost:8000/v1", "http://[::1", "http://127.0.0.1:9/a b"],
+        ["file:///etc/hostname", "ftp://127.0.0.1:9/v1", "localhost:8000/v1", "http://[::1", "http://127.0.0.1:9/a b",
+         "http://127.0.0.1:9/\u00e9"],
     )
     def test_non_http_llm_endpoint_is_data_error(self, pipeline, tmp_path, capsys, endpoint):
         # Rejected at once: no request, no retry and no backoff sleep.

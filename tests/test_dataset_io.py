@@ -19,9 +19,11 @@ from ltakit.dataset_io import (
     save_distributions,
     save_predictions,
 )
+from ltakit.cooccurrence import CooccurrenceMatrix
 from ltakit.errors import DataError
-from ltakit.recognition import load_recognition
+from ltakit.recognition import load_recognition, recognize_clip, save_recognition
 from ltakit.synthgen import SynthConfig, generate_corpus
+from ltakit.taxonomy import Taxonomy
 
 from conftest import actions
 from oracles import distributions_jsonl
@@ -69,6 +71,97 @@ class TestReaders:
         with pytest.raises(DataError) as info:
             load(path, kitchen)
         assert str(info.value) == (message if message == self.GAP else f"{path}{message}")
+
+    @pytest.mark.parametrize("loader", [*SEGMENT_LOADERS, *CLIP_LOADERS])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"clip_id": "c"} x', "Extra data: line 1 column 18 (char 17)"),
+            ('\ufeff{"clip_id": "c"}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            ('{"clip_id": [}', "Expecting value: line 1 column 14 (char 13)"),
+        ],
+        ids=["extra-data", "bom", "bad-value"],
+    )
+    def test_invalid_json_is_json_loads_message(self, tmp_path, kitchen, loader, text, message):
+        load, _ = {**self.SEGMENT_LOADERS, **self.CLIP_LOADERS}[loader]
+        path = tmp_path / f"{loader}.jsonl"
+        path.write_text("\n" + text + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load(path, kitchen)
+        assert str(info.value) == f"{path}:2: invalid JSON ({message})"
+
+    # Per loader: a line-2 payload whose value error is found on whole arrays after the
+    # pass (deferred), one found while the line is read, and the message line 2 must raise.
+    BAD_VALUES = {
+        "distributions": [
+            ({"verb_probs": [0.5, 0.5, 0.5, 0], "noun_probs": [1, 0, 0, 0, 0]},
+             ":2: verb_probs sums to 1.5, outside 1 +/- 0.0001"),
+            ({"verb_probs": [1, 0, 0, 0], "noun_probs": [1, 0, 0]}, ":2: noun_probs has length 3, expected 5"),
+        ],
+        "recognition": [
+            ({"chosen": "take spoon", "naive": "take knife"}, ":2: unknown noun 'knife'"),
+            ({"chosen": "take spoon", "naive": "take spoon", "fallback": 0},
+             ":2: field 'fallback' must be true or false, got 0"),
+        ],
+    }
+
+    @pytest.mark.parametrize("loader", list(SEGMENT_LOADERS))
+    @pytest.mark.parametrize("deferred", [True, False], ids=["deferred", "on-read"])
+    @pytest.mark.parametrize("third", [{"segment": 1}, {"segment": 3}], ids=["then-duplicate", "then-gap"])
+    def test_first_bad_line_wins(self, tmp_path, kitchen, loader, deferred, third):
+        load, payload = self.SEGMENT_LOADERS[loader]
+        bad, message = self.BAD_VALUES[loader][0 if deferred else 1]
+        path = tmp_path / f"{loader}.jsonl"
+        write_jsonl(path, [{"clip_id": "c", "segment": 0, **payload}, {"clip_id": "c", "segment": 1, **bad},
+                           {"clip_id": "c", **third, **payload}])
+        with pytest.raises(DataError) as info:
+            load(path, kitchen)
+        assert str(info.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize("loader", list(SEGMENT_LOADERS))
+    def test_repeated_segment_before_a_later_value_error(self, tmp_path, kitchen, loader):
+        load, payload = self.SEGMENT_LOADERS[loader]
+        bad, _ = self.BAD_VALUES[loader][0]
+        path = tmp_path / f"{loader}.jsonl"
+        write_jsonl(path, [{"clip_id": "c", "segment": 0, **payload}, {"clip_id": "c", "segment": 0, **bad}])
+        with pytest.raises(DataError) as info:
+            load(path, kitchen)
+        # Same line: the key rule comes before the values, as when every line was checked as read.
+        assert str(info.value) == f"{path}:2: duplicate segment 0 for clip 'c'"
+
+    def test_earlier_vector_wins_within_a_line(self, tmp_path, kitchen):
+        path = tmp_path / "distributions.jsonl"
+        write_jsonl(path, [{"clip_id": "c", "segment": 0, "verb_probs": [1, 0, -0.5, 0.5], "noun_probs": "x"}])
+        with pytest.raises(DataError) as info:
+            load_distributions(path, kitchen)
+        assert str(info.value) == f"{path}:1: verb_probs contains a negative probability"
+
+    def test_gap_past_int64_keeps_its_segment(self, tmp_path, kitchen):
+        load, payload = self.SEGMENT_LOADERS["recognition"]
+        path = tmp_path / "recognition.jsonl"
+        write_jsonl(path, [{"clip_id": "c", "segment": s, **payload} for s in (0, 2**70, 2**64)])
+        with pytest.raises(DataError) as info:
+            load(path, kitchen)
+        assert str(info.value) == f"clip 'c': segment indices must be contiguous from 0, expected 1 but found {2**64}"
+
+    @pytest.mark.parametrize(
+        "second, third, message",
+        [
+            ({"candidates": [["take spoon", "fold pot"]]}, {"clip_id": "c1"}, ":2: unknown verb 'fold'"),
+            ({"candidates": [["take spoon", "fold pot"]]}, {}, ":2: unknown verb 'fold'"),
+            ({"candidates": [["take spoon"]]}, {"clip_id": "c1"}, ":2: candidate 0 has 1 actions, expected 2"),
+            ({"candidates": [["take spoon", "take pot"]], "clip_id": "c1"}, {"candidates": [["fold pot"] * 2]},
+             ":2: duplicate clip_id 'c1'"),
+        ],
+        ids=["text-then-duplicate", "text-then-no-clip-id", "length-then-duplicate", "duplicate-then-text"],
+    )
+    def test_first_bad_line_wins_in_predictions(self, tmp_path, kitchen, second, third, message):
+        path = tmp_path / "predictions.jsonl"
+        good = {"candidates": [["take spoon", "stir pot"]]}
+        write_jsonl(path, [{"clip_id": "c1", **good}, {"clip_id": "c2", **second}, {**good, **third}])
+        with pytest.raises(DataError) as info:
+            load_predictions(path, kitchen, horizon=2)
+        assert str(info.value) == f"{path}{message}"
 
     @pytest.mark.parametrize("loader", list(CLIP_LOADERS))
     @pytest.mark.parametrize(
@@ -146,6 +239,13 @@ class TestAnnotations:
         write_jsonl(path, [{"clip_id": "c1", "observed": ["fly spoon"]}])
         with pytest.raises(DataError, match=r":1.*fly"):
             load_annotations(path, kitchen)
+
+    def test_observed_text_error_before_future_length(self, tmp_path, kitchen):
+        path = tmp_path / "ann.jsonl"
+        write_jsonl(path, [{"clip_id": "c1", "observed": ["take spoon", "fly spoon"], "future": ["take pot"]}])
+        with pytest.raises(DataError) as info:
+            load_annotations(path, kitchen)
+        assert str(info.value) == f"{path}:1: unknown verb 'fly'"
 
     def test_invalid_json_line(self, tmp_path, kitchen):
         path = tmp_path / "ann.jsonl"
@@ -283,6 +383,39 @@ class TestDistributions:
         assert loaded[0].verb_probs.sum() == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(loaded[0].verb_probs, dists[0].verb_probs, atol=1e-12)
         assert np.allclose(loaded[0].noun_probs, dists[0].noun_probs, atol=1e-12)
+
+
+    def test_renormalization_matches_row_by_row_bitwise(self, tmp_path):
+        # All-distinct Dirichlet rows at the ROADMAP widths (97 and 300, past numpy's
+        # 128-value pairwise-sum block): the whole-array axis-1 sums must divide each
+        # row exactly as its own 1-D sum would, and recognition must write the same bytes.
+        rng = np.random.default_rng(17)
+        wide = Taxonomy([f"v{i}" for i in range(97)], [f"n{i}" for i in range(300)])
+        clips = [ClipDistributions(f"c{i}", rng.dirichlet(np.ones(97), 6), rng.dirichlet(np.ones(300), 6))
+                 for i in range(8)]
+        path = tmp_path / "dist.jsonl"
+        save_distributions(path, clips)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        by_row = {}
+        for row in rows:
+            for name in ("verb_probs", "noun_probs"):
+                raw = np.array(row[name])
+                by_row[row["clip_id"], row["segment"], name] = raw / raw.sum()
+        assert any(np.array(row["noun_probs"]).sum() != 1.0 for row in rows)  # the division is not a no-op
+        loaded = load_distributions(path, wide)
+        for clip in loaded:
+            for name in ("verb_probs", "noun_probs"):
+                want = np.stack([by_row[clip.clip_id, i, name] for i in range(len(clip.verb_probs))])
+                assert getattr(clip, name).tobytes() == want.tobytes()
+        matrix = CooccurrenceMatrix(rng.integers(0, 5, (97, 300)), alpha=0.5)
+        one_by_one = [ClipDistributions(c.clip_id, *(np.stack([by_row[c.clip_id, i, name] for i in range(6)])
+                                                      for name in ("verb_probs", "noun_probs"))) for c in clips]
+        texts = []
+        for source in (loaded, one_by_one):
+            out = tmp_path / f"recognition{len(texts)}.jsonl"
+            save_recognition(out, [recognize_clip(clip, matrix) for clip in source], wide)
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
 
 
 class TestSaveDistributionsBytes:

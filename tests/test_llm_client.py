@@ -78,6 +78,17 @@ class TestConfig:
         with pytest.raises(DataError, match="no space or control character"):
             LlmClient(LlmConfig(url, "m", max_retries=2))
 
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:9/\u00e9", "http://127.0.0.1:9/v1?q=\u53a8"])
+    def test_live_client_rejects_non_ascii_path_or_query(self, url):
+        # http.client cannot encode them in the request line: each attempt died with a
+        # UnicodeEncodeError, which is no DataError, so the CLI exited 1 with a traceback.
+        with pytest.raises(DataError, match="non-ASCII one in the path or query"):
+            LlmClient(LlmConfig(url, "m", max_retries=0))
+
+    def test_live_client_leaves_a_non_ascii_host_to_idna(self):
+        url = "http://b\u00fccher.example/v1#\u00e9"
+        assert LlmClient(LlmConfig(url, "m")).config.endpoint_url == url
+
 
 class TestMockClient:
     def test_single_success(self):

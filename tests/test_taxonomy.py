@@ -117,6 +117,18 @@ def test_parse_action_malformed(kitchen, text):
     assert str(vector.value) == f"f.jsonl:3: {single.value}"
 
 
+def test_parse_actions_repeats_and_per_token_locations(kitchen):
+    # Repeated texts are resolved once and map back in place; a list of locations names each token.
+    parsed = parse_actions(["wash bowl", "take spoon", "wash bowl"], kitchen)
+    assert parsed.dtype == np.intp and parsed.tolist() == [[3, 4], [0, 0], [3, 4]]
+    with pytest.raises(DataError) as info:
+        parse_actions(["take spoon", "take spoon", "fly pot", ["x"]], kitchen, ["f:1", "f:2", "f:3", "f:4"])
+    assert str(info.value) == "f:3: unknown verb 'fly'"
+    with pytest.raises(DataError) as info:
+        parse_actions(["take spoon", ["x"], "fly pot"], kitchen, ["f:1", "f:2", "f:3"])
+    assert str(info.value) == "f:2: action entries must be strings, got ['x']"
+
+
 def test_format_action(kitchen):
     assert format_actions(actions((0, 0), (1, 0)), kitchen) == ["take spoon", "put spoon"]
     assert format_actions(actions(), kitchen) == []
