@@ -324,13 +324,18 @@ class LlmPredictor:
         self.fallback = fallback
 
     def predict(self, clip_id: str, history: np.ndarray, horizon: int = 20,
-                num_candidates: int = DEFAULT_CANDIDATES) -> PredictionSet:
+                num_candidates: int = DEFAULT_CANDIDATES, *, position: int = 0) -> PredictionSet:
+        """K completions for one clip. Candidate i's request is keyed (position, i) in the
+        client's log, `position` being the clip's place in the corpus, so the log of clips
+        predicted on several threads lists them by (clip, candidate, attempt)."""
         _check_predict_args(clip_id, history, horizon, num_candidates)
         user = render_prompt(self.template, format_action_history(history, self.taxonomy), horizon)
         candidates = []
         for index in range(num_candidates):
             try:
-                text = self.client.complete(self.template.system_text, user, 0.0 if index == 0 else None)
+                text = self.client.complete(
+                    self.template.system_text, user, 0.0 if index == 0 else None, key=(position, index)
+                )
             except LlmError as exc:
                 raise type(exc)(f"clip {clip_id!r}: {exc}") from exc
             parsed = parse_response(text, self.taxonomy, horizon, self.fallback)

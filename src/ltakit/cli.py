@@ -39,7 +39,7 @@ from .errors import DataError, LlmError
 from .llm_client import LlmClient, LlmConfig, MockLlmClient, load_script
 from .metrics import corpus_eval, format_report, normalized_ed, save_report
 from .recognition import (
-    DEFAULT_TOP_K, load_recognition, naive_clip, recognize_clip, save_recognition, segment_records,
+    DEFAULT_TOP_K, load_recognition, naive_clip, recognize_clip, rerank_blocks, save_recognition, segment_records,
 )
 from .synthgen import SynthConfig, generate_corpus, provenance
 from .taxonomy import Taxonomy, format_actions, load_taxonomy, save_taxonomy
@@ -93,9 +93,8 @@ def _cmd_recognize(args) -> None:
     taxonomy = load_taxonomy(args.taxonomy)
     matrix = load_matrix(args.matrix, taxonomy)
     clips = load_distributions(args.distributions, taxonomy)
-    recognized = [
-        naive_clip(clip) if args.naive else recognize_clip(clip, matrix, args.top_k) for clip in clips
-    ]
+    rerank = naive_clip if args.naive else lambda block: recognize_clip(block, matrix, args.top_k)
+    recognized = rerank_blocks(clips, rerank, matrix.shape)
     save_recognition(args.out, recognized, taxonomy)
     mode = "naive" if args.naive else f"reranked (top-{args.top_k})"
     segments = sum(len(clip.chosen) for clip in recognized)
@@ -152,14 +151,14 @@ def _cmd_anticipate(args) -> None:
 
     if isinstance(predictor, NgramPredictor):
         predictions = predictor.predict_corpus(histories, args.horizon, args.candidates)
+    elif client is None:
+        predictions = [predictor.predict(*item, args.horizon, args.candidates) for item in histories.items()]
     else:
-        run_clip = lambda item: predictor.predict(*item, args.horizon, args.candidates)
-        if client is None:
-            predictions = list(map(run_clip, histories.items()))
-        else:
-            # Threads overlap endpoint waits; map() returns results in clip order.
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                predictions = list(pool.map(run_clip, histories.items()))
+        # Threads overlap endpoint waits; map() returns results in clip order, and each
+        # clip's position keys its requests, so the request log is in clip order too.
+        run_clip = lambda position, item: predictor.predict(*item, args.horizon, args.candidates, position=position)
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            predictions = list(pool.map(run_clip, range(len(histories)), histories.items()))
     save_predictions(args.out, predictions, taxonomy)
     if args.llm_request_log and client is not None:
         atomic_write_text(args.llm_request_log, dump_jsonl(client.requests))

@@ -1,4 +1,8 @@
-"""Verb-noun co-occurrence counts and their stochastic normalizations."""
+"""Verb-noun co-occurrence counts and their stochastic normalizations.
+
+The matrix file's sha256 covers the count rows as `save_matrix` formats them,
+so `load_matrix` checks it on the raw rows and re-formats only on a mismatch.
+"""
 
 from __future__ import annotations
 
@@ -73,8 +77,18 @@ def build_cooccurrence(
 
 
 def _rows_text(counts: np.ndarray) -> list[str]:
-    # repr round-trips float64 exactly, so save -> load -> save is a fixed point.
-    return [" ".join(repr(float(x)) for x in row) for row in counts]
+    """Each row as its counts' reprs joined by spaces; repr round-trips float64, so save -> load
+    -> save is a fixed point. Each distinct bit pattern (-0.0 is not 0.0) is formatted once, and
+    only one row at a time becomes Python objects, which keeps the peak memory down."""
+    texts: dict[int, str] = {}
+    lines = []
+    for row in np.asarray(counts, np.float64):
+        bits = row.view(np.uint64).tolist()
+        values = dict(zip(bits, row.tolist()))
+        for key in values.keys() - texts.keys():
+            texts[key] = repr(values[key])
+        lines.append(" ".join(map(texts.__getitem__, bits)))
+    return lines
 
 
 def _digest(alpha: float, shape: tuple[int, int], rows: list[str]) -> str:
@@ -112,8 +126,10 @@ def _header_value(line: str, key: str, path) -> str:
 def load_matrix(path, taxonomy: Taxonomy | None = None) -> CooccurrenceMatrix:
     """Read a matrix file back, verifying its checksum and optional taxonomy dims.
 
-    Stochastic forms are recomputed from the stored counts, never trusted
-    from disk.
+    The checksum is tried on the raw count rows, then on the parsed counts
+    re-formatted, so a hand edit that keeps every value ("1" for "1.0") still
+    loads and one that changes a value raises IntegrityError. Stochastic
+    forms are recomputed from the stored counts, never trusted from disk.
     """
     with open_text(path) as fh:
         lines = fh.read().splitlines()
@@ -137,11 +153,11 @@ def load_matrix(path, taxonomy: Taxonomy | None = None) -> CooccurrenceMatrix:
         if len(values) != num_nouns:
             raise DataError(f"{path}: row {i} has {len(values)} entries, expected {num_nouns}")
         try:
-            counts.append([float(v) for v in values])
+            counts.append(list(map(float, values)))
         except ValueError:
             raise DataError(f"{path}: row {i} contains a non-numeric entry") from None
     counts = np.array(counts)
-    if _digest(alpha, counts.shape, _rows_text(counts)) != stored:
+    if _digest(alpha, counts.shape, rows) != stored and _digest(alpha, counts.shape, _rows_text(counts)) != stored:
         raise IntegrityError(f"{path}: checksum mismatch, file contents were altered")
     if taxonomy is not None and (num_verbs, num_nouns) != (taxonomy.num_verbs, taxonomy.num_nouns):
         raise DataError(

@@ -282,7 +282,7 @@ def load_distributions(path, taxonomy: Taxonomy) -> list[ClipDistributions]:
                 if len(values) != size:
                     raise DataError(f"{where}: {name} has length {len(values)}, expected {size}")
                 try:
-                    column.frombytes(np.asarray(values, np.float64).tobytes())
+                    column.fromlist(values)  # all or nothing: a failed call leaves the column as it was
                 except OverflowError:
                     raise DataError(f"{where}: {name} contains a number too large for a float") from None
     order, starts = file.order()

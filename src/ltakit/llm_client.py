@@ -24,6 +24,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from operator import itemgetter
 from urllib.parse import urlsplit
 
 from ._fileio import load_json
@@ -67,10 +68,21 @@ class _ChatClient:
 
     def __init__(self, config: LlmConfig):
         self.config = config
-        self.requests: list[dict] = []  # one body per attempt; bodies never hold the token
+        self._attempts: list[tuple[tuple, dict]] = []  # (the call's key, body) per attempt, in arrival order
 
-    def complete(self, system: str, user: str, temperature: float | None = None) -> str:
-        """Send one completion; retry transport failures with exponential backoff."""
+    @property
+    def requests(self) -> list[dict]:
+        """One body per attempt, by the key its `complete` call was given, then in arrival order
+        (so calls without a key keep arrival order); bodies never hold the token."""
+        return [body for _, body in sorted(self._attempts, key=itemgetter(0))]
+
+    def complete(self, system: str, user: str, temperature: float | None = None, key: tuple = ()) -> str:
+        """Send one completion; retry transport failures with exponential backoff.
+
+        `key` places this call's attempts in `requests`. Callers on several
+        threads give each call its own key, such as (clip index, candidate),
+        so that the log does not depend on thread timing.
+        """
         payload = {
             "model": self.config.model_name,
             "messages": [
@@ -84,7 +96,7 @@ class _ChatClient:
         attempt = 0
         while True:
             attempt += 1
-            self.requests.append(copy.deepcopy(payload))
+            self._attempts.append((key, copy.deepcopy(payload)))
             try:
                 body = self._send(payload)
             except TransportError:

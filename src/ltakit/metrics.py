@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,6 +212,10 @@ def save_report(path, report: EvalReport) -> None:
         "ar_verb_acc": report.ar_verb_acc,
         "ar_noun_acc": report.ar_noun_acc,
         "ar_action_acc": report.ar_action_acc,
-        "clips": [asdict(r) for r in report.per_clip],  # ClipScores fields, in order
+        "clips": [  # ClipScores fields, in order; asdict would deep-copy each record
+            {"clip_id": r.clip_id, "verb_ed": r.verb_ed, "noun_ed": r.noun_ed, "action_ed": r.action_ed,
+             "best_verb": r.best_verb, "best_noun": r.best_noun, "best_action": r.best_action}
+            for r in report.per_clip
+        ],
     }
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")

@@ -15,18 +15,23 @@ score. Ties everywhere break toward the lower verb index, then the lower
 noun index.
 
 A clip's result is one `ClipRecognition` of arrays, with no object per
-segment or candidate.
+segment or candidate. Every step scores a segment on its own, so a corpus is
+re-ranked in blocks of BLOCK_SEGMENTS segments that span clip boundaries
+(`rerank_blocks`), and the results are split back into per-clip views.
+`save_recognition` formats its lines straight from those arrays.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
-from ._fileio import atomic_write_text, dump_jsonl
+from ._fileio import atomic_write_text
 from .cooccurrence import CooccurrenceMatrix
 from .dataset_io import ClipDistributions, StageFile
 from .errors import DataError
@@ -36,6 +41,10 @@ BRANCH_VERB = "verb_anchored"
 BRANCH_NOUN = "noun_anchored"
 
 DEFAULT_TOP_K = 5
+
+# Segments per re-rank call in `rerank_blocks`. The largest intermediates of a
+# call are BLOCK_SEGMENTS x k x max(|V|, |N|) arrays: 0.4 MB each at 97 x 300, k = 5.
+BLOCK_SEGMENTS = 32
 
 
 @dataclass(eq=False)
@@ -136,6 +145,54 @@ def naive_clip(clip: ClipDistributions) -> ClipRecognition:
     )
 
 
+def rerank_blocks(
+    clips: list[ClipDistributions], rerank: Callable[[ClipDistributions], ClipRecognition],
+    sizes: tuple[int, int],
+) -> list[ClipRecognition]:
+    """Re-rank every clip's segments and return one `ClipRecognition` per clip.
+
+    `rerank` is a one-clip call (`naive_clip`, or `recognize_clip` with its
+    matrix and k). It scores each segment on its own, so it runs on blocks of
+    BLOCK_SEGMENTS rows that span clip boundaries. Each clip must be
+    S x |V| and S x |N| with `sizes` = (|V|, |N|), and is checked before its
+    block is built, so an error names the clip. The results are views of the
+    concatenated block results.
+    """
+    blocks = [rerank(ClipDistributions("", *map(np.concatenate, zip(*pieces)))) for pieces in _blocks(clips, sizes)]
+    if not blocks:
+        return []
+    fields = ("chosen", "naive", "candidates", "scores", "verb_anchored", "counts", "fallback")
+    chosen, naive, candidates, scores, verb_anchored, counts, fallback = (
+        np.concatenate([getattr(block, name) for block in blocks]) for name in fields
+    )
+    starts = np.cumsum([0] + [len(clip.verb_probs) for clip in clips]).tolist()
+    bounds = np.concatenate([[0], np.cumsum(counts)])[starts].tolist()  # each clip's first candidate
+    return [
+        ClipRecognition(
+            clip.clip_id, chosen[a:b], naive[a:b], candidates[c:d], scores[c:d], verb_anchored[c:d],
+            counts[a:b], fallback[a:b],
+        )
+        for clip, a, b, c, d in zip(clips, starts, starts[1:], bounds, bounds[1:])
+    ]
+
+
+def _blocks(clips: list[ClipDistributions], sizes) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
+    """All clips' segments in order, BLOCK_SEGMENTS at a time, as (verb rows, noun rows) pieces."""
+    pieces, filled = [], 0
+    for clip in clips:
+        _check_clip(clip, sizes)
+        start, size = 0, len(clip.verb_probs)
+        while start < size:
+            end = min(size, start + BLOCK_SEGMENTS - filled)
+            pieces.append((clip.verb_probs[start:end], clip.noun_probs[start:end]))
+            filled, start = filled + end - start, end
+            if filled == BLOCK_SEGMENTS:
+                yield pieces
+                pieces, filled = [], 0
+    if pieces:
+        yield pieces
+
+
 def segment_records(clip: ClipRecognition, taxonomy: Taxonomy) -> list[dict]:
     """The clip's per-segment records as `save_recognition` writes them, actions as text."""
     chosen, naive = format_actions(clip.chosen, taxonomy), format_actions(clip.naive, taxonomy)
@@ -154,7 +211,35 @@ def segment_records(clip: ClipRecognition, taxonomy: Taxonomy) -> list[dict]:
 
 
 def save_recognition(path, clips: list[ClipRecognition], taxonomy: Taxonomy) -> None:
-    atomic_write_text(path, dump_jsonl(row for clip in clips for row in segment_records(clip, taxonomy)))
+    """Write one line per segment, byte for byte `json.dumps` of its `segment_records` row.
+
+    Lines are formatted straight from each clip's arrays, with no record
+    dict: each label is JSON-escaped once per call, and each score is written
+    with `float.__repr__`, as `json.dumps` writes a finite float. Each clip's
+    lines are written as they are made.
+    """
+    verbs, nouns = ([json.dumps(label)[1:-1] for label in labels] for labels in (taxonomy.verbs, taxonomy.nouns))
+
+    def texts(pairs: np.ndarray) -> list[str]:  # JSON strings of "verb noun"
+        taxonomy.check_ids(pairs)
+        return [f'"{verbs[v]} {nouns[n]}"' for v, n in pairs.tolist()]
+
+    def lines(clip: ClipRecognition) -> str:
+        chosen, naive, actions = texts(clip.chosen), texts(clip.naive), texts(clip.candidates)
+        scores = map(repr, clip.scores.tolist())
+        candidates = [
+            f'{{"action": {action}, "score": {score}, "branch": "{BRANCH_VERB if verb_anchored else BRANCH_NOUN}"}}'
+            for action, score, verb_anchored in zip(actions, scores, clip.verb_anchored.tolist())
+        ]
+        bounds = [0, *np.cumsum(clip.counts).tolist()]  # segment i's candidates are bounds[i]:bounds[i + 1]
+        head = '{"clip_id": ' + json.dumps(clip.clip_id) + ', "segment": '
+        return "".join(
+            f'{head}{i}, "chosen": {chosen[i]}, "naive": {naive[i]}, "fallback": {"true" if fallback else "false"}, '
+            f'"candidates": [{", ".join(candidates[bounds[i] : bounds[i + 1]])}]}}\n'
+            for i, fallback in enumerate(clip.fallback.tolist())
+        )
+
+    atomic_write_text(path, map(lines, clips))
 
 
 def load_recognition(path, taxonomy: Taxonomy) -> list[ClipRecognition]:

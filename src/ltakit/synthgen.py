@@ -80,25 +80,32 @@ class SynthCorpus:
     templates: np.ndarray
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
-
-
-def _noisy_vector(size, true_index, distractor_pool, mass, temperature, rng) -> np.ndarray:
-    logits = np.zeros(size)
-    logits[true_index] = 1.0
-    vec = _softmax(logits / temperature)
-    if mass > 0 and distractor_pool:
-        drawn = min(float(rng.uniform(0.0, 2.0 * mass)), 0.95)
-        target = distractor_pool[int(rng.integers(len(distractor_pool)))]
-        vec = (1.0 - drawn) * vec
-        vec[target] += drawn
-    return vec / vec.sum()
+def _noisy_rows(size: int, true_ids: np.ndarray, drawn: np.ndarray, targets: np.ndarray,
+                temperature: float) -> np.ndarray:
+    """One probability row per segment, built as whole-array passes: the one-hot of its true id,
+    softened (`/ temperature`, `exp(x - rowmax)`, `/ rowsum`), then `drawn` of its mass moved
+    onto its distractor `targets` and `/ rowsum` again. A row that draws none moves 0.0, which
+    leaves its bits as they are."""
+    rows = np.zeros((len(true_ids), size))
+    segments = np.arange(len(true_ids))
+    rows[segments, true_ids] = 1.0
+    rows /= temperature
+    rows -= rows.max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows *= (1.0 - drawn)[:, None]
+    rows[segments, targets] += drawn
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
 
 
 def generate_corpus(config: SynthConfig) -> SynthCorpus:
-    """Deterministically generate taxonomy, annotations, and distributions from a seed."""
+    """Deterministically generate taxonomy, annotations, and distributions from a seed.
+
+    The generator is called clip by clip in a fixed order (template, offset,
+    jitter; then per segment the verb distractor, then the noun one), and the
+    probability rows are built afterwards for the whole corpus at once.
+    """
     config.validate()
     rng = np.random.default_rng(config.seed)
     num_verbs, num_nouns = config.num_verbs, config.num_nouns
@@ -109,13 +116,20 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
     verb_pools = [[u for u in range(num_verbs) if u != v] for v in range(num_verbs)]
     noun_pools = [[n for n in range(num_nouns) if n % num_verbs != v] for v in range(num_verbs)]
 
+    def distractor(pool: list[int], mass: float) -> tuple[float, int]:
+        """(mass moved, distractor id) for one segment's row; (0.0, 0) when nothing is drawn."""
+        if mass > 0 and pool:
+            drawn = min(float(rng.uniform(0.0, 2.0 * mass)), 0.95)
+            return drawn, pool[int(rng.integers(len(pool)))]
+        return 0.0, 0
+
     length = config.routine_length
     drawn = rng.permutation(num_nouns)[: config.num_templates * length].astype(np.intp)
     templates = np.stack([drawn % num_verbs, drawn], axis=1).reshape(config.num_templates, length, 2)
 
     window = config.observed_segments + config.horizon
     annotations: list[ClipRecord] = []
-    distributions: list[ClipDistributions] = []
+    moves = []  # per segment: verb mass, verb distractor, noun mass, noun distractor
     for c in range(config.num_clips):
         routine = templates[int(rng.integers(config.num_templates))]
         offset = int(rng.integers(length))
@@ -125,18 +139,18 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
                 if rng.random() < config.routine_jitter:
                     noun = int(rng.integers(num_nouns))
                     actions[i] = noun % num_verbs, noun
-        clip_id = f"clip_{c:05d}"
         observed = actions[: config.observed_segments]
-        annotations.append(ClipRecord(clip_id, observed, actions[config.observed_segments :]))
-        verbs, nouns = [], []
-        for verb, noun in observed.tolist():
-            verbs.append(_noisy_vector(
-                num_verbs, verb, verb_pools[verb], config.verb_distractor_mass, config.noise_temperature, rng
-            ))
-            nouns.append(_noisy_vector(
-                num_nouns, noun, noun_pools[verb], config.noun_distractor_mass, config.noise_temperature, rng
-            ))
-        distributions.append(ClipDistributions(clip_id, np.array(verbs), np.array(nouns)))
+        annotations.append(ClipRecord(f"clip_{c:05d}", observed, actions[config.observed_segments :]))
+        for verb, _ in observed.tolist():
+            moves.append((*distractor(verb_pools[verb], config.verb_distractor_mass),
+                          *distractor(noun_pools[verb], config.noun_distractor_mass)))
+    observed, moves = np.concatenate([record.observed for record in annotations]), np.array(moves)
+    temperature = config.noise_temperature
+    verbs = _noisy_rows(num_verbs, observed[:, 0], moves[:, 0], moves[:, 1].astype(np.intp), temperature)
+    nouns = _noisy_rows(num_nouns, observed[:, 1], moves[:, 2], moves[:, 3].astype(np.intp), temperature)
+    bounds = range(0, len(observed) + 1, config.observed_segments)
+    distributions = [ClipDistributions(record.clip_id, verbs[a:b], nouns[a:b])
+                     for record, a, b in zip(annotations, bounds, bounds[1:])]
     return SynthCorpus(taxonomy, annotations, distributions, templates)
 
 

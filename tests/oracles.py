@@ -2,13 +2,16 @@
 
 Everything here is deliberately written in plain Python (loops, sorted(),
 dicts) with no code shared with the package, so a bug would have to be made
-twice to go unnoticed.
+twice to go unnoticed. `synth_rows` is the exception: the bits it must match
+are numpy's, so it uses numpy one row at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 
 def osa_distance(a, b) -> int:
@@ -142,3 +145,72 @@ def distributions_jsonl(clips) -> str:
         for i, (verb, noun) in enumerate(zip(clip.verb_probs.tolist(), clip.noun_probs.tolist()))
     ]
     return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+def recognition_jsonl(clips, taxonomy) -> str:
+    """The recognition file as one `json.dumps` of a record dict per segment, built in loops."""
+    text = lambda pair: f"{taxonomy.verbs[pair[0]]} {taxonomy.nouns[pair[1]]}"
+    lines = []
+    for clip in clips:
+        candidates = [
+            {"action": text(pair), "score": score, "branch": "verb_anchored" if verb_anchored else "noun_anchored"}
+            for pair, score, verb_anchored in zip(
+                clip.candidates.tolist(), clip.scores.tolist(), clip.verb_anchored.tolist()
+            )
+        ]
+        start = 0
+        for i, count in enumerate(clip.counts.tolist()):
+            row = {
+                "clip_id": clip.clip_id, "segment": i, "chosen": text(clip.chosen[i].tolist()),
+                "naive": text(clip.naive[i].tolist()), "fallback": bool(clip.fallback[i]),
+                "candidates": candidates[start : start + count],
+            }
+            start += count
+            lines.append(json.dumps(row) + "\n")
+    return "".join(lines)
+
+
+def synth_rows(config):
+    """Each clip's (verb rows, noun rows) as the synthetic generator makes them, one row at a time.
+
+    The generator's calls are made in its order: per clip the template, the
+    offset and the jitter; per segment the verb distractor, then the noun one.
+    Each row is a softmax of its own one-hot, the distractor mass moved onto
+    one entry, and a division by its own sum.
+    """
+    def noisy_vector(size, true_index, pool, mass, rng):
+        logits = np.zeros(size)
+        logits[true_index] = 1.0
+        logits = logits / config.noise_temperature
+        shifted = np.exp(logits - logits.max())
+        vec = shifted / shifted.sum()
+        if mass > 0 and pool:
+            drawn = min(float(rng.uniform(0.0, 2.0 * mass)), 0.95)
+            target = pool[int(rng.integers(len(pool)))]
+            vec = (1.0 - drawn) * vec
+            vec[target] += drawn
+        return vec / vec.sum()
+
+    rng = np.random.default_rng(config.seed)
+    num_verbs, num_nouns, length = config.num_verbs, config.num_nouns, config.routine_length
+    drawn = rng.permutation(num_nouns)[: config.num_templates * length]
+    templates = [[(int(n) % num_verbs, int(n)) for n in drawn[t * length : (t + 1) * length]]
+                 for t in range(config.num_templates)]
+    clips = []
+    for _ in range(config.num_clips):
+        routine = templates[int(rng.integers(config.num_templates))]
+        offset = int(rng.integers(length))
+        actions = [routine[(offset + i) % length] for i in range(config.observed_segments + config.horizon)]
+        if config.routine_jitter > 0:
+            for i in range(len(actions)):
+                if rng.random() < config.routine_jitter:
+                    noun = int(rng.integers(num_nouns))
+                    actions[i] = (noun % num_verbs, noun)
+        verbs, nouns = [], []
+        for verb, noun in actions[: config.observed_segments]:
+            verb_pool = [u for u in range(num_verbs) if u != verb]
+            noun_pool = [n for n in range(num_nouns) if n % num_verbs != verb]
+            verbs.append(noisy_vector(num_verbs, verb, verb_pool, config.verb_distractor_mass, rng))
+            nouns.append(noisy_vector(num_nouns, noun, noun_pool, config.noun_distractor_mass, rng))
+        clips.append((np.array(verbs), np.array(nouns)))
+    return clips

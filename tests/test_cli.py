@@ -187,6 +187,35 @@ class TestPipeline:
             sys.setswitchinterval(interval)
         assert outputs[0] == outputs[1]
 
+    def test_live_request_log_is_independent_of_workers(self, pipeline, serve):
+        # Requests from 4 threads reach the endpoint in whatever order the threads
+        # run; the log lists them by (clip, candidate, attempt) all the same.
+        endpoint = serve(DeterministicChat)
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in ("1", "4"):
+                out = pipeline["root"] / f"anticipate_log_{workers}.jsonl"
+                log = pipeline["root"] / f"requests_{workers}.jsonl"
+                assert run([
+                    "anticipate",
+                    "--recognition", str(pipeline["recognition"]),
+                    "--taxonomy", str(pipeline["taxonomy"]),
+                    "--predictor", "llm", "--llm-endpoint", endpoint, "--llm-model", "m",
+                    "--horizon", "5",
+                    "--candidates", "3",
+                    "--workers", workers,
+                    "--llm-request-log", str(log),
+                    "--out", str(out),
+                ]) == 0
+                outputs.append((out.read_bytes(), log.read_bytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[0][0] == outputs[1][0]
+        assert outputs[0][1] == outputs[1][1]
+        assert len(outputs[0][1].splitlines()) == 12 * 3
+
     def test_anticipation_orders_history_by_segment(self, pipeline):
         # Each clip's rows in reverse segment order (clips keep their order):
         # the history must still be read in segment order.

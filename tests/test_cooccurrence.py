@@ -164,6 +164,44 @@ class TestMatrixFile:
         with pytest.raises(IntegrityError, match="checksum"):
             load_matrix(path)
 
+    def test_rows_are_repr_of_each_count(self, tmp_path):
+        # Each distinct count is formatted once; the rows must still be every cell's repr.
+        counts = np.array([[0.0, -0.0, 1.0, 0.1], [1e-17, 2.5, 0.0, 1.0], [7.0, 7.0, -0.0, 3e300]])
+        path = tmp_path / "matrix.txt"
+        save_matrix(path, CooccurrenceMatrix(counts))
+        rows = path.read_text().splitlines()[5:]
+        assert rows == [" ".join(repr(float(x)) for x in row) for row in counts.tolist()]
+        assert rows[0].split()[:2] == ["0.0", "-0.0"]
+        assert np.array_equal(load_matrix(path).counts.view(np.uint64), counts.view(np.uint64))
+
+    def test_value_equal_rewrite_still_loads(self, tmp_path):
+        # "1" for "1.0" changes the raw rows but not the counts the checksum covers.
+        matrix = CooccurrenceMatrix(np.array([[1.0, 0.0], [3.0, 0.5]]))
+        path = tmp_path / "matrix.txt"
+        save_matrix(path, matrix)
+        lines = path.read_text().splitlines()
+        lines[5:] = ["1 0", "  3e0\t0.50 "]
+        path.write_text("\n".join(lines) + "\n")
+        assert np.array_equal(load_matrix(path).counts, matrix.counts)
+
+    def test_changed_count_exits_2(self, tmp_path, capsys):
+        from ltakit.cli import run
+
+        path, taxonomy = tmp_path / "matrix.txt", tmp_path / "taxonomy.txt"
+        taxonomy.write_text("#verbs\nv0\nv1\n#nouns\nn0\nn1\n")
+        (tmp_path / "d.jsonl").write_text(
+            '{"clip_id": "c", "segment": 0, "verb_probs": [1.0, 0.0], "noun_probs": [0.5, 0.5]}\n'
+        )
+        save_matrix(path, CooccurrenceMatrix(np.array([[1.0, 0.0], [3.0, 0.5]])))
+        lines = path.read_text().splitlines()
+        lines[5] = "1.0 1e-300"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["recognize", "--distributions", str(tmp_path / "d.jsonl"), "--matrix", str(path),
+                "--taxonomy", str(taxonomy), "--out", str(tmp_path / "r.jsonl")]
+        assert run(argv) == 2
+        assert "checksum mismatch" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_tampered_checksum_detected(self, tmp_path):
         matrix = CooccurrenceMatrix(np.array([[1.0, 2.0]]))
         path = tmp_path / "matrix.txt"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from ltakit.dataset_io import ClipRecord, PredictionSet
 from ltakit.errors import DataError
 from ltakit.metrics import (
+    ClipScores,
     ar_accuracy,
     corpus_eval,
     damerau_levenshtein,
@@ -441,3 +443,8 @@ class TestReportOutput:
         assert payload["ar_verb_acc"] == 100.0
         assert payload["clips"][0]["clip_id"] == "a"
         assert payload["clips"][0]["best_action"] == 0
+        # Each clip's object holds every ClipScores field, in field order.
+        assert [list(clip.items()) for clip in payload["clips"]] == [
+            [(field.name, getattr(scores, field.name)) for field in dataclasses.fields(ClipScores)]
+            for scores in report.per_clip
+        ]

@@ -9,16 +9,20 @@ from ltakit.cooccurrence import CooccurrenceMatrix
 from ltakit.dataset_io import ClipDistributions, load_distributions
 from ltakit.errors import DataError
 from ltakit.recognition import (
+    BLOCK_SEGMENTS,
     BRANCH_NOUN,
     BRANCH_VERB,
     load_recognition,
     naive_clip,
     recognize_clip,
+    rerank_blocks,
     save_recognition,
+    segment_records,
 )
+from ltakit.taxonomy import Taxonomy
 
 from conftest import random_distribution
-from oracles import rerank_reference
+from oracles import recognition_jsonl, rerank_reference
 
 
 def segments(result):
@@ -431,3 +435,102 @@ class TestRecognitionFile:
         path.write_text('{"clip_id": "c", "segment": 0, "chosen": "take spoon"}\n')
         with pytest.raises(DataError, match=":1"):
             load_recognition(path, kitchen)
+
+
+def corpus(rng, num_verbs, num_nouns, lengths, ties=False):
+    """Clips of the given segment counts. With `ties`, rows take a few repeated values, so
+    anchors, adjusted scores and pair scores tie; otherwise they are random distributions."""
+    clips = []
+    for c, length in enumerate(lengths):
+        probs = []
+        for size in (num_verbs, num_nouns):
+            raw = rng.choice([0.0, 1.0, 2.0], (length, size)) if ties else rng.uniform(0.01, 1.0, (length, size))
+            raw[:, 0] += 1.0  # no all-zero row
+            probs.append(raw / raw.sum(axis=1, keepdims=True))
+        clips.append(ClipDistributions(f"c{c}", *probs))
+    return clips
+
+
+class TestBlocks:
+    """`rerank_blocks` re-ranks segments in blocks that span clips; results equal clip-by-clip calls."""
+
+    LENGTHS = [1, 7, 8, 2 * BLOCK_SEGMENTS + 3, 1, BLOCK_SEGMENTS, 5]
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_blocks_equal_clip_by_clip(self, ties, k):
+        rng = np.random.default_rng(40 + k)
+        counts = rng.choice([0.0, 1.0, 1.0, 3.0], (6, 9))
+        counts[0] = 0.0  # a verb that co-occurs with nothing: its certain segments fall back
+        matrix = CooccurrenceMatrix(counts)
+        clips = corpus(rng, 6, 9, self.LENGTHS, ties)
+        clips[0].verb_probs[:] = np.eye(6)[0]
+        got = rerank_blocks(clips, lambda block: recognize_clip(block, matrix, k), matrix.shape)
+        assert len(got) == len(clips)
+        for result, clip in zip(got, clips):
+            assert_same_recognition(result, recognize_clip(clip, matrix, k))
+        assert got[0].fallback.all()
+        for result, clip in zip(rerank_blocks(clips, naive_clip, matrix.shape), clips):
+            assert_same_recognition(result, naive_clip(clip))
+
+    def test_no_clips(self):
+        assert rerank_blocks([], naive_clip, (2, 2)) == []
+
+    def test_error_names_the_clip(self):
+        matrix = CooccurrenceMatrix(np.ones((3, 4)))
+        clips = corpus(np.random.default_rng(41), 3, 4, [2, 3]) + [make_clip([0.5, 0.5], [0.25] * 4, "bad")]
+        with pytest.raises(DataError, match=r"clip 'bad': distribution shapes .* the 3x4 matrix"):
+            rerank_blocks(clips, lambda block: recognize_clip(block, matrix, 2), matrix.shape)
+
+
+# Labels JSON escapes: a quote, a backslash, a tab, non-ASCII, and a character outside the BMP.
+ODD_VERBS = ['ta"ke', "st\\ir", "wäsch", "a\tb", "🥄"]
+ODD_NOUNS = ['"', "\\", "tôt", "鍋", "x\u00e9", "bowl"]
+
+
+class TestSaveBytes:
+    """`save_recognition` writes what `json.dumps` of each segment's record dict writes."""
+
+    @pytest.mark.parametrize("k", [1, 5, 20, 97])
+    def test_reranked_bytes_equal_dict_writer(self, tmp_path, k):
+        rng = np.random.default_rng(50 + k)
+        taxonomy = Taxonomy([f"verb_{i}" for i in range(97)] + ODD_VERBS, [f"noun_{j}" for j in range(120)] + ODD_NOUNS)
+        counts = rng.choice([0.0, 0.0, 1.0, 4.0], (taxonomy.num_verbs, taxonomy.num_nouns))
+        counts[3] = 0.0
+        matrix = CooccurrenceMatrix(counts)
+        clips = corpus(rng, taxonomy.num_verbs, taxonomy.num_nouns, [3, 8, 1, 5])
+        clips[1].verb_probs[2:4] = np.eye(taxonomy.num_verbs)[3]  # certain of a verb with no counts: fallbacks
+        clips.append(make_clip(np.eye(taxonomy.num_verbs)[-5:], np.eye(taxonomy.num_nouns)[-6:-1], 'cl"ip\\ é🥄'))
+        recognized = rerank_blocks(clips, lambda block: recognize_clip(block, matrix, k), matrix.shape)
+        assert any(clip.fallback.any() for clip in recognized)
+        self.assert_bytes(tmp_path, recognized, taxonomy)
+
+    def test_naive_and_loaded_bytes_equal_dict_writer(self, tmp_path):
+        rng = np.random.default_rng(60)
+        taxonomy = Taxonomy(ODD_VERBS, ODD_NOUNS)
+        clips = corpus(rng, 5, 6, [2, 1, 4]) + [make_clip(np.eye(5), np.eye(6)[:5], "\"\\ü")]
+        self.assert_bytes(tmp_path, rerank_blocks(clips, naive_clip, (5, 6)), taxonomy)
+        matrix = CooccurrenceMatrix(rng.choice([0.0, 2.0], (5, 6)))
+        recognized = rerank_blocks(clips, lambda block: recognize_clip(block, matrix, 4), matrix.shape)
+        path = self.assert_bytes(tmp_path, recognized, taxonomy)
+        self.assert_bytes(tmp_path, load_recognition(path, taxonomy), taxonomy)  # loaded arrays are views too
+
+    def test_out_of_range_id_names_the_first_clip_at_fault(self, tmp_path, kitchen):
+        clips = rerank_blocks(corpus(np.random.default_rng(61), 4, 5, [2, 2, 2]), naive_clip, (4, 5))
+        clips[1].naive[1] = (0, 9)
+        clips[2].chosen[0] = (7, 0)
+        with pytest.raises(DataError, match=r"action \(0, 9\) out of range"):
+            save_recognition(tmp_path / "r.jsonl", clips, kitchen)
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @staticmethod
+    def assert_bytes(tmp_path, clips, taxonomy):
+        path = tmp_path / "recognition.jsonl"
+        save_recognition(path, clips, taxonomy)
+        want = recognition_jsonl(clips, taxonomy)
+        assert path.read_bytes() == want.encode()
+        # `report` reads the same rows from segment_records.
+        assert [json.dumps(row) + "\n" for clip in clips for row in segment_records(clip, taxonomy)] == (
+            want.splitlines(keepends=True)
+        )
+        return path

@@ -18,6 +18,8 @@ from ltakit.recognition import naive_clip, recognize_clip
 from ltakit.synthgen import SynthConfig, generate_corpus, provenance
 from ltakit.taxonomy import save_taxonomy
 
+from oracles import synth_rows
+
 
 def small_config(**overrides):
     base = dict(
@@ -109,6 +111,29 @@ class TestCorpusShape:
                 cycles.add(tuple(doubled[start : start + 8]))
         for record in corpus.annotations:
             assert tuple(map(tuple, np.concatenate([record.observed, record.future]).tolist())) in cycles
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 23])
+    @pytest.mark.parametrize("shape", [
+        # the bench's corpus, fewer clips
+        dict(num_verbs=97, num_nouns=300, observed_segments=8, horizon=20, noun_distractor_mass=0.3,
+             routine_jitter=0.05, num_templates=3, routine_length=30, num_clips=24),
+        dict(num_verbs=8, num_nouns=96, verb_distractor_mass=0.2, noun_distractor_mass=0.3,
+             routine_jitter=0.1, num_clips=40),
+        dict(num_clips=40),  # the defaults: no distractors
+        dict(num_verbs=1, num_nouns=12, num_templates=1, routine_length=10, observed_segments=4, horizon=6,
+             verb_distractor_mass=0.5, noun_distractor_mass=0.5, num_clips=5),  # empty distractor pools
+    ], ids=["bench", "8x96-distractors", "defaults", "one-verb"])
+    def test_rows_equal_row_by_row_reference_bitwise(self, seed, shape):
+        # The rows are built as whole arrays; each must keep the bits of the
+        # per-segment softmax, distractor move and renormalization.
+        config = SynthConfig(**shape, seed=seed)
+        corpus = generate_corpus(config)
+        reference = synth_rows(config)
+        assert len(corpus.distributions) == len(reference) == config.num_clips
+        for clip, (verbs, nouns) in zip(corpus.distributions, reference):
+            assert clip.verb_probs.dtype == clip.noun_probs.dtype == np.float64
+            assert clip.verb_probs.tobytes() == verbs.tobytes() and clip.verb_probs.shape == verbs.shape
+            assert clip.noun_probs.tobytes() == nouns.tobytes() and clip.noun_probs.shape == nouns.shape
 
     def test_distributions_are_normalized(self):
         corpus = generate_corpus(small_config(noun_distractor_mass=0.4))
