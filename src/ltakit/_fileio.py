@@ -1,4 +1,4 @@
-"""Small shared file helpers: atomic text writes, UTF-8 and JSON reads, JSON-lines text."""
+"""Small shared file helpers: atomic text writes, UTF-8 and JSON reads, JSON-lines and float texts."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import os
 import tempfile
 from contextlib import contextmanager
 from typing import Iterable
+
+import numpy as np
 
 from .errors import DataError
 
@@ -59,3 +61,13 @@ def load_json(path):
 
 def dump_jsonl(records) -> str:
     return "".join(json.dumps(record) + "\n" for record in records)
+
+
+def float_texts(values) -> np.ndarray:
+    """Each value cast to float64 and written as `json.dumps` writes it, as an object array of
+    `values`' shape. Each distinct bit pattern (-0.0 is not 0.0) is formatted once, by one
+    `json.dumps` call, so an array of few distinct values costs little more than its lookup."""
+    values = np.asarray(values, np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array(json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+    return texts[inverse.reshape(values.shape)]  # numpy < 2 returns the inverse flat

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -37,9 +38,10 @@ from .dataset_io import (
 )
 from .errors import DataError, LlmError
 from .llm_client import LlmClient, LlmConfig, MockLlmClient, load_script
-from .metrics import corpus_eval, format_report, normalized_ed, save_report
+from .metrics import corpus_eval, format_report, normalized_eds, save_report
 from .recognition import (
-    DEFAULT_TOP_K, load_recognition, naive_clip, recognize_clip, rerank_blocks, save_recognition, segment_records,
+    BRANCH_NOUN, BRANCH_VERB, DEFAULT_TOP_K, load_recognition, naive_clip, recognize_clip, rerank_blocks,
+    save_recognition,
 )
 from .synthgen import SynthConfig, generate_corpus, provenance
 from .taxonomy import Taxonomy, format_actions, load_taxonomy, save_taxonomy
@@ -186,20 +188,25 @@ def _cmd_report(args) -> None:
     lines = [f"clip {record.clip_id}"]
     clips = load_recognition(args.recognition, taxonomy) if args.recognition else []
     recognition = next((clip for clip in clips if clip.clip_id == args.clip), None)
-    rows = [] if recognition is None else segment_records(recognition, taxonomy)
+    marks = []  # per recognized segment, appended to its observed action's line
+    if recognition is not None:
+        chosen, naive = format_actions(recognition.chosen, taxonomy), format_actions(recognition.naive, taxonomy)
+        marks = [f"  | chosen: {c}  naive: {n}" + "  (fallback)" * f
+                 for c, n, f in zip(chosen, naive, recognition.fallback.tolist())]
     lines.append("observed:")
     for i, action in enumerate(format_actions(record.observed, taxonomy)):
-        line = f"  [{i}] {action}"
-        if i < len(rows):
-            line += f"  | chosen: {rows[i]['chosen']}  naive: {rows[i]['naive']}"
-            if rows[i]["fallback"]:
-                line += "  (fallback)"
-        lines.append(line)
+        lines.append(f"  [{i}] {action}{marks[i] if i < len(marks) else ''}")
     if recognition is not None:
         lines.append("candidates per segment:")
-        for row in rows:
-            rendered = ", ".join(f"{c['action']} {c['score']:.4g} ({c['branch']})" for c in row["candidates"])
-            lines.append(f"  [{row['segment']}] {rendered or '-'}")
+        candidates = iter([
+            f"{action} {score:.4g} ({BRANCH_VERB if verb_anchored else BRANCH_NOUN})"
+            for action, score, verb_anchored in zip(
+                format_actions(recognition.candidates, taxonomy), recognition.scores.tolist(),
+                recognition.verb_anchored.tolist(),
+            )
+        ])
+        for i, count in enumerate(recognition.counts.tolist()):  # segment i's candidates are the next `count`
+            lines.append(f"  [{i}] {', '.join(islice(candidates, count)) or '-'}")
     if record.future is not None:
         lines.append("future (ground truth):")
         lines.append("  " + ", ".join(format_actions(record.future, taxonomy)))
@@ -207,29 +214,35 @@ def _cmd_report(args) -> None:
     prediction = next((p for p in predictions if p.clip_id == args.clip), None)
     if prediction is not None:
         lines.append("predicted candidates:")
-        codes = lambda pairs: (pairs[..., 0] * taxonomy.num_nouns + pairs[..., 1]).tolist()  # action codes
+        if record.future is not None:
+            codes = lambda pairs: pairs[..., 0] * taxonomy.num_nouns + pairs[..., 1]  # action codes
+            eds = normalized_eds(codes(prediction.candidates), codes(record.future)).tolist()
         for idx, candidate in enumerate(prediction.candidates):
-            ed = ""
-            if record.future is not None:
-                ed = f"action ED {normalized_ed(codes(candidate), codes(record.future)):.4f}: "
+            ed = "" if record.future is None else f"action ED {eds[idx]:.4f}: "
             lines.append(f"  [{idx}] {ed}{', '.join(format_actions(candidate, taxonomy))}")
     print("\n".join(lines))
 
 
-def _build_parser() -> tuple[_Parser, dict[str, argparse.Action], list[_Parser]]:
+def _build_parser() -> tuple[_Parser, _Parser, dict[str, argparse.Action], list[_Parser]]:
+    """The --config parser, which reads that flag alone, and the full parser; its flags; every parser."""
     flags: dict[str, argparse.Action] = {}  # dest -> flag; a dest means the same on every subcommand
+
+    def with_config(p):
+        p.add_argument("--config", help="JSON file supplying flag defaults; explicit flags win")
+        return p
+
+    config = with_config(_Parser(prog="ltakit", add_help=False))
     parser = _Parser(prog="ltakit", description="Long-term action anticipation pipeline: "
                      "synthesize, re-rank, anticipate, evaluate.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--config", help="JSON file supplying flag defaults; explicit flags win")
+    with_config(parser)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     # Subcommands parse into a fresh namespace whose values overwrite the root
     # one, so config-supplied defaults must be installed on every parser.
     parsers = [parser]
 
     def new_command(name, help_text):
-        p = sub.add_parser(name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        p.add_argument("--config", help="JSON file supplying flag defaults; explicit flags win")
+        p = with_config(sub.add_parser(name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter))
         parsers.append(p)
         return p
 
@@ -315,19 +328,11 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.Action], list[_Parser]]
     arg(p, "--horizon", type=int, default=DEFAULT_HORIZON, help="future length (Z)")
     p.set_defaults(handler=_cmd_report)
 
-    return parser, flags, parsers
+    return config, parser, flags, parsers
 
 
-def _peel_config(argv: list[str]) -> dict:
-    """Read the --config file (if any) without disturbing normal parsing."""
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config needs a file argument")
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
+def _read_config(path) -> dict:
+    """The --config file's flag defaults; none without the flag."""
     if path is None:
         return {}
     try:
@@ -360,9 +365,11 @@ def _config_value(key: str, value, flag: argparse.Action):
 
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, flags, parsers = _build_parser()
+    config_parser, parser, flags, parsers = _build_parser()
     try:
-        config = _peel_config(argv)
+        # The file supplies the full parser's defaults, so a parser of --config alone reads it first,
+        # taking any abbreviation argparse takes (--conf).
+        config = _read_config(config_parser.parse_known_args(argv)[0].config)
         if config:
             unknown = sorted(k for k in config if k.replace("-", "_") not in flags)
             if unknown:

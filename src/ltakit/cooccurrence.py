@@ -10,7 +10,7 @@ import hashlib
 
 import numpy as np
 
-from ._fileio import atomic_write_text, open_text
+from ._fileio import atomic_write_text, float_texts, open_text
 from .errors import DataError, IntegrityError
 from .dataset_io import ClipRecord
 from .taxonomy import Taxonomy
@@ -77,18 +77,9 @@ def build_cooccurrence(
 
 
 def _rows_text(counts: np.ndarray) -> list[str]:
-    """Each row as its counts' reprs joined by spaces; repr round-trips float64, so save -> load
-    -> save is a fixed point. Each distinct bit pattern (-0.0 is not 0.0) is formatted once, and
-    only one row at a time becomes Python objects, which keeps the peak memory down."""
-    texts: dict[int, str] = {}
-    lines = []
-    for row in np.asarray(counts, np.float64):
-        bits = row.view(np.uint64).tolist()
-        values = dict(zip(bits, row.tolist()))
-        for key in values.keys() - texts.keys():
-            texts[key] = repr(values[key])
-        lines.append(" ".join(map(texts.__getitem__, bits)))
-    return lines
+    """Each row as its counts' texts (`_fileio.float_texts`) joined by spaces; they round-trip
+    float64, so save -> load -> save is a fixed point."""
+    return [" ".join(row) for row in float_texts(counts).tolist()]
 
 
 def _digest(alpha: float, shape: tuple[int, int], rows: list[str]) -> str:

@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._fileio import atomic_write_text, dump_jsonl, open_text
+from ._fileio import atomic_write_text, dump_jsonl, float_texts, open_text
 from .errors import DataError
 from .taxonomy import Taxonomy, format_actions, parse_actions
 
@@ -298,21 +298,18 @@ def save_distributions(path, clips: list[ClipDistributions]) -> None:
     {clip_id, segment, verb_probs, noun_probs} record, with every probability
     cast to float64 first (an int 1 is written as 1.0). Clips are streamed.
 
-    Per clip, one `json.dumps` formats the unique values (keyed by bit pattern,
-    which keeps -0.0 apart from 0.0), and rows are joined from those texts. On
-    the bench's 1,280 synth segments (97 + 300 values each) this is ~10x faster
-    than formatting every cell: 0.41-0.46 -> 0.04-0.05 s. Rows whose values are
-    all distinct save nothing and pay for the unique and the join, up to ~1.3x
-    slower: 0.33-0.35 -> 0.35-0.45 s on 1,280 Dirichlet rows.
+    Per clip, `_fileio.float_texts` formats the unique values (keyed by bit
+    pattern, which keeps -0.0 apart from 0.0), and rows are joined from those
+    texts. On the bench's 1,280 synth segments (97 + 300 values each) this is
+    ~10x faster than formatting every cell: 0.41-0.46 -> 0.04-0.05 s. Rows
+    whose values are all distinct save nothing and pay for the unique and the
+    join, up to ~1.3x slower: 0.33-0.35 -> 0.35-0.45 s on 1,280 Dirichlet rows.
     """
     atomic_write_text(path, map(_distribution_lines, clips))
 
 
 def _distribution_lines(clip: ClipDistributions) -> str:
-    probs = np.concatenate([clip.verb_probs, clip.noun_probs], axis=1, dtype=np.float64)
-    bits, inverse = np.unique(probs.view(np.uint64), return_inverse=True)
-    texts = np.array(json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
-    cells = texts[inverse.reshape(probs.shape)]  # numpy < 2 returns the inverse flat
+    cells = float_texts(np.concatenate([clip.verb_probs, clip.noun_probs], axis=1))
     num_verbs = clip.verb_probs.shape[1]
     head = '{"clip_id": ' + json.dumps(clip.clip_id) + ', "segment": '
     return "".join(

@@ -54,13 +54,15 @@ def damerau_levenshtein(a, b) -> np.ndarray:
     return prev[len_b]
 
 
-def normalized_ed(pred, gt) -> float:
-    """Edit distance divided by the sequence length, clamped into [0, 1]."""
-    if len(pred) != len(gt):
-        raise DataError(f"sequence length mismatch: {len(pred)} vs {len(gt)}")
-    if not gt:
+def normalized_eds(pred, truth) -> np.ndarray:
+    """`damerau_levenshtein(pred, truth)` over truth's length Z, clamped into [0, 1]; `pred` and
+    `truth` are (..., Z) token arrays whose leading axes broadcast."""
+    horizon = np.shape(truth)[-1]
+    if horizon == 0:
         raise DataError("cannot normalize over empty sequences")
-    return min(1.0, int(damerau_levenshtein(pred, gt)) / len(gt))
+    if np.shape(pred)[-1] != horizon:
+        raise DataError(f"sequence length mismatch: {np.shape(pred)[-1]} vs {horizon}")
+    return np.minimum(1.0, damerau_levenshtein(pred, truth) / horizon)
 
 
 @dataclass
@@ -160,8 +162,6 @@ def corpus_eval(
             raise DataError(f"clip {cid!r} has no candidates (need K >= 1)")
         if length != horizon:
             raise DataError(f"clip {cid!r}: sequence length mismatch: {length} vs {horizon}")
-    if horizon == 0:
-        raise DataError("cannot normalize over empty sequences")
 
     # A clip with fewer than K candidates repeats its first one, which changes
     # neither its minimum nor the lowest index that reaches it.
@@ -169,12 +169,12 @@ def corpus_eval(
     num_k = max(len(s) for s in sets)
     pred = np.stack([np.concatenate([s, s[:1].repeat(num_k - len(s), axis=0)]) for s in sets])
     truth = np.stack([ground_truth[cid] for cid in ordered_ids])[:, None]
-    n = 1 + max(pred[..., 1].max(), truth[..., 1].max())
+    n = 1 + max(pred[..., 1].max(initial=0), truth[..., 1].max(initial=0))  # no actions at Z = 0
 
     def tracks(pairs):  # (clips, k, Z, 2) -> (3, clips, k, Z): verb, noun and action codes
         return np.stack([pairs[..., 0], pairs[..., 1], pairs[..., 0] * n + pairs[..., 1]])
 
-    eds = np.minimum(1.0, damerau_levenshtein(tracks(pred), tracks(truth)) / horizon)
+    eds = normalized_eds(tracks(pred), tracks(truth))
     best = eds.argmin(axis=-1)  # the first minimum: ties go to the lowest candidate index
     rows = [
         ClipScores(cid, *ed, *idx)

@@ -35,7 +35,7 @@ from ._fileio import atomic_write_text
 from .cooccurrence import CooccurrenceMatrix
 from .dataset_io import ClipDistributions, StageFile
 from .errors import DataError
-from .taxonomy import Taxonomy, format_actions
+from .taxonomy import Taxonomy
 
 BRANCH_VERB = "verb_anchored"
 BRANCH_NOUN = "noun_anchored"
@@ -193,25 +193,10 @@ def _blocks(clips: list[ClipDistributions], sizes) -> Iterator[list[tuple[np.nda
         yield pieces
 
 
-def segment_records(clip: ClipRecognition, taxonomy: Taxonomy) -> list[dict]:
-    """The clip's per-segment records as `save_recognition` writes them, actions as text."""
-    chosen, naive = format_actions(clip.chosen, taxonomy), format_actions(clip.naive, taxonomy)
-    candidates = [
-        {"action": action, "score": score, "branch": BRANCH_VERB if verb_anchored else BRANCH_NOUN}
-        for action, score, verb_anchored in zip(
-            format_actions(clip.candidates, taxonomy), clip.scores.tolist(), clip.verb_anchored.tolist()
-        )
-    ]
-    bounds = [0, *np.cumsum(clip.counts).tolist()]  # segment i's candidates are bounds[i]:bounds[i + 1]
-    return [
-        {"clip_id": clip.clip_id, "segment": i, "chosen": chosen[i], "naive": naive[i], "fallback": fallback,
-         "candidates": candidates[bounds[i] : bounds[i + 1]]}
-        for i, fallback in enumerate(clip.fallback.tolist())
-    ]
-
-
 def save_recognition(path, clips: list[ClipRecognition], taxonomy: Taxonomy) -> None:
-    """Write one line per segment, byte for byte `json.dumps` of its `segment_records` row.
+    """Write one line per segment, byte for byte what `json.dumps` writes for its
+    {clip_id, segment, chosen, naive, fallback, candidates} record, actions as
+    "verb noun" text and each candidate as {action, score, branch}.
 
     Lines are formatted straight from each clip's arrays, with no record
     dict: each label is JSON-escaped once per call, and each score is written

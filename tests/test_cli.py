@@ -383,6 +383,17 @@ class TestExitCodes:
         assert err.startswith(f"ltakit: error: {bad}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["report", "evaluate"])
+    def test_zero_horizon_is_data_error(self, tmp_path, capsys, command):
+        # Empty futures and candidates load at --horizon 0, but an ED over no actions has no normalizer.
+        (tmp_path / "taxonomy.txt").write_text("#verbs\ntake\n#nouns\nspoon\n")
+        (tmp_path / "test.jsonl").write_text(json.dumps({"clip_id": "c", "observed": ["take spoon"], "future": []}))
+        (tmp_path / "predictions.jsonl").write_text(json.dumps({"clip_id": "c", "candidates": [[]]}))
+        common = ["--annotations", str(tmp_path / "test.jsonl"), "--taxonomy", str(tmp_path / "taxonomy.txt"),
+                  "--predictions", str(tmp_path / "predictions.jsonl"), "--horizon", "0"]
+        assert run(["report", "--clip", "c", *common] if command == "report" else ["evaluate", *common]) == 2
+        assert capsys.readouterr() == ("", "ltakit: error: cannot normalize over empty sequences\n")
+
     def test_tampered_matrix_is_data_error(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad_matrix.txt"
         text = pipeline["matrix"].read_text().splitlines()
@@ -801,6 +812,20 @@ class TestConfigFile:
         assert run([
             "synth", "--config", str(tmp_path / "absent.json"), "--out-dir", str(tmp_path / "x")
         ]) == 1
+
+    @pytest.mark.parametrize("form", [["--conf", "{cfg}"], ["--conf={cfg}"]], ids=["separate", "equals"])
+    def test_abbreviated_config_flag_is_applied(self, tmp_path, capsys, form):
+        # argparse accepts any unambiguous prefix of a flag, --config included.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"clips": 3}))
+        argv = ["synth", "--out-dir", str(tmp_path / "b"), *(token.format(cfg=cfg) for token in form)]
+        assert run(argv) == 0
+        assert "wrote 3 clips" in capsys.readouterr().out
+
+    def test_config_without_a_value_is_usage_error(self, tmp_path, capsys):
+        assert run(["synth", "--out-dir", str(tmp_path / "x"), "--config"]) == 1
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestLlmPath:

@@ -167,12 +167,16 @@ class TestMatrixFile:
     def test_rows_are_repr_of_each_count(self, tmp_path):
         # Each distinct count is formatted once; the rows must still be every cell's repr.
         counts = np.array([[0.0, -0.0, 1.0, 0.1], [1e-17, 2.5, 0.0, 1.0], [7.0, 7.0, -0.0, 3e300]])
+        # The bench's 97 x 300 shape: few distinct counts, and cells a dedupe could confuse.
+        large = np.random.default_rng(3).choice([0.0, 0.0, 1.0, 2.0, 17.0], (97, 300))
+        large.flat[:4] = [-0.0, 1e16, 0.1 + 0.2, 0.3]
         path = tmp_path / "matrix.txt"
-        save_matrix(path, CooccurrenceMatrix(counts))
-        rows = path.read_text().splitlines()[5:]
-        assert rows == [" ".join(repr(float(x)) for x in row) for row in counts.tolist()]
-        assert rows[0].split()[:2] == ["0.0", "-0.0"]
-        assert np.array_equal(load_matrix(path).counts.view(np.uint64), counts.view(np.uint64))
+        for matrix, head in ((counts, ["0.0", "-0.0"]), (large, ["-0.0", "1e+16", "0.30000000000000004", "0.3"])):
+            save_matrix(path, CooccurrenceMatrix(matrix))
+            rows = path.read_text().splitlines()[5:]
+            assert rows == [" ".join(repr(float(x)) for x in row) for row in matrix.tolist()]
+            assert rows[0].split()[: len(head)] == head
+            assert np.array_equal(load_matrix(path).counts.view(np.uint64), matrix.view(np.uint64))
 
     def test_value_equal_rewrite_still_loads(self, tmp_path):
         # "1" for "1.0" changes the raw rows but not the counts the checksum covers.

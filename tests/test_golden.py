@@ -68,6 +68,9 @@ DIGESTS = {
     "report.json": "95911803cb5c36e1b90f5ee948d30c628e897659a40c17500533338ae7feadd5",
     "evaluate.stdout": "d9e154ad551431b0c635b27b7040dcb4d5cdb524208aab21c08f6c52c446d904",
     "report.stdout": "7b880b9286b26a37726651459848985b1ceee8b3834d663999fbaf09e4978eaa",
+    "report_ngram.stdout": "02af365632478929b5b22a095ec81e714a25761887caa57527ae209113c9a70a",
+    "report_naive.stdout": "a3258d41e9cef1d154fed1b1223e2cb41aa57453a186c57d7eb3c21187769282",
+    "report_top4.stdout": "9eb01678915a5135f1cf7e0b66d810425fc98f646f092b4f421dfda41d99ca61",
 }
 
 
@@ -116,8 +119,15 @@ def test_stage_outputs_match_pinned_digests(tmp_path, capsys):
        "--llm-request-log", p("llm_requests.jsonl"), "--out", p("llm.jsonl"))
     ok("evaluate", "--predictions", p("ngram_greedy.jsonl"), "--annotations", p("test.jsonl"), *common,
        "--recognition", p("recognition_top2.jsonl"), "--out", p("report.json"), capture="evaluate.stdout")
-    ok("report", "--clip", "e", "--annotations", p("test.jsonl"), *common,
-       "--recognition", p("recognition_top2.jsonl"), "--predictions", p("llm.jsonl"), capture="report.stdout")
+    report = ["report", "--annotations", p("test.jsonl"), *common]
+    ok(*report, "--clip", "e", "--recognition", p("recognition_top2.jsonl"), "--predictions", p("llm.jsonl"),
+       capture="report.stdout")
+    # e/2 is a fallback; e's segments have 3, 2 and 3 candidates at top-2, 4, 4 and 5 at
+    # top-4, and d's naive segments none.
+    ok(*report, "--clip", "e", "--recognition", p("recognition_top2.jsonl"), "--predictions",
+       p("ngram_greedy.jsonl"), capture="report_ngram.stdout")
+    ok(*report, "--clip", "e", "--recognition", p("recognition_top4.jsonl"), capture="report_top4.stdout")
+    ok(*report, "--clip", "d", "--recognition", p("recognition_naive.jsonl"), capture="report_naive.stdout")
 
     digests = {
         name: hashlib.sha256(

@@ -16,7 +16,7 @@ from ltakit.metrics import (
     corpus_eval,
     damerau_levenshtein,
     format_report,
-    normalized_ed,
+    normalized_eds,
     save_report,
 )
 from ltakit.recognition import ClipRecognition
@@ -126,22 +126,24 @@ class TestDamerauLevenshtein:
 
 
 class TestNormalizedEd:
+    """`normalized_eds`, the one normalizer `corpus_eval` and `report` score through."""
+
     def test_identical_is_zero(self):
-        assert normalized_ed([1, 2, 3], [1, 2, 3]) == 0.0
+        assert normalized_eds([1, 2, 3], [1, 2, 3]) == 0.0
 
     def test_simple_fraction(self):
-        assert normalized_ed([1, 2, 9, 4], [1, 2, 3, 4]) == 0.25
+        assert normalized_eds([1, 2, 9, 4], [1, 2, 3, 4]) == 0.25
 
     def test_clamped_to_one(self):
-        assert normalized_ed([9, 8], [1, 2]) == 1.0
+        assert normalized_eds([9, 8], [1, 2]) == 1.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError, match="length mismatch"):
-            normalized_ed([1], [1, 2])
+            normalized_eds([1], [1, 2])
 
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            normalized_ed([], [])
+            normalized_eds([], [])
 
 
 def pred_set(clip_id, candidates):
@@ -232,7 +234,7 @@ class TestClipEd:
             clip_scores(PredictionSet("c", np.empty((0, 1, 2), np.intp)), actions([(0, 0)]))
 
     def test_length_mismatch_names_clip(self):
-        with pytest.raises(DataError, match="'c9'"):
+        with pytest.raises(DataError, match="clip 'c9': sequence length mismatch: 2 vs 1"):
             clip_scores(pred_set("c9", [[(0, 0), (0, 0)]]), actions([(0, 0)]))
 
 
