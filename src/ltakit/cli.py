@@ -369,17 +369,21 @@ def run(argv: list[str] | None = None) -> int:
     try:
         # The file supplies the full parser's defaults, so a parser of --config alone reads it first,
         # taking any abbreviation argparse takes (--conf).
-        config = _read_config(config_parser.parse_known_args(argv)[0].config)
-        if config:
-            unknown = sorted(k for k in config if k.replace("-", "_") not in flags)
-            if unknown:
-                raise UsageError(f"unknown config key {unknown[0]!r}")
-            defaults = {
-                k.replace("-", "_"): _config_value(k, v, flags[k.replace("-", "_")])
-                for k, v in config.items()
-            }
-            for p in parsers:
-                p.set_defaults(**defaults)
+        try:
+            config = _read_config(config_parser.parse_known_args(argv)[0].config)
+            if config:
+                unknown = sorted(k for k in config if k.replace("-", "_") not in flags)
+                if unknown:
+                    raise UsageError(f"unknown config key {unknown[0]!r}")
+                defaults = {
+                    k.replace("-", "_"): _config_value(k, v, flags[k.replace("-", "_")])
+                    for k, v in config.items()
+                }
+                for p in parsers:
+                    p.set_defaults(**defaults)
+        except UsageError:
+            parser.parse_args(argv)  # the full parser's own usage error (such as an ambiguous --c) comes first
+            raise
         args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"ltakit: error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ contain it.
 
 from __future__ import annotations
 
-import copy
 import http.client
 import json
 import math
@@ -92,21 +91,17 @@ class _ChatClient:
             "temperature": self.config.temperature if temperature is None else temperature,
             "max_tokens": self.config.max_tokens,
         }
-        delay = self.config.backoff_base
-        attempt = 0
-        while True:
-            attempt += 1
-            self._attempts.append((key, copy.deepcopy(payload)))
+        for attempt in range(self.config.max_retries + 1):
+            if attempt > 0 and self.config.backoff_base > 0:
+                time.sleep(self.config.backoff_base * 2 ** (attempt - 1))
+            self._attempts.append((key, payload))
             try:
                 body = self._send(payload)
             except TransportError:
-                if attempt > self.config.max_retries:
+                if attempt == self.config.max_retries:
                     raise
-                if delay > 0:
-                    time.sleep(delay)
-                delay = delay * 2 if delay > 0 else 0.0
-                continue
-            return _extract_message(body)
+            else:
+                return _extract_message(body)
 
     def _send(self, payload: dict) -> dict:
         raise NotImplementedError

@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -153,44 +154,40 @@ def rerank_blocks(
 
     `rerank` is a one-clip call (`naive_clip`, or `recognize_clip` with its
     matrix and k). It scores each segment on its own, so it runs on blocks of
-    BLOCK_SEGMENTS rows that span clip boundaries. Each clip must be
-    S x |V| and S x |N| with `sizes` = (|V|, |N|), and is checked before its
-    block is built, so an error names the clip. The results are views of the
-    concatenated block results.
+    BLOCK_SEGMENTS consecutive corpus rows that span clip boundaries. Each
+    clip must be S x |V| and S x |N| with `sizes` = (|V|, |N|), and is checked
+    before any block is built, so an error names the clip. The results are
+    views of the concatenated block results.
     """
-    blocks = [rerank(ClipDistributions("", *map(np.concatenate, zip(*pieces)))) for pieces in _blocks(clips, sizes)]
+    for clip in clips:
+        _check_clip(clip, sizes)
+    starts = np.cumsum([0] + [len(clip.verb_probs) for clip in clips]).tolist()  # each clip's first row
+    blocks = []
+    for lo in range(0, starts[-1], BLOCK_SEGMENTS):
+        hi = lo + BLOCK_SEGMENTS
+        first, last = bisect_right(starts, lo) - 1, bisect_left(starts, hi)  # the clips rows lo:hi span
+        pieces = [
+            (clip.verb_probs[max(lo - start, 0) : hi - start], clip.noun_probs[max(lo - start, 0) : hi - start])
+            for clip, start in zip(clips[first:last], starts[first:last])
+        ]
+        blocks.append(rerank(ClipDistributions("", *map(np.concatenate, zip(*pieces)))))
     if not blocks:
         return []
     fields = ("chosen", "naive", "candidates", "scores", "verb_anchored", "counts", "fallback")
-    chosen, naive, candidates, scores, verb_anchored, counts, fallback = (
-        np.concatenate([getattr(block, name) for block in blocks]) for name in fields
-    )
-    starts = np.cumsum([0] + [len(clip.verb_probs) for clip in clips]).tolist()
+    columns = (np.concatenate([getattr(block, name) for block in blocks]) for name in fields)
+    return _split([clip.clip_id for clip in clips], starts, *columns)
+
+
+def _split(clip_ids, starts, chosen, naive, candidates, scores, verb_anchored, counts, fallback):
+    """Per-clip views of corpus-wide result columns, clip i holding rows starts[i]:starts[i + 1]."""
     bounds = np.concatenate([[0], np.cumsum(counts)])[starts].tolist()  # each clip's first candidate
     return [
         ClipRecognition(
-            clip.clip_id, chosen[a:b], naive[a:b], candidates[c:d], scores[c:d], verb_anchored[c:d],
-            counts[a:b], fallback[a:b],
+            clip_id, chosen[a:b], naive[a:b], candidates[c:d], scores[c:d], verb_anchored[c:d], counts[a:b],
+            fallback[a:b],
         )
-        for clip, a, b, c, d in zip(clips, starts, starts[1:], bounds, bounds[1:])
+        for clip_id, a, b, c, d in zip(clip_ids, starts, starts[1:], bounds, bounds[1:])
     ]
-
-
-def _blocks(clips: list[ClipDistributions], sizes) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
-    """All clips' segments in order, BLOCK_SEGMENTS at a time, as (verb rows, noun rows) pieces."""
-    pieces, filled = [], 0
-    for clip in clips:
-        _check_clip(clip, sizes)
-        start, size = 0, len(clip.verb_probs)
-        while start < size:
-            end = min(size, start + BLOCK_SEGMENTS - filled)
-            pieces.append((clip.verb_probs[start:end], clip.noun_probs[start:end]))
-            filled, start = filled + end - start, end
-            if filled == BLOCK_SEGMENTS:
-                yield pieces
-                pieces, filled = [], 0
-    if pieces:
-        yield pieces
 
 
 def save_recognition(path, clips: list[ClipRecognition], taxonomy: Taxonomy) -> None:
@@ -266,11 +263,4 @@ def load_recognition(path, taxonomy: Taxonomy) -> list[ClipRecognition]:
     candidates = file.table[np.frombuffer(candidates, np.int64)[taken]]
     scores, verb_anchored = np.frombuffer(scores)[taken], np.frombuffer(verb_anchored, bool)[taken]
     counts, fallback = counts[order], np.frombuffer(fallback, bool)[order]
-    bounds = [0, *np.cumsum(counts).tolist()]  # row i's candidates are bounds[i]:bounds[i + 1]
-    return [
-        ClipRecognition(
-            clip_id, heads[a:b, 0], heads[a:b, 1], candidates[bounds[a] : bounds[b]], scores[bounds[a] : bounds[b]],
-            verb_anchored[bounds[a] : bounds[b]], counts[a:b], fallback[a:b],
-        )
-        for clip_id, a, b in zip(file.clip_ids, starts, starts[1:])
-    ]
+    return _split(file.clip_ids, starts, heads[:, 0], heads[:, 1], candidates, scores, verb_anchored, counts, fallback)

@@ -827,6 +827,27 @@ class TestConfigFile:
         assert "--config" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("content", [None, "{ not json", '{"fantasy-knob": 1}'], ids=["missing", "json", "key"])
+    def test_ambiguous_prefix_is_reported_before_the_config(self, tmp_path, capsys, content):
+        # In synth, --c could match --clips as well as --config: the full parser's error wins.
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        assert run(["synth", "--out-dir", str(tmp_path / "x"), "--c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "ambiguous option: --c could match --config, --clips" in err
+        assert "ltakit: error: " not in err  # no config error before or after it
+        assert not (tmp_path / "x").exists()
+
+    def test_unambiguous_prefix_still_reads_the_config(self, tmp_path, capsys):
+        # evaluate has no other flag that starts with --c.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{ not json")
+        absent = str(tmp_path / "absent")
+        argv = ["evaluate", "--predictions", absent, "--annotations", absent, "--taxonomy", absent, "--c", str(cfg)]
+        assert run(argv) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
 
 class TestLlmPath:
     def test_scripted_llm_run_with_request_log(self, pipeline, tmp_path):

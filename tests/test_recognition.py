@@ -472,6 +472,22 @@ class TestBlocks:
         for result, clip in zip(rerank_blocks(clips, naive_clip, matrix.shape), clips):
             assert_same_recognition(result, naive_clip(clip))
 
+    def test_blocks_are_consecutive_rows_at_most_block_size(self):
+        clips = corpus(np.random.default_rng(42), 6, 9, self.LENGTHS)
+        blocks = []
+
+        def record(block):
+            blocks.append(block)
+            return naive_clip(block)
+
+        rerank_blocks(clips, record, (6, 9))
+        sizes = [len(block.verb_probs) for block in blocks]
+        assert max(sizes) <= BLOCK_SEGMENTS
+        assert all(size == BLOCK_SEGMENTS for size in sizes[:-1])
+        for name in ("verb_probs", "noun_probs"):
+            rows = np.concatenate([getattr(block, name) for block in blocks])
+            assert np.array_equal(rows, np.concatenate([getattr(clip, name) for clip in clips]))
+
     def test_no_clips(self):
         assert rerank_blocks([], naive_clip, (2, 2)) == []
 
