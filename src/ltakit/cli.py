@@ -16,6 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from ._fileio import atomic_write_text, dump_jsonl, load_json
 from .anticipation import (
@@ -38,10 +40,9 @@ from .dataset_io import (
 )
 from .errors import DataError, LlmError
 from .llm_client import LlmClient, LlmConfig, MockLlmClient, load_script
-from .metrics import corpus_eval, format_report, normalized_eds, save_report
+from .metrics import corpus_eval, format_report, normalized_eds, observed_rows, save_report
 from .recognition import (
-    BRANCH_NOUN, BRANCH_VERB, DEFAULT_TOP_K, load_recognition, naive_clip, recognize_clip, rerank_blocks,
-    save_recognition,
+    BRANCH_NOUN, BRANCH_VERB, DEFAULT_TOP_K, load_recognition, naive_clip, recognize_clip, save_recognition,
 )
 from .synthgen import SynthConfig, generate_corpus, provenance
 from .taxonomy import Taxonomy, format_actions, load_taxonomy, save_taxonomy
@@ -79,8 +80,7 @@ def _cmd_synth(args) -> None:
     save_annotations(out_dir / "annotations.jsonl", corpus.annotations, corpus.taxonomy)
     save_distributions(out_dir / "distributions.jsonl", corpus.distributions)
     atomic_write_text(out_dir / "provenance.json", json.dumps(provenance(config, __version__), indent=2) + "\n")
-    segments = sum(len(clip.verb_probs) for clip in corpus.distributions)
-    print(f"wrote {len(corpus.annotations)} clips / {segments} segments to {out_dir}")
+    print(f"wrote {len(corpus.annotations)} clips / {len(corpus.distributions.verb_probs)} segments to {out_dir}")
 
 
 def _cmd_build_cooccur(args) -> None:
@@ -94,13 +94,11 @@ def _cmd_build_cooccur(args) -> None:
 def _cmd_recognize(args) -> None:
     taxonomy = load_taxonomy(args.taxonomy)
     matrix = load_matrix(args.matrix, taxonomy)
-    clips = load_distributions(args.distributions, taxonomy)
-    rerank = naive_clip if args.naive else lambda block: recognize_clip(block, matrix, args.top_k)
-    recognized = rerank_blocks(clips, rerank, matrix.shape)
+    table = load_distributions(args.distributions, taxonomy)
+    recognized = naive_clip(table) if args.naive else recognize_clip(table, matrix, args.top_k)
     save_recognition(args.out, recognized, taxonomy)
     mode = "naive" if args.naive else f"reranked (top-{args.top_k})"
-    segments = sum(len(clip.chosen) for clip in recognized)
-    print(f"wrote {segments} {mode} segments for {len(clips)} clips to {args.out}")
+    print(f"wrote {len(recognized.chosen)} {mode} segments for {len(table.clip_ids)} clips to {args.out}")
 
 
 def _build_predictor(args, taxonomy: Taxonomy):
@@ -148,7 +146,8 @@ def _cmd_anticipate(args) -> None:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     taxonomy = load_taxonomy(args.taxonomy)
-    histories = {clip.clip_id: clip.chosen for clip in load_recognition(args.recognition, taxonomy)}
+    recognition = load_recognition(args.recognition, taxonomy)
+    histories = dict(zip(recognition.clip_ids, np.split(recognition.chosen, recognition.starts[1:-1])))
     predictor, client = _build_predictor(args, taxonomy)
 
     if isinstance(predictor, NgramPredictor):
@@ -186,27 +185,33 @@ def _cmd_report(args) -> None:
         raise DataError(f"clip {args.clip!r} not found in {args.annotations}")
 
     lines = [f"clip {record.clip_id}"]
-    clips = load_recognition(args.recognition, taxonomy) if args.recognition else []
-    recognition = next((clip for clip in clips if clip.clip_id == args.clip), None)
-    marks = []  # per recognized segment, appended to its observed action's line
-    if recognition is not None:
-        chosen, naive = format_actions(recognition.chosen, taxonomy), format_actions(recognition.naive, taxonomy)
+    recognition = load_recognition(args.recognition, taxonomy) if args.recognition else None
+    marks, candidates = [], None  # per recognized segment: the mark on its observed line, its candidates
+    if recognition is not None and args.clip in recognition.clip_ids:
+        at = recognition.clip_ids.index(args.clip)
+        a, b = recognition.starts[at : at + 2]
+        observed_rows([args.clip], [a, b], [record])  # the segments must not outrun the observed actions
+        chosen, naive = (format_actions(pairs[a:b], taxonomy) for pairs in (recognition.chosen, recognition.naive))
         marks = [f"  | chosen: {c}  naive: {n}" + "  (fallback)" * f
-                 for c, n, f in zip(chosen, naive, recognition.fallback.tolist())]
+                 for c, n, f in zip(chosen, naive, recognition.fallback[a:b].tolist())]
+        c = int(recognition.counts[:a].sum())  # the clip's first candidate
+        d = c + int(recognition.counts[a:b].sum())
+        texts = iter([
+            f"{action} {score:.4g} ({BRANCH_VERB if verb_anchored else BRANCH_NOUN})"
+            for action, score, verb_anchored in zip(
+                format_actions(recognition.candidates[c:d], taxonomy), recognition.scores[c:d].tolist(),
+                recognition.verb_anchored[c:d].tolist(),
+            )
+        ])
+        candidates = [  # segment i's candidates are the next `count`
+            f"  [{i}] {', '.join(islice(texts, count)) or '-'}"
+            for i, count in enumerate(recognition.counts[a:b].tolist())
+        ]
     lines.append("observed:")
     for i, action in enumerate(format_actions(record.observed, taxonomy)):
         lines.append(f"  [{i}] {action}{marks[i] if i < len(marks) else ''}")
-    if recognition is not None:
-        lines.append("candidates per segment:")
-        candidates = iter([
-            f"{action} {score:.4g} ({BRANCH_VERB if verb_anchored else BRANCH_NOUN})"
-            for action, score, verb_anchored in zip(
-                format_actions(recognition.candidates, taxonomy), recognition.scores.tolist(),
-                recognition.verb_anchored.tolist(),
-            )
-        ])
-        for i, count in enumerate(recognition.counts.tolist()):  # segment i's candidates are the next `count`
-            lines.append(f"  [{i}] {', '.join(islice(candidates, count)) or '-'}")
+    if candidates is not None:
+        lines += ["candidates per segment:", *candidates]
     if record.future is not None:
         lines.append("future (ground truth):")
         lines.append("  " + ", ".join(format_actions(record.future, taxonomy)))

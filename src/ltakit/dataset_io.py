@@ -10,10 +10,11 @@ All three datasets are JSON lines, one record per line:
 anticipation horizon worth of actions. Probability vectors are dense, one
 entry per vocabulary item. In memory every action sequence is an integer
 array of (verb id, noun id) rows: `observed` and `future` load as L x 2
-arrays, and a clip's predictions as one K x Z x 2 array; `taxonomy` converts
-between ids and text. Annotations and predictions round-trip exactly;
-distributions are renormalized on load, so a vector whose float sum is not
-exactly 1 comes back rescaled by a few ulps and saves to different bytes.
+arrays, a clip's predictions as one K x Z x 2 array, and distributions as one
+corpus table (`Distributions`); `taxonomy` converts between ids and text.
+Annotations and predictions round-trip exactly; distributions are
+renormalized on load, so a vector whose float sum is not exactly 1 comes back
+rescaled by a few ulps and saves to different bytes.
 
 `StageFile` reads every stage file (per clip, or per segment here and in
 `recognition`) in one pass, and is the one place where their rules live. Each
@@ -21,8 +22,9 @@ line is reduced at once to numbers appended to flat columns for the whole
 file; an action text becomes a code, each distinct text kept once and
 resolved by one `parse_actions` call. Checks that need no Python per value
 run on whole arrays after the pass (one lexsort of the (clip, segment) keys,
-the probability rules), yet the error raised is the first in the file. Each
-clip's record is a slice of the columns.
+the probability rules), yet the error raised is the first in the file. A
+per-segment file stays in those columns: a corpus table of clip ids, row
+starts and flat arrays, clip i holding rows starts[i]:starts[i + 1].
 
 Writing distributions costs float formatting, so `save_distributions` pays it
 once per distinct value in a clip, not once per cell: a synth row holds only
@@ -69,10 +71,12 @@ class ClipRecord:
 
 
 @dataclass(eq=False)
-class ClipDistributions:
-    """Recognition output for one clip: S x |V| verb and S x |N| noun probabilities, row i = segment i."""
+class Distributions:
+    """Per-segment probabilities of a corpus: S x |V| `verb_probs` and S x |N| `noun_probs`, clip
+    `clip_ids[i]` holding rows starts[i]:starts[i + 1] in segment order (C clips, C + 1 starts)."""
 
-    clip_id: str
+    clip_ids: list[str]
+    starts: list[int]
     verb_probs: np.ndarray
     noun_probs: np.ndarray
 
@@ -268,9 +272,9 @@ def _probs_error(file: StageFile, name: str, size: int, column: array):
         return row, DataError(f"{file.where(row)}: {name} {next(t for t, r in zip(texts, rules) if r[row])}")
 
 
-def load_distributions(path, taxonomy: Taxonomy) -> list[ClipDistributions]:
-    """Load per-segment probability vectors as one record per clip (see `StageFile`),
-    renormalizing sums inside the tolerance band."""
+def load_distributions(path, taxonomy: Taxonomy) -> Distributions:
+    """Load per-segment probability vectors as one table (see `StageFile`), renormalizing sums
+    inside the tolerance band."""
     file = StageFile(path, taxonomy, per_segment=True)
     fields = [("verb_probs", taxonomy.num_verbs, array("d")), ("noun_probs", taxonomy.num_nouns, array("d"))]
     with file.checking(*(partial(_probs_error, file, *field) for field in fields)):
@@ -289,11 +293,10 @@ def load_distributions(path, taxonomy: Taxonomy) -> list[ClipDistributions]:
     verb, noun = (_probs(column, size)[order] for _, size, column in fields)
     for probs in (verb, noun):
         probs /= probs.sum(axis=1, keepdims=True)  # each row by its own sum, as checked
-    return [ClipDistributions(clip_id, verb[a:b], noun[a:b])
-            for clip_id, a, b in zip(file.clip_ids, starts, starts[1:])]
+    return Distributions(list(file.clip_ids), starts, verb, noun)
 
 
-def save_distributions(path, clips: list[ClipDistributions]) -> None:
+def save_distributions(path, table: Distributions) -> None:
     """Write one line per segment, byte for byte what `json.dumps` writes for its
     {clip_id, segment, verb_probs, noun_probs} record, with every probability
     cast to float64 first (an int 1 is written as 1.0). Clips are streamed.
@@ -305,17 +308,17 @@ def save_distributions(path, clips: list[ClipDistributions]) -> None:
     whose values are all distinct save nothing and pay for the unique and the
     join, up to ~1.3x slower: 0.33-0.35 -> 0.35-0.45 s on 1,280 Dirichlet rows.
     """
-    atomic_write_text(path, map(_distribution_lines, clips))
+    num_verbs = table.verb_probs.shape[1]
 
+    def lines(clip_id: str, a: int, b: int) -> str:
+        cells = float_texts(np.concatenate([table.verb_probs[a:b], table.noun_probs[a:b]], axis=1))
+        head = '{"clip_id": ' + json.dumps(clip_id) + ', "segment": '
+        return "".join(
+            f'{head}{i}, "verb_probs": [{", ".join(verb)}], "noun_probs": [{", ".join(noun)}]}}\n'
+            for i, (verb, noun) in enumerate(zip(cells[:, :num_verbs].tolist(), cells[:, num_verbs:].tolist()))
+        )
 
-def _distribution_lines(clip: ClipDistributions) -> str:
-    cells = float_texts(np.concatenate([clip.verb_probs, clip.noun_probs], axis=1))
-    num_verbs = clip.verb_probs.shape[1]
-    head = '{"clip_id": ' + json.dumps(clip.clip_id) + ', "segment": '
-    return "".join(
-        f'{head}{i}, "verb_probs": [{", ".join(verb)}], "noun_probs": [{", ".join(noun)}]}}\n'
-        for i, (verb, noun) in enumerate(zip(cells[:, :num_verbs].tolist(), cells[:, num_verbs:].tolist()))
-    )
+    atomic_write_text(path, map(lines, table.clip_ids, table.starts, table.starts[1:]))
 
 
 def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -> list[PredictionSet]:

@@ -18,7 +18,7 @@ import numpy as np
 from ._fileio import atomic_write_text
 from .dataset_io import ClipRecord, PredictionSet
 from .errors import DataError
-from .recognition import ClipRecognition
+from .recognition import Recognition
 
 
 def damerau_levenshtein(a, b) -> np.ndarray:
@@ -89,38 +89,40 @@ class EvalReport:
     per_clip: list[ClipScores]
 
 
-def ar_accuracy(
-    recognition: list[ClipRecognition], annotations: list[ClipRecord]
-) -> tuple[float, float, float]:
-    """Percentage of recognized segments whose chosen verb / noun / full action
-    matches the annotated observed action."""
+def observed_rows(clip_ids, starts, annotations: list[ClipRecord]) -> np.ndarray:
+    """The annotated observed action of each recognized segment: clip `clip_ids[i]` has
+    starts[i + 1] - starts[i] segments, which must not outrun its observed actions."""
     observed = {}
     for record in annotations:
         if record.clip_id in observed:
             raise DataError(f"duplicate clip id {record.clip_id!r} in annotations")
         observed[record.clip_id] = record.observed
-    hits, total = np.zeros(3, np.int64), 0  # verb, noun and action matches; segments
-    for clip in recognition:
-        if clip.clip_id not in observed:
-            raise DataError(f"recognition result for unknown clip {clip.clip_id!r}")
-        segments = observed[clip.clip_id]
-        if len(clip.chosen) > len(segments):
-            raise DataError(
-                f"clip {clip.clip_id!r}: segment {len(segments)} out of range ({len(segments)} observed)"
-            )
-        same = clip.chosen == segments[: len(clip.chosen)]  # S x 2: verb match, noun match
-        hits += [*same.sum(axis=0), same.all(axis=1).sum()]
-        total += len(clip.chosen)
-    if not total:
+    rows = [np.empty((0, 2), np.intp)]
+    for clip_id, a, b in zip(clip_ids, starts, starts[1:]):
+        if clip_id not in observed:
+            raise DataError(f"recognition result for unknown clip {clip_id!r}")
+        segments = observed[clip_id]
+        if b - a > len(segments):
+            raise DataError(f"clip {clip_id!r}: segment {len(segments)} out of range ({len(segments)} observed)")
+        rows.append(segments[: b - a])
+    return np.concatenate(rows)
+
+
+def ar_accuracy(recognition: Recognition, annotations: list[ClipRecord]) -> tuple[float, float, float]:
+    """Percentage of recognized segments whose chosen verb / noun / full action
+    matches the annotated observed action."""
+    same = recognition.chosen == observed_rows(recognition.clip_ids, recognition.starts, annotations)
+    if not len(same):  # S x 2: verb match, noun match
         raise DataError("no recognition results to score")
-    verb_ok, noun_ok, both_ok = hits.tolist()
-    return (100.0 * verb_ok / total, 100.0 * noun_ok / total, 100.0 * both_ok / total)
+    verb_ok, noun_ok = same.sum(axis=0).tolist()
+    both_ok = int(same.all(axis=1).sum())
+    return (100.0 * verb_ok / len(same), 100.0 * noun_ok / len(same), 100.0 * both_ok / len(same))
 
 
 def corpus_eval(
     predictions: list[PredictionSet],
     annotations: list[ClipRecord],
-    recognition: list[ClipRecognition] | None = None,
+    recognition: Recognition | None = None,
 ) -> EvalReport:
     """Evaluate predictions against every annotated clip that has a future.
 

@@ -14,11 +14,11 @@ verb-anchored one on an exact tie), and the chosen pair is the highest
 score. Ties everywhere break toward the lower verb index, then the lower
 noun index.
 
-A clip's result is one `ClipRecognition` of arrays, with no object per
-segment or candidate. Every step scores a segment on its own, so a corpus is
-re-ranked in blocks of BLOCK_SEGMENTS segments that span clip boundaries
-(`rerank_blocks`), and the results are split back into per-clip views.
-`save_recognition` formats its lines straight from those arrays.
+Results form one `Recognition` table of arrays, with no object per segment or
+candidate. Every step scores a segment on its own, so `recognize_clip` runs
+on blocks of BLOCK_SEGMENTS consecutive rows of the corpus arrays (views that
+span clip boundaries) and joins the block results once. `save_recognition`
+formats its lines straight from the table's arrays.
 """
 
 from __future__ import annotations
@@ -26,15 +26,13 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ._fileio import atomic_write_text
 from .cooccurrence import CooccurrenceMatrix
-from .dataset_io import ClipDistributions, StageFile
+from .dataset_io import Distributions, StageFile
 from .errors import DataError
 from .taxonomy import Taxonomy
 
@@ -43,24 +41,24 @@ BRANCH_NOUN = "noun_anchored"
 
 DEFAULT_TOP_K = 5
 
-# Segments per re-rank call in `rerank_blocks`. The largest intermediates of a
-# call are BLOCK_SEGMENTS x k x max(|V|, |N|) arrays: 0.4 MB each at 97 x 300, k = 5.
+# Segments per re-ranked block. The largest intermediates of a block are
+# BLOCK_SEGMENTS x k x max(|V|, |N|) arrays: 0.4 MB each at 97 x 300, k = 5.
 BLOCK_SEGMENTS = 32
 
 
 @dataclass(eq=False)
-class ClipRecognition:
-    """Recognition output for one clip of S segments.
+class Recognition:
+    """Recognition output of a corpus: clip `clip_ids[i]` holds rows starts[i]:starts[i + 1].
 
-    `chosen` and `naive` are S x 2 (verb id, noun id) arrays; `fallback[i]`
-    marks segment i's degenerate case, every candidate scored zero and the
-    naive pair taken instead. All segments' candidates lie end to end in
-    segment order, best first: C x 2 `candidates`, C `scores` and C
-    `verb_anchored` branch flags, of which `counts[i]` belong to segment i.
-    Naive recognition has no candidates.
+    `chosen` and `naive` are S x 2 (verb id, noun id) arrays; `fallback[r]`
+    marks row r's degenerate case, every candidate scored zero and the naive
+    pair taken instead. All rows' candidates lie end to end in row order, best
+    first: C x 2 `candidates`, C `scores` and C `verb_anchored` branch flags,
+    of which `counts[r]` belong to row r. Naive recognition has no candidates.
     """
 
-    clip_id: str
+    clip_ids: list[str]
+    starts: list[int]
     chosen: np.ndarray
     naive: np.ndarray
     candidates: np.ndarray
@@ -81,38 +79,35 @@ def _branch(anchor_probs, other_probs, table, k: int):
     others = np.argsort(-adjusted, axis=2, kind="stable")[:, :, :k]
     anchor_p = np.take_along_axis(anchor_probs, anchors, axis=1)
     scores = anchor_p[..., None] * np.take_along_axis(adjusted, others, axis=2)
-    return scores.reshape(len(scores), -1), np.repeat(anchors, k, axis=1), others.reshape(len(scores), -1)
+    return scores.reshape(-1, k * k), np.repeat(anchors, k, axis=1), others.reshape(-1, k * k)
 
 
 def _take(arrays, order) -> list[np.ndarray]:
     return [np.take_along_axis(a, order, axis=1) for a in arrays]
 
 
-def _check_clip(clip: ClipDistributions, sizes: tuple[int, int] | None = None) -> None:
-    """Both arrays must be S x |V| and S x |N| with S >= 1; `sizes` pins (|V|, |N|)."""
-    verb, noun = clip.verb_probs.shape, clip.noun_probs.shape
-    if not (len(verb) == len(noun) == 2 and verb[0] == noun[0] > 0 and sizes in (None, (verb[1], noun[1]))):
+def _check(table: Distributions, sizes: tuple[int, int] | None = None) -> None:
+    """The arrays must be S x |V| and S x |N|, `sizes` pinning (|V|, |N|), and every clip's rows a
+    nonempty run of them, the runs covering all S rows in order."""
+    verb, noun = table.verb_probs.shape, table.noun_probs.shape
+    if not (len(verb) == len(noun) == 2 and verb[0] == noun[0] and sizes in (None, (verb[1], noun[1]))):
         target = "each other" if sizes is None else f"the {sizes[0]}x{sizes[1]} matrix"
+        raise DataError(f"distribution shapes {verb} and {noun} do not match {target} (need S x |V| and S x |N|)")
+    starts, clip_ids, rows = table.starts, table.clip_ids, verb[0]
+    if len(starts) != len(clip_ids) + 1 or starts[0] != 0 or starts[-1] != rows:
         raise DataError(
-            f"clip {clip.clip_id!r}: distribution shapes {verb} and {noun} do not match {target} "
-            "(need S x |V| and S x |N| with S >= 1)"
+            f"clips {clip_ids[:1]}..{clip_ids[-1:]} hold rows {starts[:1]}..{starts[-1:]} of {rows} "
+            f"(need {len(clip_ids) + 1} row starts from 0 to {rows})"
         )
+    empty = np.flatnonzero(np.diff(starts) < 1)
+    if len(empty):
+        raise DataError(f"clip {clip_ids[empty[0]]!r} has no rows (need S >= 1)")
 
 
-def recognize_clip(
-    clip: ClipDistributions, matrix: CooccurrenceMatrix, k: int = DEFAULT_TOP_K
-) -> ClipRecognition:
-    """Re-rank all segments of one clip.
-
-    The clip is scored as S x |V| and S x |N| arrays at once; the largest
-    intermediates are S x k x max(|V|, |N|) scores and an S x 2k x 2k
-    duplicate mask.
-    """
-    _check_clip(clip, matrix.shape)
-    num_verbs, num_nouns = matrix.shape
-    if k < 1 or k > min(num_verbs, num_nouns):
-        raise DataError(f"top-k={k} needs 1 <= k <= min(|V|, |N|) = {min(num_verbs, num_nouns)}")
-    verb_probs, noun_probs = clip.verb_probs, clip.noun_probs
+def _rerank(verb_probs: np.ndarray, noun_probs: np.ndarray, matrix: CooccurrenceMatrix, k: int):
+    """One block's re-ranked rows: each row's best pair, then its candidates, scores, branch flags,
+    count and fallback flag as in `Recognition`. The largest intermediates are S x k x
+    max(|V|, |N|) scores and an S x 2k x 2k duplicate mask."""
     v_scores, v_verbs, v_nouns = _branch(verb_probs, noun_probs, matrix.row_stochastic, k)
     n_scores, n_nouns, n_verbs = _branch(noun_probs, verb_probs, matrix.col_stochastic.T, k)
     cuts = [  # each branch keeps its k best by (-score, verb, noun)
@@ -127,105 +122,82 @@ def recognize_clip(
     scores, verbs, nouns, columns = _take((scores, verbs, nouns, columns), order)
     same = (verbs[:, :, None] == verbs[:, None, :]) & (nouns[:, :, None] == nouns[:, None, :])
     first = ~np.tril(same, -1).any(axis=2)  # no earlier entry of the row holds this action
-    naive = naive_clip(clip).naive
-    fallback = ~(scores[:, 0] > 0.0)
-    chosen = np.where(fallback[:, None], naive, np.stack([verbs[:, 0], nouns[:, 0]], axis=1))
-    return ClipRecognition(
-        clip.clip_id, chosen, naive, np.stack([verbs[first], nouns[first]], axis=1), scores[first],
-        columns[first] < k, first.sum(axis=1), fallback,
+    return (
+        np.stack([verbs[:, 0], nouns[:, 0]], axis=1), np.stack([verbs[first], nouns[first]], axis=1),
+        scores[first], columns[first] < k, first.sum(axis=1), ~(scores[:, 0] > 0.0),
     )
 
 
-def naive_clip(clip: ClipDistributions) -> ClipRecognition:
-    """Ablation path: per-track argmax pairs, no co-occurrence candidates."""
-    _check_clip(clip)
-    naive = np.stack([clip.verb_probs.argmax(axis=1), clip.noun_probs.argmax(axis=1)], axis=1)
-    return ClipRecognition(
-        clip.clip_id, naive.copy(), naive, np.empty((0, 2), np.intp), np.empty(0), np.empty(0, bool),
-        np.zeros(len(naive), np.intp), np.zeros(len(naive), bool),
-    )
+def recognize_clip(table: Distributions, matrix: CooccurrenceMatrix, k: int = DEFAULT_TOP_K) -> Recognition:
+    """Re-rank every segment of a table (one clip or a corpus).
 
-
-def rerank_blocks(
-    clips: list[ClipDistributions], rerank: Callable[[ClipDistributions], ClipRecognition],
-    sizes: tuple[int, int],
-) -> list[ClipRecognition]:
-    """Re-rank every clip's segments and return one `ClipRecognition` per clip.
-
-    `rerank` is a one-clip call (`naive_clip`, or `recognize_clip` with its
-    matrix and k). It scores each segment on its own, so it runs on blocks of
-    BLOCK_SEGMENTS consecutive corpus rows that span clip boundaries. Each
-    clip must be S x |V| and S x |N| with `sizes` = (|V|, |N|), and is checked
-    before any block is built, so an error names the clip. The results are
-    views of the concatenated block results.
+    Each segment is scored on its own, so the rows are taken in blocks of
+    BLOCK_SEGMENTS consecutive rows, views of the table's arrays that span
+    clip boundaries, and the block results are joined once.
     """
-    for clip in clips:
-        _check_clip(clip, sizes)
-    starts = np.cumsum([0] + [len(clip.verb_probs) for clip in clips]).tolist()  # each clip's first row
-    blocks = []
-    for lo in range(0, starts[-1], BLOCK_SEGMENTS):
-        hi = lo + BLOCK_SEGMENTS
-        first, last = bisect_right(starts, lo) - 1, bisect_left(starts, hi)  # the clips rows lo:hi span
-        pieces = [
-            (clip.verb_probs[max(lo - start, 0) : hi - start], clip.noun_probs[max(lo - start, 0) : hi - start])
-            for clip, start in zip(clips[first:last], starts[first:last])
-        ]
-        blocks.append(rerank(ClipDistributions("", *map(np.concatenate, zip(*pieces)))))
-    if not blocks:
-        return []
-    fields = ("chosen", "naive", "candidates", "scores", "verb_anchored", "counts", "fallback")
-    columns = (np.concatenate([getattr(block, name) for block in blocks]) for name in fields)
-    return _split([clip.clip_id for clip in clips], starts, *columns)
-
-
-def _split(clip_ids, starts, chosen, naive, candidates, scores, verb_anchored, counts, fallback):
-    """Per-clip views of corpus-wide result columns, clip i holding rows starts[i]:starts[i + 1]."""
-    bounds = np.concatenate([[0], np.cumsum(counts)])[starts].tolist()  # each clip's first candidate
-    return [
-        ClipRecognition(
-            clip_id, chosen[a:b], naive[a:b], candidates[c:d], scores[c:d], verb_anchored[c:d], counts[a:b],
-            fallback[a:b],
-        )
-        for clip_id, a, b, c, d in zip(clip_ids, starts, starts[1:], bounds, bounds[1:])
+    _check(table, matrix.shape)
+    num_verbs, num_nouns = matrix.shape
+    if k < 1 or k > min(num_verbs, num_nouns):
+        raise DataError(f"top-k={k} needs 1 <= k <= min(|V|, |N|) = {min(num_verbs, num_nouns)}")
+    verb_probs, noun_probs = table.verb_probs, table.noun_probs
+    blocks = [
+        _rerank(verb_probs[lo : lo + BLOCK_SEGMENTS], noun_probs[lo : lo + BLOCK_SEGMENTS], matrix, k)
+        for lo in range(0, max(len(verb_probs), 1), BLOCK_SEGMENTS)  # an empty table is one empty block
     ]
+    best, candidates, scores, verb_anchored, counts, fallback = (np.concatenate(c) for c in zip(*blocks))
+    naive = naive_clip(table).naive
+    chosen = np.where(fallback[:, None], naive, best)
+    return Recognition(table.clip_ids, table.starts, chosen, naive, candidates, scores, verb_anchored, counts, fallback)
 
 
-def save_recognition(path, clips: list[ClipRecognition], taxonomy: Taxonomy) -> None:
+def naive_clip(table: Distributions) -> Recognition:
+    """Ablation path: per-track argmax pairs, no co-occurrence candidates."""
+    _check(table)
+    naive = np.stack([table.verb_probs.argmax(axis=1), table.noun_probs.argmax(axis=1)], axis=1)
+    return Recognition(
+        table.clip_ids, table.starts, naive.copy(), naive, np.empty((0, 2), np.intp), np.empty(0),
+        np.empty(0, bool), np.zeros(len(naive), np.intp), np.zeros(len(naive), bool),
+    )
+
+
+def save_recognition(path, table: Recognition, taxonomy: Taxonomy) -> None:
     """Write one line per segment, byte for byte what `json.dumps` writes for its
     {clip_id, segment, chosen, naive, fallback, candidates} record, actions as
     "verb noun" text and each candidate as {action, score, branch}.
 
-    Lines are formatted straight from each clip's arrays, with no record
+    Lines are formatted straight from the table's arrays, with no record
     dict: each label is JSON-escaped once per call, and each score is written
     with `float.__repr__`, as `json.dumps` writes a finite float. Each clip's
     lines are written as they are made.
     """
     verbs, nouns = ([json.dumps(label)[1:-1] for label in labels] for labels in (taxonomy.verbs, taxonomy.nouns))
+    bounds = [0, *np.cumsum(table.counts).tolist()]  # row r's candidates are bounds[r]:bounds[r + 1]
 
     def texts(pairs: np.ndarray) -> list[str]:  # JSON strings of "verb noun"
         taxonomy.check_ids(pairs)
         return [f'"{verbs[v]} {nouns[n]}"' for v, n in pairs.tolist()]
 
-    def lines(clip: ClipRecognition) -> str:
-        chosen, naive, actions = texts(clip.chosen), texts(clip.naive), texts(clip.candidates)
-        scores = map(repr, clip.scores.tolist())
+    def lines(clip_id: str, a: int, b: int) -> str:
+        chosen, naive = texts(table.chosen[a:b]), texts(table.naive[a:b])
+        c, d = bounds[a], bounds[b]
         candidates = [
             f'{{"action": {action}, "score": {score}, "branch": "{BRANCH_VERB if verb_anchored else BRANCH_NOUN}"}}'
-            for action, score, verb_anchored in zip(actions, scores, clip.verb_anchored.tolist())
+            for action, score, verb_anchored in zip(
+                texts(table.candidates[c:d]), map(repr, table.scores[c:d].tolist()), table.verb_anchored[c:d].tolist()
+            )
         ]
-        bounds = [0, *np.cumsum(clip.counts).tolist()]  # segment i's candidates are bounds[i]:bounds[i + 1]
-        head = '{"clip_id": ' + json.dumps(clip.clip_id) + ', "segment": '
+        head = '{"clip_id": ' + json.dumps(clip_id) + ', "segment": '
         return "".join(
             f'{head}{i}, "chosen": {chosen[i]}, "naive": {naive[i]}, "fallback": {"true" if fallback else "false"}, '
-            f'"candidates": [{", ".join(candidates[bounds[i] : bounds[i + 1]])}]}}\n'
-            for i, fallback in enumerate(clip.fallback.tolist())
+            f'"candidates": [{", ".join(candidates[bounds[a + i] - c : bounds[a + i + 1] - c])}]}}\n'
+            for i, fallback in enumerate(table.fallback[a:b].tolist())
         )
 
-    atomic_write_text(path, map(lines, clips))
+    atomic_write_text(path, map(lines, table.clip_ids, table.starts, table.starts[1:]))
 
 
-def load_recognition(path, taxonomy: Taxonomy) -> list[ClipRecognition]:
-    """One record per clip, read as `dataset_io.StageFile` reads and checks a segment file."""
+def load_recognition(path, taxonomy: Taxonomy) -> Recognition:
+    """The file as one table, read as `dataset_io.StageFile` reads and checks a segment file."""
     file = StageFile(path, taxonomy, per_segment=True)
     heads, candidates, scores = array("q"), array("q"), array("d")  # heads: each row's chosen, naive
     verb_anchored, counts, fallback = array("b"), array("q"), array("b")
@@ -263,4 +235,6 @@ def load_recognition(path, taxonomy: Taxonomy) -> list[ClipRecognition]:
     candidates = file.table[np.frombuffer(candidates, np.int64)[taken]]
     scores, verb_anchored = np.frombuffer(scores)[taken], np.frombuffer(verb_anchored, bool)[taken]
     counts, fallback = counts[order], np.frombuffer(fallback, bool)[order]
-    return _split(file.clip_ids, starts, heads[:, 0], heads[:, 1], candidates, scores, verb_anchored, counts, fallback)
+    return Recognition(
+        list(file.clip_ids), starts, heads[:, 0], heads[:, 1], candidates, scores, verb_anchored, counts, fallback
+    )

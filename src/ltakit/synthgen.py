@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset_io import ClipDistributions, ClipRecord
+from .dataset_io import ClipRecord, Distributions
 from .errors import DataError
 from .taxonomy import Taxonomy
 
@@ -76,7 +76,7 @@ class SynthCorpus:
 
     taxonomy: Taxonomy
     annotations: list[ClipRecord]
-    distributions: list[ClipDistributions]
+    distributions: Distributions
     templates: np.ndarray
 
 
@@ -148,9 +148,8 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
     temperature = config.noise_temperature
     verbs = _noisy_rows(num_verbs, observed[:, 0], moves[:, 0], moves[:, 1].astype(np.intp), temperature)
     nouns = _noisy_rows(num_nouns, observed[:, 1], moves[:, 2], moves[:, 3].astype(np.intp), temperature)
-    bounds = range(0, len(observed) + 1, config.observed_segments)
-    distributions = [ClipDistributions(record.clip_id, verbs[a:b], nouns[a:b])
-                     for record, a, b in zip(annotations, bounds, bounds[1:])]
+    starts = list(range(0, len(observed) + 1, config.observed_segments))
+    distributions = Distributions([record.clip_id for record in annotations], starts, verbs, nouns)
     return SynthCorpus(taxonomy, annotations, distributions, templates)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from ltakit.dataset_io import Distributions
 from ltakit.taxonomy import Taxonomy
 
 settings.register_profile("suite", deadline=None, max_examples=100)
@@ -25,6 +26,20 @@ def kitchen() -> Taxonomy:
 def actions(*pairs) -> np.ndarray:
     """An L x 2 array of (verb id, noun id) rows, one per pair given."""
     return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+
+def table(clips) -> Distributions:
+    """A distributions table of (clip_id, S x |V| verb_probs, S x |N| noun_probs) clips, in order."""
+    starts = np.cumsum([0] + [len(verb) for _, verb, _ in clips]).tolist()
+    verb, noun = (np.concatenate([clip[i] for clip in clips]) for i in (1, 2))
+    return Distributions([clip_id for clip_id, _, _ in clips], starts, verb, noun)
+
+
+def clips_of(distributions: Distributions) -> list:
+    """Each clip of a table as (clip_id, verb_probs, noun_probs), its rows as views."""
+    starts = distributions.starts
+    return [(clip_id, distributions.verb_probs[a:b], distributions.noun_probs[a:b])
+            for clip_id, a, b in zip(distributions.clip_ids, starts, starts[1:])]
 
 
 def random_distribution(rng: np.random.Generator, size: int) -> np.ndarray:

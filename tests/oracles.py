@@ -133,36 +133,37 @@ def ngram_conditional(model, ids) -> list[float]:
     return [w / total for w in weights]
 
 
-def distributions_jsonl(clips) -> str:
+def distributions_jsonl(table) -> str:
     """The distributions file as one `json.dumps` of a record dict per segment.
 
     Rows go through `tolist()`, so an int array writes ints (1) where the
     package writes floats (1.0); compare int input after casting to float.
     """
     rows = [
-        {"clip_id": clip.clip_id, "segment": i, "verb_probs": verb, "noun_probs": noun}
-        for clip in clips
-        for i, (verb, noun) in enumerate(zip(clip.verb_probs.tolist(), clip.noun_probs.tolist()))
+        {"clip_id": clip_id, "segment": i, "verb_probs": verb, "noun_probs": noun}
+        for clip_id, a, b in zip(table.clip_ids, table.starts, table.starts[1:])
+        for i, (verb, noun) in enumerate(zip(table.verb_probs[a:b].tolist(), table.noun_probs[a:b].tolist()))
     ]
     return "".join(json.dumps(row) + "\n" for row in rows)
 
 
-def recognition_jsonl(clips, taxonomy) -> str:
+def recognition_jsonl(table, taxonomy) -> str:
     """The recognition file as one `json.dumps` of a record dict per segment, built in loops."""
     text = lambda pair: f"{taxonomy.verbs[pair[0]]} {taxonomy.nouns[pair[1]]}"
     lines = []
-    for clip in clips:
-        candidates = [
-            {"action": text(pair), "score": score, "branch": "verb_anchored" if verb_anchored else "noun_anchored"}
-            for pair, score, verb_anchored in zip(
-                clip.candidates.tolist(), clip.scores.tolist(), clip.verb_anchored.tolist()
-            )
-        ]
-        start = 0
-        for i, count in enumerate(clip.counts.tolist()):
+    candidates = [
+        {"action": text(pair), "score": score, "branch": "verb_anchored" if verb_anchored else "noun_anchored"}
+        for pair, score, verb_anchored in zip(
+            table.candidates.tolist(), table.scores.tolist(), table.verb_anchored.tolist()
+        )
+    ]
+    start = 0
+    for clip_id, a, b in zip(table.clip_ids, table.starts, table.starts[1:]):
+        for i, r in enumerate(range(a, b)):
+            count = int(table.counts[r])
             row = {
-                "clip_id": clip.clip_id, "segment": i, "chosen": text(clip.chosen[i].tolist()),
-                "naive": text(clip.naive[i].tolist()), "fallback": bool(clip.fallback[i]),
+                "clip_id": clip_id, "segment": i, "chosen": text(table.chosen[r].tolist()),
+                "naive": text(table.naive[r].tolist()), "fallback": bool(table.fallback[r]),
                 "candidates": candidates[start : start + count],
             }
             start += count

@@ -19,7 +19,7 @@ from ltakit.cooccurrence import CooccurrenceMatrix, build_cooccurrence
 from ltakit.dataset_io import (
     ClipRecord,
     PredictionSet,
-    ClipDistributions,
+    Distributions,
     load_annotations,
     load_predictions,
     save_predictions,
@@ -48,7 +48,7 @@ def segment(rng, num_verbs, num_nouns, quantized=False):
     else:
         def vec(size):
             return random_distribution(rng, size)
-    return ClipDistributions("clip", vec(num_verbs)[None], vec(num_nouns)[None])
+    return Distributions(["clip"], [0, 1], vec(num_verbs)[None], vec(num_nouns)[None])
 
 
 def test_a01_edit_distance_matches_independent_oracle():
@@ -175,8 +175,8 @@ def test_a05_reranking_beats_naive_on_corrupted_nouns():
         )
         corpus = generate_corpus(config)
         matrix = build_cooccurrence(corpus.annotations, corpus.taxonomy, alpha=0.0)
-        reranked = [recognize_clip(clip, matrix, k=5) for clip in corpus.distributions]
-        naive = [naive_clip(clip) for clip in corpus.distributions]
+        reranked = recognize_clip(corpus.distributions, matrix, k=5)
+        naive = naive_clip(corpus.distributions)
         _, _, rerank_acc = ar_accuracy(reranked, corpus.annotations)
         _, _, naive_acc = ar_accuracy(naive, corpus.annotations)
         margins.append(rerank_acc - naive_acc)

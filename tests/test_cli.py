@@ -272,6 +272,30 @@ class TestPipeline:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("naive", [False, True], ids=["rerank", "naive"])
+    def test_empty_corpus_runs_through(self, pipeline, tmp_path, capsys, naive):
+        # No clips: every stage still succeeds and writes an empty file.
+        empty = tmp_path / "distributions.jsonl"
+        empty.write_text("")
+        recognition, predictions = tmp_path / "recognition.jsonl", tmp_path / "predictions.jsonl"
+        assert run([
+            "recognize", "--distributions", str(empty), "--matrix", str(pipeline["matrix"]),
+            "--taxonomy", str(pipeline["taxonomy"]), "--top-k", "4", "--out", str(recognition),
+            *(["--naive"] if naive else []),
+        ]) == 0
+        assert recognition.read_bytes() == b""
+        assert run([
+            "anticipate", "--recognition", str(recognition), "--taxonomy", str(pipeline["taxonomy"]),
+            "--train-annotations", str(pipeline["annotations"]), "--horizon", "5", "--out", str(predictions),
+        ]) == 0
+        assert predictions.read_bytes() == b""
+        mode = "naive" if naive else "reranked (top-4)"
+        assert capsys.readouterr() == (
+            f"wrote 0 {mode} segments for 0 clips to {recognition}\n"
+            f"wrote 0 prediction sets (5 x 5 each) to {predictions}\n",
+            "",
+        )
+
 
 class TestDeterminism:
     def test_synth_twice_is_byte_identical(self, tmp_path):
@@ -643,6 +667,25 @@ class TestExitCodes:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert "ltakit: error: clip 'clip_00003'" in err and "contiguous" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "evaluate"])
+    def test_recognition_past_the_observed_actions_is_data_error(self, pipeline, tmp_path, capsys, command):
+        # clip_00000 observes 3 actions; a copy of its segment 0 as segment 3 makes a fourth recognized one.
+        lines = pipeline["recognition"].read_text().splitlines()
+        first = json.loads(lines[0])
+        assert (first["clip_id"], first["segment"]) == ("clip_00000", 0)
+        longer = tmp_path / "longer.jsonl"
+        longer.write_text("\n".join([*lines, json.dumps({**first, "segment": 3})]) + "\n")
+        common = ["--recognition", str(longer), "--taxonomy", str(pipeline["taxonomy"]), "--horizon", "5",
+                  "--annotations", str(pipeline["annotations"])]
+        out = tmp_path / "report.json"
+        if command == "report":
+            argv = ["report", *common, "--clip", "clip_00000"]
+        else:
+            argv = ["evaluate", *common, "--predictions", str(pipeline["predictions"]), "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "ltakit: error: clip 'clip_00000': segment 3 out of range (3 observed)\n")
         assert not out.exists()
 
     def test_distributions_gap_is_data_error(self, pipeline, tmp_path, capsys):

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from ltakit.dataset_io import (
     ClipRecord,
     PredictionSet,
-    ClipDistributions,
     load_annotations,
     load_distributions,
     load_predictions,
@@ -25,7 +24,7 @@ from ltakit.recognition import load_recognition, recognize_clip, save_recognitio
 from ltakit.synthgen import SynthConfig, generate_corpus
 from ltakit.taxonomy import Taxonomy
 
-from conftest import actions
+from conftest import actions, clips_of, table
 from oracles import distributions_jsonl
 
 
@@ -290,8 +289,8 @@ class TestDistributions:
             path,
             [self.base_row(kitchen, segment=1, verb_probs=[0.0, 1.0, 0.0, 0.0]), self.base_row(kitchen, segment=0)],
         )
-        [clip] = load_distributions(path, kitchen)
-        assert clip.clip_id == "c1"
+        clip = load_distributions(path, kitchen)
+        assert clip.clip_ids == ["c1"] and clip.starts == [0, 2]
         # Row i is segment i, whatever the file order.
         assert clip.verb_probs.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
         assert clip.noun_probs.shape == (2, 5)
@@ -302,7 +301,7 @@ class TestDistributions:
             path,
             [self.base_row(kitchen, noun_probs=[0.19999, 0.2, 0.2, 0.2, 0.19996])],
         )
-        dist = load_distributions(path, kitchen)[0]
+        dist = load_distributions(path, kitchen)
         assert abs(float(dist.noun_probs.sum()) - 1.0) < 1e-12
 
     def test_sum_outside_band_rejected(self, tmp_path, kitchen):
@@ -357,32 +356,26 @@ class TestDistributions:
     def test_round_trip_exact_for_dyadic_values(self, tmp_path, kitchen):
         # Sums are exactly 1.0 here, so renormalization divides by 1.0 and
         # the JSON float round trip must reproduce every bit.
-        dists = [
-            ClipDistributions(
-                "c1",
-                np.array([[0.5, 0.25, 0.125, 0.125], [0.125, 0.125, 0.25, 0.5]]),
-                np.array([[0.5, 0.25, 0.125, 0.0625, 0.0625], [0.0625, 0.0625, 0.125, 0.25, 0.5]]),
-            )
-        ]
+        dists = table([(
+            "c1",
+            np.array([[0.5, 0.25, 0.125, 0.125], [0.125, 0.125, 0.25, 0.5]]),
+            np.array([[0.5, 0.25, 0.125, 0.0625, 0.0625], [0.0625, 0.0625, 0.125, 0.25, 0.5]]),
+        )])
         path = tmp_path / "dist.jsonl"
         save_distributions(path, dists)
         loaded = load_distributions(path, kitchen)
-        assert np.array_equal(loaded[0].verb_probs, dists[0].verb_probs)
-        assert np.array_equal(loaded[0].noun_probs, dists[0].noun_probs)
+        assert np.array_equal(loaded.verb_probs, dists.verb_probs)
+        assert np.array_equal(loaded.noun_probs, dists.noun_probs)
 
     def test_round_trip_renormalizes_inexact_sums(self, tmp_path, kitchen):
         # 0.7 + 0.1 + 0.1 + 0.1 is one ulp shy of 1.0, so the loader rescales.
-        dists = [
-            ClipDistributions(
-                "c1", np.array([[0.7, 0.1, 0.1, 0.1]]), np.array([[0.5, 0.2, 0.1, 0.1, 0.1]])
-            )
-        ]
+        dists = table([("c1", np.array([[0.7, 0.1, 0.1, 0.1]]), np.array([[0.5, 0.2, 0.1, 0.1, 0.1]]))])
         path = tmp_path / "dist.jsonl"
         save_distributions(path, dists)
         loaded = load_distributions(path, kitchen)
-        assert loaded[0].verb_probs.sum() == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(loaded[0].verb_probs, dists[0].verb_probs, atol=1e-12)
-        assert np.allclose(loaded[0].noun_probs, dists[0].noun_probs, atol=1e-12)
+        assert loaded.verb_probs.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(loaded.verb_probs, dists.verb_probs, atol=1e-12)
+        assert np.allclose(loaded.noun_probs, dists.noun_probs, atol=1e-12)
 
 
     def test_renormalization_matches_row_by_row_bitwise(self, tmp_path):
@@ -391,8 +384,7 @@ class TestDistributions:
         # row exactly as its own 1-D sum would, and recognition must write the same bytes.
         rng = np.random.default_rng(17)
         wide = Taxonomy([f"v{i}" for i in range(97)], [f"n{i}" for i in range(300)])
-        clips = [ClipDistributions(f"c{i}", rng.dirichlet(np.ones(97), 6), rng.dirichlet(np.ones(300), 6))
-                 for i in range(8)]
+        clips = table([(f"c{i}", rng.dirichlet(np.ones(97), 6), rng.dirichlet(np.ones(300), 6)) for i in range(8)])
         path = tmp_path / "dist.jsonl"
         save_distributions(path, clips)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
@@ -403,17 +395,17 @@ class TestDistributions:
                 by_row[row["clip_id"], row["segment"], name] = raw / raw.sum()
         assert any(np.array(row["noun_probs"]).sum() != 1.0 for row in rows)  # the division is not a no-op
         loaded = load_distributions(path, wide)
-        for clip in loaded:
-            for name in ("verb_probs", "noun_probs"):
-                want = np.stack([by_row[clip.clip_id, i, name] for i in range(len(clip.verb_probs))])
-                assert getattr(clip, name).tobytes() == want.tobytes()
+        for clip_id, *probs in clips_of(loaded):
+            for name, got in zip(("verb_probs", "noun_probs"), probs):
+                want = np.stack([by_row[clip_id, i, name] for i in range(len(got))])
+                assert got.tobytes() == want.tobytes()
         matrix = CooccurrenceMatrix(rng.integers(0, 5, (97, 300)), alpha=0.5)
-        one_by_one = [ClipDistributions(c.clip_id, *(np.stack([by_row[c.clip_id, i, name] for i in range(6)])
-                                                      for name in ("verb_probs", "noun_probs"))) for c in clips]
+        one_by_one = table([(clip_id, *(np.stack([by_row[clip_id, i, name] for i in range(6)])
+                                        for name in ("verb_probs", "noun_probs"))) for clip_id in clips.clip_ids])
         texts = []
         for source in (loaded, one_by_one):
             out = tmp_path / f"recognition{len(texts)}.jsonl"
-            save_recognition(out, [recognize_clip(clip, matrix) for clip in source], wide)
+            save_recognition(out, recognize_clip(source, matrix), wide)
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
@@ -443,7 +435,7 @@ class TestSaveDistributionsBytes:
         # forms: subnormal, exponent, short decimal, large, one and non-finite.
         verb = np.array([[-0.0, 0.0, 5e-324, 1e-05], [0.1, 1e16, 1.0, 0.0]])
         noun = np.array([[float("nan"), float("inf"), -float("inf"), 1 / 3, 0.0], [0.0, -0.0, 0.1, 0.1, 2.5e-300]])
-        clips = [ClipDistributions("edge", verb, noun)]
+        clips = table([("edge", verb, noun)])
         text = self.saved(tmp_path, clips)
         assert text == distributions_jsonl(clips)
         assert '"verb_probs": [-0.0, 0.0, 5e-324, 1e-05]' in text
@@ -458,20 +450,19 @@ class TestSaveDistributionsBytes:
         cells = data.draw(st.lists(st.sampled_from(pool), min_size=rows * (verbs + nouns),
                                    max_size=rows * (verbs + nouns)))
         probs = np.array(cells, dtype=np.float64).reshape(rows, verbs + nouns)
-        clips = [ClipDistributions("h", probs[:, :verbs], probs[:, verbs:])]
+        clips = table([("h", probs[:, :verbs], probs[:, verbs:])])
         with tempfile.TemporaryDirectory() as tmp:
             assert self.saved(Path(tmp), clips) == distributions_jsonl(clips)
 
     def test_float32_input(self, tmp_path):
         rng = np.random.default_rng(5)
-        clips = [
-            ClipDistributions("f32", rng.dirichlet(np.ones(4), 3).astype(np.float32),
-                              rng.dirichlet(np.ones(5), 3).astype(np.float32))
-        ]
+        clips = table([
+            ("f32", rng.dirichlet(np.ones(4), 3).astype(np.float32), rng.dirichlet(np.ones(5), 3).astype(np.float32))
+        ])
         assert self.saved(tmp_path, clips) == distributions_jsonl(clips)
 
     def test_clip_id_is_json_escaped(self, tmp_path):
-        clips = [ClipDistributions('qu"ote \\ caf\u00e9 \u53a8\u623f', np.eye(2, 4), np.eye(2, 5))]
+        clips = table([('qu"ote \\ caf\u00e9 \u53a8\u623f', np.eye(2, 4), np.eye(2, 5))])
         text = self.saved(tmp_path, clips)
         assert text == distributions_jsonl(clips)
         assert text.startswith('{"clip_id": "qu\\"ote \\\\ caf\\u00e9 \\u53a8\\u623f", "segment": 0, ')
@@ -479,21 +470,21 @@ class TestSaveDistributionsBytes:
     def test_int_input_is_written_as_floats(self, tmp_path):
         # Every entry is cast to float64: an int 1 is written as 1.0, never as the
         # float whose bits are 1 (5e-324).
-        ints = ClipDistributions("i", np.array([[1, 0, 0, 0]]), np.array([[0, 0, 1, 0, 0]]))
-        text = self.saved(tmp_path, [ints])
+        ints = table([("i", np.array([[1, 0, 0, 0]]), np.array([[0, 0, 1, 0, 0]]))])
+        text = self.saved(tmp_path, ints)
         assert text == (
             '{"clip_id": "i", "segment": 0, "verb_probs": [1.0, 0.0, 0.0, 0.0], '
             '"noun_probs": [0.0, 0.0, 1.0, 0.0, 0.0]}\n'
         )
-        floats = ClipDistributions("i", ints.verb_probs.astype(float), ints.noun_probs.astype(float))
-        assert text == distributions_jsonl([floats])
+        floats = table([("i", ints.verb_probs.astype(float), ints.noun_probs.astype(float))])
+        assert text == distributions_jsonl(floats)
 
     def test_every_line_starts_with_the_clip_id(self, tmp_path):
         # bench/run.py splits the file by reading the id off this prefix.
-        clips = generate_corpus(SynthConfig(num_clips=5, seed=3)).distributions
-        clips.insert(2, ClipDistributions("empty", np.zeros((0, 8)), np.zeros((0, 96))))
-        lines = self.saved(tmp_path, clips).splitlines()
-        assert len(lines) == sum(len(clip.verb_probs) for clip in clips)
+        clips = clips_of(generate_corpus(SynthConfig(num_clips=5, seed=3)).distributions)
+        clips.insert(2, ("empty", np.zeros((0, 8)), np.zeros((0, 96))))
+        lines = self.saved(tmp_path, table(clips)).splitlines()
+        assert len(lines) == sum(len(verb) for _, verb, _ in clips)
         assert all(line.startswith('{"clip_id": ') for line in lines)
 
 

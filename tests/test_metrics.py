@@ -19,7 +19,7 @@ from ltakit.metrics import (
     normalized_eds,
     save_report,
 )
-from ltakit.recognition import ClipRecognition
+from ltakit.recognition import Recognition
 
 from oracles import min_track_ed, osa_distance
 
@@ -238,11 +238,12 @@ class TestClipEd:
             clip_scores(pred_set("c9", [[(0, 0), (0, 0)]]), actions([(0, 0)]))
 
 
-def recog(clip_id, *chosen_pairs):
-    """One clip's recognition: segment i chose `chosen_pairs[i]`, naive agreeing."""
-    chosen = actions(list(chosen_pairs))
-    return ClipRecognition(
-        clip_id, chosen, chosen.copy(), actions([]), np.empty(0), np.empty(0, bool),
+def recog(**clips):
+    """A recognition table: in clip `clip_id`, segment i chose `clips[clip_id][i]`, naive agreeing."""
+    chosen = actions([pair for pairs in clips.values() for pair in pairs])
+    starts = np.cumsum([0] + [len(pairs) for pairs in clips.values()]).tolist()
+    return Recognition(
+        list(clips), starts, chosen, chosen.copy(), actions([]), np.empty(0), np.empty(0, bool),
         np.zeros(len(chosen), np.intp), np.zeros(len(chosen), bool),
     )
 
@@ -250,46 +251,45 @@ def recog(clip_id, *chosen_pairs):
 class TestArAccuracy:
     def test_all_correct(self):
         ann = [ClipRecord("c", actions([(0, 0), (1, 1)]))]
-        rec = [recog("c", (0, 0), (1, 1))]
+        rec = recog(c=[(0, 0), (1, 1)])
         assert ar_accuracy(rec, ann) == (100.0, 100.0, 100.0)
 
     def test_partial_tracks(self):
         ann = [ClipRecord("c", actions([(0, 0), (1, 1), (2, 2), (3, 3)]))]
-        rec = [
-            recog(
-                "c",
+        rec = recog(
+            c=[
                 (0, 0),  # both right
                 (1, 9),  # verb only
                 (9, 2),  # noun only
                 (9, 9),  # neither
-            )
-        ]
+            ]
+        )
         assert ar_accuracy(rec, ann) == (50.0, 50.0, 25.0)
 
     def test_segments_counted_across_clips(self):
         # A clip may have fewer recognized segments than observed ones; only those count.
         ann = [ClipRecord("a", actions([(0, 0), (1, 1), (2, 2)])), ClipRecord("b", actions([(3, 3)]))]
-        assert ar_accuracy([recog("a", (0, 0)), recog("b", (3, 9))], ann) == (100.0, 50.0, 50.0)
+        assert ar_accuracy(recog(a=[(0, 0)], b=[(3, 9)]), ann) == (100.0, 50.0, 50.0)
 
     def test_unknown_clip_rejected(self):
         ann = [ClipRecord("c", actions([(0, 0)]))]
         with pytest.raises(DataError, match="unknown clip"):
-            ar_accuracy([recog("other", (0, 0))], ann)
+            ar_accuracy(recog(other=[(0, 0)]), ann)
 
     def test_segment_out_of_range_rejected(self):
         # The clip's record has more segments than the clip has observed actions.
         ann = [ClipRecord("c", actions([(0, 0)])), ClipRecord("d", actions([(0, 0), (1, 1)]))]
         with pytest.raises(DataError, match=r"clip 'd': segment 2 out of range \(2 observed\)"):
-            ar_accuracy([recog("c", (0, 0)), recog("d", (0, 0), (1, 1), (1, 1))], ann)
+            ar_accuracy(recog(c=[(0, 0)], d=[(0, 0), (1, 1), (1, 1)]), ann)
 
     def test_empty_recognition_rejected(self):
         with pytest.raises(DataError, match="no recognition"):
-            ar_accuracy([], [ClipRecord("c", actions([(0, 0)]))])
+            ar_accuracy(recog(), [ClipRecord("c", actions([(0, 0)]))])
 
     def test_every_record_empty_rejected(self):
         ann = [ClipRecord("c", actions([(0, 0)])), ClipRecord("d", actions([(1, 1)]))]
         with pytest.raises(DataError, match="no recognition results to score"):
-            ar_accuracy([recog("c"), recog("d")], ann)
+            ar_accuracy(recog(c=[], d=[]), ann)
 
 
 class TestCorpusEval:
@@ -408,7 +408,7 @@ class TestCorpusEval:
     def test_ar_block_present_when_recognition_given(self):
         annotations, gt_a, gt_b = self.corpus()
         preds = [pred_set("a", [gt_a]), pred_set("b", [gt_b])]
-        rec = [recog("a", (0, 0)), recog("b", (1, 0))]
+        rec = recog(a=[(0, 0)], b=[(1, 0)])
         report = corpus_eval(preds, annotations, rec)
         assert report.ar_verb_acc == 100.0
         assert report.ar_noun_acc == 50.0
@@ -419,7 +419,7 @@ class TestReportOutput:
     def build_report(self):
         annotations = [ClipRecord("a", actions([(0, 0)]), actions([(0, 0), (1, 1)]))]
         preds = [pred_set("a", [[(0, 0), (1, 9)]])]
-        rec = [recog("a", (0, 0))]
+        rec = recog(a=[(0, 0)])
         return corpus_eval(preds, annotations, rec)
 
     def test_format_report_layout(self):

@@ -5,22 +5,23 @@ import json
 import numpy as np
 import pytest
 
+from ltakit import recognition
 from ltakit.cooccurrence import CooccurrenceMatrix
-from ltakit.dataset_io import ClipDistributions, load_distributions
+from ltakit.dataset_io import Distributions, load_distributions
 from ltakit.errors import DataError
 from ltakit.recognition import (
     BLOCK_SEGMENTS,
     BRANCH_NOUN,
     BRANCH_VERB,
+    Recognition,
     load_recognition,
     naive_clip,
     recognize_clip,
-    rerank_blocks,
     save_recognition,
 )
 from ltakit.taxonomy import Taxonomy
 
-from conftest import random_distribution
+from conftest import clips_of, random_distribution, table
 from oracles import recognition_jsonl, rerank_reference
 
 
@@ -48,18 +49,27 @@ def only_segment(result):
     return segment
 
 
+def one_clip(result, i):
+    """Clip i of a recognition table as a one-clip table of views."""
+    a, b = result.starts[i : i + 2]
+    c, d = np.concatenate([[0], np.cumsum(result.counts)])[[a, b]]
+    return Recognition(
+        [result.clip_ids[i]], [0, b - a], result.chosen[a:b], result.naive[a:b], result.candidates[c:d],
+        result.scores[c:d], result.verb_anchored[c:d], result.counts[a:b], result.fallback[a:b],
+    )
+
+
 def assert_same_recognition(got, want):
-    assert got.clip_id == want.clip_id
+    assert got.clip_ids == want.clip_ids and got.starts == want.starts
     for name in ("chosen", "naive", "candidates", "scores", "verb_anchored", "counts", "fallback"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
 
 
 def make_clip(verb_probs, noun_probs, clip_id="clip"):
-    """One clip from per-segment vectors; a single vector makes a one-segment clip."""
-    return ClipDistributions(
-        clip_id, np.atleast_2d(np.asarray(verb_probs, float)), np.atleast_2d(np.asarray(noun_probs, float))
-    )
+    """A one-clip table from per-segment vectors; a single vector makes a one-segment clip."""
+    verb_probs, noun_probs = (np.atleast_2d(np.asarray(probs, float)) for probs in (verb_probs, noun_probs))
+    return table([(clip_id, verb_probs, noun_probs)])
 
 
 class TestRerank:
@@ -136,7 +146,7 @@ class TestRerank:
                     rows.append((random_distribution(rng, num_verbs), random_distribution(rng, num_nouns)))
             k = int(rng.integers(1, min(num_verbs, num_nouns) + 1))
             result = recognize_clip(make_clip(*zip(*rows)), matrix, k)
-            assert result.clip_id == "clip"
+            assert result.clip_ids == ["clip"] and result.starts == [0, len(rows)]
             fields = result.chosen, result.naive, result.counts, result.fallback
             assert [len(f) for f in fields] == [len(rows)] * 4
             assert len(result.candidates) == len(result.scores) == len(result.verb_anchored) == result.counts.sum()
@@ -188,12 +198,6 @@ class TestRerank:
         with pytest.raises(DataError, match="do not match"):
             recognize_clip(make_clip([0.5, 0.5], [0.25] * 4), matrix, k=2)
 
-    def test_ragged_clip_rejected_before_stacking(self):
-        matrix = CooccurrenceMatrix(np.ones((3, 4)))
-        clip = make_clip([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]], [[0.25] * 4], "c")
-        with pytest.raises(DataError, match=r"clip 'c': distribution shapes \(2, 3\) and \(1, 4\) do not match"):
-            recognize_clip(clip, matrix, k=2)
-
     @pytest.mark.parametrize(
         "verb_shape, noun_shape, naive_rejects",  # naive_clip has no matrix to match columns against
         [
@@ -206,11 +210,11 @@ class TestRerank:
     )
     def test_mismatched_rows_or_columns_rejected(self, verb_shape, noun_shape, naive_rejects):
         matrix = CooccurrenceMatrix(np.ones((3, 4)))
-        clip = ClipDistributions("c", np.full(verb_shape, 0.25), np.full(noun_shape, 0.25))
-        with pytest.raises(DataError, match=r"clip 'c': distribution shapes .* the 3x4 matrix"):
+        clip = Distributions(["c"], [0, verb_shape[0]], np.full(verb_shape, 0.25), np.full(noun_shape, 0.25))
+        with pytest.raises(DataError, match=r"^distribution shapes .* the 3x4 matrix"):
             recognize_clip(clip, matrix, k=2)
         if naive_rejects:
-            with pytest.raises(DataError, match=r"clip 'c': distribution shapes .* do not match each other"):
+            with pytest.raises(DataError, match=r"^distribution shapes .* do not match each other"):
                 naive_clip(clip)
         else:
             assert len(naive_clip(clip).chosen) == verb_shape[0]
@@ -246,12 +250,13 @@ class TestClipLevel:
         matrix = CooccurrenceMatrix(np.ones((4, 5)))
         path = tmp_path / "dist.jsonl"
         written = self.write_distributions(path, rng, [("c", 3), ("c", 0), ("c", 2), ("c", 1)])
-        [clip] = load_distributions(path, kitchen)
+        clip = load_distributions(path, kitchen)
+        assert clip.clip_ids == ["c"] and clip.starts == [0, 4]
         for s in range(4):
             assert np.allclose(clip.verb_probs[s], written["c", s][0], rtol=0, atol=1e-15)
             assert np.allclose(clip.noun_probs[s], written["c", s][1], rtol=0, atol=1e-15)
         result = recognize_clip(clip, matrix, k=2)
-        assert result.clip_id == "c"
+        assert result.clip_ids == ["c"]
         assert len(result.chosen) == len(result.counts) == 4
 
     def test_gap_in_segments_rejected(self, tmp_path, kitchen):
@@ -266,7 +271,7 @@ class TestClipLevel:
             load_recognition(path, kitchen)
 
     def test_empty_clip_rejected(self):
-        clip = ClipDistributions("c", np.empty((0, 2)), np.empty((0, 2)))
+        clip = Distributions(["c"], [0, 0], np.empty((0, 2)), np.empty((0, 2)))
         with pytest.raises(DataError, match=r"clip 'c'.*S >= 1"):
             recognize_clip(clip, CooccurrenceMatrix(np.ones((2, 2))))
         with pytest.raises(DataError, match=r"clip 'c'.*S >= 1"):
@@ -275,7 +280,7 @@ class TestClipLevel:
     def test_naive_clip_is_pure_argmax(self):
         clip = make_clip([[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.4, 0.1], [0.1, 0.3, 0.6]], "c")
         result = naive_clip(clip)
-        assert result.clip_id == "c"
+        assert result.clip_ids == ["c"] and result.starts == [0, 2]
         assert result.chosen.tolist() == result.naive.tolist() == [[0, 0], [1, 2]]
         assert not np.shares_memory(result.chosen, result.naive)
         assert result.candidates.shape == (0, 2) and len(result.scores) == len(result.verb_anchored) == 0
@@ -287,15 +292,15 @@ class TestClipLevel:
         rows = [("z", 1), ("a", 0), ("z", 0)]
         path = tmp_path / "dist.jsonl"
         written = self.write_distributions(path, rng, rows)
-        clips = load_distributions(path, kitchen)
-        assert [c.clip_id for c in clips] == ["z", "a"]
-        assert clips[0].verb_probs.shape == (2, 4) and clips[1].noun_probs.shape == (1, 5)
-        assert np.allclose(clips[0].noun_probs[0], written["z", 0][1], rtol=0, atol=1e-15)
+        clips = clips_of(load_distributions(path, kitchen))
+        assert [clip_id for clip_id, _, _ in clips] == ["z", "a"]
+        assert clips[0][1].shape == (2, 4) and clips[1][2].shape == (1, 5)
+        assert np.allclose(clips[0][2][0], written["z", 0][1], rtol=0, atol=1e-15)
         path = tmp_path / "recognition.jsonl"
         self.write_recognition(path, rows)
-        clips = load_recognition(path, kitchen)
-        assert [c.clip_id for c in clips] == ["z", "a"]
-        assert [len(c.chosen) for c in clips] == [2, 1]
+        loaded = load_recognition(path, kitchen)
+        assert loaded.clip_ids == ["z", "a"]
+        assert loaded.starts == [0, 2, 3] and len(loaded.chosen) == 3
 
 
 class TestRecognitionFile:
@@ -311,9 +316,9 @@ class TestRecognitionFile:
         )
         want = recognize_clip(clip, matrix, k=3)
         path = tmp_path / "recognition.jsonl"
-        save_recognition(path, [want], kitchen)
-        [got] = load_recognition(path, kitchen)
-        assert got.clip_id == want.clip_id == "clip_a"
+        save_recognition(path, want, kitchen)
+        got = load_recognition(path, kitchen)
+        assert got.clip_ids == want.clip_ids == ["clip_a"]
         assert len(got.chosen) == len(want.chosen) == 3
         assert_same_recognition(got, want)
         # Hand-written rows load to the ids their texts name.
@@ -324,7 +329,7 @@ class TestRecognitionFile:
             for s in range(3)
         ]
         path.write_text("".join(rows))
-        [loaded] = load_recognition(path, kitchen)
+        loaded = load_recognition(path, kitchen)
         assert [candidates[1][0] for _, _, candidates, _ in segments(loaded)] == [(3, 2)] * 3
         assert loaded.chosen.tolist() == [[0, 0]] * 3 and loaded.naive.tolist() == [[2, 1]] * 3
 
@@ -347,15 +352,15 @@ class TestRecognitionFile:
         source = tmp_path / "source.jsonl"
         source.write_text("\n".join(lines) + "\n")
         loaded = load_recognition(source, kitchen)
-        assert [clip.clip_id for clip in loaded] == ["a", "b"]
-        assert loaded[0].counts.tolist() == [4, 0, 1] and loaded[1].counts.tolist() == [0]
-        assert loaded[0].verb_anchored.tolist() == [True, False, True, False, False]
-        assert loaded[0].scores.tolist() == [0.375, 0.25, 0.25, 0.0, 1.0]
-        assert loaded[1].fallback.tolist() == [True] and loaded[1].candidates.shape == (0, 2)
+        assert loaded.clip_ids == ["a", "b"] and loaded.starts == [0, 3, 4]
+        assert loaded.counts.tolist() == [4, 0, 1, 0]
+        assert loaded.verb_anchored.tolist() == [True, False, True, False, False]
+        assert loaded.scores.tolist() == [0.375, 0.25, 0.25, 0.0, 1.0]
+        assert loaded.fallback.tolist() == [False, False, False, True]
+        assert one_clip(loaded, 1).candidates.shape == (0, 2)
         first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
         save_recognition(first, loaded, kitchen)
-        for got, want in zip(load_recognition(first, kitchen), loaded):
-            assert_same_recognition(got, want)
+        assert_same_recognition(load_recognition(first, kitchen), loaded)
         save_recognition(second, load_recognition(first, kitchen), kitchen)
         assert first.read_bytes() == second.read_bytes()
         saved = [json.loads(line) for line in first.read_text().splitlines()]
@@ -425,7 +430,7 @@ class TestRecognitionFile:
     def test_integer_score_loads_as_float(self, tmp_path, kitchen):
         path = tmp_path / "recognition.jsonl"
         path.write_text(self.ROW.format(0) + self.SCORED % "1")
-        [clip] = load_recognition(path, kitchen)
+        clip = load_recognition(path, kitchen)
         assert segments(clip)[1][2] == [((0, 0), 1.0, BRANCH_VERB)]
         assert clip.scores.dtype == np.float64 and type(clip.scores.tolist()[0]) is float
 
@@ -437,8 +442,9 @@ class TestRecognitionFile:
 
 
 def corpus(rng, num_verbs, num_nouns, lengths, ties=False):
-    """Clips of the given segment counts. With `ties`, rows take a few repeated values, so
-    anchors, adjusted scores and pair scores tie; otherwise they are random distributions."""
+    """(clip_id, verb_probs, noun_probs) clips of the given segment counts. With `ties`, rows take a
+    few repeated values, so anchors, adjusted scores and pair scores tie; otherwise they are random
+    distributions."""
     clips = []
     for c, length in enumerate(lengths):
         probs = []
@@ -446,12 +452,12 @@ def corpus(rng, num_verbs, num_nouns, lengths, ties=False):
             raw = rng.choice([0.0, 1.0, 2.0], (length, size)) if ties else rng.uniform(0.01, 1.0, (length, size))
             raw[:, 0] += 1.0  # no all-zero row
             probs.append(raw / raw.sum(axis=1, keepdims=True))
-        clips.append(ClipDistributions(f"c{c}", *probs))
+        clips.append((f"c{c}", *probs))
     return clips
 
 
 class TestBlocks:
-    """`rerank_blocks` re-ranks segments in blocks that span clips; results equal clip-by-clip calls."""
+    """`recognize_clip` re-ranks a table in blocks of rows that span clips; results equal one-clip tables."""
 
     LENGTHS = [1, 7, 8, 2 * BLOCK_SEGMENTS + 3, 1, BLOCK_SEGMENTS, 5]
 
@@ -463,39 +469,59 @@ class TestBlocks:
         counts[0] = 0.0  # a verb that co-occurs with nothing: its certain segments fall back
         matrix = CooccurrenceMatrix(counts)
         clips = corpus(rng, 6, 9, self.LENGTHS, ties)
-        clips[0].verb_probs[:] = np.eye(6)[0]
-        got = rerank_blocks(clips, lambda block: recognize_clip(block, matrix, k), matrix.shape)
-        assert len(got) == len(clips)
-        for result, clip in zip(got, clips):
-            assert_same_recognition(result, recognize_clip(clip, matrix, k))
-        assert got[0].fallback.all()
-        for result, clip in zip(rerank_blocks(clips, naive_clip, matrix.shape), clips):
-            assert_same_recognition(result, naive_clip(clip))
+        clips[0][1][:] = np.eye(6)[0]
+        got = recognize_clip(table(clips), matrix, k)
+        assert got.clip_ids == [clip[0] for clip in clips] and got.starts == table(clips).starts
+        for i, clip in enumerate(clips):
+            assert_same_recognition(one_clip(got, i), recognize_clip(table([clip]), matrix, k))
+        assert one_clip(got, 0).fallback.all()
+        naive = naive_clip(table(clips))
+        for i, clip in enumerate(clips):
+            assert_same_recognition(one_clip(naive, i), naive_clip(table([clip])))
 
-    def test_blocks_are_consecutive_rows_at_most_block_size(self):
-        clips = corpus(np.random.default_rng(42), 6, 9, self.LENGTHS)
-        blocks = []
+    def test_blocks_are_consecutive_rows_at_most_block_size(self, monkeypatch):
+        corpus_table = table(corpus(np.random.default_rng(42), 6, 9, self.LENGTHS))
+        calls, branch = [], recognition._branch
 
-        def record(block):
-            blocks.append(block)
-            return naive_clip(block)
+        def record(anchor_probs, other_probs, *rest):
+            calls.append((anchor_probs, other_probs))
+            return branch(anchor_probs, other_probs, *rest)
 
-        rerank_blocks(clips, record, (6, 9))
-        sizes = [len(block.verb_probs) for block in blocks]
+        monkeypatch.setattr(recognition, "_branch", record)
+        recognize_clip(corpus_table, CooccurrenceMatrix(np.ones((6, 9))), 3)
+        blocks = calls[::2]  # (verb rows, noun rows) of each block; its noun branch gets them swapped
+        assert all(a is d and b is c for (a, b), (c, d) in zip(blocks, calls[1::2])) and len(calls) == 2 * len(blocks)
+        sizes = [len(verb) for verb, _ in blocks]
         assert max(sizes) <= BLOCK_SEGMENTS
         assert all(size == BLOCK_SEGMENTS for size in sizes[:-1])
-        for name in ("verb_probs", "noun_probs"):
-            rows = np.concatenate([getattr(block, name) for block in blocks])
-            assert np.array_equal(rows, np.concatenate([getattr(clip, name) for clip in clips]))
+        for i, name in enumerate(("verb_probs", "noun_probs")):
+            whole = getattr(corpus_table, name)
+            assert all(np.shares_memory(block[i], whole) for block in blocks)  # row views, not copies
+            assert np.array_equal(np.concatenate([block[i] for block in blocks]), whole)
 
     def test_no_clips(self):
-        assert rerank_blocks([], naive_clip, (2, 2)) == []
+        empty = Distributions([], [0], np.empty((0, 2)), np.empty((0, 2)))
+        for result in (naive_clip(empty), recognize_clip(empty, CooccurrenceMatrix(np.ones((2, 2))), 2)):
+            assert result.clip_ids == [] and result.starts == [0]
+            assert result.chosen.shape == result.naive.shape == result.candidates.shape == (0, 2)
+            assert len(result.scores) == len(result.verb_anchored) == len(result.counts) == len(result.fallback) == 0
 
     def test_error_names_the_clip(self):
-        matrix = CooccurrenceMatrix(np.ones((3, 4)))
-        clips = corpus(np.random.default_rng(41), 3, 4, [2, 3]) + [make_clip([0.5, 0.5], [0.25] * 4, "bad")]
-        with pytest.raises(DataError, match=r"clip 'bad': distribution shapes .* the 3x4 matrix"):
-            rerank_blocks(clips, lambda block: recognize_clip(block, matrix, 2), matrix.shape)
+        # Rows 0:6 of clips c0, c1 and c2; the starts leave a clip empty or do not cover the rows.
+        whole = table(corpus(np.random.default_rng(41), 3, 4, [2, 3, 1]))
+        cases = {
+            (0, 2, 2, 6): r"^clip 'c1' has no rows \(need S >= 1\)$",
+            (0, 4, 2, 6): r"^clip 'c1' has no rows",
+            (0, 2, 5, 5): r"^clips \['c0'\]\.\.\['c2'\] hold rows \[0\]\.\.\[5\] of 6 \(need 4 row starts from 0",
+            (1, 2, 5, 6): r"^clips \['c0'\]\.\.\['c2'\] hold rows \[1\]\.\.\[6\] of 6",
+            (0, 2, 6): r"^clips \['c0'\]\.\.\['c2'\] hold rows \[0\]\.\.\[6\] of 6 \(need 4 row starts",
+        }
+        for starts, message in cases.items():
+            bad = Distributions(whole.clip_ids, list(starts), whole.verb_probs, whole.noun_probs)
+            with pytest.raises(DataError, match=message):
+                recognize_clip(bad, CooccurrenceMatrix(np.ones((3, 4))), 2)
+            with pytest.raises(DataError, match=message):
+                naive_clip(bad)
 
 
 # Labels JSON escapes: a quote, a backslash, a tab, non-ASCII, and a character outside the BMP.
@@ -514,26 +540,26 @@ class TestSaveBytes:
         counts[3] = 0.0
         matrix = CooccurrenceMatrix(counts)
         clips = corpus(rng, taxonomy.num_verbs, taxonomy.num_nouns, [3, 8, 1, 5])
-        clips[1].verb_probs[2:4] = np.eye(taxonomy.num_verbs)[3]  # certain of a verb with no counts: fallbacks
-        clips.append(make_clip(np.eye(taxonomy.num_verbs)[-5:], np.eye(taxonomy.num_nouns)[-6:-1], 'cl"ip\\ é🥄'))
-        recognized = rerank_blocks(clips, lambda block: recognize_clip(block, matrix, k), matrix.shape)
-        assert any(clip.fallback.any() for clip in recognized)
+        clips[1][1][2:4] = np.eye(taxonomy.num_verbs)[3]  # certain of a verb with no counts: fallbacks
+        clips.append(('cl"ip\\ é🥄', np.eye(taxonomy.num_verbs)[-5:], np.eye(taxonomy.num_nouns)[-6:-1]))
+        recognized = recognize_clip(table(clips), matrix, k)
+        assert recognized.fallback.any()
         self.assert_bytes(tmp_path, recognized, taxonomy)
 
     def test_naive_and_loaded_bytes_equal_dict_writer(self, tmp_path):
         rng = np.random.default_rng(60)
         taxonomy = Taxonomy(ODD_VERBS, ODD_NOUNS)
-        clips = corpus(rng, 5, 6, [2, 1, 4]) + [make_clip(np.eye(5), np.eye(6)[:5], "\"\\ü")]
-        self.assert_bytes(tmp_path, rerank_blocks(clips, naive_clip, (5, 6)), taxonomy)
+        clips = table(corpus(rng, 5, 6, [2, 1, 4]) + [("\"\\ü", np.eye(5), np.eye(6)[:5])])
+        self.assert_bytes(tmp_path, naive_clip(clips), taxonomy)
         matrix = CooccurrenceMatrix(rng.choice([0.0, 2.0], (5, 6)))
-        recognized = rerank_blocks(clips, lambda block: recognize_clip(block, matrix, 4), matrix.shape)
+        recognized = recognize_clip(clips, matrix, 4)
         path = self.assert_bytes(tmp_path, recognized, taxonomy)
         self.assert_bytes(tmp_path, load_recognition(path, taxonomy), taxonomy)  # loaded arrays are views too
 
     def test_out_of_range_id_names_the_first_clip_at_fault(self, tmp_path, kitchen):
-        clips = rerank_blocks(corpus(np.random.default_rng(61), 4, 5, [2, 2, 2]), naive_clip, (4, 5))
-        clips[1].naive[1] = (0, 9)
-        clips[2].chosen[0] = (7, 0)
+        clips = naive_clip(table(corpus(np.random.default_rng(61), 4, 5, [2, 2, 2])))
+        clips.naive[3] = (0, 9)  # clip 1, segment 1
+        clips.chosen[4] = (7, 0)  # clip 2, segment 0
         with pytest.raises(DataError, match=r"action \(0, 9\) out of range"):
             save_recognition(tmp_path / "r.jsonl", clips, kitchen)
         assert not (tmp_path / "r.jsonl").exists()

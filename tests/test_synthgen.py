@@ -18,6 +18,7 @@ from ltakit.recognition import naive_clip, recognize_clip
 from ltakit.synthgen import SynthConfig, generate_corpus, provenance
 from ltakit.taxonomy import save_taxonomy
 
+from conftest import clips_of
 from oracles import synth_rows
 
 
@@ -70,8 +71,9 @@ class TestCorpusShape:
         assert corpus.taxonomy.num_verbs == 4
         assert corpus.taxonomy.num_nouns == 24
         assert len(corpus.annotations) == 12
-        assert [c.clip_id for c in corpus.distributions] == [r.clip_id for r in corpus.annotations]
-        assert all(c.verb_probs.shape == (3, 4) and c.noun_probs.shape == (3, 24) for c in corpus.distributions)
+        assert corpus.distributions.clip_ids == [r.clip_id for r in corpus.annotations]
+        assert corpus.distributions.starts == list(range(0, 37, 3))
+        assert corpus.distributions.verb_probs.shape == (36, 4) and corpus.distributions.noun_probs.shape == (36, 24)
         for record in corpus.annotations:
             assert len(record.observed) == 3
             assert len(record.future) == 5
@@ -129,19 +131,19 @@ class TestCorpusShape:
         config = SynthConfig(**shape, seed=seed)
         corpus = generate_corpus(config)
         reference = synth_rows(config)
-        assert len(corpus.distributions) == len(reference) == config.num_clips
-        for clip, (verbs, nouns) in zip(corpus.distributions, reference):
-            assert clip.verb_probs.dtype == clip.noun_probs.dtype == np.float64
-            assert clip.verb_probs.tobytes() == verbs.tobytes() and clip.verb_probs.shape == verbs.shape
-            assert clip.noun_probs.tobytes() == nouns.tobytes() and clip.noun_probs.shape == nouns.shape
+        assert len(corpus.distributions.clip_ids) == len(reference) == config.num_clips
+        for (_, verb_probs, noun_probs), (verbs, nouns) in zip(clips_of(corpus.distributions), reference):
+            assert verb_probs.dtype == noun_probs.dtype == np.float64
+            assert verb_probs.tobytes() == verbs.tobytes() and verb_probs.shape == verbs.shape
+            assert noun_probs.tobytes() == nouns.tobytes() and noun_probs.shape == nouns.shape
 
     def test_distributions_are_normalized(self):
         corpus = generate_corpus(small_config(noun_distractor_mass=0.4))
-        for dist in corpus.distributions:
-            assert dist.verb_probs.sum(axis=1) == pytest.approx(1.0)
-            assert dist.noun_probs.sum(axis=1) == pytest.approx(1.0)
-            assert np.all(dist.verb_probs >= 0)
-            assert np.all(dist.noun_probs >= 0)
+        dist = corpus.distributions
+        assert dist.verb_probs.sum(axis=1) == pytest.approx(1.0)
+        assert dist.noun_probs.sum(axis=1) == pytest.approx(1.0)
+        assert np.all(dist.verb_probs >= 0)
+        assert np.all(dist.noun_probs >= 0)
 
 
 class TestDeterminism:
@@ -149,10 +151,10 @@ class TestDeterminism:
         a = generate_corpus(small_config())
         b = generate_corpus(small_config())
         assert as_lists(a.annotations) == as_lists(b.annotations)
-        assert len(a.distributions) == len(b.distributions)
-        for da, db in zip(a.distributions, b.distributions):
-            assert np.array_equal(da.verb_probs, db.verb_probs)
-            assert np.array_equal(da.noun_probs, db.noun_probs)
+        da, db = a.distributions, b.distributions
+        assert da.clip_ids == db.clip_ids and da.starts == db.starts
+        assert np.array_equal(da.verb_probs, db.verb_probs)
+        assert np.array_equal(da.noun_probs, db.noun_probs)
 
     def test_same_seed_identical_files(self, tmp_path):
         for which in ("one", "two"):
@@ -178,21 +180,19 @@ class TestRoundTrip:
         save_distributions(tmp_path / "dist.jsonl", corpus.distributions)
         annotations = load_annotations(tmp_path / "ann.jsonl", corpus.taxonomy, horizon=5)
         assert as_lists(annotations) == as_lists(corpus.annotations)
-        distributions = load_distributions(tmp_path / "dist.jsonl", corpus.taxonomy)
-        assert len(distributions) == len(corpus.distributions)
-        for got, want in zip(distributions, corpus.distributions):
-            assert got.clip_id == want.clip_id
-            assert np.allclose(got.verb_probs, want.verb_probs, atol=1e-12)
-            assert np.allclose(got.noun_probs, want.noun_probs, atol=1e-12)
+        got, want = load_distributions(tmp_path / "dist.jsonl", corpus.taxonomy), corpus.distributions
+        assert got.clip_ids == want.clip_ids and got.starts == want.starts
+        assert np.allclose(got.verb_probs, want.verb_probs, atol=1e-12)
+        assert np.allclose(got.noun_probs, want.noun_probs, atol=1e-12)
 
 
 class TestNoiseBehaviour:
     def test_noiseless_distributions_argmax_to_truth(self):
         corpus = generate_corpus(small_config())
         truth = {(r.clip_id, i): a for r in corpus.annotations for i, a in enumerate(r.observed)}
-        for clip in corpus.distributions:
-            for i, (verb_probs, noun_probs) in enumerate(zip(clip.verb_probs, clip.noun_probs)):
-                want = truth[(clip.clip_id, i)]
+        for clip_id, verbs, nouns in clips_of(corpus.distributions):
+            for i, (verb_probs, noun_probs) in enumerate(zip(verbs, nouns)):
+                want = truth[(clip_id, i)]
                 assert int(np.argmax(verb_probs)) == want[0]
                 assert int(np.argmax(noun_probs)) == want[1]
 
@@ -201,9 +201,9 @@ class TestNoiseBehaviour:
         corpus = generate_corpus(config)
         truth = {(r.clip_id, i): a for r in corpus.annotations for i, a in enumerate(r.observed)}
         flipped = 0
-        for clip in corpus.distributions:
-            for i, noun_probs in enumerate(clip.noun_probs):
-                want = truth[(clip.clip_id, i)]
+        for clip_id, _, nouns in clips_of(corpus.distributions):
+            for i, noun_probs in enumerate(nouns):
+                want = truth[(clip_id, i)]
                 top = int(np.argmax(noun_probs))
                 if top != want[1]:
                     flipped += 1
@@ -216,8 +216,8 @@ class TestNoiseBehaviour:
         )
         corpus = generate_corpus(config)
         matrix = build_cooccurrence(corpus.annotations, corpus.taxonomy, alpha=0.0)
-        reranked = [recognize_clip(clip, matrix, k=4) for clip in corpus.distributions]
-        naive = [naive_clip(clip) for clip in corpus.distributions]
+        reranked = recognize_clip(corpus.distributions, matrix, k=4)
+        naive = naive_clip(corpus.distributions)
         _, _, rerank_acc = ar_accuracy(reranked, corpus.annotations)
         _, _, naive_acc = ar_accuracy(naive, corpus.annotations)
         assert rerank_acc > naive_acc
