@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from pathlib import Path
 
@@ -157,6 +156,7 @@ def _cmd_anticipate(args) -> None:
     else:
         # Threads overlap endpoint waits; map() returns results in clip order, and each
         # clip's position keys its requests, so the request log is in clip order too.
+        from concurrent.futures import ThreadPoolExecutor
         run_clip = lambda position, item: predictor.predict(*item, args.horizon, args.candidates, position=position)
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             predictions = list(pool.map(run_clip, range(len(histories)), histories.items()))

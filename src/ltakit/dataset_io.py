@@ -17,14 +17,18 @@ renormalized on load, so a vector whose float sum is not exactly 1 comes back
 rescaled by a few ulps and saves to different bytes.
 
 `StageFile` reads every stage file (per clip, or per segment here and in
-`recognition`) in one pass, and is the one place where their rules live. Each
-line is reduced at once to numbers appended to flat columns for the whole
-file; an action text becomes a code, each distinct text kept once and
-resolved by one `parse_actions` call. Checks that need no Python per value
-run on whole arrays after the pass (one lexsort of the (clip, segment) keys,
-the probability rules), yet the error raised is the first in the file. A
-per-segment file stays in those columns: a corpus table of clip ids, row
-starts and flat arrays, clip i holding rows starts[i]:starts[i + 1].
+`recognition`) in one pass, and is the one place where their rules live. Lines
+decode with `orjson`, which rejects some lines `json` reads (NaN, 1e400, a
+lone surrogate escape) and reads an integer past 64 bits as a float, so a
+loader whose read raises a DataError reads the file again with `json`: files
+load, and fail with the same text, as with `json` alone. Each line is reduced
+at once to numbers appended to flat columns for the whole file; an action text
+becomes a code, each distinct text kept once and resolved by one
+`parse_actions` call. Checks that need no Python per value run on whole arrays
+after the pass (one lexsort of the (clip, segment) keys, the probability
+rules), yet the error raised is the first in the file. A per-segment file
+stays in those columns: a corpus table of clip ids, row starts and flat
+arrays, clip i holding rows starts[i]:starts[i + 1].
 
 Writing distributions costs float formatting, so `save_distributions` pays it
 once per distinct value in a clip, not once per cell: a synth row holds only
@@ -38,19 +42,18 @@ from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 from itertools import chain
 from typing import Iterator
 
 import numpy as np
+import orjson
 
 from ._fileio import atomic_write_text, dump_jsonl, float_texts, open_text
 from .errors import DataError
 from .taxonomy import Taxonomy, format_actions, parse_actions
 
 DEFAULT_HORIZON = 20
-
-_scan_json = json.JSONDecoder().scan_once  # (value, end) for the JSON value starting at an index
 
 # Vectors whose sum strays further than this from 1 are rejected; anything
 # inside the band is renormalized to sum exactly 1.
@@ -89,6 +92,29 @@ class PredictionSet:
     candidates: np.ndarray
 
 
+def check_starts(clip_ids: list[str], starts: list[int], rows: int) -> None:
+    """Each clip's rows starts[i]:starts[i + 1] must be nonempty, and all of them cover the `rows` rows."""
+    if len(starts) != len(clip_ids) + 1 or starts[0] != 0 or starts[-1] != rows:
+        raise DataError(f"clips {clip_ids[:1]}..{clip_ids[-1:]} hold rows {starts[:1]}..{starts[-1:]} of {rows} "
+                        f"(need {len(clip_ids) + 1} row starts from 0 to {rows})")
+    empty = np.flatnonzero(np.diff(starts) < 1)
+    if len(empty):
+        raise DataError(f"clip {clip_ids[empty[0]]!r} has no rows (need S >= 1)")
+
+
+def json_fallback(load):
+    """`load` decoding lines with `orjson.loads`, then with `json.loads` if that read raises a DataError."""
+
+    @wraps(load)
+    def loader(*args, **kwargs):
+        try:
+            return load(*args, decode=orjson.loads, **kwargs)
+        except DataError:
+            return load(*args, decode=json.loads, **kwargs)
+
+    return loader
+
+
 def _require(obj: dict, key: str, types, where: str):
     if key not in obj:
         raise DataError(f"{where}: missing field {key!r}")
@@ -118,10 +144,11 @@ class _TextCodes(dict):
 class StageFile:
     """A JSONL stage file read into flat columns, row r its r-th record. A loader iterates `rows()`
     inside `checking()`, appends its own columns and codes its action texts with `code()`; after
-    the block `table[code]` is a text's (verb id, noun id) row, and `order()` sorts the segments."""
+    the block `table[code]` is a text's (verb id, noun id) row, and `order()` sorts the segments.
+    `decode` reads one line's JSON value, raising `json.JSONDecodeError` if it is not one."""
 
-    def __init__(self, path, taxonomy: Taxonomy, per_segment: bool = False):
-        self.path, self.taxonomy, self.per_segment = path, taxonomy, per_segment
+    def __init__(self, path, taxonomy: Taxonomy, decode, per_segment: bool = False):
+        self.path, self.taxonomy, self.decode, self.per_segment = path, taxonomy, decode, per_segment
         self.clip_ids: dict[str, int] = {}  # clip_id -> code, in first-appearance order
         self.lines, self.clip_codes, self.segments = array("q"), array("q"), []  # per row; segments of any size
         self.codes = _TextCodes(self.lines)
@@ -138,15 +165,10 @@ class StageFile:
                 line, where = raw.strip(), f"{self.path}:{lineno}"
                 if not line:
                     continue
-                try:  # json.loads less its per-call checks, about half of its time on a short line
-                    obj, end = _scan_json(line, 0)
-                except (StopIteration, ValueError):
-                    end = -1
-                if end != len(line):  # not one JSON value: json.loads raises its own message
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise DataError(f"{where}: invalid JSON ({exc})") from None
+                try:
+                    obj = self.decode(line)
+                except json.JSONDecodeError as exc:  # orjson's is a subclass
+                    raise DataError(f"{where}: invalid JSON ({exc})") from None
                 if not isinstance(obj, dict):
                     raise DataError(f"{where}: expected a JSON object per line")
                 clip_id = _require(obj, "clip_id", str, where)
@@ -220,9 +242,10 @@ class StageFile:
         return slice(None) if (order == np.arange(len(order))).all() else order, starts.tolist()
 
 
-def load_annotations(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -> list[ClipRecord]:
+@json_fallback
+def load_annotations(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON, *, decode) -> list[ClipRecord]:
     """Load clip annotations; any `future` present must be exactly `horizon` long."""
-    file, codes, sizes = StageFile(path, taxonomy), array("q"), array("q")  # sizes: observed, future (-1: none)
+    file, codes, sizes = StageFile(path, taxonomy, decode), array("q"), array("q")  # sizes: observed, future (-1: none)
     with file.checking():
         for where, obj in file.rows():
             observed = _require(obj, "observed", list, where)
@@ -272,10 +295,11 @@ def _probs_error(file: StageFile, name: str, size: int, column: array):
         return row, DataError(f"{file.where(row)}: {name} {next(t for t, r in zip(texts, rules) if r[row])}")
 
 
-def load_distributions(path, taxonomy: Taxonomy) -> Distributions:
+@json_fallback
+def load_distributions(path, taxonomy: Taxonomy, *, decode) -> Distributions:
     """Load per-segment probability vectors as one table (see `StageFile`), renormalizing sums
     inside the tolerance band."""
-    file = StageFile(path, taxonomy, per_segment=True)
+    file = StageFile(path, taxonomy, decode, per_segment=True)
     fields = [("verb_probs", taxonomy.num_verbs, array("d")), ("noun_probs", taxonomy.num_nouns, array("d"))]
     with file.checking(*(partial(_probs_error, file, *field) for field in fields)):
         for where, obj in file.rows():
@@ -308,6 +332,7 @@ def save_distributions(path, table: Distributions) -> None:
     whose values are all distinct save nothing and pay for the unique and the
     join, up to ~1.3x slower: 0.33-0.35 -> 0.35-0.45 s on 1,280 Dirichlet rows.
     """
+    check_starts(table.clip_ids, table.starts, len(table.verb_probs))
     num_verbs = table.verb_probs.shape[1]
 
     def lines(clip_id: str, a: int, b: int) -> str:
@@ -321,9 +346,10 @@ def save_distributions(path, table: Distributions) -> None:
     atomic_write_text(path, map(lines, table.clip_ids, table.starts, table.starts[1:]))
 
 
-def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON) -> list[PredictionSet]:
+@json_fallback
+def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON, *, decode) -> list[PredictionSet]:
     """Load candidate future sets as K x Z x 2 id arrays; every candidate must be exactly `horizon` long."""
-    file, codes, num_candidates = StageFile(path, taxonomy), array("q"), array("q")
+    file, codes, num_candidates = StageFile(path, taxonomy, decode), array("q"), array("q")
     with file.checking():
         for where, obj in file.rows():
             raw = _require(obj, "candidates", list, where)

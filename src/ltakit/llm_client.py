@@ -14,14 +14,11 @@ contain it.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from operator import itemgetter
 from urllib.parse import urlsplit
@@ -126,6 +123,9 @@ class LlmClient(_ChatClient):
         super().__init__(config)
 
     def _send(self, payload: dict) -> dict:
+        import http.client  # here, not at the top: it pulls in ssl and email, which no other stage needs
+        import urllib.error
+        import urllib.request
         body = json.dumps(payload).encode()
         request = urllib.request.Request(self.config.endpoint_url, body, {"Content-Type": "application/json"})
         env_var = self.config.auth_token_env_var

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._fileio import atomic_write_text
 from .cooccurrence import CooccurrenceMatrix
-from .dataset_io import Distributions, StageFile
+from .dataset_io import Distributions, StageFile, check_starts, json_fallback
 from .errors import DataError
 from .taxonomy import Taxonomy
 
@@ -93,15 +93,7 @@ def _check(table: Distributions, sizes: tuple[int, int] | None = None) -> None:
     if not (len(verb) == len(noun) == 2 and verb[0] == noun[0] and sizes in (None, (verb[1], noun[1]))):
         target = "each other" if sizes is None else f"the {sizes[0]}x{sizes[1]} matrix"
         raise DataError(f"distribution shapes {verb} and {noun} do not match {target} (need S x |V| and S x |N|)")
-    starts, clip_ids, rows = table.starts, table.clip_ids, verb[0]
-    if len(starts) != len(clip_ids) + 1 or starts[0] != 0 or starts[-1] != rows:
-        raise DataError(
-            f"clips {clip_ids[:1]}..{clip_ids[-1:]} hold rows {starts[:1]}..{starts[-1:]} of {rows} "
-            f"(need {len(clip_ids) + 1} row starts from 0 to {rows})"
-        )
-    empty = np.flatnonzero(np.diff(starts) < 1)
-    if len(empty):
-        raise DataError(f"clip {clip_ids[empty[0]]!r} has no rows (need S >= 1)")
+    check_starts(table.clip_ids, table.starts, verb[0])
 
 
 def _rerank(verb_probs: np.ndarray, noun_probs: np.ndarray, matrix: CooccurrenceMatrix, k: int):
@@ -170,6 +162,7 @@ def save_recognition(path, table: Recognition, taxonomy: Taxonomy) -> None:
     with `float.__repr__`, as `json.dumps` writes a finite float. Each clip's
     lines are written as they are made.
     """
+    check_starts(table.clip_ids, table.starts, len(table.chosen))
     verbs, nouns = ([json.dumps(label)[1:-1] for label in labels] for labels in (taxonomy.verbs, taxonomy.nouns))
     bounds = [0, *np.cumsum(table.counts).tolist()]  # row r's candidates are bounds[r]:bounds[r + 1]
 
@@ -196,9 +189,10 @@ def save_recognition(path, table: Recognition, taxonomy: Taxonomy) -> None:
     atomic_write_text(path, map(lines, table.clip_ids, table.starts, table.starts[1:]))
 
 
-def load_recognition(path, taxonomy: Taxonomy) -> Recognition:
+@json_fallback
+def load_recognition(path, taxonomy: Taxonomy, *, decode) -> Recognition:
     """The file as one table, read as `dataset_io.StageFile` reads and checks a segment file."""
-    file = StageFile(path, taxonomy, per_segment=True)
+    file = StageFile(path, taxonomy, decode, per_segment=True)
     heads, candidates, scores = array("q"), array("q"), array("d")  # heads: each row's chosen, naive
     verb_anchored, counts, fallback = array("b"), array("q"), array("b")
     with file.checking():

@@ -1041,9 +1041,12 @@ class TestInstalledEntryPoints:
         assert proc.stdout == _version_line()
 
     def test_cli_import_pulls_in_no_http_library(self):
-        # The live client uses the standard library; numpy is the only runtime dependency.
+        # The live client uses the standard library (numpy and orjson are the runtime dependencies),
+        # and imports its transport, which pulls in ssl and email, only when it sends a request.
+        # The thread pool is imported only where anticipate calls an LLM client.
+        modules = {"requests", "urllib3", "http.client", "urllib.request", "ssl", "email", "concurrent.futures"}
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, ltakit.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
+            [sys.executable, "-c", f"import sys, ltakit.cli; print(sorted({modules!r} & set(sys.modules)))"],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr

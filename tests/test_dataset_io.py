@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import tempfile
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, strategies as st
 
+from ltakit.cli import run
 from ltakit.dataset_io import (
     ClipRecord,
+    Distributions,
     PredictionSet,
     load_annotations,
     load_distributions,
@@ -20,12 +26,13 @@ from ltakit.dataset_io import (
 )
 from ltakit.cooccurrence import CooccurrenceMatrix
 from ltakit.errors import DataError
-from ltakit.recognition import load_recognition, recognize_clip, save_recognition
+from ltakit.recognition import load_recognition, naive_clip, recognize_clip, save_recognition
 from ltakit.synthgen import SynthConfig, generate_corpus
-from ltakit.taxonomy import Taxonomy
+from ltakit.taxonomy import Taxonomy, load_taxonomy
 
 from conftest import actions, clips_of, table
 from oracles import distributions_jsonl
+from test_golden import DISTRIBUTIONS, TAXONOMY, TEST, TRAIN
 
 
 def write_jsonl(path, rows):
@@ -446,7 +453,8 @@ class TestSaveDistributionsBytes:
         # Cells come from a small pool, so values repeat within and across rows;
         # 0.0 and -0.0 are equal as floats but must keep their own texts.
         pool = [0.0, -0.0] + data.draw(st.lists(st.floats(width=64), max_size=5))
-        rows, verbs, nouns = (data.draw(st.integers(0, 4)) for _ in range(3))
+        rows = data.draw(st.integers(1, 4))  # a clip holds at least one row
+        verbs, nouns = (data.draw(st.integers(0, 4)) for _ in range(2))
         cells = data.draw(st.lists(st.sampled_from(pool), min_size=rows * (verbs + nouns),
                                    max_size=rows * (verbs + nouns)))
         probs = np.array(cells, dtype=np.float64).reshape(rows, verbs + nouns)
@@ -481,11 +489,154 @@ class TestSaveDistributionsBytes:
 
     def test_every_line_starts_with_the_clip_id(self, tmp_path):
         # bench/run.py splits the file by reading the id off this prefix.
-        clips = clips_of(generate_corpus(SynthConfig(num_clips=5, seed=3)).distributions)
-        clips.insert(2, ("empty", np.zeros((0, 8)), np.zeros((0, 96))))
-        lines = self.saved(tmp_path, table(clips)).splitlines()
-        assert len(lines) == sum(len(verb) for _, verb, _ in clips)
+        clips = generate_corpus(SynthConfig(num_clips=5, seed=3)).distributions
+        lines = self.saved(tmp_path, clips).splitlines()
+        assert len(lines) == len(clips.verb_probs)
         assert all(line.startswith('{"clip_id": ') for line in lines)
+
+
+class TestWritersCheckStarts:
+    """Both segment writers refuse a table whose `starts` do not split its rows into nonempty clips,
+    with the error the re-rank kernels raise, and write nothing."""
+
+    NEED = "of 3 (need 3 row starts from 0 to 3)"
+    CASES = {
+        "empty-clip": (["a", "empty", "b"], [0, 2, 2, 3], "clip 'empty' has no rows (need S >= 1)"),
+        "short-starts": (["a", "b"], [0, 3], f"clips ['a']..['b'] hold rows [0]..[3] {NEED}"),
+        "uncovered-rows": (["a", "b"], [0, 1, 2], f"clips ['a']..['b'] hold rows [0]..[2] {NEED}"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("writer", ["distributions", "recognition"])
+    def test_bad_starts_rejected(self, tmp_path, kitchen, writer, case):
+        clip_ids, starts, message = self.CASES[case]
+        distributions = Distributions(["a", "b"], [0, 2, 3], np.eye(3, 4), np.eye(3, 5))
+        path = tmp_path / f"{writer}.jsonl"
+        with pytest.raises(DataError) as info:
+            if writer == "distributions":
+                save_distributions(path, dataclasses.replace(distributions, clip_ids=clip_ids, starts=starts))
+            else:
+                recognition = naive_clip(distributions)
+                save_recognition(path, dataclasses.replace(recognition, clip_ids=clip_ids, starts=starts), kitchen)
+        assert str(info.value) == message
+        assert not path.exists()
+
+
+def assert_identical(got, want):
+    """Equal loader results: the same types, lists and dataclass fields, arrays equal in dtype, shape and bytes."""
+    assert type(got) is type(want)
+    if isinstance(got, list):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_identical(a, b)
+    elif dataclasses.is_dataclass(got):
+        for field in dataclasses.fields(got):
+            assert_identical(getattr(got, field.name), getattr(want, field.name))
+    elif isinstance(got, np.ndarray):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    else:
+        assert got == want
+
+
+class TestDecoders:
+    """Stage lines decode with orjson; `json` is the oracle. A number orjson accepts reads as `json`
+    reads it, and a file only `json` accepts loads through the loaders' re-read with `json`."""
+
+    @staticmethod
+    def assert_decoders_agree(texts):
+        """orjson reads each literal as `json` does: the same type, floats bit for bit (repr tells
+        every double apart, -0.0 too). An integer past the 64-bit range is a float in orjson."""
+        text = "[" + ", ".join(texts) + "]"
+        oracle = [float(v) if type(v) is int and not -2**63 <= v < 2**64 else v for v in json.loads(text)]
+        assert [(type(v), repr(v)) for v in orjson.loads(text)] == [(type(v), repr(v)) for v in oracle]
+
+    @staticmethod
+    def midpoints(a: float) -> list[str]:
+        """The exact decimal midpoint between `a` and the next double up, and one unit of its last
+        digit below and above it."""
+        with localcontext() as ctx:
+            ctx.prec = 1200  # exact: a double's decimal expansion has at most 767 significant digits
+            mid = (Decimal(a) + Decimal(math.nextafter(a, math.inf))) / 2
+            unit = Decimal((0, (1,), mid.as_tuple().exponent))
+            return [str(mid - unit), str(mid), str(mid + unit)]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+    def test_floats_bit_for_bit(self, values):
+        self.assert_decoders_agree([text for v in values for text in (repr(v), "%.17g" % v, "%.25e" % v)])
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, max_value=1.7e308), max_size=10))
+    def test_midpoints_bit_for_bit(self, values):
+        self.assert_decoders_agree([text for v in values for text in self.midpoints(v)])
+
+    def test_edge_values(self):
+        largest = 1.7976931348623157e308
+        subnormal_top, normal_bottom = 2.225073858507201e-308, 2.2250738585072014e-308
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-320, subnormal_top, normal_bottom, 0.1, 1.0, largest, -largest]
+        texts = [text for v in edges for text in (repr(v), "%.17g" % v, "%.25e" % v)]
+        texts += [text for v in edges[:-2] + [math.nextafter(largest, 0.0)] for text in self.midpoints(v)]
+        texts += ["-0", "0e0", "-0e-400", "1e-400", "2.4703282292062327e-324", "2.4703282292062328e-324"]
+        texts += [str(n) for n in (-2**63 - 1, -2**63, 2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**64, 10**30)]
+        self.assert_decoders_agree(texts)
+
+    @pytest.fixture
+    def golden(self, tmp_path):
+        """The golden test's inputs, and the recognition and predictions files its pipeline makes."""
+        p = lambda name: str(tmp_path / name)
+        (tmp_path / "taxonomy.txt").write_text(TAXONOMY, encoding="utf-8")
+        write_jsonl(tmp_path / "train.jsonl", TRAIN)
+        write_jsonl(tmp_path / "test.jsonl", TEST)
+        write_jsonl(tmp_path / "distributions.jsonl",
+                    [{"clip_id": c, "segment": s, "verb_probs": v, "noun_probs": n} for c, s, v, n in DISTRIBUTIONS])
+        common = ["--taxonomy", p("taxonomy.txt"), "--horizon", "3"]
+        assert run(["build-cooccur", "--annotations", p("train.jsonl"), *common, "--out", p("matrix.txt")]) == 0
+        assert run(["recognize", "--distributions", p("distributions.jsonl"), "--matrix", p("matrix.txt"),
+                    "--taxonomy", p("taxonomy.txt"), "--top-k", "2", "--out", p("recognition.jsonl")]) == 0
+        assert run(["anticipate", "--recognition", p("recognition.jsonl"), *common, "--candidates", "2",
+                    "--train-annotations", p("train.jsonl"), "--out", p("predictions.jsonl")]) == 0
+        return tmp_path, load_taxonomy(tmp_path / "taxonomy.txt")
+
+    @pytest.mark.parametrize("loader, name, args", [
+        (load_annotations, "train.jsonl", (3,)), (load_annotations, "test.jsonl", (3,)),
+        (load_distributions, "distributions.jsonl", ()), (load_recognition, "recognition.jsonl", ()),
+        (load_predictions, "predictions.jsonl", (3,)),
+    ], ids=["train", "test", "distributions", "recognition", "predictions"])
+    def test_loaders_equal_through_either_decoder(self, golden, loader, name, args):
+        tmp_path, taxonomy = golden
+        path = tmp_path / name
+        by_json = loader.__wrapped__(path, taxonomy, *args, decode=json.loads)
+        assert_identical(loader.__wrapped__(path, taxonomy, *args, decode=orjson.loads), by_json)
+        assert_identical(loader(path, taxonomy, *args), by_json)
+
+    def test_synth_distributions_equal_through_either_decoder(self, tmp_path):
+        config = SynthConfig(num_verbs=9, num_nouns=40, num_templates=2, routine_length=12, num_clips=20, horizon=6,
+                             observed_segments=4, verb_distractor_mass=0.2, noun_distractor_mass=0.3, seed=7)
+        corpus = generate_corpus(config)
+        path = tmp_path / "distributions.jsonl"
+        save_distributions(path, corpus.distributions)
+        by_json = load_distributions.__wrapped__(path, corpus.taxonomy, decode=json.loads)
+        assert_identical(load_distributions.__wrapped__(path, corpus.taxonomy, decode=orjson.loads), by_json)
+
+    # Each loader's valid record, edited into one that orjson rejects and json reads.
+    JSON_ONLY = {
+        "lone-surrogate-clip-id": ('"clip_id": "c\\ud800"', "c\ud800"),
+        "nan-in-unknown-field": ('"clip_id": "c", "note": NaN', "c"),
+        "overflow-in-unknown-field": ('"clip_id": "c", "note": 1e400', "c"),
+    }
+
+    @pytest.mark.parametrize("case", list(JSON_ONLY))
+    @pytest.mark.parametrize("loader", [*TestReaders.SEGMENT_LOADERS, *TestReaders.CLIP_LOADERS])
+    def test_json_only_files_still_load(self, tmp_path, kitchen, loader, case):
+        per_segment = loader in TestReaders.SEGMENT_LOADERS
+        load, payload = {**TestReaders.SEGMENT_LOADERS, **TestReaders.CLIP_LOADERS}[loader]
+        edit, clip_id = self.JSON_ONLY[case]
+        record = json.dumps({"clip_id": "c", **({"segment": 0} if per_segment else {}), **payload})
+        path = tmp_path / f"{loader}.jsonl"
+        path.write_text(record.replace('"clip_id": "c"', edit) + "\n", encoding="utf-8")
+        with pytest.raises(DataError):
+            load.__wrapped__(path, kitchen, decode=orjson.loads)
+        loaded = load(path, kitchen)
+        assert_identical(loaded, load.__wrapped__(path, kitchen, decode=json.loads))
+        assert (loaded.clip_ids if per_segment else [r.clip_id for r in loaded]) == [clip_id]
 
 
 class TestPredictions:
