@@ -1,4 +1,4 @@
-"""Small shared file helpers: atomic text writes, UTF-8 and JSON reads, JSON-lines and float texts."""
+"""Small shared file helpers: atomic text writes, UTF-8 and JSON reads, and float texts."""
 
 from __future__ import annotations
 
@@ -53,14 +53,11 @@ def open_text(path):
 def load_json(path):
     """Parse a whole JSON file; undecodable bytes or invalid JSON are a DataError naming the file."""
     with open_text(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc})") from None
-
-
-def dump_jsonl(records) -> str:
-    return "".join(json.dumps(record) + "\n" for record in records)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or deep nesting
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
 
 
 def float_texts(values) -> np.ndarray:

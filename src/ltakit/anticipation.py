@@ -13,7 +13,6 @@ import logging
 import math
 import re
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,9 +120,10 @@ def parse_response(text: str, taxonomy: Taxonomy, horizon: int,
 class NgramModel:
     """Order-m Markov model over actions with additive smoothing beta > 0.
 
-    Contexts are (m-1)-tuples of action ids (verb * |N| + noun); the
-    smoothed conditional is a proper distribution for every context, seen
-    or unseen.
+    It keeps each observed clip's action ids (verb * |N| + noun), and
+    `windows()` counts their length-m windows: a context is a window's first
+    m-1 ids. The smoothed conditional is a proper distribution for every
+    context, seen or unseen.
     """
 
     def __init__(self, order: int, beta: float, num_verbs: int, num_nouns: int):
@@ -131,61 +131,48 @@ class NgramModel:
             raise DataError("n-gram order must be >= 1")
         if not (math.isfinite(beta * num_verbs * num_nouns) and beta > 0):
             raise DataError(f"smoothing beta must be > 0 with beta * |V| * |N| finite, got {beta}")
-        self.order = order
-        self.beta = float(beta)
-        self.num_verbs = num_verbs
-        self.num_nouns = num_nouns
-        self.num_actions = num_verbs * num_nouns
-        self._transitions: dict[tuple[int, ...], Counter] = {}
-        self._occurrences: Counter = Counter()
+        self.order, self.beta, self.num_verbs, self.num_nouns = order, float(beta), num_verbs, num_nouns
+        self.num_actions, self._clips = num_verbs * num_nouns, []
 
     def observe(self, actions: np.ndarray) -> None:
-        """Tally every length-m window of one clip's L x 2 action sequence."""
-        ids = (actions[:, 0] * self.num_nouns + actions[:, 1]).tolist()
-        self._occurrences.update(ids)
-        width = self.order
-        for i in range(len(ids) - width + 1):
-            context = tuple(ids[i : i + width - 1])
-            self._transitions.setdefault(context, Counter())[ids[i + width - 1]] += 1
+        """Add one clip's L x 2 action sequence; no window spans two clips."""
+        self._clips.append(actions[:, 0] * self.num_nouns + actions[:, 1])
 
-    def step(self, context: tuple[int, ...] | None, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """The `width` (<= |V|*|N|) most probable next ids and their renormalized weights.
-
-        Every id weighs beta plus its count after the context, and the pool
-        takes ids by weight, descending, ties toward the lowest id: the
-        observed successors by count, then the lowest unseen ids. So its first
-        id is the argmax with ties toward the lowest id. Weights are
-        (count + beta) over the pool's total. An unseen context, or None,
-        gives the uniform step over the lowest `width` ids.
-        """
-        counts = self._transitions.get(context, {})
-        successors = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:width]
-        pool = np.array([nxt for nxt, _ in successors], dtype=np.intp)
-        if len(pool) < width:
-            # Every successor is in the pool, so the lowest unseen ids lie below width.
-            unseen = np.ones(width, dtype=bool)
-            unseen[pool[pool < width]] = False
-            pool = np.concatenate([pool, np.flatnonzero(unseen)[: width - len(pool)]])
-        weights = np.full(width, self.beta)
-        weights[: len(successors)] += [count for _, count in successors]
-        return pool, weights / weights.sum()
+    def windows(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+        """The context levels, then each distinct (context row, next id) of the windows inside one
+        clip and its count, ordered by row and id: all found by sorting. Level p holds the sorted keys
+        code * (|A| + 1) + id of the (p+1)-id prefixes, a code being a prefix's rank among the distinct
+        ones, so keys stay below (contexts + 1) * (|A| + 1) and a context's code is its row."""
+        ids, lengths = np.concatenate([np.empty(0, np.intp), *self._clips]), np.array([*map(len, self._clips)], np.intp)
+        starts = np.flatnonzero(np.arange(len(ids)) + self.order <= np.repeat(np.cumsum(lengths), lengths))
+        radix, codes, levels = self.num_actions + 1, np.zeros(len(starts), np.intp), []
+        for position in range(self.order):
+            count = len(levels[-1]) if levels else int(len(starts) > 0)  # distinct codes so far
+            if (count + 1) * radix >= 2**63:
+                raise DataError(f"{count}+ contexts over {self.num_actions} actions overflow int64 keys")
+            keys = codes * radix + ids[starts + position]
+            if position < self.order - 1:
+                keys, codes = np.unique(keys, return_inverse=True)
+                levels.append(keys)
+        keys, counts = np.unique(keys, return_counts=True)
+        return (levels, *np.divmod(keys, radix), counts)
 
     def most_frequent_action(self) -> tuple[int, int]:
         """(verb id, noun id) of the most frequent action, ties toward the lowest id."""
-        if not self._occurrences:
+        ids, counts = np.unique(np.concatenate([np.empty(0, np.intp), *self._clips]), return_counts=True)
+        if not len(ids):
             raise DataError("model has seen no actions")
-        idx = min(self._occurrences, key=lambda a: (-self._occurrences[a], a))
-        return divmod(idx, self.num_nouns)
+        return divmod(int(ids[counts.argmax()]), self.num_nouns)
 
 
 def fit_ngram(annotations: list[ClipRecord], order: int, beta: float, taxonomy: Taxonomy) -> NgramModel:
-    """Fit transition counts over each clip's observed+future actions."""
+    """A model of each clip's observed+future actions; a predictor counts their windows when built."""
     if not annotations:
         raise DataError("cannot fit an n-gram model on an empty corpus")
     model = NgramModel(order, beta, taxonomy.num_verbs, taxonomy.num_nouns)
     for record in annotations:
         model.observe(record.actions())
-    if not model._occurrences:
+    if not any(map(len, model._clips)):
         raise DataError("annotation corpus contains no actions")
     return model
 
@@ -197,11 +184,6 @@ def _check_predict_args(clip_id: str, history, horizon: int, num_candidates: int
         raise DataError("horizon must be >= 1")
     if num_candidates < 1:
         raise DataError("need at least one candidate sequence")
-
-
-def _clip_stream_key(clip_id: str) -> int:
-    # Stable across runs (unlike hash()) so per-clip sampling is order-independent.
-    return zlib.crc32(clip_id.encode("utf-8"))
 
 
 class RepeatLastPredictor:
@@ -222,14 +204,14 @@ class NgramPredictor:
     next actions at each step, re-seeded per clip, so a clip's result does
     not depend on clip order or on which clips share a batch.
 
-    At construction the model is read into a table with a row per seen
-    context and a last, uniform row for unseen ones: the pool, argmax first,
-    and its cdf as Generator.choice builds it. A step finds every rollout's
-    row through one sorted key array per context position (prefix code so
-    far * (|V|*|N| + 1) + next id, so keys stay below (contexts + 1) *
-    (|V|*|N| + 1) at any order), then searches the row's cdf for its uniform;
-    an argmax step searches for 0.0. Memory is O(contexts x min(sample_top_k,
-    |V|*|N|)). A later observe() on the model does not change the predictor.
+    At construction the model's `windows()` are read into a table with a row
+    per seen context and a last, uniform row for unseen ones: the pool,
+    argmax first, and its cdf as Generator.choice builds it, written with
+    whole-array operations in place. A step finds every rollout's row through
+    the windows' context levels, one sorted key array per context position,
+    then searches the row's cdf for its uniform; an argmax step searches for
+    0.0. Memory is O(contexts x min(sample_top_k, |V|*|N|)). A later
+    observe() on the model does not change the predictor.
     """
 
     def __init__(self, model: NgramModel, mode: str = "greedy", seed: int = 0, sample_top_k: int = 5):
@@ -239,28 +221,32 @@ class NgramPredictor:
             raise DataError("sample_top_k must be >= 1")
         if seed < 0:
             raise DataError("seed must be >= 0")
-        self.model = model
-        self.mode = mode
-        self.seed = seed
-        self.sample_top_k = sample_top_k
-        contexts, radix = list(model._transitions), model.num_actions + 1
-        if (len(contexts) + 1) * radix >= 2**63:
-            raise DataError(f"{len(contexts)} contexts over {model.num_actions} actions overflow int64 keys")
-        # Prefix codes, one level per context position; the last level's code is the row.
-        grid = np.array(contexts, np.intp).reshape(len(contexts), model.order - 1)
-        codes, self._levels = np.zeros(len(contexts), np.intp), []
-        for position in range(model.order - 1):
-            keys, codes = np.unique(codes * radix + grid[:, position], return_inverse=True)
-            self._levels.append(np.append(keys, np.iinfo(np.int64).max))  # sentinel's index: unseen code
-        rows = np.append(codes, len(contexts))  # each context's row, then the unseen row
-        width = min(sample_top_k, model.num_actions)
-        self._pool, self._cdf = np.empty((len(rows), width), np.intp), np.empty((len(rows), width))
-        for row, context in zip(rows.tolist(), [*contexts, None]):
-            self._pool[row], weights = model.step(context, width)
-            cdf = np.cumsum(weights, out=self._cdf[row])
-            if not abs(cdf[-1] - 1.0) <= np.sqrt(np.finfo(float).eps):  # choice's check on p
-                raise DataError(f"n-gram weights for context {context} are not a finite distribution")
-            cdf /= cdf[-1]
+        self.model, self.mode, self.seed, self.sample_top_k = model, mode, seed, sample_top_k
+        levels, rows, successors, counts = model.windows()
+        self._levels = [np.append(keys, np.iinfo(np.int64).max) for keys in levels]  # sentinel's index: unseen code
+        width, contexts = min(sample_top_k, model.num_actions), int(rows[-1]) + 1 if len(rows) else 0
+        seen, place = np.bincount(rows, minlength=contexts + 1), np.arange(len(rows)) - np.searchsorted(rows, rows)
+        # Where a row's successors all fit, the lowest unseen ids follow them: the k-th is k plus the
+        # number of its successors s_i (the i-th lowest, i = place) with s_i - i <= k, a cumsum of 1 per
+        # step after the first plus 1 at each s_i - i.
+        self._pool = pool = np.empty((contexts + 1, width), np.intp)
+        np.greater(np.arange(width), seen[:, None], out=pool)
+        shift = seen[rows] + successors - place
+        hits = (seen[rows] < width) & (shift < width)
+        np.add.at(pool, (rows[hits], shift[hits]), 1)
+        np.cumsum(pool, axis=1, out=pool)
+        # Then each row's successors by count, descending, ties toward the lowest id, and the weights
+        # (count + beta) over the row's total, as a cdf: all in place, as the table may be large.
+        by_count = np.lexsort((-counts, rows))  # keeps rows sorted, so place is still each entry's column
+        taken = place < width
+        pool[rows[taken], place[taken]] = successors[by_count][taken]
+        self._cdf = cdf = np.full((contexts + 1, width), model.beta)
+        cdf[rows[taken], place[taken]] += counts[by_count][taken]
+        np.divide(cdf, cdf.sum(axis=1, keepdims=True), out=cdf)
+        np.cumsum(cdf, axis=1, out=cdf)
+        if not (abs(cdf[:, -1] - 1.0) <= np.sqrt(np.finfo(float).eps)).all():  # choice's check on p
+            raise DataError(f"n-gram weights with beta {model.beta} are not a finite distribution")
+        np.divide(cdf, cdf[:, -1:].copy(), out=cdf)  # a copy: dividing by a view of cdf would copy cdf
 
     def predict(self, clip_id: str, history: np.ndarray, horizon: int = 20,
                 num_candidates: int = DEFAULT_CANDIDATES) -> PredictionSet:
@@ -279,7 +265,7 @@ class NgramPredictor:
         for clip, (clip_id, history) in enumerate(histories.items()):
             # A uniform per sampled step, candidate-major as choice() drew them; 0.0: argmax step.
             if num_candidates > greedy:  # greedy with K=1 samples nothing: no Generator to seed
-                rng = np.random.default_rng([self.seed, _clip_stream_key(clip_id)])
+                rng = np.random.default_rng([self.seed, zlib.crc32(clip_id.encode("utf-8"))])  # not hash(): stable
                 uniforms[clip, greedy:] = rng.random((num_candidates - greedy, horizon))
             tail = history[-span:] if span else history[:0]
             ids[clip, :, span - len(tail) : span] = tail[:, 0] * num_nouns + tail[:, 1]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._fileio import atomic_write_text, dump_jsonl, load_json
+from ._fileio import atomic_write_text, load_json
 from .anticipation import (
     DEFAULT_PROMPT,
     LlmPredictor,
@@ -162,7 +162,7 @@ def _cmd_anticipate(args) -> None:
             predictions = list(pool.map(run_clip, range(len(histories)), histories.items()))
     save_predictions(args.out, predictions, taxonomy)
     if args.llm_request_log and client is not None:
-        atomic_write_text(args.llm_request_log, dump_jsonl(client.requests))
+        atomic_write_text(args.llm_request_log, "".join(json.dumps(request) + "\n" for request in client.requests))
     print(f"wrote {len(predictions)} prediction sets ({args.candidates} x {args.horizon} each) to {args.out}")
 
 

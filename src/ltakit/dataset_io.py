@@ -43,13 +43,13 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial, wraps
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
 import orjson
 
-from ._fileio import atomic_write_text, dump_jsonl, float_texts, open_text
+from ._fileio import atomic_write_text, float_texts, open_text
 from .errors import DataError
 from .taxonomy import Taxonomy, format_actions, parse_actions
 
@@ -145,7 +145,7 @@ class StageFile:
     """A JSONL stage file read into flat columns, row r its r-th record. A loader iterates `rows()`
     inside `checking()`, appends its own columns and codes its action texts with `code()`; after
     the block `table[code]` is a text's (verb id, noun id) row, and `order()` sorts the segments.
-    `decode` reads one line's JSON value, raising `json.JSONDecodeError` if it is not one."""
+    `decode` reads one line's JSON value, raising a ValueError or RecursionError if it cannot."""
 
     def __init__(self, path, taxonomy: Taxonomy, decode, per_segment: bool = False):
         self.path, self.taxonomy, self.decode, self.per_segment = path, taxonomy, decode, per_segment
@@ -167,7 +167,7 @@ class StageFile:
                     continue
                 try:
                     obj = self.decode(line)
-                except json.JSONDecodeError as exc:  # orjson's is a subclass
+                except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or deep nesting
                     raise DataError(f"{where}: invalid JSON ({exc})") from None
                 if not isinstance(obj, dict):
                     raise DataError(f"{where}: expected a JSON object per line")
@@ -262,17 +262,20 @@ def load_annotations(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON, *
             for clip_id, observed, future, size in zip(file.clip_ids, parts[::2], parts[1::2], sizes[1::2])]
 
 
+def _json_list(texts: Iterator[str], size: int) -> str:
+    """The next `size` JSON texts as one JSON list, as `json.dumps` writes it."""
+    return "[" + ", ".join(islice(texts, size)) + "]"
+
+
 def save_annotations(path, records: list[ClipRecord], taxonomy: Taxonomy) -> None:
-    rows = []
-    for record in records:
-        row = {
-            "clip_id": record.clip_id,
-            "observed": format_actions(record.observed, taxonomy),
-        }
-        if record.future is not None:
-            row["future"] = format_actions(record.future, taxonomy)
-        rows.append(row)
-    atomic_write_text(path, dump_jsonl(rows))
+    """Write one line per clip, byte for byte what `json.dumps` writes for its {clip_id, observed,
+    future} record (no future if None), joined from one `format_actions` call over all actions."""
+    pairs = np.concatenate([np.empty((0, 2), np.intp), *(r.actions() for r in records)])
+    texts = iter(format_actions(pairs, taxonomy, as_json=True))
+    atomic_write_text(path, ['{"clip_id": ' + json.dumps(r.clip_id) + ', "observed": '
+                             + _json_list(texts, len(r.observed))
+                             + ("" if r.future is None else ', "future": ' + _json_list(texts, len(r.future))) + "}\n"
+                             for r in records])
 
 
 def _probs(column: array, size: int) -> np.ndarray:
@@ -368,13 +371,18 @@ def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON, *
 
 
 def save_predictions(path, predictions: list[PredictionSet], taxonomy: Taxonomy) -> None:
-    rows = []
-    for p in predictions:
-        num_k, horizon, _ = p.candidates.shape
-        try:
-            texts = format_actions(p.candidates.reshape(-1, 2), taxonomy)
-        except DataError as exc:
-            raise DataError(f"clip {p.clip_id!r}: {exc}") from None
-        candidates = [texts[i * horizon : (i + 1) * horizon] for i in range(num_k)]
-        rows.append({"clip_id": p.clip_id, "candidates": candidates})
-    atomic_write_text(path, dump_jsonl(rows))
+    """Write one line per clip, byte for byte what `json.dumps` writes for its {clip_id, candidates}
+    record, joined from one `format_actions` call over all clips' actions; clips may differ in K."""
+    pairs = np.concatenate([np.empty((0, 2), np.intp), *(p.candidates.reshape(-1, 2) for p in predictions)])
+    try:
+        texts = iter(format_actions(pairs, taxonomy, as_json=True))
+    except DataError:  # name the first clip at fault
+        for p in predictions:
+            try:
+                taxonomy.check_ids(p.candidates)
+            except DataError as exc:
+                raise DataError(f"clip {p.clip_id!r}: {exc}") from None
+        raise
+    atomic_write_text(path, ['{"clip_id": ' + json.dumps(p.clip_id) + ', "candidates": ['
+                             + ", ".join(_json_list(texts, p.candidates.shape[1]) for _ in p.candidates) + "]}\n"
+                             for p in predictions])

@@ -34,7 +34,7 @@ from ._fileio import atomic_write_text
 from .cooccurrence import CooccurrenceMatrix
 from .dataset_io import Distributions, StageFile, check_starts, json_fallback
 from .errors import DataError
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, format_actions
 
 BRANCH_VERB = "verb_anchored"
 BRANCH_NOUN = "noun_anchored"
@@ -158,32 +158,34 @@ def save_recognition(path, table: Recognition, taxonomy: Taxonomy) -> None:
     "verb noun" text and each candidate as {action, score, branch}.
 
     Lines are formatted straight from the table's arrays, with no record
-    dict: each label is JSON-escaped once per call, and each score is written
-    with `float.__repr__`, as `json.dumps` writes a finite float. Each clip's
-    lines are written as they are made.
+    dict: each distinct action is written once (`format_actions`), and each
+    score with `float.__repr__`, as `json.dumps` writes a finite float. Each
+    clip's lines are written as they are made.
     """
     check_starts(table.clip_ids, table.starts, len(table.chosen))
-    verbs, nouns = ([json.dumps(label)[1:-1] for label in labels] for labels in (taxonomy.verbs, taxonomy.nouns))
     bounds = [0, *np.cumsum(table.counts).tolist()]  # row r's candidates are bounds[r]:bounds[r + 1]
-
-    def texts(pairs: np.ndarray) -> list[str]:  # JSON strings of "verb noun"
-        taxonomy.check_ids(pairs)
-        return [f'"{verbs[v]} {nouns[n]}"' for v, n in pairs.tolist()]
+    try:
+        chosen, naive, actions = (format_actions(pairs, taxonomy, as_json=True)
+                                  for pairs in (table.chosen, table.naive, table.candidates))
+    except DataError:  # raise the first clip's error: its chosen, naive, then candidates
+        for a, b in zip(table.starts, table.starts[1:]):
+            for pairs in (table.chosen[a:b], table.naive[a:b], table.candidates[bounds[a] : bounds[b]]):
+                taxonomy.check_ids(pairs)
+        raise
 
     def lines(clip_id: str, a: int, b: int) -> str:
-        chosen, naive = texts(table.chosen[a:b]), texts(table.naive[a:b])
         c, d = bounds[a], bounds[b]
         candidates = [
             f'{{"action": {action}, "score": {score}, "branch": "{BRANCH_VERB if verb_anchored else BRANCH_NOUN}"}}'
             for action, score, verb_anchored in zip(
-                texts(table.candidates[c:d]), map(repr, table.scores[c:d].tolist()), table.verb_anchored[c:d].tolist()
+                actions[c:d], map(repr, table.scores[c:d].tolist()), table.verb_anchored[c:d].tolist()
             )
         ]
         head = '{"clip_id": ' + json.dumps(clip_id) + ', "segment": '
         return "".join(
-            f'{head}{i}, "chosen": {chosen[i]}, "naive": {naive[i]}, "fallback": {"true" if fallback else "false"}, '
-            f'"candidates": [{", ".join(candidates[bounds[a + i] - c : bounds[a + i + 1] - c])}]}}\n'
-            for i, fallback in enumerate(table.fallback[a:b].tolist())
+            f'{head}{r - a}, "chosen": {chosen[r]}, "naive": {naive[r]}, "fallback": {"true" if fallback else "false"}, '
+            f'"candidates": [{", ".join(candidates[bounds[r] - c : bounds[r + 1] - c])}]}}\n'
+            for r, fallback in enumerate(table.fallback[a:b].tolist(), a)
         )
 
     atomic_write_text(path, map(lines, table.clip_ids, table.starts, table.starts[1:]))

@@ -9,6 +9,7 @@ and is never sorted, so downstream tie-breaking stays stable.
 
 from __future__ import annotations
 
+import json
 from itertools import chain
 
 import numpy as np
@@ -139,8 +140,11 @@ def parse_actions(tokens: list, taxonomy: Taxonomy, where: str | list[str] = "")
         raise
 
 
-def format_actions(pairs: np.ndarray, taxonomy: Taxonomy) -> list[str]:
-    """Render an L x 2 array of (verb id, noun id) rows as "verb noun" texts; ids must be in range."""
+def format_actions(pairs: np.ndarray, taxonomy: Taxonomy, as_json: bool = False) -> list[str]:
+    """Render an L x 2 array of (verb id, noun id) rows as "verb noun" texts, or with `as_json` as the
+    JSON strings `json.dumps` writes for them; ids must be in range. Each distinct action is rendered once."""
     taxonomy.check_ids(pairs)
-    verbs, nouns = taxonomy.verbs, taxonomy.nouns
-    return [verbs[v] + " " + nouns[n] for v, n in pairs.tolist()]
+    distinct, inverse = np.unique(pairs[:, 0] * taxonomy.num_nouns + pairs[:, 1], return_inverse=True)
+    verbs, nouns = np.divmod(distinct, taxonomy.num_nouns)
+    texts = [taxonomy.verbs[v] + " " + taxonomy.nouns[n] for v, n in zip(verbs.tolist(), nouns.tolist())]
+    return np.array(list(map(json.dumps, texts)) if as_json else texts, object)[inverse.ravel()].tolist()

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written in plain Python (loops, sorted(),
 dicts) with no code shared with the package, so a bug would have to be made
-twice to go unnoticed. `synth_rows` is the exception: the bits it must match
-are numpy's, so it uses numpy one row at a time.
+twice to go unnoticed. `synth_rows` and `ngram_table` are the exceptions: the
+bits they must match are numpy's, so they use numpy one row at a time.
 """
 
 from __future__ import annotations
@@ -119,18 +119,56 @@ def min_track_ed(candidates, gt, project) -> tuple[float, int]:
     return best_ed, best_idx
 
 
-def ngram_conditional(model, ids) -> list[float]:
-    """Dense smoothed next-action distribution of an n-gram model after the action ids `ids`.
+def ngram_windows(model, records) -> dict[tuple[int, ...], dict[int, int]]:
+    """Context (m-1 action ids) -> next id -> count, over every length-m window that lies inside
+    one record's observed-then-future actions, an action's id being verb * |N| + noun."""
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    for record in records:
+        pairs = record.observed.tolist() + ([] if record.future is None else record.future.tolist())
+        ids = [verb * model.num_nouns + noun for verb, noun in pairs]
+        for i in range(len(ids) - model.order + 1):
+            successors = counts.setdefault(tuple(ids[i : i + model.order - 1]), {})
+            successors[ids[i + model.order - 1]] = successors.get(ids[i + model.order - 1], 0) + 1
+    return counts
+
+
+def ngram_conditional(model, records, ids) -> list[float]:
+    """Dense smoothed next-action distribution after the action ids `ids`, for an n-gram model
+    with `model`'s order and beta fitted on `records`.
 
     The context is the last m-1 ids (fewer if `ids` is shorter, none for a
     unigram). Every one of the |V|*|N| ids weighs beta plus the number of
     times it followed that context, divided by the total weight.
     """
     span = model.order - 1
-    counts = model._transitions.get(tuple(ids[-span:]) if span else (), {})
+    counts = ngram_windows(model, records).get(tuple(ids[-span:]) if span else (), {})
     weights = [model.beta + counts.get(i, 0) for i in range(model.num_actions)]
     total = math.fsum(weights)
     return [w / total for w in weights]
+
+
+def ngram_table(model, records, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The predictor's (pool, cdf) table built one context at a time: a row per seen context in
+    sorted order, then the unseen row.
+
+    A row's pool takes ids by weight (beta plus its count after the
+    context), descending, ties toward the lowest id: the observed
+    successors by count, then the lowest unseen ids. Its cdf is the cumsum
+    of the pool's weights over their total, divided by its last entry. The
+    bits to match are numpy's sum and cumsum, so those use numpy.
+    """
+    counts = ngram_windows(model, records)
+    contexts = sorted(counts)
+    pool, cdf = np.empty((len(contexts) + 1, width), np.intp), np.empty((len(contexts) + 1, width))
+    for row, context in enumerate([*contexts, None]):
+        successors = sorted(counts.get(context, {}).items(), key=lambda item: (-item[1], item[0]))[:width]
+        unseen = [i for i in range(width) if i not in counts.get(context, {})]  # used only if all successors fit
+        pool[row] = [nxt for nxt, _ in successors] + unseen[: width - len(successors)]
+        weights = np.full(width, model.beta)
+        weights[: len(successors)] += [count for _, count in successors]
+        np.cumsum(weights / weights.sum(), out=cdf[row])
+        cdf[row] /= cdf[row, -1]
+    return pool, cdf
 
 
 def distributions_jsonl(table) -> str:

@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ltakit.anticipation import (
     DEFAULT_PROMPT,
@@ -29,7 +29,7 @@ from ltakit.llm_client import Failure, LlmConfig, MockLlmClient
 from ltakit.taxonomy import Taxonomy
 
 from conftest import actions
-from oracles import ngram_conditional
+from oracles import ngram_conditional, ngram_table, ngram_windows
 
 
 def cycle_taxonomy():
@@ -39,6 +39,29 @@ def cycle_taxonomy():
 
 def record(clip_id, verb_ids, taxonomy=None):
     return ClipRecord(clip_id, actions(*[(v, 0) for v in verb_ids]))
+
+
+def table_row(predictor, ids) -> int:
+    """The predictor's table row after the action ids `ids`, found as a rollout step finds it."""
+    span, unseen = predictor.model.order - 1, len(predictor._pool) - 1
+    context, row = list(ids)[-span:] if span else [], 0
+    if len(context) < span:
+        return unseen
+    for keys, nxt in zip(predictor._levels, context):
+        key = row * (predictor.model.num_actions + 1) + nxt
+        row = int(keys.searchsorted(key))
+        if keys[row] != key:
+            return unseen
+    return row
+
+
+def table_conditional(model, ids) -> np.ndarray:
+    """The dense next-id distribution a full-width predictor table holds after `ids`: its cdf's steps."""
+    predictor = NgramPredictor(model, "sample", 0, model.num_actions)
+    row = table_row(predictor, ids)
+    probs = np.empty(model.num_actions)
+    probs[predictor._pool[row]] = np.diff(predictor._cdf[row], prepend=0.0)
+    return probs
 
 
 class TestPromptPlumbing:
@@ -155,7 +178,7 @@ class TestNgramModel:
         # Sequence A B C A B C: context (A,) is followed by B twice.
         taxonomy = cycle_taxonomy()
         model = fit_ngram([record("c", [0, 1, 2, 0, 1, 2])], 2, 0.5, taxonomy)
-        probs = ngram_conditional(model, (0,))
+        probs = table_conditional(model, (0,))
         # (2 + 0.5) / (2 + 3 * 0.5) = 5/7 for B, 0.5/3.5 = 1/7 elsewhere.
         assert probs[1] == pytest.approx(5 / 7)
         assert probs[0] == pytest.approx(1 / 7)
@@ -163,7 +186,7 @@ class TestNgramModel:
 
     def test_unseen_context_is_uniform(self):
         model = fit_ngram([record("c", [0, 1])], 2, 0.3, cycle_taxonomy())
-        assert np.allclose(ngram_conditional(model, (2,)), 1 / 3)
+        assert np.allclose(table_conditional(model, (2,)), 1 / 3)
 
     def test_conditionals_are_distributions(self):
         rng = np.random.default_rng(52)
@@ -177,14 +200,14 @@ class TestNgramModel:
         ]
         model = fit_ngram(records, 3, 0.2, taxonomy)
         for ctx in [(0, 1), (3, 3), (2, 0)]:
-            probs = np.array(ngram_conditional(model, ctx))
+            probs = table_conditional(model, ctx)
             assert probs.sum() == pytest.approx(1.0)
             assert np.all(probs > 0)
 
     def test_unigram_ignores_context(self):
         model = fit_ngram([record("c", [0, 0, 1])], 1, 0.1, cycle_taxonomy())
-        assert np.array_equal(ngram_conditional(model, ()), ngram_conditional(model, (2,)))
-        probs = ngram_conditional(model, ())
+        assert np.array_equal(table_conditional(model, ()), table_conditional(model, (2,)))
+        probs = table_conditional(model, ())
         assert probs[0] > probs[1] > probs[2]
 
     def test_fit_is_order_invariant(self):
@@ -193,20 +216,20 @@ class TestNgramModel:
         a = fit_ngram(records, 2, 0.4, taxonomy)
         b = fit_ngram(list(reversed(records)), 2, 0.4, taxonomy)
         for ctx in [(0,), (1,), (2,)]:
-            assert np.array_equal(ngram_conditional(a, ctx), ngram_conditional(b, ctx))
+            assert np.array_equal(table_conditional(a, ctx), table_conditional(b, ctx))
 
     def test_windows_do_not_cross_clips(self):
         taxonomy = cycle_taxonomy()
         # Two clips; the pair (A then B) only exists if windows leaked across records.
         model = fit_ngram([record("c1", [0, 0]), record("c2", [1, 1])], 2, 0.5, taxonomy)
-        probs = ngram_conditional(model, (0,))
+        probs = table_conditional(model, (0,))
         assert probs[0] > probs[1]
 
     def test_futures_feed_the_fit(self):
         taxonomy = cycle_taxonomy()
         rec = ClipRecord("c", actions((0, 0)), actions((1, 0), (2, 0)))
         model = fit_ngram([rec], 2, 0.5, taxonomy)
-        probs = ngram_conditional(model, (0,))
+        probs = table_conditional(model, (0,))
         assert probs[1] > probs[0]
 
     def test_most_frequent_action_breaks_ties_low(self):
@@ -225,7 +248,7 @@ class TestNgramModel:
         for beta in (1e308, 1e305):
             with pytest.raises(DataError, match="beta"):
                 NgramModel(2, beta, 97, 300)
-        assert sum(ngram_conditional(NgramModel(2, 1e300, 97, 300), ())) == pytest.approx(1.0)
+        assert sum(table_conditional(NgramModel(2, 1e300, 97, 300), ())) == pytest.approx(1.0)
         with pytest.raises(DataError, match="empty"):
             fit_ngram([], 2, 0.5, cycle_taxonomy())
         with pytest.raises(DataError, match="no actions"):
@@ -317,15 +340,15 @@ class TestNgramPredictor:
             predictor.predict("c", actions((0, 0)), 5, 0)
 
 
-def reference_rollouts(model, mode, seed, sample_top_k, clip_id, history, horizon, num_candidates):
-    """Dense rollouts: a fresh conditional, argmax and stable argsort at every step."""
+def reference_rollouts(model, records, mode, seed, sample_top_k, clip_id, history, horizon, num_candidates):
+    """Dense rollouts of a model fitted on `records`: a fresh conditional, argmax and stable argsort at every step."""
     rng = np.random.default_rng([seed, zlib.crc32(clip_id.encode("utf-8"))])
     candidates = []
     for index in range(num_candidates):
         ids = [v * model.num_nouns + n for v, n in history.tolist()]
         out = []
         for _ in range(horizon):
-            probs = np.array(ngram_conditional(model, ids))
+            probs = np.array(ngram_conditional(model, records, ids))
             if mode == "greedy" and index == 0:
                 nxt = int(np.argmax(probs))
             else:
@@ -389,7 +412,7 @@ class TestMemoizedRollouts:
         # Every clip runs twice: the predictor's step table must not change between runs.
         for clip_id, history in [*self.HISTORIES.items(), *self.HISTORIES.items()]:
             got = predictor.predict(clip_id, history, 12, 4).candidates
-            want = reference_rollouts(model, mode, 4, sample_top_k, clip_id, history, 12, 4)
+            want = reference_rollouts(model, records, mode, 4, sample_top_k, clip_id, history, 12, 4)
             assert np.array_equal(got, want), clip_id
 
     @pytest.mark.parametrize("mode", ["greedy", "sample"])
@@ -402,7 +425,7 @@ class TestMemoizedRollouts:
         predictor = NgramPredictor(model, mode=mode, seed=3, sample_top_k=sample_top_k)
         for clip_id, history in [("one", actions((0, 0))), ("two", actions((0, 1), (0, 0)))]:
             got = predictor.predict(clip_id, history, 12, 4).candidates
-            assert np.array_equal(got, reference_rollouts(model, mode, 3, sample_top_k, clip_id, history, 12, 4))
+            assert np.array_equal(got, reference_rollouts(model, records, mode, 3, sample_top_k, clip_id, history, 12, 4))
 
     @pytest.mark.filterwarnings("ignore:(invalid value|overflow):RuntimeWarning")
     @pytest.mark.parametrize("beta", [math.inf, math.nan, 1e308])
@@ -419,7 +442,7 @@ class TestMemoizedRollouts:
         for clip_id, history in self.HISTORIES.items():
             for top_k in (1, 3, 5):
                 got = NgramPredictor(model, "sample", 8, top_k).predict(clip_id, history, 10, 3)
-                want = reference_rollouts(model, "sample", 8, top_k, clip_id, history, 10, 3)
+                want = reference_rollouts(model, records, "sample", 8, top_k, clip_id, history, 10, 3)
                 assert np.array_equal(got.candidates, want), (clip_id, top_k)
 
     def test_observe_invalidates_memoized_steps(self):
@@ -458,30 +481,58 @@ class TestMemoizedRollouts:
 
     def test_memoized_pools_own_their_memory(self):
         taxonomy, records = tied_corpus()
-        model = fit_ngram(records, 2, 0.5, taxonomy)
-        pool, weights = model.step((0,), 3)
-        assert pool.base is None and weights.base is None
-        assert pool.tolist() == [1, 2, 0]
-        assert weights.sum() == pytest.approx(1.0)
+        predictor = NgramPredictor(fit_ngram(records, 2, 0.5, taxonomy), "sample", 0, 3)
+        assert predictor._pool.base is None and predictor._cdf.base is None
+        row = table_row(predictor, (0,))
+        assert predictor._pool[row].tolist() == [1, 2, 0]
+        assert np.diff(predictor._cdf[row], prepend=0.0).sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_sparse_step_matches_dense_conditional(self, order):
         taxonomy, records = tied_corpus()
         model = fit_ngram(records, order, 0.5, taxonomy)
-        contexts = list(model._transitions)
+        contexts = list(ngram_windows(model, records))
         if order > 1:
             unseen = (5,) * (order - 1)  # action 5 never occurs
             assert unseen not in contexts
             contexts.append(unseen)
         for context in contexts:
-            probs = np.array(ngram_conditional(model, context))
+            probs = np.array(ngram_conditional(model, records, context))
             for width in (1, 2, 3, model.num_actions):
-                pool, weights = model.step(context, width)
+                predictor = NgramPredictor(model, "sample", 0, width)
+                pool = predictor._pool[table_row(predictor, context)]
+                weights = np.diff(predictor._cdf[table_row(predictor, context)], prepend=0.0)
                 dense_pool = np.argsort(-probs, kind="stable")[:width]
                 assert pool.tolist() == dense_pool.tolist(), (context, width)
                 assert pool[0] == int(np.argmax(probs))
                 dense_weights = probs[dense_pool] / probs[dense_pool].sum()
                 np.testing.assert_allclose(weights, dense_weights, rtol=1e-12, atol=0)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_table_equals_per_context_oracle(self, data):
+        # The sorted pass must build every row's pool and cdf bit for bit as the row-at-a-time
+        # oracle does. Few distinct ids make count ties common; repeated patterns give clips
+        # long enough for order 24, and short clips hold no window at all.
+        num_verbs, num_nouns = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        num_actions = num_verbs * num_nouns
+        ids = st.integers(0, data.draw(st.integers(1, num_actions)) - 1)
+        pattern = st.tuples(st.lists(ids, min_size=1, max_size=5), st.integers(1, 12))
+        clip = st.one_of(st.lists(ids, max_size=6), pattern.map(lambda p: p[0] * p[1]))
+        clips = data.draw(st.lists(clip, min_size=1, max_size=6).filter(any))
+        order, width = data.draw(st.sampled_from([1, 2, 3, 4, 24])), data.draw(st.integers(1, num_actions))
+        model = NgramModel(order, data.draw(st.sampled_from([1e-3, 0.1, 0.5, 1.0, 3.7])), num_verbs, num_nouns)
+        records = [ClipRecord(f"c{i}", actions(*[divmod(a, num_nouns) for a in clip])) for i, clip in enumerate(clips)]
+        for rec in records:
+            model.observe(rec.observed)
+        predictor = NgramPredictor(model, "sample", 0, width)
+        pool, cdf = ngram_table(model, records, width)
+        assert predictor._pool.tolist() == pool.tolist()
+        assert predictor._cdf.tobytes() == cdf.tobytes()
+        # A rollout step finds each seen context at the oracle's row: contexts in sorted order.
+        contexts = sorted(ngram_windows(model, records))
+        assert [table_row(predictor, context) for context in contexts] == list(range(len(contexts)))
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 29_100])
@@ -507,13 +558,13 @@ class TestCorpusRollouts:
                  "through-unseen": actions((1, 1), (2, 1), (0, 0)),
                  "routine": actions((1, 1), (2, 0), (0, 0), (1, 1))}
 
-    def check(self, model, histories, mode, seed, sample_top_k, horizon, num_candidates):
+    def check(self, model, records, histories, mode, seed, sample_top_k, horizon, num_candidates):
         predictor = NgramPredictor(model, mode=mode, seed=seed, sample_top_k=sample_top_k)
         got = predictor.predict_corpus(histories, horizon, num_candidates)
         assert [p.clip_id for p in got] == list(histories)
         for clip_id, prediction in zip(histories, got):
-            want = reference_rollouts(model, mode, seed, sample_top_k, clip_id, histories[clip_id], horizon,
-                                      num_candidates)
+            want = reference_rollouts(model, records, mode, seed, sample_top_k, clip_id, histories[clip_id],
+                                      horizon, num_candidates)
             assert np.array_equal(prediction.candidates, want), clip_id
             single = predictor.predict(clip_id, histories[clip_id], horizon, num_candidates)
             assert np.array_equal(single.candidates, want), clip_id
@@ -524,7 +575,7 @@ class TestCorpusRollouts:
     def test_matches_dense_reference(self, order, mode, sample_top_k):
         taxonomy, records = tied_corpus()
         model = fit_ngram(records, order, 0.5, taxonomy)
-        self.check(model, self.HISTORIES, mode, 5, sample_top_k, 12, 4)
+        self.check(model, records, self.HISTORIES, mode, 5, sample_top_k, 12, 4)
 
     @pytest.mark.parametrize("mode", ["greedy", "sample"])
     def test_order_past_single_int64_keys(self, mode):
@@ -535,10 +586,10 @@ class TestCorpusRollouts:
         assert (taxonomy.num_verbs * taxonomy.num_nouns + 1) ** 23 > 2**63
         long = [ClipRecord(f"r{i}", np.concatenate([r.observed] * 4)) for i, r in enumerate(records)]
         model = fit_ngram(long, 24, 0.5, taxonomy)
-        assert model._transitions
+        assert len(NgramPredictor(model)._pool) > 1  # seen contexts, then the unseen row
         histories = {f"h{i}": r.observed[: 23 + i] for i, r in enumerate(long)}
         histories.update(self.HISTORIES)
-        self.check(model, histories, mode, 2, 3, 15, 3)
+        self.check(model, long, histories, mode, 2, 3, 15, 3)
 
     def test_table_keys_that_could_overflow_are_rejected(self):
         model = NgramModel(2, 0.5, 2**31, 2**31)  # |A| = 2**62: (1 context + 1) * (|A| + 1) > 2**63
@@ -560,7 +611,7 @@ class TestCorpusRollouts:
         # Greedy K=1 is the argmax rollout alone: no uniform is drawn, so no per-clip Generator is built.
         taxonomy, records = tied_corpus()
         model = fit_ngram(records, 2, 0.5, taxonomy)
-        self.check(model, self.HISTORIES, "greedy", 5, 3, 12, 1)
+        self.check(model, records, self.HISTORIES, "greedy", 5, 3, 12, 1)
         seeded, default_rng = [], np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda *args: seeded.append(args) or default_rng(*args))
         NgramPredictor(model).predict_corpus(self.HISTORIES, 12, 1)

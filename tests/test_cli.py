@@ -354,6 +354,35 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["deep", "long-int"])
+    def test_json_past_the_decoders_limits_is_data_error(self, pipeline, tmp_path, capsys, case):
+        # orjson rejects the NaN line (and the 5,001-digit int), so `json` reads the file again: nesting
+        # past its recursion limit, or an int past Python's digit limit, is then invalid JSON, not a crash.
+        head = pipeline["distributions"].read_text().splitlines()[0][:-1]
+        lines = {"deep": [head + ', "note": NaN}', head + ', "note": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+                 "long-int": [head + ', "note": 1' + "0" * 5_000 + "}"]}[case]
+        path = tmp_path / "distributions.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["recognize", "--distributions", str(path), "--matrix", str(pipeline["matrix"]),
+                "--taxonomy", str(pipeline["taxonomy"]), "--out", str(tmp_path / "r.jsonl")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"ltakit: error: {path}:{len(lines)}: invalid JSON (")
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("case", ["deep", "long-int"])
+    def test_whole_json_file_past_the_decoders_limits_is_data_error(self, pipeline, tmp_path, capsys, case):
+        template = tmp_path / "prompt.json"
+        template.write_text({"deep": '{"system_text": "s", "user_template": "{history} {Z}", "note": '
+                                     + "[" * 100_000 + "]" * 100_000 + "}",
+                             "long-int": '{"system_text": "s", "user_template": "{history} {Z}", "note": 1'
+                                         + "0" * 5_000 + "}"}[case])
+        (tmp_path / "script.json").write_text('["take spoon"]')
+        argv = ["anticipate", "--recognition", str(pipeline["recognition"]), "--taxonomy", str(pipeline["taxonomy"]),
+                "--predictor", "llm", "--llm-script", str(tmp_path / "script.json"), "--prompt-template", str(template),
+                "--out", str(tmp_path / "p.jsonl")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"ltakit: error: {template}: invalid JSON (")
+
     NOT_UTF8 = b'{"clip_id": "c\xff"}\n'
 
     @pytest.mark.parametrize(

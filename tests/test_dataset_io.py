@@ -187,7 +187,34 @@ class TestReaders:
         assert str(info.value) == f"{path}{message}"
 
 
+# Labels for the writers' byte tests: quotes, backslashes, control and non-ASCII characters, a lone surrogate.
+ODD_LABEL = st.sampled_from(['"', "\\", 'a"b', "\x00", "\n", "\x7f", "é", "鍋", "🥄", "\u2028", "\ud800"]) | st.text(
+    st.characters(blacklist_characters=" "), min_size=1, max_size=3)
+
+
 class TestAnnotations:
+    @given(st.data())
+    def test_save_bytes_equal_json_dumps_of_each_record(self, data):
+        verbs, nouns = (data.draw(st.lists(ODD_LABEL, min_size=1, max_size=4, unique=True)) for _ in range(2))
+        action = st.tuples(st.integers(0, len(verbs) - 1), st.integers(0, len(nouns) - 1))
+        records = [ClipRecord(data.draw(st.text(max_size=4)), actions(*data.draw(st.lists(action, max_size=4))),
+                              data.draw(st.none() | st.lists(action, max_size=4).map(lambda pairs: actions(*pairs))))
+                   for _ in range(data.draw(st.integers(0, 4)))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ann.jsonl"
+            save_annotations(path, records, Taxonomy(verbs, nouns))
+            got = path.read_text(encoding="utf-8")
+        text = lambda pairs: [f"{verbs[v]} {nouns[n]}" for v, n in pairs.tolist()]
+        rows = [{"clip_id": r.clip_id, "observed": text(r.observed), **({} if r.future is None else {"future": text(r.future)})}
+                for r in records]
+        assert got == "".join(json.dumps(row) + "\n" for row in rows)
+
+    def test_save_rejects_the_first_action_out_of_range(self, tmp_path, kitchen):
+        records = [ClipRecord("a", actions((0, 0)), actions((0, 7))), ClipRecord("b", actions((9, 0)))]
+        with pytest.raises(DataError, match=r"^action \(0, 7\) out of range for \|V\|=4, \|N\|=5$"):
+            save_annotations(tmp_path / "ann.jsonl", records, kitchen)
+        assert not (tmp_path / "ann.jsonl").exists()
+
     def test_single_clip(self, tmp_path, kitchen):
         path = tmp_path / "ann.jsonl"
         write_jsonl(
@@ -683,6 +710,35 @@ class TestPredictions:
         with pytest.raises(DataError) as info:
             load_predictions(path, kitchen, horizon=2)
         assert str(info.value) == f"{path}:1: {message}"
+
+    @given(st.data())
+    def test_bytes_equal_json_dumps_of_each_record(self, data):
+        # Labels with quotes, backslashes, control and non-ASCII characters; K and Z differ per
+        # clip, down to no candidates, empty candidates and no clips at all.
+        verbs, nouns = (data.draw(st.lists(ODD_LABEL, min_size=1, max_size=4, unique=True)) for _ in range(2))
+        action = st.tuples(st.integers(0, len(verbs) - 1), st.integers(0, len(nouns) - 1))
+        predictions = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            num_k, horizon = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 4))
+            pairs = data.draw(st.lists(action, min_size=num_k * horizon, max_size=num_k * horizon))
+            predictions.append(PredictionSet(data.draw(st.text(max_size=4)), actions(*pairs).reshape(num_k, horizon, 2)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pred.jsonl"
+            save_predictions(path, predictions, Taxonomy(verbs, nouns))
+            got = path.read_text(encoding="utf-8")
+        records = [{"clip_id": p.clip_id, "candidates": [[f"{verbs[v]} {nouns[n]}" for v, n in candidate]
+                                                        for candidate in p.candidates.tolist()]} for p in predictions]
+        assert got == "".join(json.dumps(record) + "\n" for record in records)
+
+    def test_out_of_range_error_names_the_first_clip_at_fault(self, tmp_path, kitchen):
+        path = tmp_path / "pred.jsonl"
+        predictions = [PredictionSet("fine", np.zeros((2, 3, 2), np.intp)),
+                       PredictionSet("first", actions((0, 0), (0, 5), (4, 0), (0, 0)).reshape(2, 2, 2)),
+                       PredictionSet("second", actions((-1, 0)).reshape(1, 1, 2))]
+        with pytest.raises(DataError) as info:
+            save_predictions(path, predictions, kitchen)
+        assert str(info.value) == "clip 'first': action (0, 5) out of range for |V|=4, |N|=5"
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "pair", [(4, 0), (0, 5), (-1, 0), (0, -1)], ids=["verb-4", "noun-5", "verb-minus-1", "noun-minus-1"]
