@@ -32,6 +32,22 @@ TEST = [
      "future": ["take pan", "put cup", "stir pot"]},
 ]
 
+# The test clips again, plus one with no future and one with no observed actions.
+MIXED = [
+    TEST[0],
+    {"clip_id": "f", "observed": ["wash bowl", "take pan"]},
+    TEST[1],
+    {"clip_id": "g", "observed": [], "future": ["stir cup", "stir cup", "wash pan"]},
+]
+
+# Hand-written candidates for MIXED's futured clips, out of annotation order, with K of 3, 1 and 2.
+RAGGED = [
+    {"clip_id": "e", "candidates": [["take pan", "put cup", "stir cup"], ["put cup", "take pan", "stir pot"],
+                                    ["take pan", "put cup", "stir pot"]]},
+    {"clip_id": "d", "candidates": [["take spoon", "put pan", "stir pot"]]},
+    {"clip_id": "g", "candidates": [["wash pan", "stir cup", "stir cup"], ["stir cup", "stir cup", "wash pan"]]},
+]
+
 # Segments interleaved across clips; e/2 is all mass on a pair no training clip has (a fallback).
 DISTRIBUTIONS = [
     ("d", 0, [0.5, 0.25, 0.125, 0.125], [0.5, 0.5, 0.0, 0.0, 0.0]),
@@ -74,8 +90,21 @@ DIGESTS = {
 }
 
 
+MIXED_DIGESTS = {
+    "matrix_mixed.txt": "ba5c999ac75f32e4ee57f08517f60ba65947b52a281615511c295bb6bf80370f",
+    "report_ragged.json": "73f54015ea5f4bc99569bfaedef38e0d8644a70fe2fdced177359d8762e57b84",
+    "evaluate_ragged.stdout": "a45f0093794ee149478accecb87cb66b8d13e95d509aefbd3249983de572a3fd",
+    "report_f.stdout": "7e46f4032aac5e1810d36bdb583e342767434a600cb80b0843c52c3e8a0d987c",
+    "report_g.stdout": "f64dcbb794e975eda73ab6f28bb2eb7cf4a67d29bf712f95dd766400fe1a9efe",
+}
+
+
 def _jsonl(rows) -> str:
     return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+def _digest(tmp_path, stdout: dict, name: str) -> str:
+    return hashlib.sha256(stdout[name].encode() if name in stdout else (tmp_path / name).read_bytes()).hexdigest()
 
 
 def test_stage_outputs_match_pinned_digests(tmp_path, capsys):
@@ -129,10 +158,27 @@ def test_stage_outputs_match_pinned_digests(tmp_path, capsys):
     ok(*report, "--clip", "e", "--recognition", p("recognition_top4.jsonl"), capture="report_top4.stdout")
     ok(*report, "--clip", "d", "--recognition", p("recognition_naive.jsonl"), capture="report_naive.stdout")
 
-    digests = {
-        name: hashlib.sha256(
-            stdout[name].encode() if name in stdout else (tmp_path / name).read_bytes()
-        ).hexdigest()
-        for name in DIGESTS
-    }
-    assert digests == DIGESTS
+    assert {name: _digest(tmp_path, stdout, name) for name in DIGESTS} == DIGESTS
+
+
+def test_mixed_futures_and_ragged_k_match_pinned_digests(tmp_path, capsys):
+    """Clips without a future or without observed actions, and predictions of ragged K in their own order."""
+    (tmp_path / "taxonomy.txt").write_text(TAXONOMY, encoding="utf-8")
+    (tmp_path / "mixed.jsonl").write_text(_jsonl(MIXED), encoding="utf-8")
+    (tmp_path / "ragged.jsonl").write_text(_jsonl(RAGGED), encoding="utf-8")
+    p = lambda name: str(tmp_path / name)
+    common = ["--annotations", p("mixed.jsonl"), "--taxonomy", p("taxonomy.txt"), "--horizon", "3"]
+    stdout = {}
+
+    def ok(*argv, capture=None):
+        capsys.readouterr()
+        assert run(list(argv)) == 0, (argv, capsys.readouterr().err)
+        if capture:
+            stdout[capture] = capsys.readouterr().out
+
+    ok("build-cooccur", *common, "--out", p("matrix_mixed.txt"))
+    ok("evaluate", "--predictions", p("ragged.jsonl"), *common, "--out", p("report_ragged.json"),
+       capture="evaluate_ragged.stdout")
+    ok("report", "--clip", "f", *common, "--predictions", p("ragged.jsonl"), capture="report_f.stdout")
+    ok("report", "--clip", "g", *common, "--predictions", p("ragged.jsonl"), capture="report_g.stdout")
+    assert {name: _digest(tmp_path, stdout, name) for name in MIXED_DIGESTS} == MIXED_DIGESTS
