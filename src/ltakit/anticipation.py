@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fileio import load_json
-from .dataset_io import ClipRecord, PredictionSet
+from .dataset_io import Predictions
 from .errors import DataError, LlmError
 from .taxonomy import Taxonomy, format_actions, parse_action
 
@@ -120,31 +120,30 @@ def parse_response(text: str, taxonomy: Taxonomy, horizon: int,
 class NgramModel:
     """Order-m Markov model over actions with additive smoothing beta > 0.
 
-    It keeps each observed clip's action ids (verb * |N| + noun), and
-    `windows()` counts their length-m windows: a context is a window's first
-    m-1 ids. The smoothed conditional is a proper distribution for every
-    context, seen or unseen.
+    It keeps the action ids (verb * |N| + noun) of an L x 2 array of
+    (verb id, noun id) rows, clip i being rows starts[i]:starts[i + 1], and
+    `windows()` counts their length-m windows, none spanning two clips: a
+    context is a window's first m-1 ids. The smoothed conditional is a proper
+    distribution for every context, seen or unseen.
     """
 
-    def __init__(self, order: int, beta: float, num_verbs: int, num_nouns: int):
+    def __init__(self, order: int, beta: float, num_verbs: int, num_nouns: int,
+                 actions: np.ndarray, starts: list[int]):
         if order < 1:
             raise DataError("n-gram order must be >= 1")
         if not (math.isfinite(beta * num_verbs * num_nouns) and beta > 0):
             raise DataError(f"smoothing beta must be > 0 with beta * |V| * |N| finite, got {beta}")
         self.order, self.beta, self.num_verbs, self.num_nouns = order, float(beta), num_verbs, num_nouns
-        self.num_actions, self._clips = num_verbs * num_nouns, []
-
-    def observe(self, actions: np.ndarray) -> None:
-        """Add one clip's L x 2 action sequence; no window spans two clips."""
-        self._clips.append(actions[:, 0] * self.num_nouns + actions[:, 1])
+        self.num_actions, self.starts = num_verbs * num_nouns, np.asarray(starts, np.intp)
+        self.ids = actions[:, 0] * num_nouns + actions[:, 1]
 
     def windows(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
         """The context levels, then each distinct (context row, next id) of the windows inside one
         clip and its count, ordered by row and id: all found by sorting. Level p holds the sorted keys
         code * (|A| + 1) + id of the (p+1)-id prefixes, a code being a prefix's rank among the distinct
         ones, so keys stay below (contexts + 1) * (|A| + 1) and a context's code is its row."""
-        ids, lengths = np.concatenate([np.empty(0, np.intp), *self._clips]), np.array([*map(len, self._clips)], np.intp)
-        starts = np.flatnonzero(np.arange(len(ids)) + self.order <= np.repeat(np.cumsum(lengths), lengths))
+        ids, ends = self.ids, self.starts[1:]
+        starts = np.flatnonzero(np.arange(len(ids)) + self.order <= np.repeat(ends, np.diff(self.starts)))
         radix, codes, levels = self.num_actions + 1, np.zeros(len(starts), np.intp), []
         for position in range(self.order):
             count = len(levels[-1]) if levels else int(len(starts) > 0)  # distinct codes so far
@@ -159,43 +158,53 @@ class NgramModel:
 
     def most_frequent_action(self) -> tuple[int, int]:
         """(verb id, noun id) of the most frequent action, ties toward the lowest id."""
-        ids, counts = np.unique(np.concatenate([np.empty(0, np.intp), *self._clips]), return_counts=True)
+        ids, counts = np.unique(self.ids, return_counts=True)
         if not len(ids):
             raise DataError("model has seen no actions")
         return divmod(int(ids[counts.argmax()]), self.num_nouns)
 
 
-def fit_ngram(annotations: list[ClipRecord], order: int, beta: float, taxonomy: Taxonomy) -> NgramModel:
-    """A model of each clip's observed+future actions; a predictor counts their windows when built."""
-    if not annotations:
+def fit_ngram(actions: np.ndarray, starts: list[int], order: int, beta: float, taxonomy: Taxonomy) -> NgramModel:
+    """A model of the L x 2 actions, clip i being rows starts[i]:starts[i + 1], as
+    `Annotations.actions()` gives each clip's observed+future actions; a predictor counts
+    their windows when built."""
+    if len(starts) < 2:
         raise DataError("cannot fit an n-gram model on an empty corpus")
-    model = NgramModel(order, beta, taxonomy.num_verbs, taxonomy.num_nouns)
-    for record in annotations:
-        model.observe(record.actions())
-    if not any(map(len, model._clips)):
+    if not len(actions):
         raise DataError("annotation corpus contains no actions")
-    return model
+    return NgramModel(order, beta, taxonomy.num_verbs, taxonomy.num_nouns, actions, starts)
 
 
-def _check_predict_args(clip_id: str, history, horizon: int, num_candidates: int) -> None:
-    if not len(history):
-        raise DataError(f"clip {clip_id!r}: empty history, nothing to anticipate from")
+def _check_predict_args(clip_ids: list[str], starts: list[int], horizon: int, num_candidates: int) -> None:
+    empty = np.flatnonzero(np.diff(starts) < 1)
+    if len(empty):
+        raise DataError(f"clip {clip_ids[empty[0]]!r}: empty history, nothing to anticipate from")
     if horizon < 1:
         raise DataError("horizon must be >= 1")
     if num_candidates < 1:
         raise DataError("need at least one candidate sequence")
 
 
-class RepeatLastPredictor:
-    """K copies of the last observed action repeated across the horizon."""
+class _TablePredictor:
+    """`predict`, a clip's K x Z x 2 candidates, as `predict_corpus` on a table of one clip."""
 
     def predict(self, clip_id: str, history: np.ndarray, horizon: int = 20,
-                num_candidates: int = DEFAULT_CANDIDATES) -> PredictionSet:
-        _check_predict_args(clip_id, history, horizon, num_candidates)
-        return PredictionSet(clip_id, np.full((num_candidates, horizon, 2), history[-1], np.intp))
+                num_candidates: int = DEFAULT_CANDIDATES) -> np.ndarray:
+        return self.predict_corpus([clip_id], [0, len(history)], history, horizon, num_candidates).candidates
 
 
-class NgramPredictor:
+class RepeatLastPredictor(_TablePredictor):
+    """K copies of each clip's last observed action repeated across the horizon."""
+
+    def predict_corpus(self, clip_ids: list[str], starts: list[int], history: np.ndarray, horizon: int = 20,
+                       num_candidates: int = DEFAULT_CANDIDATES) -> Predictions:
+        _check_predict_args(clip_ids, starts, horizon, num_candidates)
+        last = history[np.asarray(starts[1:], np.intp) - 1].astype(np.intp)
+        return Predictions(list(clip_ids), list(range(0, len(clip_ids) * num_candidates + 1, num_candidates)),
+                           np.repeat(last, num_candidates * horizon, axis=0).reshape(-1, horizon, 2))
+
+
+class NgramPredictor(_TablePredictor):
     """Rollouts from an NgramModel, for one clip (`predict`) or a whole corpus at once (`predict_corpus`).
 
     In greedy mode the first candidate is the argmax rollout (ties toward
@@ -210,8 +219,7 @@ class NgramPredictor:
     whole-array operations in place. A step finds every rollout's row through
     the windows' context levels, one sorted key array per context position,
     then searches the row's cdf for its uniform; an argmax step searches for
-    0.0. Memory is O(contexts x min(sample_top_k, |V|*|N|)). A later
-    observe() on the model does not change the predictor.
+    0.0. Memory is O(contexts x min(sample_top_k, |V|*|N|)).
     """
 
     def __init__(self, model: NgramModel, mode: str = "greedy", seed: int = 0, sample_top_k: int = 5):
@@ -248,27 +256,26 @@ class NgramPredictor:
             raise DataError(f"n-gram weights with beta {model.beta} are not a finite distribution")
         np.divide(cdf, cdf[:, -1:].copy(), out=cdf)  # a copy: dividing by a view of cdf would copy cdf
 
-    def predict(self, clip_id: str, history: np.ndarray, horizon: int = 20,
-                num_candidates: int = DEFAULT_CANDIDATES) -> PredictionSet:
-        return self.predict_corpus({clip_id: history}, horizon, num_candidates)[0]
-
-    def predict_corpus(self, histories: dict[str, np.ndarray], horizon: int = 20,
-                       num_candidates: int = DEFAULT_CANDIDATES) -> list[PredictionSet]:
-        """predict() for every clip id -> L x 2 history, in order; each step advances all C*K rollouts."""
-        for clip_id, history in histories.items():
-            _check_predict_args(clip_id, history, horizon, num_candidates)
+    def predict_corpus(self, clip_ids: list[str], starts: list[int], history: np.ndarray, horizon: int = 20,
+                       num_candidates: int = DEFAULT_CANDIDATES) -> Predictions:
+        """predict() for every clip, clip i's history being rows starts[i]:starts[i + 1] of the L x 2
+        `history`; each step advances all C*K rollouts."""
+        _check_predict_args(clip_ids, starts, horizon, num_candidates)
         span, greedy, pad = self.model.order - 1, self.mode == "greedy", self.model.num_actions
         num_nouns = self.model.num_nouns
-        # Each rollout's ids: its context, padded on the left with the unseen id |A|, then its future.
-        ids = np.full((len(histories), num_candidates, span + horizon), pad, np.intp)
-        uniforms = np.zeros((len(histories), num_candidates, horizon))
-        for clip, (clip_id, history) in enumerate(histories.items()):
-            # A uniform per sampled step, candidate-major as choice() drew them; 0.0: argmax step.
-            if num_candidates > greedy:  # greedy with K=1 samples nothing: no Generator to seed
+        # Each rollout's ids: its context (its last m-1 history ids, padded on the left with the unseen
+        # id |A|), then its future.
+        ids = np.full((len(clip_ids), num_candidates, span + horizon), pad, np.intp)
+        bounds = np.asarray(starts, np.intp)[:, None]
+        tail = bounds[1:] - span + np.arange(span)  # C x span: each clip's last history rows
+        inside = tail >= bounds[:-1]
+        ids[:, :, :span] = np.where(inside, (history[:, 0] * num_nouns + history[:, 1])[tail * inside], pad)[:, None]
+        # A uniform per sampled step, candidate-major as choice() drew them; 0.0: argmax step.
+        uniforms = np.zeros((len(clip_ids), num_candidates, horizon))
+        if num_candidates > greedy:  # greedy with K=1 samples nothing: no Generator to seed
+            for clip, clip_id in enumerate(clip_ids):
                 rng = np.random.default_rng([self.seed, zlib.crc32(clip_id.encode("utf-8"))])  # not hash(): stable
                 uniforms[clip, greedy:] = rng.random((num_candidates - greedy, horizon))
-            tail = history[-span:] if span else history[:0]
-            ids[clip, :, span - len(tail) : span] = tail[:, 0] * num_nouns + tail[:, 1]
         ids, uniforms = ids.reshape(-1, span + horizon), uniforms.reshape(-1, horizon)
         for step in range(horizon):
             rows = np.zeros(len(ids), np.intp)  # each rollout's context row, one key level per position
@@ -277,9 +284,8 @@ class NgramPredictor:
                 rows = keys.searchsorted(key)
                 rows[keys[rows] != key] = len(keys) - 1  # the sentinel's index: unseen from here on
             ids[:, span + step] = self._pool[rows, _search_right(self._cdf, rows, uniforms[:, step])]
-        futures = np.stack(np.divmod(ids[:, span:], num_nouns), axis=-1)
-        futures = futures.reshape(len(histories), num_candidates, horizon, 2)
-        return [PredictionSet(clip_id, candidates) for clip_id, candidates in zip(histories, futures)]
+        return Predictions(list(clip_ids), list(range(0, len(clip_ids) * num_candidates + 1, num_candidates)),
+                           np.stack(np.divmod(ids[:, span:], num_nouns), axis=-1))
 
 
 def _search_right(cdf: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -310,11 +316,11 @@ class LlmPredictor:
         self.fallback = fallback
 
     def predict(self, clip_id: str, history: np.ndarray, horizon: int = 20,
-                num_candidates: int = DEFAULT_CANDIDATES, *, position: int = 0) -> PredictionSet:
-        """K completions for one clip. Candidate i's request is keyed (position, i) in the
+                num_candidates: int = DEFAULT_CANDIDATES, *, position: int = 0) -> np.ndarray:
+        """K completions for one clip, as a K x Z x 2 array. Candidate i's request is keyed (position, i) in the
         client's log, `position` being the clip's place in the corpus, so the log of clips
         predicted on several threads lists them by (clip, candidate, attempt)."""
-        _check_predict_args(clip_id, history, horizon, num_candidates)
+        _check_predict_args([clip_id], [0, len(history)], horizon, num_candidates)
         user = render_prompt(self.template, format_action_history(history, self.taxonomy), horizon)
         candidates = []
         for index in range(num_candidates):
@@ -329,4 +335,4 @@ class LlmPredictor:
                 logger.debug("clip %s candidate %d: skipped %d tokens, padded %d actions",
                              clip_id, index, len(parsed.skipped), parsed.padded)
             candidates.append(parsed.actions)
-        return PredictionSet(clip_id, np.stack(candidates))
+        return np.stack(candidates)

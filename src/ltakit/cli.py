@@ -30,6 +30,7 @@ from .anticipation import (
 from .cooccurrence import build_cooccurrence, load_matrix, save_matrix
 from .dataset_io import (
     DEFAULT_HORIZON,
+    Predictions,
     load_annotations,
     load_distributions,
     load_predictions,
@@ -79,13 +80,13 @@ def _cmd_synth(args) -> None:
     save_annotations(out_dir / "annotations.jsonl", corpus.annotations, corpus.taxonomy)
     save_distributions(out_dir / "distributions.jsonl", corpus.distributions)
     atomic_write_text(out_dir / "provenance.json", json.dumps(provenance(config, __version__), indent=2) + "\n")
-    print(f"wrote {len(corpus.annotations)} clips / {len(corpus.distributions.verb_probs)} segments to {out_dir}")
+    print(f"wrote {len(corpus.annotations.clip_ids)} clips / {len(corpus.annotations.observed)} segments to {out_dir}")
 
 
 def _cmd_build_cooccur(args) -> None:
     taxonomy = load_taxonomy(args.taxonomy)
     annotations = load_annotations(args.annotations, taxonomy, args.horizon)
-    matrix = build_cooccurrence(annotations, taxonomy, args.alpha)
+    matrix = build_cooccurrence(annotations.actions()[0], taxonomy, args.alpha)
     save_matrix(args.out, matrix)
     print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} matrix ({int(matrix.total())} actions) to {args.out}")
 
@@ -113,7 +114,7 @@ def _build_predictor(args, taxonomy: Taxonomy):
         if train is None:
             raise UsageError(f"--predictor {args.predictor} requires --train-annotations")
         order = 1 if args.predictor == "frequency" else args.order
-        model = fit_ngram(train, order, args.beta, taxonomy)
+        model = fit_ngram(*train.actions(), order, args.beta, taxonomy)
         return NgramPredictor(model, args.mode, args.seed, args.sample_top_k), None
 
     # LLM path: a scripted mock when --llm-script is given, a live client otherwise.
@@ -136,7 +137,7 @@ def _build_predictor(args, taxonomy: Taxonomy):
     )
     client = MockLlmClient(load_script(args.llm_script), config) if args.llm_script else LlmClient(config)
     template = load_prompt_template(args.prompt_template) if args.prompt_template else DEFAULT_PROMPT
-    fallback = fit_ngram(train, 1, 1.0, taxonomy).most_frequent_action() if train else None
+    fallback = fit_ngram(*train.actions(), 1, 1.0, taxonomy).most_frequent_action() if train else None
     predictor = LlmPredictor(client, taxonomy, template, fallback)
     return predictor, client
 
@@ -146,24 +147,25 @@ def _cmd_anticipate(args) -> None:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     taxonomy = load_taxonomy(args.taxonomy)
     recognition = load_recognition(args.recognition, taxonomy)
-    histories = dict(zip(recognition.clip_ids, np.split(recognition.chosen, recognition.starts[1:-1])))
+    clip_ids, starts = recognition.clip_ids, recognition.starts
     predictor, client = _build_predictor(args, taxonomy)
 
-    if isinstance(predictor, NgramPredictor):
-        predictions = predictor.predict_corpus(histories, args.horizon, args.candidates)
-    elif client is None:
-        predictions = [predictor.predict(*item, args.horizon, args.candidates) for item in histories.items()]
+    if client is None:
+        predictions = predictor.predict_corpus(clip_ids, starts, recognition.chosen, args.horizon, args.candidates)
     else:
         # Threads overlap endpoint waits; map() returns results in clip order, and each
         # clip's position keys its requests, so the request log is in clip order too.
         from concurrent.futures import ThreadPoolExecutor
-        run_clip = lambda position, item: predictor.predict(*item, args.horizon, args.candidates, position=position)
+        run_clip = lambda position, clip_id, history: predictor.predict(
+            clip_id, history, args.horizon, args.candidates, position=position)
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            predictions = list(pool.map(run_clip, range(len(histories)), histories.items()))
+            sets = list(pool.map(run_clip, range(len(clip_ids)), clip_ids, np.split(recognition.chosen, starts[1:-1])))
+        predictions = Predictions(clip_ids, [0, *np.cumsum([len(s) for s in sets], dtype=np.intp).tolist()],
+                                  np.concatenate([np.empty((0, args.horizon, 2), np.intp), *sets]))
     save_predictions(args.out, predictions, taxonomy)
     if args.llm_request_log and client is not None:
         atomic_write_text(args.llm_request_log, "".join(json.dumps(request) + "\n" for request in client.requests))
-    print(f"wrote {len(predictions)} prediction sets ({args.candidates} x {args.horizon} each) to {args.out}")
+    print(f"wrote {len(clip_ids)} prediction sets ({args.candidates} x {args.horizon} each) to {args.out}")
 
 
 def _cmd_evaluate(args) -> None:
@@ -180,17 +182,19 @@ def _cmd_evaluate(args) -> None:
 def _cmd_report(args) -> None:
     taxonomy = load_taxonomy(args.taxonomy)
     annotations = load_annotations(args.annotations, taxonomy, args.horizon)
-    record = next((r for r in annotations if r.clip_id == args.clip), None)
-    if record is None:
+    if args.clip not in annotations.clip_ids:
         raise DataError(f"clip {args.clip!r} not found in {args.annotations}")
+    at = annotations.clip_ids.index(args.clip)
+    observed = annotations.observed[annotations.starts[at] : annotations.starts[at + 1]]
+    future = annotations.future[annotations.has_future[:at].sum()] if annotations.has_future[at] else None
 
-    lines = [f"clip {record.clip_id}"]
+    lines = [f"clip {args.clip}"]
     recognition = load_recognition(args.recognition, taxonomy) if args.recognition else None
     marks, candidates = [], None  # per recognized segment: the mark on its observed line, its candidates
     if recognition is not None and args.clip in recognition.clip_ids:
         at = recognition.clip_ids.index(args.clip)
         a, b = recognition.starts[at : at + 2]
-        observed_rows([args.clip], [a, b], [record])  # the segments must not outrun the observed actions
+        observed_rows([args.clip], [a, b], annotations)  # the segments must not outrun the observed actions
         chosen, naive = (format_actions(pairs[a:b], taxonomy) for pairs in (recognition.chosen, recognition.naive))
         marks = [f"  | chosen: {c}  naive: {n}" + "  (fallback)" * f
                  for c, n, f in zip(chosen, naive, recognition.fallback[a:b].tolist())]
@@ -208,22 +212,23 @@ def _cmd_report(args) -> None:
             for i, count in enumerate(recognition.counts[a:b].tolist())
         ]
     lines.append("observed:")
-    for i, action in enumerate(format_actions(record.observed, taxonomy)):
+    for i, action in enumerate(format_actions(observed, taxonomy)):
         lines.append(f"  [{i}] {action}{marks[i] if i < len(marks) else ''}")
     if candidates is not None:
         lines += ["candidates per segment:", *candidates]
-    if record.future is not None:
+    if future is not None:
         lines.append("future (ground truth):")
-        lines.append("  " + ", ".join(format_actions(record.future, taxonomy)))
-    predictions = load_predictions(args.predictions, taxonomy, args.horizon) if args.predictions else []
-    prediction = next((p for p in predictions if p.clip_id == args.clip), None)
-    if prediction is not None:
+        lines.append("  " + ", ".join(format_actions(future, taxonomy)))
+    predictions = load_predictions(args.predictions, taxonomy, args.horizon) if args.predictions else None
+    if predictions is not None and args.clip in predictions.clip_ids:
+        at = predictions.clip_ids.index(args.clip)
+        prediction = predictions.candidates[predictions.starts[at] : predictions.starts[at + 1]]
         lines.append("predicted candidates:")
-        if record.future is not None:
+        if future is not None:
             codes = lambda pairs: pairs[..., 0] * taxonomy.num_nouns + pairs[..., 1]  # action codes
-            eds = normalized_eds(codes(prediction.candidates), codes(record.future)).tolist()
-        for idx, candidate in enumerate(prediction.candidates):
-            ed = "" if record.future is None else f"action ED {eds[idx]:.4f}: "
+            eds = normalized_eds(codes(prediction), codes(future)).tolist()
+        for idx, candidate in enumerate(prediction):
+            ed = "" if future is None else f"action ED {eds[idx]:.4f}: "
             lines.append(f"  [{idx}] {ed}{', '.join(format_actions(candidate, taxonomy))}")
     print("\n".join(lines))
 

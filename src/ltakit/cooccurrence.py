@@ -12,7 +12,6 @@ import numpy as np
 
 from ._fileio import atomic_write_text, float_texts, open_text
 from .errors import DataError, IntegrityError
-from .dataset_io import ClipRecord
 from .taxonomy import Taxonomy
 
 _HEADER = "#cooccurrence-matrix v1"
@@ -59,16 +58,13 @@ class CooccurrenceMatrix:
         return float(self.counts.sum())
 
 
-def build_cooccurrence(
-    annotations: list[ClipRecord], taxonomy: Taxonomy, alpha: float = 0.0
-) -> CooccurrenceMatrix:
-    """Tally every action of every record (observed and future alike).
+def build_cooccurrence(pairs: np.ndarray, taxonomy: Taxonomy, alpha: float = 0.0) -> CooccurrenceMatrix:
+    """Tally every (verb id, noun id) row of `pairs`, such as `Annotations.actions()`'s.
 
-    The count matrix is permutation-invariant over record order. An empty
-    corpus with alpha == 0 has no normalizable mass and is rejected.
+    The count matrix is permutation-invariant over row order, so it needs no clip starts. An
+    empty corpus with alpha == 0 has no normalizable mass and is rejected.
     """
     counts = np.zeros((taxonomy.num_verbs, taxonomy.num_nouns))
-    pairs = np.concatenate([np.empty((0, 2), np.intp)] + [record.actions() for record in annotations])
     taxonomy.check_ids(pairs)
     np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
     if len(pairs) == 0 and alpha == 0:

@@ -8,13 +8,14 @@ All three datasets are JSON lines, one record per line:
 
 `future` is optional (test-mode clips); when present it holds exactly the
 anticipation horizon worth of actions. Probability vectors are dense, one
-entry per vocabulary item. In memory every action sequence is an integer
-array of (verb id, noun id) rows: `observed` and `future` load as L x 2
-arrays, a clip's predictions as one K x Z x 2 array, and distributions as one
-corpus table (`Distributions`); `taxonomy` converts between ids and text.
-Annotations and predictions round-trip exactly; distributions are
-renormalized on load, so a vector whose float sum is not exactly 1 comes back
-rescaled by a few ulps and saves to different bytes.
+entry per vocabulary item. In memory every action is a (verb id, noun id)
+row, and each file loads as one corpus table of clip ids, row starts and flat
+arrays, clip i holding rows starts[i]:starts[i + 1]: observed actions in
+`Annotations` (futures are one F x Z x 2 array of the clips that have one),
+segments in `Distributions`, candidates in `Predictions`. `taxonomy` converts
+between ids and text. Annotations and predictions round-trip exactly;
+distributions are renormalized on load, so a vector whose float sum is not
+exactly 1 comes back rescaled by a few ulps and saves to different bytes.
 
 `StageFile` reads every stage file (per clip, or per segment here and in
 `recognition`) in one pass, and is the one place where their rules live. Lines
@@ -26,9 +27,8 @@ at once to numbers appended to flat columns for the whole file; an action text
 becomes a code, each distinct text kept once and resolved by one
 `parse_actions` call. Checks that need no Python per value run on whole arrays
 after the pass (one lexsort of the (clip, segment) keys, the probability
-rules), yet the error raised is the first in the file. A per-segment file
-stays in those columns: a corpus table of clip ids, row starts and flat
-arrays, clip i holding rows starts[i]:starts[i + 1].
+rules), yet the error raised is the first in the file. The columns become the
+table's arrays with no object per clip.
 
 Writing distributions costs float formatting, so `save_distributions` pays it
 once per distinct value in a clip, not once per cell: a synth row holds only
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial, wraps
@@ -61,16 +61,24 @@ SUM_TOLERANCE = 1e-4
 
 
 @dataclass(eq=False)
-class ClipRecord:
-    """One clip: its id, the observed action sequence, optionally the future one (L x 2 id arrays)."""
+class Annotations:
+    """Annotated clips: clip `clip_ids[i]` observed the S x 2 rows starts[i]:starts[i + 1] of
+    `observed` (possibly none). `future` is F x Z x 2, one Z-action future per clip that has one,
+    in clip order; `has_future` is the length-C bool mask of those clips."""
 
-    clip_id: str
+    clip_ids: list[str]
+    starts: list[int]
     observed: np.ndarray
-    future: np.ndarray | None = None
+    future: np.ndarray
+    has_future: np.ndarray
 
-    def actions(self) -> np.ndarray:
-        """Observed then future actions as one L x 2 array."""
-        return self.observed if self.future is None else np.concatenate([self.observed, self.future])
+    def actions(self) -> tuple[np.ndarray, list[int]]:
+        """Each clip's observed then future actions, end to end as one L x 2 array, and each clip's
+        row starts in it."""
+        clips = np.concatenate([np.repeat(np.arange(len(self.clip_ids)), np.diff(self.starts)),
+                                np.repeat(np.flatnonzero(self.has_future), self.future.shape[1])])
+        pairs = np.concatenate([self.observed, self.future.reshape(-1, 2)])[np.argsort(clips, kind="stable")]
+        return pairs, [0, *np.cumsum(np.bincount(clips, minlength=len(self.clip_ids))).tolist()]
 
 
 @dataclass(eq=False)
@@ -85,21 +93,24 @@ class Distributions:
 
 
 @dataclass(eq=False)
-class PredictionSet:
-    """K candidate future sequences for one clip: a K x Z x 2 integer array, [k, z] = (verb id, noun id)."""
+class Predictions:
+    """Candidate futures: clip `clip_ids[i]` holds candidates starts[i]:starts[i + 1] of the N x Z x 2
+    array `candidates`, [n, z] = (verb id, noun id); clips may differ in K."""
 
-    clip_id: str
+    clip_ids: list[str]
+    starts: list[int]
     candidates: np.ndarray
 
 
-def check_starts(clip_ids: list[str], starts: list[int], rows: int) -> None:
-    """Each clip's rows starts[i]:starts[i + 1] must be nonempty, and all of them cover the `rows` rows."""
+def check_starts(clip_ids: list[str], starts: list[int], rows: int, empty: bool = False) -> None:
+    """Each clip's rows starts[i]:starts[i + 1] must be nonempty (with `empty`, in order), and all of
+    them cover the `rows` rows."""
     if len(starts) != len(clip_ids) + 1 or starts[0] != 0 or starts[-1] != rows:
         raise DataError(f"clips {clip_ids[:1]}..{clip_ids[-1:]} hold rows {starts[:1]}..{starts[-1:]} of {rows} "
                         f"(need {len(clip_ids) + 1} row starts from 0 to {rows})")
-    empty = np.flatnonzero(np.diff(starts) < 1)
-    if len(empty):
-        raise DataError(f"clip {clip_ids[empty[0]]!r} has no rows (need S >= 1)")
+    short = np.flatnonzero(np.diff(starts) < (0 if empty else 1))
+    if len(short):
+        raise DataError(f"clip {clip_ids[short[0]]!r} has no rows (need {'starts in order' if empty else 'S >= 1'})")
 
 
 def json_fallback(load):
@@ -243,23 +254,24 @@ class StageFile:
 
 
 @json_fallback
-def load_annotations(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON, *, decode) -> list[ClipRecord]:
-    """Load clip annotations; any `future` present must be exactly `horizon` long."""
-    file, codes, sizes = StageFile(path, taxonomy, decode), array("q"), array("q")  # sizes: observed, future (-1: none)
+def load_annotations(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON, *, decode) -> Annotations:
+    """Load clip annotations as one table; any `future` present must be exactly `horizon` long."""
+    file, observed, future, sizes, has_future = StageFile(path, taxonomy, decode), array("q"), array("q"), [], []
     with file.checking():
         for where, obj in file.rows():
-            observed = _require(obj, "observed", list, where)
-            codes.fromlist(file.code(observed))
-            future = None if obj.get("future") is None else _require(obj, "future", list, where)
-            if future is not None and len(future) != horizon:
+            actions = _require(obj, "observed", list, where)
+            observed.fromlist(file.code(actions))
+            sizes.append(len(actions))
+            actions = None if obj.get("future") is None else _require(obj, "future", list, where)
+            if actions is not None and len(actions) != horizon:
                 raise DataError(
-                    f"{where}: clip {obj['clip_id']!r} has a future of {len(future)} actions, expected {horizon}"
+                    f"{where}: clip {obj['clip_id']!r} has a future of {len(actions)} actions, expected {horizon}"
                 )
-            codes.fromlist(file.code(future or []))
-            sizes.fromlist([len(observed), -1 if future is None else horizon])
-    parts = np.split(file.table[np.frombuffer(codes, np.int64)], np.cumsum(np.maximum(sizes, 0))[:-1])
-    return [ClipRecord(clip_id, observed, None if size < 0 else future)
-            for clip_id, observed, future, size in zip(file.clip_ids, parts[::2], parts[1::2], sizes[1::2])]
+            future.fromlist(file.code(actions or []))
+            has_future.append(actions is not None)
+    future = file.table[np.frombuffer(future, np.int64)].reshape(sum(has_future), max(horizon, 0), 2)
+    return Annotations(list(file.clip_ids), [0, *np.cumsum(sizes, dtype=np.intp).tolist()],
+                       file.table[np.frombuffer(observed, np.int64)], future, np.array(has_future, bool))
 
 
 def _json_list(texts: Iterator[str], size: int) -> str:
@@ -267,15 +279,15 @@ def _json_list(texts: Iterator[str], size: int) -> str:
     return "[" + ", ".join(islice(texts, size)) + "]"
 
 
-def save_annotations(path, records: list[ClipRecord], taxonomy: Taxonomy) -> None:
+def save_annotations(path, annotations: Annotations, taxonomy: Taxonomy) -> None:
     """Write one line per clip, byte for byte what `json.dumps` writes for its {clip_id, observed,
-    future} record (no future if None), joined from one `format_actions` call over all actions."""
-    pairs = np.concatenate([np.empty((0, 2), np.intp), *(r.actions() for r in records)])
-    texts = iter(format_actions(pairs, taxonomy, as_json=True))
-    atomic_write_text(path, ['{"clip_id": ' + json.dumps(r.clip_id) + ', "observed": '
-                             + _json_list(texts, len(r.observed))
-                             + ("" if r.future is None else ', "future": ' + _json_list(texts, len(r.future))) + "}\n"
-                             for r in records])
+    future} record (no future if it has none), joined from one `format_actions` call over all actions."""
+    check_starts(annotations.clip_ids, annotations.starts, len(annotations.observed), empty=True)
+    texts = iter(format_actions(annotations.actions()[0], taxonomy, as_json=True))
+    horizon, sizes, futures = annotations.future.shape[1], np.diff(annotations.starts).tolist(), annotations.has_future
+    atomic_write_text(path, ['{"clip_id": ' + json.dumps(clip_id) + ', "observed": ' + _json_list(texts, size)
+                             + (', "future": ' + _json_list(texts, horizon) if future else "") + "}\n"
+                             for clip_id, size, future in zip(annotations.clip_ids, sizes, futures.tolist())])
 
 
 def _probs(column: array, size: int) -> np.ndarray:
@@ -350,9 +362,9 @@ def save_distributions(path, table: Distributions) -> None:
 
 
 @json_fallback
-def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON, *, decode) -> list[PredictionSet]:
-    """Load candidate future sets as K x Z x 2 id arrays; every candidate must be exactly `horizon` long."""
-    file, codes, num_candidates = StageFile(path, taxonomy, decode), array("q"), array("q")
+def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON, *, decode) -> Predictions:
+    """Load candidate futures as one table; every candidate must be exactly `horizon` long."""
+    file, codes, num_candidates = StageFile(path, taxonomy, decode), array("q"), [0]
     with file.checking():
         for where, obj in file.rows():
             raw = _require(obj, "candidates", list, where)
@@ -365,24 +377,23 @@ def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON, *
                     raise DataError(f"{where}: candidate {idx} has {len(tokens)} actions, expected {horizon}")
             codes.fromlist(file.code(list(chain.from_iterable(raw))))
             num_candidates.append(len(raw))
-    steps = np.split(file.table[np.frombuffer(codes, np.int64)], np.cumsum(num_candidates)[:-1] * horizon)
-    return [PredictionSet(clip_id, clip_steps.reshape(num_k, horizon, 2))
-            for clip_id, num_k, clip_steps in zip(file.clip_ids, num_candidates, steps)]
+    starts = np.cumsum(num_candidates).tolist()
+    return Predictions(list(file.clip_ids), starts,
+                       file.table[np.frombuffer(codes, np.int64)].reshape(starts[-1], max(horizon, 0), 2))
 
 
-def save_predictions(path, predictions: list[PredictionSet], taxonomy: Taxonomy) -> None:
+def save_predictions(path, predictions: Predictions, taxonomy: Taxonomy) -> None:
     """Write one line per clip, byte for byte what `json.dumps` writes for its {clip_id, candidates}
     record, joined from one `format_actions` call over all clips' actions; clips may differ in K."""
-    pairs = np.concatenate([np.empty((0, 2), np.intp), *(p.candidates.reshape(-1, 2) for p in predictions)])
+    starts, candidates = predictions.starts, predictions.candidates
+    check_starts(predictions.clip_ids, starts, len(candidates), empty=True)
     try:
-        texts = iter(format_actions(pairs, taxonomy, as_json=True))
-    except DataError:  # name the first clip at fault
-        for p in predictions:
-            try:
-                taxonomy.check_ids(p.candidates)
-            except DataError as exc:
-                raise DataError(f"clip {p.clip_id!r}: {exc}") from None
-        raise
-    atomic_write_text(path, ['{"clip_id": ' + json.dumps(p.clip_id) + ', "candidates": ['
-                             + ", ".join(_json_list(texts, p.candidates.shape[1]) for _ in p.candidates) + "]}\n"
-                             for p in predictions])
+        texts = iter(format_actions(candidates.reshape(-1, 2), taxonomy, as_json=True))
+    except DataError as exc:  # name the clip of the first action at fault
+        outside = ((candidates < 0) | (candidates >= (taxonomy.num_verbs, taxonomy.num_nouns))).any(axis=(1, 2))
+        clip_id = predictions.clip_ids[bisect_right(starts, outside.argmax()) - 1]
+        raise DataError(f"clip {clip_id!r}: {exc}") from None
+    horizon = candidates.shape[1]
+    atomic_write_text(path, ['{"clip_id": ' + json.dumps(clip_id) + ', "candidates": ['
+                             + ", ".join(_json_list(texts, horizon) for _ in range(size)) + "]}\n"
+                             for clip_id, size in zip(predictions.clip_ids, np.diff(starts).tolist())])

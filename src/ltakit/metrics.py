@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 import numpy as np
 
 from ._fileio import atomic_write_text
-from .dataset_io import ClipRecord, PredictionSet
+from .dataset_io import Annotations, Predictions
 from .errors import DataError
 from .recognition import Recognition
 
@@ -66,49 +67,52 @@ def normalized_eds(pred, truth) -> np.ndarray:
 
 
 @dataclass
-class ClipScores:
-    """Per-clip minimum normalized EDs and the candidate index achieving each."""
-
-    clip_id: str
-    verb_ed: float
-    noun_ed: float
-    action_ed: float
-    best_verb: int
-    best_noun: int
-    best_action: int
-
-
-@dataclass
 class EvalReport:
+    """Corpus EDs and AR accuracies, plus each scored clip's minimum normalized EDs and the
+    candidate index reaching each: C x 3 `eds` and `best`, columns verb, noun and action."""
+
     verb_ed: float
     noun_ed: float
     action_ed: float
     ar_verb_acc: float | None
     ar_noun_acc: float | None
     ar_action_acc: float | None
-    per_clip: list[ClipScores]
+    clip_ids: list[str]
+    eds: np.ndarray
+    best: np.ndarray
 
 
-def observed_rows(clip_ids, starts, annotations: list[ClipRecord]) -> np.ndarray:
+def _index(clip_ids: list[str], where: str) -> dict[str, int]:
+    """Each clip id's index in `clip_ids`; an id given twice is a DataError naming the first repeat."""
+    index = dict(zip(reversed(clip_ids), range(len(clip_ids) - 1, -1, -1)))  # the first index of each id
+    if len(index) < len(clip_ids):
+        firsts = np.fromiter(map(index.get, clip_ids), np.intp, len(clip_ids))
+        repeat_at = np.flatnonzero(firsts != np.arange(len(clip_ids)))[0]
+        raise DataError(f"duplicate clip id {clip_ids[repeat_at]!r} in {where}")
+    return index
+
+
+def _lookup(index: dict[str, int], clip_ids: list[str]) -> np.ndarray:
+    """Each clip id's index, -1 where `index` lacks it."""
+    return np.fromiter(map(index.get, clip_ids, repeat(-1)), np.intp, len(clip_ids))
+
+
+def observed_rows(clip_ids, starts, annotations: Annotations) -> np.ndarray:
     """The annotated observed action of each recognized segment: clip `clip_ids[i]` has
-    starts[i + 1] - starts[i] segments, which must not outrun its observed actions."""
-    observed = {}
-    for record in annotations:
-        if record.clip_id in observed:
-            raise DataError(f"duplicate clip id {record.clip_id!r} in annotations")
-        observed[record.clip_id] = record.observed
-    rows = [np.empty((0, 2), np.intp)]
-    for clip_id, a, b in zip(clip_ids, starts, starts[1:]):
-        if clip_id not in observed:
+    segments starts[i]:starts[i + 1], which must not outrun its observed actions."""
+    at, starts = _lookup(_index(annotations.clip_ids, "annotations"), clip_ids), np.asarray(starts, np.intp)
+    bounds, counts = np.asarray(annotations.starts, np.intp), np.diff(starts)
+    sizes = bounds[at + 1] - bounds[at]
+    bad = np.flatnonzero((at < 0) | (counts > sizes))
+    if len(bad):
+        clip_id, size = clip_ids[bad[0]], sizes[bad[0]]
+        if at[bad[0]] < 0:
             raise DataError(f"recognition result for unknown clip {clip_id!r}")
-        segments = observed[clip_id]
-        if b - a > len(segments):
-            raise DataError(f"clip {clip_id!r}: segment {len(segments)} out of range ({len(segments)} observed)")
-        rows.append(segments[: b - a])
-    return np.concatenate(rows)
+        raise DataError(f"clip {clip_id!r}: segment {size} out of range ({size} observed)")
+    return annotations.observed[np.repeat(bounds[at] - starts[:-1], counts) + np.arange(starts[0], starts[-1])]
 
 
-def ar_accuracy(recognition: Recognition, annotations: list[ClipRecord]) -> tuple[float, float, float]:
+def ar_accuracy(recognition: Recognition, annotations: Annotations) -> tuple[float, float, float]:
     """Percentage of recognized segments whose chosen verb / noun / full action
     matches the annotated observed action."""
     same = recognition.chosen == observed_rows(recognition.clip_ids, recognition.starts, annotations)
@@ -120,77 +124,56 @@ def ar_accuracy(recognition: Recognition, annotations: list[ClipRecord]) -> tupl
 
 
 def corpus_eval(
-    predictions: list[PredictionSet],
-    annotations: list[ClipRecord],
+    predictions: Predictions,
+    annotations: Annotations,
     recognition: Recognition | None = None,
 ) -> EvalReport:
     """Evaluate predictions against every annotated clip that has a future.
 
-    Prediction clip ids must cover the ground-truth clip ids exactly, and all
-    scored clips must share one horizon (score each horizon in its own call).
-    Clips may differ in K. The corpus EDs are unweighted per-clip means (fsum,
-    so clip order cannot change them). AR accuracies are filled in only when
+    Prediction clip ids must cover the ground-truth clip ids exactly. Clips
+    may differ in K. The corpus EDs are unweighted per-clip means (fsum, so
+    clip order cannot change them). AR accuracies are filled in only when
     recognition results are supplied.
     """
-    ground_truth: dict[str, np.ndarray] = {}
-    ordered_ids = []
-    for record in annotations:
-        if record.clip_id in ground_truth:
-            raise DataError(f"duplicate clip id {record.clip_id!r} in annotations")
-        if record.future is not None:
-            ground_truth[record.clip_id] = record.future
-            ordered_ids.append(record.clip_id)
-    if not ground_truth:
+    _index(annotations.clip_ids, "annotations")
+    clip_ids = list(compress(annotations.clip_ids, annotations.has_future.tolist()))
+    if not clip_ids:
         raise DataError("no annotated clips carry a ground-truth future")
+    index = _index(predictions.clip_ids, "predictions")
+    at = _lookup(index, clip_ids)  # each scored clip's place in the predictions
+    missing = np.flatnonzero(at < 0)
+    if len(missing):
+        raise DataError(f"no prediction for clip {clip_ids[missing[0]]!r} ({len(missing)} missing in total)")
+    extra = np.flatnonzero(_lookup(dict.fromkeys(clip_ids, 0), predictions.clip_ids) < 0)  # in predictions order
+    if len(extra):
+        raise DataError(f"prediction for unknown clip {predictions.clip_ids[extra[0]]!r} ({len(extra)} extra in total)")
 
-    by_clip: dict[str, PredictionSet] = {}
-    for pred in predictions:
-        if pred.clip_id in by_clip:
-            raise DataError(f"duplicate clip id {pred.clip_id!r} in predictions")
-        by_clip[pred.clip_id] = pred
-    missing = [cid for cid in ordered_ids if cid not in by_clip]
-    if missing:
-        raise DataError(f"no prediction for clip {missing[0]!r} ({len(missing)} missing in total)")
-    extra = sorted(set(by_clip) - set(ground_truth))
-    if extra:
-        raise DataError(f"prediction for unknown clip {extra[0]!r} ({len(extra)} extra in total)")
-
-    horizon = len(ground_truth[ordered_ids[0]])
-    for cid in ordered_ids:
-        if len(ground_truth[cid]) != horizon:  # one horizon per call
-            raise DataError(f"clip {cid!r}: future of {len(ground_truth[cid])} actions, not {horizon}")
-        num_k, length, _ = by_clip[cid].candidates.shape
-        if not num_k:
-            raise DataError(f"clip {cid!r} has no candidates (need K >= 1)")
-        if length != horizon:
-            raise DataError(f"clip {cid!r}: sequence length mismatch: {length} vs {horizon}")
+    bounds = np.asarray(predictions.starts, np.intp)
+    sizes, length, horizon = bounds[at + 1] - bounds[at], predictions.candidates.shape[1], annotations.future.shape[1]
+    bad = np.flatnonzero((sizes < 1) | (length != horizon))  # the first scored clip, if the lengths differ
+    if len(bad):
+        raise DataError(f"clip {clip_ids[bad[0]]!r}" + (" has no candidates (need K >= 1)" if sizes[bad[0]] < 1
+                                                        else f": sequence length mismatch: {length} vs {horizon}"))
 
     # A clip with fewer than K candidates repeats its first one, which changes
     # neither its minimum nor the lowest index that reaches it.
-    sets = [by_clip[cid].candidates for cid in ordered_ids]
-    num_k = max(len(s) for s in sets)
-    pred = np.stack([np.concatenate([s, s[:1].repeat(num_k - len(s), axis=0)]) for s in sets])
-    truth = np.stack([ground_truth[cid] for cid in ordered_ids])[:, None]
+    ks = np.arange(sizes.max())
+    pred = predictions.candidates[bounds[at][:, None] + np.where(ks < sizes[:, None], ks, 0)]
+    truth = annotations.future[:, None]
     n = 1 + max(pred[..., 1].max(initial=0), truth[..., 1].max(initial=0))  # no actions at Z = 0
 
     def tracks(pairs):  # (clips, k, Z, 2) -> (3, clips, k, Z): verb, noun and action codes
         return np.stack([pairs[..., 0], pairs[..., 1], pairs[..., 0] * n + pairs[..., 1]])
 
     eds = normalized_eds(tracks(pred), tracks(truth))
-    best = eds.argmin(axis=-1)  # the first minimum: ties go to the lowest candidate index
-    rows = [
-        ClipScores(cid, *ed, *idx)
-        for cid, ed, idx in zip(ordered_ids, eds.min(axis=-1).T.tolist(), best.T.tolist())
-    ]
-    count = len(rows)
-    verb_ed = math.fsum(r.verb_ed for r in rows) / count
-    noun_ed = math.fsum(r.noun_ed for r in rows) / count
-    action_ed = math.fsum(r.action_ed for r in rows) / count
+    best = eds.argmin(axis=-1).T  # the first minimum: ties go to the lowest candidate index
+    eds = eds.min(axis=-1).T
+    verb_ed, noun_ed, action_ed = (math.fsum(track) / len(clip_ids) for track in eds.T.tolist())
 
     ar_verb = ar_noun = ar_action = None
     if recognition is not None:
         ar_verb, ar_noun, ar_action = ar_accuracy(recognition, annotations)
-    return EvalReport(verb_ed, noun_ed, action_ed, ar_verb, ar_noun, ar_action, rows)
+    return EvalReport(verb_ed, noun_ed, action_ed, ar_verb, ar_noun, ar_action, clip_ids, eds, best)
 
 
 def format_report(report: EvalReport) -> str:
@@ -214,10 +197,10 @@ def save_report(path, report: EvalReport) -> None:
         "ar_verb_acc": report.ar_verb_acc,
         "ar_noun_acc": report.ar_noun_acc,
         "ar_action_acc": report.ar_action_acc,
-        "clips": [  # ClipScores fields, in order; asdict would deep-copy each record
-            {"clip_id": r.clip_id, "verb_ed": r.verb_ed, "noun_ed": r.noun_ed, "action_ed": r.action_ed,
-             "best_verb": r.best_verb, "best_noun": r.best_noun, "best_action": r.best_action}
-            for r in report.per_clip
+        "clips": [
+            dict(zip(["clip_id", "verb_ed", "noun_ed", "action_ed", "best_verb", "best_noun", "best_action"],
+                     [clip_id, *eds, *best]))
+            for clip_id, eds, best in zip(report.clip_ids, report.eds.tolist(), report.best.tolist())
         ],
     }
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset_io import ClipRecord, Distributions
+from .dataset_io import Annotations, Distributions
 from .errors import DataError
 from .taxonomy import Taxonomy
 
@@ -75,7 +75,7 @@ class SynthCorpus:
     """A generated corpus; `templates` is T x routine_length x 2, one (verb id, noun id) routine per row."""
 
     taxonomy: Taxonomy
-    annotations: list[ClipRecord]
+    annotations: Annotations
     distributions: Distributions
     templates: np.ndarray
 
@@ -127,30 +127,28 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
     drawn = rng.permutation(num_nouns)[: config.num_templates * length].astype(np.intp)
     templates = np.stack([drawn % num_verbs, drawn], axis=1).reshape(config.num_templates, length, 2)
 
-    window = config.observed_segments + config.horizon
-    annotations: list[ClipRecord] = []
+    window, num_obs = config.observed_segments + config.horizon, config.observed_segments
+    windows = np.empty((config.num_clips, window, 2), np.intp)
     moves = []  # per segment: verb mass, verb distractor, noun mass, noun distractor
-    for c in range(config.num_clips):
+    for actions in windows:
         routine = templates[int(rng.integers(config.num_templates))]
         offset = int(rng.integers(length))
-        actions = routine[(offset + np.arange(window)) % length]
+        actions[:] = routine[(offset + np.arange(window)) % length]
         if config.routine_jitter > 0:
             for i in range(window):
                 if rng.random() < config.routine_jitter:
                     noun = int(rng.integers(num_nouns))
                     actions[i] = noun % num_verbs, noun
-        observed = actions[: config.observed_segments]
-        annotations.append(ClipRecord(f"clip_{c:05d}", observed, actions[config.observed_segments :]))
-        for verb, _ in observed.tolist():
+        for verb in actions[:num_obs, 0].tolist():
             moves.append((*distractor(verb_pools[verb], config.verb_distractor_mass),
                           *distractor(noun_pools[verb], config.noun_distractor_mass)))
-    observed, moves = np.concatenate([record.observed for record in annotations]), np.array(moves)
+    observed, moves = windows[:, :num_obs].reshape(-1, 2), np.array(moves)
     temperature = config.noise_temperature
     verbs = _noisy_rows(num_verbs, observed[:, 0], moves[:, 0], moves[:, 1].astype(np.intp), temperature)
     nouns = _noisy_rows(num_nouns, observed[:, 1], moves[:, 2], moves[:, 3].astype(np.intp), temperature)
-    starts = list(range(0, len(observed) + 1, config.observed_segments))
-    distributions = Distributions([record.clip_id for record in annotations], starts, verbs, nouns)
-    return SynthCorpus(taxonomy, annotations, distributions, templates)
+    clip_ids, starts = [f"clip_{c:05d}" for c in range(config.num_clips)], list(range(0, len(observed) + 1, num_obs))
+    annotations = Annotations(clip_ids, starts, observed, windows[:, num_obs:], np.ones(config.num_clips, bool))
+    return SynthCorpus(taxonomy, annotations, Distributions(clip_ids, starts, verbs, nouns), templates)
 
 
 def provenance(config: SynthConfig, version: str) -> dict:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ltakit.dataset_io import Distributions
+from ltakit.dataset_io import Annotations, Distributions, Predictions
 from ltakit.taxonomy import Taxonomy
 
 settings.register_profile("suite", deadline=None, max_examples=100)
@@ -40,6 +40,42 @@ def clips_of(distributions: Distributions) -> list:
     starts = distributions.starts
     return [(clip_id, distributions.verb_probs[a:b], distributions.noun_probs[a:b])
             for clip_id, a, b in zip(distributions.clip_ids, starts, starts[1:])]
+
+
+def annotations_table(clips, horizon: int = 0) -> Annotations:
+    """An annotations table of (clip_id, observed) or (clip_id, observed, future) clips, in order: lists
+    of (verb id, noun id) pairs or L x 2 arrays, a future of None meaning none. The futures share
+    one horizon; `horizon` sets it when no clip has a future."""
+    observed = [actions(*clip[1]) for clip in clips]
+    futures = [actions(*clip[2]) for clip in clips if len(clip) > 2 and clip[2] is not None]
+    return Annotations(
+        [clip[0] for clip in clips], np.cumsum([0] + [len(pairs) for pairs in observed]).tolist(),
+        np.concatenate([actions(), *observed]),
+        np.stack(futures) if futures else np.empty((0, horizon, 2), np.intp),
+        np.array([len(clip) > 2 and clip[2] is not None for clip in clips], bool),
+    )
+
+
+def annotation_clips(annotations: Annotations) -> list:
+    """Each clip of a table as (clip_id, observed, future or None), its rows as views."""
+    futures = iter(annotations.future)
+    return [(clip_id, annotations.observed[a:b], next(futures) if has_future else None)
+            for clip_id, a, b, has_future in zip(annotations.clip_ids, annotations.starts, annotations.starts[1:],
+                                                 annotations.has_future.tolist())]
+
+
+def predictions_table(clips, horizon: int = 0) -> Predictions:
+    """A predictions table of (clip_id, K x Z x 2 candidates) clips, in order; `horizon` sets Z when
+    there are no clips."""
+    candidates = [np.asarray(cands, np.intp) for _, cands in clips]
+    return Predictions([clip_id for clip_id, _ in clips], np.cumsum([0] + [len(c) for c in candidates]).tolist(),
+                       np.concatenate(candidates) if candidates else np.empty((0, horizon, 2), np.intp))
+
+
+def prediction_clips(predictions: Predictions) -> list:
+    """Each clip of a table as (clip_id, candidates), its candidates as a view."""
+    starts = predictions.starts
+    return [(clip_id, predictions.candidates[a:b]) for clip_id, a, b in zip(predictions.clip_ids, starts, starts[1:])]
 
 
 def random_distribution(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -119,35 +119,34 @@ def min_track_ed(candidates, gt, project) -> tuple[float, int]:
     return best_ed, best_idx
 
 
-def ngram_windows(model, records) -> dict[tuple[int, ...], dict[int, int]]:
+def ngram_windows(model, clips) -> dict[tuple[int, ...], dict[int, int]]:
     """Context (m-1 action ids) -> next id -> count, over every length-m window that lies inside
-    one record's observed-then-future actions, an action's id being verb * |N| + noun."""
+    one clip's actions (an L x 2 array each), an action's id being verb * |N| + noun."""
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for record in records:
-        pairs = record.observed.tolist() + ([] if record.future is None else record.future.tolist())
-        ids = [verb * model.num_nouns + noun for verb, noun in pairs]
+    for pairs in clips:
+        ids = [verb * model.num_nouns + noun for verb, noun in pairs.tolist()]
         for i in range(len(ids) - model.order + 1):
             successors = counts.setdefault(tuple(ids[i : i + model.order - 1]), {})
             successors[ids[i + model.order - 1]] = successors.get(ids[i + model.order - 1], 0) + 1
     return counts
 
 
-def ngram_conditional(model, records, ids) -> list[float]:
+def ngram_conditional(model, clips, ids) -> list[float]:
     """Dense smoothed next-action distribution after the action ids `ids`, for an n-gram model
-    with `model`'s order and beta fitted on `records`.
+    with `model`'s order and beta fitted on `clips`.
 
     The context is the last m-1 ids (fewer if `ids` is shorter, none for a
     unigram). Every one of the |V|*|N| ids weighs beta plus the number of
     times it followed that context, divided by the total weight.
     """
     span = model.order - 1
-    counts = ngram_windows(model, records).get(tuple(ids[-span:]) if span else (), {})
+    counts = ngram_windows(model, clips).get(tuple(ids[-span:]) if span else (), {})
     weights = [model.beta + counts.get(i, 0) for i in range(model.num_actions)]
     total = math.fsum(weights)
     return [w / total for w in weights]
 
 
-def ngram_table(model, records, width: int) -> tuple[np.ndarray, np.ndarray]:
+def ngram_table(model, clips, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The predictor's (pool, cdf) table built one context at a time: a row per seen context in
     sorted order, then the unseen row.
 
@@ -157,7 +156,7 @@ def ngram_table(model, records, width: int) -> tuple[np.ndarray, np.ndarray]:
     of the pool's weights over their total, divided by its last entry. The
     bits to match are numpy's sum and cumsum, so those use numpy.
     """
-    counts = ngram_windows(model, records)
+    counts = ngram_windows(model, clips)
     contexts = sorted(counts)
     pool, cdf = np.empty((len(contexts) + 1, width), np.intp), np.empty((len(contexts) + 1, width))
     for row, context in enumerate([*contexts, None]):

@@ -17,9 +17,8 @@ from ltakit.anticipation import NgramPredictor, RepeatLastPredictor, fit_ngram, 
 from ltakit.cli import run
 from ltakit.cooccurrence import CooccurrenceMatrix, build_cooccurrence
 from ltakit.dataset_io import (
-    ClipRecord,
-    PredictionSet,
     Distributions,
+    Predictions,
     load_annotations,
     load_predictions,
     save_predictions,
@@ -29,7 +28,7 @@ from ltakit.recognition import BRANCH_NOUN, BRANCH_VERB, naive_clip, recognize_c
 from ltakit.synthgen import SynthConfig, generate_corpus
 from ltakit.taxonomy import Taxonomy, load_taxonomy
 
-from conftest import random_distribution
+from conftest import annotation_clips, annotations_table, predictions_table, random_distribution
 from oracles import osa_distance, rerank_reference
 
 
@@ -174,7 +173,7 @@ def test_a05_reranking_beats_naive_on_corrupted_nouns():
             seed=seed,
         )
         corpus = generate_corpus(config)
-        matrix = build_cooccurrence(corpus.annotations, corpus.taxonomy, alpha=0.0)
+        matrix = build_cooccurrence(corpus.annotations.actions()[0], corpus.taxonomy, alpha=0.0)
         reranked = recognize_clip(corpus.distributions, matrix, k=5)
         naive = naive_clip(corpus.distributions)
         _, _, rerank_acc = ar_accuracy(reranked, corpus.annotations)
@@ -205,14 +204,12 @@ def test_a06_ngram_learns_routines_repeat_last_does_not():
         seed=77,
     )
     corpus = generate_corpus(config)
-    train, held_out = corpus.annotations[:500], corpus.annotations[500:]
-    model = fit_ngram(train, order=2, beta=0.1, taxonomy=corpus.taxonomy)
-    ngram = NgramPredictor(model, mode="greedy")
-    repeat = RepeatLastPredictor()
-    ngram_preds, repeat_preds = [], []
-    for record in held_out:
-        ngram_preds.append(ngram.predict(record.clip_id, record.observed, 20, 1))
-        repeat_preds.append(repeat.predict(record.clip_id, record.observed, 20, 1))
+    clips = annotation_clips(corpus.annotations)
+    train, held_out = annotations_table(clips[:500]), annotations_table(clips[500:])
+    model = fit_ngram(*train.actions(), order=2, beta=0.1, taxonomy=corpus.taxonomy)
+    histories = held_out.clip_ids, held_out.starts, held_out.observed
+    ngram_preds = NgramPredictor(model, mode="greedy").predict_corpus(*histories, 20, 1)
+    repeat_preds = RepeatLastPredictor().predict_corpus(*histories, 20, 1)
     ngram_report = corpus_eval(ngram_preds, held_out)
     repeat_report = corpus_eval(repeat_preds, held_out)
     elapsed = time.monotonic() - start
@@ -277,17 +274,12 @@ def test_a08_extra_candidates_never_hurt():
         ]
         pairs = np.array(cands)
         # One corpus per K, each holding the same single clip.
-        rows = [
-            corpus_eval([PredictionSet("c", pairs[: j + 1])], [ClipRecord("c", gt[:0], gt)]).per_clip[0]
+        rows = [  # each K's verb, noun and action ED
+            corpus_eval(predictions_table([("c", pairs[: j + 1])]), annotations_table([("c", gt[:0], gt)])).eds[0]
             for j in range(4)
         ]
         total += 1
-        monotone += all(
-            rows[j + 1].verb_ed <= rows[j].verb_ed
-            and rows[j + 1].noun_ed <= rows[j].noun_ed
-            and rows[j + 1].action_ed <= rows[j].action_ed
-            for j in range(3)
-        )
+        monotone += all((rows[j + 1] <= rows[j]).all() for j in range(3))
     ok = monotone == total
     verdict(
         "A08 min-over-candidates monotonicity",
@@ -351,7 +343,8 @@ def test_a09_cli_chain_is_deterministic_and_calibrated(tmp_path):
 
     taxonomy = load_taxonomy(corpus_one / "taxonomy.txt")
     annotations = load_annotations(corpus_one / "annotations.jsonl", taxonomy, horizon=8)
-    perfect = [PredictionSet(r.clip_id, r.future[None]) for r in annotations]
+    futured = [clip_id for clip_id, has in zip(annotations.clip_ids, annotations.has_future) if has]
+    perfect = Predictions(futured, list(range(len(futured) + 1)), annotations.future)
     perfect_path = tmp_path / "perfect.jsonl"
     save_predictions(perfect_path, perfect, taxonomy)
     report_path = tmp_path / "perfect_report.json"
@@ -424,9 +417,7 @@ def test_a10_scripted_llm_path_survives_failures(tmp_path):
 
     taxonomy = load_taxonomy(corpus / "taxonomy.txt")
     loaded = load_predictions(predictions, taxonomy, horizon=5)
-    shaped = len(loaded) == 6 and all(
-        len(p.candidates) == 2 and all(len(c) == 5 for c in p.candidates) for p in loaded
-    )
+    shaped = loaded.starts == list(range(0, 13, 2)) and loaded.candidates.shape == (12, 5, 2)
 
     logged = [json.loads(l) for l in request_log.read_text().splitlines()]
     # 6 clips x 2 candidates = 12 deliveries, plus 2 retried failures.

@@ -23,12 +23,11 @@ from ltakit.anticipation import (
     parse_response,
     render_prompt,
 )
-from ltakit.dataset_io import ClipRecord
 from ltakit.errors import DataError, ScriptExhausted, TransportError
 from ltakit.llm_client import Failure, LlmConfig, MockLlmClient
 from ltakit.taxonomy import Taxonomy
 
-from conftest import actions
+from conftest import actions, annotations_table, prediction_clips
 from oracles import ngram_conditional, ngram_table, ngram_windows
 
 
@@ -37,8 +36,25 @@ def cycle_taxonomy():
     return Taxonomy(["a", "b", "c"], ["x"])
 
 
-def record(clip_id, verb_ids, taxonomy=None):
-    return ClipRecord(clip_id, actions(*[(v, 0) for v in verb_ids]))
+def verbs(verb_ids):
+    """A clip of the actions (v, 0), one per verb id."""
+    return actions(*[(v, 0) for v in verb_ids])
+
+
+def stack(clips):
+    """Per-clip L x 2 action arrays as one array and its clip starts."""
+    return np.concatenate([actions(), *clips]), np.cumsum([0, *map(len, clips)]).tolist()
+
+
+def fit(clips, order, beta, taxonomy):
+    """`fit_ngram` on per-clip L x 2 action arrays."""
+    return fit_ngram(*stack(clips), order, beta, taxonomy)
+
+
+def corpus(histories: dict) -> tuple:
+    """Clip id -> L x 2 history as `predict_corpus`'s clip ids, starts and history."""
+    history, starts = stack(list(histories.values()))
+    return list(histories), starts, history
 
 
 def table_row(predictor, ids) -> int:
@@ -177,7 +193,7 @@ class TestNgramModel:
     def test_hand_tallied_bigram_conditional(self):
         # Sequence A B C A B C: context (A,) is followed by B twice.
         taxonomy = cycle_taxonomy()
-        model = fit_ngram([record("c", [0, 1, 2, 0, 1, 2])], 2, 0.5, taxonomy)
+        model = fit([verbs([0, 1, 2, 0, 1, 2])], 2, 0.5, taxonomy)
         probs = table_conditional(model, (0,))
         # (2 + 0.5) / (2 + 3 * 0.5) = 5/7 for B, 0.5/3.5 = 1/7 elsewhere.
         assert probs[1] == pytest.approx(5 / 7)
@@ -185,148 +201,139 @@ class TestNgramModel:
         assert probs[2] == pytest.approx(1 / 7)
 
     def test_unseen_context_is_uniform(self):
-        model = fit_ngram([record("c", [0, 1])], 2, 0.3, cycle_taxonomy())
+        model = fit([verbs([0, 1])], 2, 0.3, cycle_taxonomy())
         assert np.allclose(table_conditional(model, (2,)), 1 / 3)
 
     def test_conditionals_are_distributions(self):
         rng = np.random.default_rng(52)
         taxonomy = Taxonomy(["a", "b"], ["x", "y"])
-        records = [
-            ClipRecord(
-                f"c{i}",
-                actions(*[(int(rng.integers(2)), int(rng.integers(2))) for _ in range(6)]),
-            )
-            for i in range(10)
-        ]
-        model = fit_ngram(records, 3, 0.2, taxonomy)
+        records = [actions(*[(int(rng.integers(2)), int(rng.integers(2))) for _ in range(6)]) for _ in range(10)]
+        model = fit(records, 3, 0.2, taxonomy)
         for ctx in [(0, 1), (3, 3), (2, 0)]:
             probs = table_conditional(model, ctx)
             assert probs.sum() == pytest.approx(1.0)
             assert np.all(probs > 0)
 
     def test_unigram_ignores_context(self):
-        model = fit_ngram([record("c", [0, 0, 1])], 1, 0.1, cycle_taxonomy())
+        model = fit([verbs([0, 0, 1])], 1, 0.1, cycle_taxonomy())
         assert np.array_equal(table_conditional(model, ()), table_conditional(model, (2,)))
         probs = table_conditional(model, ())
         assert probs[0] > probs[1] > probs[2]
 
     def test_fit_is_order_invariant(self):
         taxonomy = cycle_taxonomy()
-        records = [record(f"c{i}", [i % 3, (i + 1) % 3, (i + 2) % 3]) for i in range(9)]
-        a = fit_ngram(records, 2, 0.4, taxonomy)
-        b = fit_ngram(list(reversed(records)), 2, 0.4, taxonomy)
+        records = [verbs([i % 3, (i + 1) % 3, (i + 2) % 3]) for i in range(9)]
+        a = fit(records, 2, 0.4, taxonomy)
+        b = fit(list(reversed(records)), 2, 0.4, taxonomy)
         for ctx in [(0,), (1,), (2,)]:
             assert np.array_equal(table_conditional(a, ctx), table_conditional(b, ctx))
 
     def test_windows_do_not_cross_clips(self):
         taxonomy = cycle_taxonomy()
         # Two clips; the pair (A then B) only exists if windows leaked across records.
-        model = fit_ngram([record("c1", [0, 0]), record("c2", [1, 1])], 2, 0.5, taxonomy)
+        model = fit([verbs([0, 0]), verbs([1, 1])], 2, 0.5, taxonomy)
         probs = table_conditional(model, (0,))
         assert probs[0] > probs[1]
 
     def test_futures_feed_the_fit(self):
         taxonomy = cycle_taxonomy()
-        rec = ClipRecord("c", actions((0, 0)), actions((1, 0), (2, 0)))
-        model = fit_ngram([rec], 2, 0.5, taxonomy)
+        annotations = annotations_table([("c", actions((0, 0)), actions((1, 0), (2, 0)))])
+        model = fit_ngram(*annotations.actions(), 2, 0.5, taxonomy)
         probs = table_conditional(model, (0,))
         assert probs[1] > probs[0]
 
     def test_most_frequent_action_breaks_ties_low(self):
         taxonomy = cycle_taxonomy()
-        model = fit_ngram([record("c", [2, 1, 1, 2])], 1, 0.5, taxonomy)
+        model = fit([verbs([2, 1, 1, 2])], 1, 0.5, taxonomy)
         assert model.most_frequent_action() == (1, 0)
 
     def test_invalid_parameters(self):
         with pytest.raises(DataError, match="order"):
-            NgramModel(0, 0.5, 2, 2)
+            NgramModel(0, 0.5, 2, 2, *stack([]))
         with pytest.raises(DataError, match="beta"):
-            NgramModel(2, 0.0, 2, 2)
+            NgramModel(2, 0.0, 2, 2, *stack([]))
         with pytest.raises(DataError, match="beta"):
-            NgramModel(2, float("inf"), 2, 2)
+            NgramModel(2, float("inf"), 2, 2, *stack([]))
         # Finite, but beta summed over 97 * 300 actions is inf, so every weight would be 0.
         for beta in (1e308, 1e305):
             with pytest.raises(DataError, match="beta"):
-                NgramModel(2, beta, 97, 300)
-        assert sum(table_conditional(NgramModel(2, 1e300, 97, 300), ())) == pytest.approx(1.0)
+                NgramModel(2, beta, 97, 300, *stack([]))
+        assert sum(table_conditional(NgramModel(2, 1e300, 97, 300, *stack([])), ())) == pytest.approx(1.0)
         with pytest.raises(DataError, match="empty"):
-            fit_ngram([], 2, 0.5, cycle_taxonomy())
+            fit([], 2, 0.5, cycle_taxonomy())
         with pytest.raises(DataError, match="no actions"):
-            fit_ngram([ClipRecord("c", actions())], 2, 0.5, cycle_taxonomy())
+            fit([actions()], 2, 0.5, cycle_taxonomy())
 
 
 class TestNgramPredictor:
     def test_greedy_rollout_follows_learned_cycle(self):
         taxonomy = cycle_taxonomy()
-        model = fit_ngram([record("c", [0, 1, 2, 0, 1, 2, 0])], 2, 0.1, taxonomy)
+        model = fit([verbs([0, 1, 2, 0, 1, 2, 0])], 2, 0.1, taxonomy)
         predictor = NgramPredictor(model, mode="greedy")
         result = predictor.predict("clip", actions((0, 0)), horizon=6, num_candidates=1)
-        verbs = result.candidates[0, :, 0].tolist()
-        assert verbs == [1, 2, 0, 1, 2, 0]
+        assert result[0, :, 0].tolist() == [1, 2, 0, 1, 2, 0]
 
     def test_greedy_tie_breaks_to_lowest_action_id(self):
         taxonomy = cycle_taxonomy()
-        model = NgramModel(2, 0.5, taxonomy.num_verbs, taxonomy.num_nouns)
-        model.observe(actions((0, 0), (1, 0)))
-        model.observe(actions((0, 0), (2, 0)))
+        model = fit([actions((0, 0), (1, 0)), actions((0, 0), (2, 0))], 2, 0.5, taxonomy)
         predictor = NgramPredictor(model, mode="greedy")
         result = predictor.predict("clip", actions((0, 0)), horizon=1, num_candidates=1)
-        assert result.candidates[0, 0].tolist() == [1, 0]
+        assert result[0, 0].tolist() == [1, 0]
 
     def test_same_seed_same_output(self):
         taxonomy = cycle_taxonomy()
-        model = fit_ngram([record(f"c{i}", [0, 1, 2, 0, 1]) for i in range(3)], 2, 0.5, taxonomy)
+        model = fit([verbs([0, 1, 2, 0, 1]) for i in range(3)], 2, 0.5, taxonomy)
         a = NgramPredictor(model, mode="sample", seed=9).predict("clip", actions((0, 0)), 8, 4)
         b = NgramPredictor(model, mode="sample", seed=9).predict("clip", actions((0, 0)), 8, 4)
-        assert np.array_equal(a.candidates, b.candidates)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ_somewhere(self):
         taxonomy = cycle_taxonomy()
-        model = fit_ngram([record(f"c{i}", [0, 1, 2, 0, 1]) for i in range(3)], 2, 0.5, taxonomy)
+        model = fit([verbs([0, 1, 2, 0, 1]) for i in range(3)], 2, 0.5, taxonomy)
         outs = [
             NgramPredictor(model, mode="sample", seed=s).predict("clip", actions((0, 0)), 12, 4)
             for s in range(6)
         ]
-        assert len({o.candidates.tobytes() for o in outs}) > 1
+        assert len({o.tobytes() for o in outs}) > 1
 
     def test_clip_results_do_not_depend_on_processing_order(self):
         taxonomy = cycle_taxonomy()
-        model = fit_ngram([record(f"c{i}", [0, 1, 2, 0, 1]) for i in range(3)], 2, 0.5, taxonomy)
+        model = fit([verbs([0, 1, 2, 0, 1]) for i in range(3)], 2, 0.5, taxonomy)
         predictor = NgramPredictor(model, mode="sample", seed=3)
         history = actions((0, 0))
         forward = {cid: predictor.predict(cid, history, 6, 3) for cid in ["u", "v", "w"]}
         backward = {cid: predictor.predict(cid, history, 6, 3) for cid in ["w", "v", "u"]}
         for cid in ["u", "v", "w"]:
-            assert np.array_equal(forward[cid].candidates, backward[cid].candidates)
+            assert np.array_equal(forward[cid], backward[cid])
 
     def test_greedy_first_candidate_even_with_sampled_rest(self):
         taxonomy = cycle_taxonomy()
-        model = fit_ngram([record("c", [0, 1, 2, 0, 1, 2, 0])], 2, 0.1, taxonomy)
+        model = fit([verbs([0, 1, 2, 0, 1, 2, 0])], 2, 0.1, taxonomy)
         predictor = NgramPredictor(model, mode="greedy", seed=1)
         result = predictor.predict("clip", actions((0, 0)), 6, 5)
-        assert result.candidates[0, :, 0].tolist() == [1, 2, 0, 1, 2, 0]
-        assert len(result.candidates) == 5
+        assert result[0, :, 0].tolist() == [1, 2, 0, 1, 2, 0]
+        assert len(result) == 5
 
     def test_sample_top_k_one_is_deterministic_argmax(self):
         taxonomy = cycle_taxonomy()
-        model = fit_ngram([record("c", [0, 1, 2, 0, 1, 2, 0])], 2, 0.1, taxonomy)
+        model = fit([verbs([0, 1, 2, 0, 1, 2, 0])], 2, 0.1, taxonomy)
         greedy = NgramPredictor(model, mode="greedy").predict("clip", actions((0, 0)), 6, 1)
         narrow = NgramPredictor(model, mode="sample", sample_top_k=1, seed=77).predict(
             "clip", actions((0, 0)), 6, 1
         )
-        assert np.array_equal(narrow.candidates[0], greedy.candidates[0])
+        assert np.array_equal(narrow[0], greedy[0])
 
     def test_candidate_shape(self):
         taxonomy = cycle_taxonomy()
-        model = fit_ngram([record("c", [0, 1, 2])], 2, 0.5, taxonomy)
+        model = fit([verbs([0, 1, 2])], 2, 0.5, taxonomy)
         result = NgramPredictor(model, mode="sample", seed=0).predict("x", actions((2, 0)), 7, 3)
-        assert len(result.candidates) == 3
-        assert all(len(c) == 7 for c in result.candidates)
-        assert result.candidates.shape == (3, 7, 2)
+        assert len(result) == 3
+        assert all(len(c) == 7 for c in result)
+        assert result.shape == (3, 7, 2)
 
     def test_bad_arguments(self):
         taxonomy = cycle_taxonomy()
-        model = fit_ngram([record("c", [0, 1])], 2, 0.5, taxonomy)
+        model = fit([verbs([0, 1])], 2, 0.5, taxonomy)
         with pytest.raises(DataError, match="mode"):
             NgramPredictor(model, mode="beam")
         with pytest.raises(DataError, match="sample_top_k"):
@@ -368,7 +375,7 @@ def tied_corpus():
     taxonomy = Taxonomy(["a", "b", "c"], ["x", "y"])
     ids = [[0, 1, 0, 2, 0, 1, 0, 2], [3, 4, 0, 1, 3, 4, 0, 2], [1, 3, 1, 3, 2, 2]]
     records = [
-        ClipRecord(f"t{i}", actions(*[divmod(a, 2) for a in seq])) for i, seq in enumerate(ids)
+        actions(*[divmod(a, 2) for a in seq]) for seq in ids
     ]
     return taxonomy, records
 
@@ -407,11 +414,11 @@ class TestMemoizedRollouts:
     @pytest.mark.parametrize("sample_top_k", [1, 5, 50])
     def test_matches_dense_reference_cold_and_warm(self, order, mode, sample_top_k):
         taxonomy, records = tied_corpus()
-        model = fit_ngram(records, order, 0.5, taxonomy)
+        model = fit(records, order, 0.5, taxonomy)
         predictor = NgramPredictor(model, mode=mode, seed=4, sample_top_k=sample_top_k)
         # Every clip runs twice: the predictor's step table must not change between runs.
         for clip_id, history in [*self.HISTORIES.items(), *self.HISTORIES.items()]:
-            got = predictor.predict(clip_id, history, 12, 4).candidates
+            got = predictor.predict(clip_id, history, 12, 4)
             want = reference_rollouts(model, records, mode, 4, sample_top_k, clip_id, history, 12, 4)
             assert np.array_equal(got, want), clip_id
 
@@ -421,55 +428,35 @@ class TestMemoizedRollouts:
         # Order 4 needs 3 context ids; a one-action history has 1, so the first steps
         # are unseen and later ones can reach seen contexts through generated ids.
         taxonomy, records = tied_corpus()
-        model = fit_ngram(records, 4, 0.5, taxonomy)
+        model = fit(records, 4, 0.5, taxonomy)
         predictor = NgramPredictor(model, mode=mode, seed=3, sample_top_k=sample_top_k)
         for clip_id, history in [("one", actions((0, 0))), ("two", actions((0, 1), (0, 0)))]:
-            got = predictor.predict(clip_id, history, 12, 4).candidates
+            got = predictor.predict(clip_id, history, 12, 4)
             assert np.array_equal(got, reference_rollouts(model, records, mode, 3, sample_top_k, clip_id, history, 12, 4))
 
     @pytest.mark.filterwarnings("ignore:(invalid value|overflow):RuntimeWarning")
     @pytest.mark.parametrize("beta", [math.inf, math.nan, 1e308])
     def test_table_rejects_weights_that_are_not_a_distribution(self, beta):
         taxonomy, records = tied_corpus()
-        model = fit_ngram(records, 2, 0.5, taxonomy)
+        model = fit(records, 2, 0.5, taxonomy)
         model.beta = beta  # past the constructor's check: NaN weights, or a sum that overflows
         with pytest.raises(DataError, match="not a finite distribution"):
             NgramPredictor(model, "sample", 0, 3)
 
     def test_predictors_with_different_pools_share_one_model(self):
         taxonomy, records = tied_corpus()
-        model = fit_ngram(records, 2, 0.5, taxonomy)
+        model = fit(records, 2, 0.5, taxonomy)
         for clip_id, history in self.HISTORIES.items():
             for top_k in (1, 3, 5):
                 got = NgramPredictor(model, "sample", 8, top_k).predict(clip_id, history, 10, 3)
                 want = reference_rollouts(model, records, "sample", 8, top_k, clip_id, history, 10, 3)
-                assert np.array_equal(got.candidates, want), (clip_id, top_k)
-
-    def test_observe_invalidates_memoized_steps(self):
-        taxonomy = cycle_taxonomy()
-        first = [record("c1", [0, 1, 2, 0, 1, 2, 0])]
-        # After these, action 0 is mostly followed by 2 instead of 1.
-        second = [record(f"d{i}", [0, 2, 0, 2]) for i in range(3)]
-        model = fit_ngram(first, 2, 0.1, taxonomy)
-        predictor = NgramPredictor(model, mode="greedy", seed=2)
-        history = actions((0, 0))
-        stale = predictor.predict("clip", history, 6, 3)
-        for rec in second:
-            model.observe(rec.observed)
-        # A predictor reads its model at construction, so only a new one sees the update.
-        assert np.array_equal(predictor.predict("clip", history, 6, 3).candidates, stale.candidates)
-        refreshed = NgramPredictor(model, mode="greedy", seed=2).predict("clip", history, 6, 3)
-        fresh_model = fit_ngram(first + second, 2, 0.1, taxonomy)
-        fresh = NgramPredictor(fresh_model, mode="greedy", seed=2).predict("clip", history, 6, 3)
-        assert np.array_equal(refreshed.candidates, fresh.candidates)
-        assert not np.array_equal(refreshed.candidates[0], stale.candidates[0])
+                assert np.array_equal(got, want), (clip_id, top_k)
 
     def test_wide_table_is_built_without_a_second_copy(self):
         # At a wide sample_top_k the table is most of anticipate's memory (pool and cdf, 16 bytes
         # an entry), so building it, normalising the cdf included, must not copy it whole.
-        model = NgramModel(2, 0.5, 100, 100)
-        for verb in range(40):
-            model.observe(actions(*[(verb, noun) for noun in range(4)]))
+        clips = [actions(*[(verb, noun) for noun in range(4)]) for verb in range(40)]
+        model = NgramModel(2, 0.5, 100, 100, *stack(clips))
         tracemalloc.start()
         try:
             predictor = NgramPredictor(model, "sample", 0, 10_000)
@@ -481,7 +468,7 @@ class TestMemoizedRollouts:
 
     def test_memoized_pools_own_their_memory(self):
         taxonomy, records = tied_corpus()
-        predictor = NgramPredictor(fit_ngram(records, 2, 0.5, taxonomy), "sample", 0, 3)
+        predictor = NgramPredictor(fit(records, 2, 0.5, taxonomy), "sample", 0, 3)
         assert predictor._pool.base is None and predictor._cdf.base is None
         row = table_row(predictor, (0,))
         assert predictor._pool[row].tolist() == [1, 2, 0]
@@ -490,7 +477,7 @@ class TestMemoizedRollouts:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_sparse_step_matches_dense_conditional(self, order):
         taxonomy, records = tied_corpus()
-        model = fit_ngram(records, order, 0.5, taxonomy)
+        model = fit(records, order, 0.5, taxonomy)
         contexts = list(ngram_windows(model, records))
         if order > 1:
             unseen = (5,) * (order - 1)  # action 5 never occurs
@@ -522,10 +509,9 @@ class TestMemoizedRollouts:
         clip = st.one_of(st.lists(ids, max_size=6), pattern.map(lambda p: p[0] * p[1]))
         clips = data.draw(st.lists(clip, min_size=1, max_size=6).filter(any))
         order, width = data.draw(st.sampled_from([1, 2, 3, 4, 24])), data.draw(st.integers(1, num_actions))
-        model = NgramModel(order, data.draw(st.sampled_from([1e-3, 0.1, 0.5, 1.0, 3.7])), num_verbs, num_nouns)
-        records = [ClipRecord(f"c{i}", actions(*[divmod(a, num_nouns) for a in clip])) for i, clip in enumerate(clips)]
-        for rec in records:
-            model.observe(rec.observed)
+        records = [actions(*[divmod(a, num_nouns) for a in clip]) for clip in clips]
+        beta = data.draw(st.sampled_from([1e-3, 0.1, 0.5, 1.0, 3.7]))
+        model = NgramModel(order, beta, num_verbs, num_nouns, *stack(records))
         predictor = NgramPredictor(model, "sample", 0, width)
         pool, cdf = ngram_table(model, records, width)
         assert predictor._pool.tolist() == pool.tolist()
@@ -560,21 +546,21 @@ class TestCorpusRollouts:
 
     def check(self, model, records, histories, mode, seed, sample_top_k, horizon, num_candidates):
         predictor = NgramPredictor(model, mode=mode, seed=seed, sample_top_k=sample_top_k)
-        got = predictor.predict_corpus(histories, horizon, num_candidates)
-        assert [p.clip_id for p in got] == list(histories)
-        for clip_id, prediction in zip(histories, got):
+        got = predictor.predict_corpus(*corpus(histories), horizon, num_candidates)
+        assert got.clip_ids == list(histories)
+        for clip_id, candidates in prediction_clips(got):
             want = reference_rollouts(model, records, mode, seed, sample_top_k, clip_id, histories[clip_id],
                                       horizon, num_candidates)
-            assert np.array_equal(prediction.candidates, want), clip_id
+            assert np.array_equal(candidates, want), clip_id
             single = predictor.predict(clip_id, histories[clip_id], horizon, num_candidates)
-            assert np.array_equal(single.candidates, want), clip_id
+            assert np.array_equal(single, want), clip_id
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     @pytest.mark.parametrize("mode", ["greedy", "sample"])
     @pytest.mark.parametrize("sample_top_k", [1, 5, 6])  # 6 = |A|: the whole vocabulary
     def test_matches_dense_reference(self, order, mode, sample_top_k):
         taxonomy, records = tied_corpus()
-        model = fit_ngram(records, order, 0.5, taxonomy)
+        model = fit(records, order, 0.5, taxonomy)
         self.check(model, records, self.HISTORIES, mode, 5, sample_top_k, 12, 4)
 
     @pytest.mark.parametrize("mode", ["greedy", "sample"])
@@ -584,60 +570,82 @@ class TestCorpusRollouts:
         # that end on seen contexts, unseen ones and ones shorter than 23 ids.
         taxonomy, records = tied_corpus()
         assert (taxonomy.num_verbs * taxonomy.num_nouns + 1) ** 23 > 2**63
-        long = [ClipRecord(f"r{i}", np.concatenate([r.observed] * 4)) for i, r in enumerate(records)]
-        model = fit_ngram(long, 24, 0.5, taxonomy)
+        long = [np.concatenate([clip] * 4) for clip in records]
+        model = fit(long, 24, 0.5, taxonomy)
         assert len(NgramPredictor(model)._pool) > 1  # seen contexts, then the unseen row
-        histories = {f"h{i}": r.observed[: 23 + i] for i, r in enumerate(long)}
+        histories = {f"h{i}": clip[: 23 + i] for i, clip in enumerate(long)}
         histories.update(self.HISTORIES)
         self.check(model, long, histories, mode, 2, 3, 15, 3)
 
     def test_table_keys_that_could_overflow_are_rejected(self):
-        model = NgramModel(2, 0.5, 2**31, 2**31)  # |A| = 2**62: (1 context + 1) * (|A| + 1) > 2**63
-        model.observe(actions((0, 0), (0, 1)))
+        # |A| = 2**62: (1 context + 1) * (|A| + 1) > 2**63
+        model = NgramModel(2, 0.5, 2**31, 2**31, *stack([actions((0, 0), (0, 1))]))
         with pytest.raises(DataError, match="overflow int64 keys"):
             NgramPredictor(model)
 
     def test_first_empty_history_in_order_is_reported(self):
         taxonomy, records = tied_corpus()
-        predictor = NgramPredictor(fit_ngram(records, 2, 0.5, taxonomy))
+        predictor = NgramPredictor(fit(records, 2, 0.5, taxonomy))
         histories = {"ok": actions((0, 0)), "first": actions(), "second": actions()}
         with pytest.raises(DataError, match=r"^clip 'first': empty history, nothing to anticipate from$"):
-            predictor.predict_corpus(histories, 5, 2)
+            predictor.predict_corpus(*corpus(histories), 5, 2)
         with pytest.raises(DataError, match="horizon"):
-            predictor.predict_corpus({"ok": actions((0, 0))}, 0, 2)
-        assert predictor.predict_corpus({}, 5, 2) == []
+            predictor.predict_corpus(*corpus({"ok": actions((0, 0))}), 0, 2)
+        empty = predictor.predict_corpus(*corpus({}), 5, 2)
+        assert (empty.clip_ids, empty.starts, empty.candidates.shape) == ([], [0], (0, 5, 2))
 
     def test_greedy_single_candidate_seeds_no_generator(self, monkeypatch):
         # Greedy K=1 is the argmax rollout alone: no uniform is drawn, so no per-clip Generator is built.
         taxonomy, records = tied_corpus()
-        model = fit_ngram(records, 2, 0.5, taxonomy)
+        model = fit(records, 2, 0.5, taxonomy)
         self.check(model, records, self.HISTORIES, "greedy", 5, 3, 12, 1)
         seeded, default_rng = [], np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda *args: seeded.append(args) or default_rng(*args))
-        NgramPredictor(model).predict_corpus(self.HISTORIES, 12, 1)
+        NgramPredictor(model).predict_corpus(*corpus(self.HISTORIES), 12, 1)
         assert seeded == []
-        NgramPredictor(model).predict_corpus(self.HISTORIES, 12, 2)
+        NgramPredictor(model).predict_corpus(*corpus(self.HISTORIES), 12, 2)
         assert len(seeded) == len(self.HISTORIES)
 
     def test_clip_results_do_not_depend_on_batch_order(self):
         taxonomy, records = tied_corpus()
-        predictor = NgramPredictor(fit_ngram(records, 3, 0.5, taxonomy), mode="sample", seed=6, sample_top_k=4)
-        forward = predictor.predict_corpus(self.HISTORIES, 9, 3)
-        backward = predictor.predict_corpus(dict(reversed(self.HISTORIES.items())), 9, 3)
-        assert [p.clip_id for p in backward] == list(reversed(self.HISTORIES))
-        by_clip = lambda predictions: {p.clip_id: p.candidates.tolist() for p in predictions}
+        predictor = NgramPredictor(fit(records, 3, 0.5, taxonomy), mode="sample", seed=6, sample_top_k=4)
+        forward = predictor.predict_corpus(*corpus(self.HISTORIES), 9, 3)
+        backward = predictor.predict_corpus(*corpus(dict(reversed(self.HISTORIES.items()))), 9, 3)
+        assert backward.clip_ids == list(reversed(self.HISTORIES))
+        by_clip = lambda predictions: {clip_id: c.tolist() for clip_id, c in prediction_clips(predictions)}
         assert by_clip(forward) == by_clip(backward)
+
+
+class TestTableAgainstOneClip:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_predict_corpus_equals_predict_per_clip(self, data):
+        # Orders 1-5 and history lengths 1 to m + 1: shorter than the context, equal to it, longer.
+        order = data.draw(st.integers(1, 5))
+        taxonomy, records = tied_corpus()
+        ids = st.integers(0, 5)  # action 5 never occurs in the corpus
+        histories = {f"h{i}": actions(*[divmod(a, 2) for a in data.draw(st.lists(ids, min_size=1, max_size=order + 1))])
+                     for i in range(data.draw(st.integers(0, 6)))}
+        mode, num_candidates = data.draw(st.sampled_from(["greedy", "sample"])), data.draw(st.integers(1, 4))
+        for predictor in (NgramPredictor(fit(records, order, 0.5, taxonomy), mode, 3, data.draw(st.integers(1, 6))),
+                          RepeatLastPredictor()):
+            got = predictor.predict_corpus(*corpus(histories), 7, num_candidates)
+            assert got.clip_ids == list(histories)
+            assert got.starts == list(range(0, len(histories) * num_candidates + 1, num_candidates))
+            assert got.candidates.dtype == np.intp and got.candidates.shape == (len(histories) * num_candidates, 7, 2)
+            for clip_id, candidates in prediction_clips(got):
+                assert np.array_equal(candidates, predictor.predict(clip_id, histories[clip_id], 7, num_candidates))
 
 
 class TestRepeatLast:
     def test_repeats_final_history_action(self):
         result = RepeatLastPredictor().predict("c", actions((1, 2), (3, 4)), 5, 2)
-        assert result.candidates.tolist() == [[[3, 4]] * 5] * 2
+        assert result.tolist() == [[[3, 4]] * 5] * 2
 
     def test_candidates_are_independent_lists(self):
         result = RepeatLastPredictor().predict("c", actions((1, 1)), 3, 2)
-        result.candidates[0][0] = (0, 0)
-        assert result.candidates[1][0].tolist() == [1, 1]
+        result[0][0] = (0, 0)
+        assert result[1][0].tolist() == [1, 1]
 
 
 class TestLlmPredictor:
@@ -645,8 +653,8 @@ class TestLlmPredictor:
         client = MockLlmClient(["take spoon, stir pot", "wash cup"])
         predictor = LlmPredictor(client, kitchen)
         result = predictor.predict("clip", actions((0, 0)), horizon=2, num_candidates=2)
-        assert result.candidates[0].tolist() == [[0, 0], [2, 1]]
-        assert result.candidates[1].tolist() == [[3, 2], [3, 2]]
+        assert result[0].tolist() == [[0, 0], [2, 1]]
+        assert result[1].tolist() == [[3, 2], [3, 2]]
 
     def test_first_request_is_temperature_zero(self, kitchen):
         config = LlmConfig("mock://local", "m", temperature=0.6, backoff_base=0.0)
@@ -672,7 +680,7 @@ class TestLlmPredictor:
         config = LlmConfig("mock://local", "m", max_retries=2, backoff_base=0.0)
         client = MockLlmClient([Failure(), Failure(), "take spoon"], config)
         result = LlmPredictor(client, kitchen).predict("c", actions((0, 0)), 2, 1)
-        assert result.candidates.tolist() == [[[0, 0], [0, 0]]]
+        assert result.tolist() == [[[0, 0], [0, 0]]]
         assert len(client.requests) == 3
 
     def test_exhausted_retries_name_the_clip(self, kitchen):
@@ -686,7 +694,7 @@ class TestLlmPredictor:
         template = PromptTemplate("short sys", "H={history} Z={Z}")
         predictor = LlmPredictor(client, kitchen, template=template, fallback=(2, 2))
         result = predictor.predict("c", actions((1, 1)), 3, 1)
-        assert result.candidates[0].tolist() == [[2, 2]] * 3
+        assert result[0].tolist() == [[2, 2]] * 3
         assert client.requests[0]["messages"][1]["content"] == "H=put pot Z=3"
 
     def test_script_exhaustion_not_swallowed(self, kitchen):

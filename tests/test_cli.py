@@ -15,7 +15,7 @@ import pytest
 
 from conftest import JsonHandler, chat_completion
 from ltakit.cli import run
-from ltakit.dataset_io import PredictionSet, load_annotations, load_predictions
+from ltakit.dataset_io import Predictions, load_annotations, load_predictions
 from ltakit.taxonomy import load_taxonomy
 from ltakit import dataset_io
 
@@ -100,8 +100,9 @@ class TestPipeline:
     def test_predictions_have_requested_shape(self, pipeline):
         taxonomy = load_taxonomy(pipeline["taxonomy"])
         predictions = load_predictions(pipeline["predictions"], taxonomy, horizon=5)
-        assert len(predictions) == 12
-        assert all(len(p.candidates) == 3 for p in predictions)
+        assert len(predictions.clip_ids) == 12
+        assert predictions.starts == list(range(0, 37, 3))
+        assert predictions.candidates.shape == (36, 5, 2)
 
     def test_evaluate_prints_and_saves_report(self, pipeline, capsys):
         out = pipeline["root"] / "report.json"
@@ -126,7 +127,8 @@ class TestPipeline:
     def test_ground_truth_predictions_score_zero(self, pipeline, capsys):
         taxonomy = load_taxonomy(pipeline["taxonomy"])
         annotations = load_annotations(pipeline["annotations"], taxonomy, horizon=5)
-        perfect = [PredictionSet(r.clip_id, r.future[None]) for r in annotations]
+        futured = [clip_id for clip_id, has in zip(annotations.clip_ids, annotations.has_future) if has]
+        perfect = Predictions(futured, list(range(len(futured) + 1)), annotations.future)
         path = pipeline["root"] / "perfect.jsonl"
         dataset_io.save_predictions(path, perfect, taxonomy)
         code = run([
@@ -139,6 +141,19 @@ class TestPipeline:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split() == ["ED", "0.0000", "0.0000", "0.0000"]
+
+    def test_extra_prediction_named_in_file_order(self, pipeline, capsys):
+        # Every annotated clip's future, then extra clips written in reverse alphabetical order:
+        # the error names the first extra clip of the file.
+        rows = [json.loads(line) for line in pipeline["annotations"].read_text().splitlines()]
+        extra = [f"{prefix}_{i:05d}" for i, prefix in zip((17, 9, 3, 0), ("zz", "mm", "cc", "bb"))]
+        path = pipeline["root"] / "extra.jsonl"
+        path.write_text("".join(json.dumps({"clip_id": clip_id, "candidates": [rows[0]["future"]]}) + "\n"
+                                for clip_id in [row["clip_id"] for row in rows] + extra))
+        code = run(["evaluate", "--predictions", str(path), "--annotations", str(pipeline["annotations"]),
+                    "--taxonomy", str(pipeline["taxonomy"]), "--horizon", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == "ltakit: error: prediction for unknown clip 'zz_00017' (4 extra in total)\n"
 
     def test_naive_ablation_differs_from_reranked(self, pipeline):
         naive_out = pipeline["root"] / "naive.jsonl"
@@ -944,8 +959,8 @@ class TestLlmPath:
         ])
         assert code == 0
         predictions = load_predictions(out, taxonomy, horizon=5)
-        assert len(predictions) == 12
-        assert all(len(p.candidates) == 2 for p in predictions)
+        assert len(predictions.clip_ids) == 12
+        assert predictions.starts == list(range(0, 25, 2))
 
         logged = [json.loads(l) for l in log.read_text().splitlines()]
         # 24 successful requests plus the one retried failure.

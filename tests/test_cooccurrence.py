@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from ltakit.cooccurrence import CooccurrenceMatrix, build_cooccurrence, load_matrix, save_matrix
-from ltakit.dataset_io import ClipRecord
 from ltakit.errors import DataError, IntegrityError
 from ltakit.taxonomy import Taxonomy
 
-from conftest import actions
+from conftest import actions, annotations_table
 from oracles import tally_cooccurrence
 
 
@@ -34,13 +33,18 @@ def random_records(rng, num_records, num_verbs=4, num_nouns=5):
                 (int(rng.integers(num_verbs)), int(rng.integers(num_nouns)))
                 for _ in range(3)
             ])
-        records.append(ClipRecord(f"c{i}", observed, future))
+        records.append((f"c{i}", observed, future))
     return records
+
+
+def build(records, taxonomy, alpha):
+    """The matrix of (clip_id, observed, future or None) records, through their annotations table."""
+    return build_cooccurrence(annotations_table(records).actions()[0], taxonomy, alpha)
 
 
 def test_single_action_lands_in_one_cell():
     tax = small_taxonomy()
-    matrix = build_cooccurrence([ClipRecord("c", actions((0, 1)))], tax, alpha=0.5)
+    matrix = build([("c", actions((0, 1)))], tax, alpha=0.5)
     expected = np.zeros((4, 5))
     expected[0, 1] = 1
     assert np.array_equal(matrix.counts, expected)
@@ -48,8 +52,8 @@ def test_single_action_lands_in_one_cell():
 
 def test_row_normalization_two_nouns():
     tax = small_taxonomy(num_verbs=1, num_nouns=2)
-    record = ClipRecord("c", actions((0, 0), (0, 0), (0, 1), (0, 1)))
-    matrix = build_cooccurrence([record], tax, alpha=0.0)
+    record = ("c", actions((0, 0), (0, 0), (0, 1), (0, 1)))
+    matrix = build([record], tax, alpha=0.0)
     assert np.allclose(matrix.row_stochastic[0], [0.5, 0.5])
 
 
@@ -57,35 +61,35 @@ def test_counts_match_flat_tally_oracle():
     rng = np.random.default_rng(11)
     for _ in range(20):
         records = random_records(rng, 10)
-        matrix = build_cooccurrence(records, small_taxonomy(), alpha=0.0)
+        matrix = build(records, small_taxonomy(), alpha=0.0)
         # The oracle reads attribute-style actions, as the benchmark's check hands it.
         as_objects = lambda pairs: [SimpleNamespace(verb=v, noun=n) for v, n in pairs.tolist()]
         flat = [
-            SimpleNamespace(observed=as_objects(r.observed), future=None if r.future is None else as_objects(r.future))
-            for r in records
+            SimpleNamespace(observed=as_objects(observed), future=None if future is None else as_objects(future))
+            for _, observed, future in records
         ]
         assert np.array_equal(matrix.counts, np.array(tally_cooccurrence(flat, 4, 5)))
 
 
 def test_futures_are_counted():
     tax = small_taxonomy()
-    record = ClipRecord("c", actions((0, 0)), None)
-    with_future = ClipRecord("c", actions((0, 0)), actions((1, 1)))
-    assert build_cooccurrence([record], tax, 0.1).total() == 1
-    assert build_cooccurrence([with_future], tax, 0.1).total() == 2
+    record = ("c", actions((0, 0)), None)
+    with_future = ("c", actions((0, 0)), actions((1, 1)))
+    assert build([record], tax, 0.1).total() == 1
+    assert build([with_future], tax, 0.1).total() == 2
 
 
 def test_total_equals_action_count():
     rng = np.random.default_rng(12)
     records = random_records(rng, 25)
-    total = sum(len(r.observed) + (0 if r.future is None else len(r.future)) for r in records)
-    assert build_cooccurrence(records, small_taxonomy(), 0.0).total() == total
+    total = sum(len(observed) + (0 if future is None else len(future)) for _, observed, future in records)
+    assert build(records, small_taxonomy(), 0.0).total() == total
 
 
 def test_smoothed_rows_and_cols_are_stochastic():
     rng = np.random.default_rng(13)
     records = random_records(rng, 15)
-    matrix = build_cooccurrence(records, small_taxonomy(), alpha=0.7)
+    matrix = build(records, small_taxonomy(), alpha=0.7)
     assert np.all(np.abs(matrix.row_stochastic.sum(axis=1) - 1.0) < 1e-9)
     assert np.all(np.abs(matrix.col_stochastic.sum(axis=0) - 1.0) < 1e-9)
 
@@ -101,19 +105,19 @@ def test_build_is_permutation_invariant():
     records = random_records(rng, 30)
     shuffled = list(records)
     rng.shuffle(shuffled)
-    a = build_cooccurrence(records, small_taxonomy(), 0.2)
-    b = build_cooccurrence(shuffled, small_taxonomy(), 0.2)
+    a = build(records, small_taxonomy(), 0.2)
+    b = build(shuffled, small_taxonomy(), 0.2)
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.row_stochastic, b.row_stochastic)
 
 
 def test_empty_corpus_unsmoothed_rejected():
     with pytest.raises(DataError, match="alpha"):
-        build_cooccurrence([], small_taxonomy(), alpha=0.0)
+        build([], small_taxonomy(), alpha=0.0)
 
 
 def test_empty_corpus_smoothed_is_uniform():
-    matrix = build_cooccurrence([], small_taxonomy(), alpha=1.0)
+    matrix = build([], small_taxonomy(), alpha=1.0)
     assert np.allclose(matrix.row_stochastic, 1 / 5)
 
 
@@ -121,7 +125,7 @@ def test_out_of_range_action_rejected():
     # A negative id must not wrap around to the last row or column.
     for pair in [(4, 0), (0, 5), (-1, 0), (0, -1)]:
         with pytest.raises(DataError, match="out of range"):
-            build_cooccurrence([ClipRecord("c", actions((0, 0), pair))], small_taxonomy(), 0.1)
+            build([("c", actions((0, 0), pair))], small_taxonomy(), 0.1)
 
 
 def test_scaling_counts_leaves_normalizations_put():
@@ -138,7 +142,7 @@ class TestMatrixFile:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(16)
         records = random_records(rng, 12)
-        matrix = build_cooccurrence(records, small_taxonomy(), alpha=0.25)
+        matrix = build(records, small_taxonomy(), alpha=0.25)
         path = tmp_path / "matrix.txt"
         save_matrix(path, matrix)
         loaded = load_matrix(path, small_taxonomy())

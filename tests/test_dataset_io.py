@@ -14,9 +14,7 @@ from hypothesis import given, strategies as st
 
 from ltakit.cli import run
 from ltakit.dataset_io import (
-    ClipRecord,
     Distributions,
-    PredictionSet,
     load_annotations,
     load_distributions,
     load_predictions,
@@ -30,7 +28,9 @@ from ltakit.recognition import load_recognition, naive_clip, recognize_clip, sav
 from ltakit.synthgen import SynthConfig, generate_corpus
 from ltakit.taxonomy import Taxonomy, load_taxonomy
 
-from conftest import actions, clips_of, table
+from conftest import (
+    actions, annotation_clips, annotations_table, clips_of, prediction_clips, predictions_table, table,
+)
 from oracles import distributions_jsonl
 from test_golden import DISTRIBUTIONS, TAXONOMY, TEST, TRAIN
 
@@ -197,20 +197,22 @@ class TestAnnotations:
     def test_save_bytes_equal_json_dumps_of_each_record(self, data):
         verbs, nouns = (data.draw(st.lists(ODD_LABEL, min_size=1, max_size=4, unique=True)) for _ in range(2))
         action = st.tuples(st.integers(0, len(verbs) - 1), st.integers(0, len(nouns) - 1))
-        records = [ClipRecord(data.draw(st.text(max_size=4)), actions(*data.draw(st.lists(action, max_size=4))),
-                              data.draw(st.none() | st.lists(action, max_size=4).map(lambda pairs: actions(*pairs))))
+        horizon = data.draw(st.integers(0, 4))
+        future = st.lists(action, min_size=horizon, max_size=horizon).map(lambda pairs: actions(*pairs))
+        records = [(data.draw(st.text(max_size=4)), actions(*data.draw(st.lists(action, max_size=4))),
+                    data.draw(st.none() | future))
                    for _ in range(data.draw(st.integers(0, 4)))]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "ann.jsonl"
-            save_annotations(path, records, Taxonomy(verbs, nouns))
+            save_annotations(path, annotations_table(records, horizon), Taxonomy(verbs, nouns))
             got = path.read_text(encoding="utf-8")
         text = lambda pairs: [f"{verbs[v]} {nouns[n]}" for v, n in pairs.tolist()]
-        rows = [{"clip_id": r.clip_id, "observed": text(r.observed), **({} if r.future is None else {"future": text(r.future)})}
-                for r in records]
+        rows = [{"clip_id": clip_id, "observed": text(observed), **({} if future is None else {"future": text(future)})}
+                for clip_id, observed, future in records]
         assert got == "".join(json.dumps(row) + "\n" for row in rows)
 
     def test_save_rejects_the_first_action_out_of_range(self, tmp_path, kitchen):
-        records = [ClipRecord("a", actions((0, 0)), actions((0, 7))), ClipRecord("b", actions((9, 0)))]
+        records = annotations_table([("a", actions((0, 0)), actions((0, 7))), ("b", actions((9, 0)))])
         with pytest.raises(DataError, match=r"^action \(0, 7\) out of range for \|V\|=4, \|N\|=5$"):
             save_annotations(tmp_path / "ann.jsonl", records, kitchen)
         assert not (tmp_path / "ann.jsonl").exists()
@@ -228,16 +230,16 @@ class TestAnnotations:
             ],
         )
         records = load_annotations(path, kitchen)
-        assert len(records) == 1
-        assert records[0].clip_id == "c1"
-        assert records[0].observed.tolist() == [[0, 0]] * 8
-        assert records[0].future.tolist() == [[2, 1]] * 20
-        assert records[0].observed.dtype == np.intp
+        assert (records.clip_ids, records.starts, records.has_future.tolist()) == (["c1"], [0, 8], [True])
+        assert records.observed.tolist() == [[0, 0]] * 8
+        assert records.future.tolist() == [[[2, 1]] * 20]
+        assert records.observed.dtype == records.future.dtype == np.intp
 
     def test_future_optional(self, tmp_path, kitchen):
         path = tmp_path / "ann.jsonl"
         write_jsonl(path, [{"clip_id": "c1", "observed": ["take spoon"]}])
-        assert load_annotations(path, kitchen)[0].future is None
+        loaded = load_annotations(path, kitchen)
+        assert loaded.has_future.tolist() == [False] and loaded.future.shape == (0, 20, 2)
 
     def test_short_future_names_clip(self, tmp_path, kitchen):
         path = tmp_path / "ann.jsonl"
@@ -248,12 +250,14 @@ class TestAnnotations:
     def test_horizon_parameter(self, tmp_path, kitchen):
         path = tmp_path / "ann.jsonl"
         write_jsonl(path, [{"clip_id": "c1", "observed": [], "future": ["take spoon"] * 3}])
-        assert load_annotations(path, kitchen, horizon=3)[0].future.tolist() == [[0, 0]] * 3
+        assert load_annotations(path, kitchen, horizon=3).future.tolist() == [[[0, 0]] * 3]
 
     def test_empty_file(self, tmp_path, kitchen):
         path = tmp_path / "ann.jsonl"
         path.write_text("")
-        assert load_annotations(path, kitchen) == []
+        loaded = load_annotations(path, kitchen)
+        assert (loaded.clip_ids, loaded.starts) == ([], [0])
+        assert (loaded.observed.shape, loaded.future.shape, loaded.has_future.shape) == ((0, 2), (0, 20, 2), (0,))
 
     def test_duplicate_clip_id(self, tmp_path, kitchen):
         path = tmp_path / "ann.jsonl"
@@ -291,19 +295,14 @@ class TestAnnotations:
             load_annotations(tmp_path / "nope.jsonl", kitchen)
 
     def test_round_trip(self, tmp_path, kitchen):
-        records = [
-            ClipRecord("a", actions((0, 0), (2, 1)), actions(*[(1, 1)] * 20)),
-            ClipRecord("b", actions((3, 4)), None),
-            ClipRecord("c", actions(), None),
-        ]
+        records = annotations_table([
+            ("a", actions((0, 0), (2, 1)), actions(*[(1, 1)] * 20)),
+            ("b", actions((3, 4)), None),
+            ("c", actions(), None),
+        ])
         path = tmp_path / "ann.jsonl"
         save_annotations(path, records, kitchen)
-        loaded = load_annotations(path, kitchen)
-        assert [r.clip_id for r in loaded] == ["a", "b", "c"]
-        for got, want in zip(loaded, records):
-            assert np.array_equal(got.observed, want.observed) and got.observed.shape == want.observed.shape
-            assert (got.future is None) == (want.future is None)
-            assert want.future is None or np.array_equal(got.future, want.future)
+        assert_identical(load_annotations(path, kitchen), records)
 
 
 class TestDistributions:
@@ -548,6 +547,31 @@ class TestWritersCheckStarts:
         assert str(info.value) == message
         assert not path.exists()
 
+    @pytest.mark.parametrize("writer", ["annotations", "predictions"])
+    @pytest.mark.parametrize("starts, message", [
+        ([0, 2, 2, 3], None),  # an empty clip: no observed actions, or no candidates
+        ([0, 3, 2, 3], "clip 'b' has no rows (need starts in order)"),
+        ([0, 3], "clips ['a']..['c'] hold rows [0]..[3] of 3 (need 4 row starts from 0 to 3)"),
+        ([0, 1, 2, 2], "clips ['a']..['c'] hold rows [0]..[2] of 3 (need 4 row starts from 0 to 3)"),
+    ])
+    def test_clip_writers_take_empty_clips_but_not_bad_starts(self, tmp_path, kitchen, writer, starts, message):
+        path = tmp_path / f"{writer}.jsonl"
+        if writer == "annotations":
+            table = annotations_table([("a", [(0, 0)]), ("b", [(1, 1)]), ("c", [(2, 2)])])
+            save = lambda: save_annotations(path, dataclasses.replace(table, starts=starts), kitchen)
+        else:
+            table = predictions_table([("a", [[(0, 0)]]), ("b", [[(1, 1)]]), ("c", [[(2, 2)]])])
+            save = lambda: save_predictions(path, dataclasses.replace(table, starts=starts), kitchen)
+        if message is None:
+            save()
+            field = "observed" if writer == "annotations" else "candidates"
+            assert [len(json.loads(line)[field]) for line in path.read_text().splitlines()] == [2, 0, 1]
+            return
+        with pytest.raises(DataError) as info:
+            save()
+        assert str(info.value) == message
+        assert not path.exists()
+
 
 def assert_identical(got, want):
     """Equal loader results: the same types, lists and dataclass fields, arrays equal in dtype, shape and bytes."""
@@ -663,14 +687,14 @@ class TestDecoders:
             load.__wrapped__(path, kitchen, decode=orjson.loads)
         loaded = load(path, kitchen)
         assert_identical(loaded, load.__wrapped__(path, kitchen, decode=json.loads))
-        assert (loaded.clip_ids if per_segment else [r.clip_id for r in loaded]) == [clip_id]
+        assert loaded.clip_ids == [clip_id]
 
 
 class TestPredictions:
     def test_round_trip(self, tmp_path, kitchen):
         rng = np.random.default_rng(3)
-        preds = [
-            PredictionSet(
+        preds = predictions_table([
+            (
                 f"c{i}",
                 np.array([
                     [(int(rng.integers(4)), int(rng.integers(5))) for _ in range(20)]
@@ -678,20 +702,19 @@ class TestPredictions:
                 ]),
             )
             for i in range(2)
-        ]
+        ])
         path = tmp_path / "pred.jsonl"
         save_predictions(path, preds, kitchen)
         loaded = load_predictions(path, kitchen)
-        assert [p.clip_id for p in loaded] == [p.clip_id for p in preds]
-        for got, want in zip(loaded, preds):
-            assert got.candidates.shape == (5, 20, 2)
-            assert np.array_equal(got.candidates, want.candidates)
+        assert (loaded.clip_ids, loaded.starts) == (["c0", "c1"], [0, 5, 10])
+        assert loaded.candidates.shape == (10, 20, 2)
+        assert np.array_equal(loaded.candidates, preds.candidates)
 
     def test_tokens_are_verb_then_noun_labels(self, tmp_path, kitchen):
         path = tmp_path / "pred.jsonl"
-        save_predictions(path, [PredictionSet("c1", np.array([[(3, 0), (0, 4)]]))], kitchen)
+        save_predictions(path, predictions_table([("c1", np.array([[(3, 0), (0, 4)]]))]), kitchen)
         assert json.loads(path.read_text())["candidates"] == [["wash spoon", "take bowl"]]
-        assert load_predictions(path, kitchen, horizon=2)[0].candidates.tolist() == [[[3, 0], [0, 4]]]
+        assert load_predictions(path, kitchen, horizon=2).candidates.tolist() == [[[3, 0], [0, 4]]]
 
     @pytest.mark.parametrize(
         "token, message",
@@ -713,28 +736,29 @@ class TestPredictions:
 
     @given(st.data())
     def test_bytes_equal_json_dumps_of_each_record(self, data):
-        # Labels with quotes, backslashes, control and non-ASCII characters; K and Z differ per
-        # clip, down to no candidates, empty candidates and no clips at all.
+        # Labels with quotes, backslashes, control and non-ASCII characters; K differs per clip,
+        # down to no candidates, Z down to empty candidates, and no clips at all.
         verbs, nouns = (data.draw(st.lists(ODD_LABEL, min_size=1, max_size=4, unique=True)) for _ in range(2))
         action = st.tuples(st.integers(0, len(verbs) - 1), st.integers(0, len(nouns) - 1))
-        predictions = []
+        predictions, horizon = [], data.draw(st.integers(0, 4))
         for _ in range(data.draw(st.integers(0, 4))):
-            num_k, horizon = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 4))
+            num_k = data.draw(st.integers(0, 3))
             pairs = data.draw(st.lists(action, min_size=num_k * horizon, max_size=num_k * horizon))
-            predictions.append(PredictionSet(data.draw(st.text(max_size=4)), actions(*pairs).reshape(num_k, horizon, 2)))
+            predictions.append((data.draw(st.text(max_size=4)), actions(*pairs).reshape(num_k, horizon, 2)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "pred.jsonl"
-            save_predictions(path, predictions, Taxonomy(verbs, nouns))
+            save_predictions(path, predictions_table(predictions, horizon), Taxonomy(verbs, nouns))
             got = path.read_text(encoding="utf-8")
-        records = [{"clip_id": p.clip_id, "candidates": [[f"{verbs[v]} {nouns[n]}" for v, n in candidate]
-                                                        for candidate in p.candidates.tolist()]} for p in predictions]
+        records = [{"clip_id": clip_id, "candidates": [[f"{verbs[v]} {nouns[n]}" for v, n in candidate]
+                                                      for candidate in candidates.tolist()]}
+                   for clip_id, candidates in predictions]
         assert got == "".join(json.dumps(record) + "\n" for record in records)
 
     def test_out_of_range_error_names_the_first_clip_at_fault(self, tmp_path, kitchen):
         path = tmp_path / "pred.jsonl"
-        predictions = [PredictionSet("fine", np.zeros((2, 3, 2), np.intp)),
-                       PredictionSet("first", actions((0, 0), (0, 5), (4, 0), (0, 0)).reshape(2, 2, 2)),
-                       PredictionSet("second", actions((-1, 0)).reshape(1, 1, 2))]
+        predictions = predictions_table([("fine", np.zeros((2, 2, 2), np.intp)),
+                                         ("first", actions((0, 0), (0, 5), (4, 0), (0, 0)).reshape(2, 2, 2)),
+                                         ("second", actions((-1, 0), (0, 0)).reshape(1, 2, 2))])
         with pytest.raises(DataError) as info:
             save_predictions(path, predictions, kitchen)
         assert str(info.value) == "clip 'first': action (0, 5) out of range for |V|=4, |N|=5"
@@ -746,7 +770,7 @@ class TestPredictions:
     def test_save_rejects_ids_out_of_range(self, tmp_path, kitchen, pair):
         path = tmp_path / "pred.jsonl"
         with pytest.raises(DataError, match="out of range"):
-            save_predictions(path, [PredictionSet("c1", np.array([[(0, 0), pair]]))], kitchen)
+            save_predictions(path, predictions_table([("c1", np.array([[(0, 0), pair]]))]), kitchen)
         assert not path.exists()
 
     def test_zero_candidates_rejected(self, tmp_path, kitchen):
@@ -771,3 +795,44 @@ class TestPredictions:
     def test_missing_file(self, tmp_path, kitchen):
         with pytest.raises(FileNotFoundError):
             load_predictions(tmp_path / "nope.jsonl", kitchen)
+
+
+class TestTableRoundTrip:
+    """`load_*(save_*(table))` gives the table back field for field, dtypes included."""
+
+    CLIP_IDS = st.lists(st.text(max_size=4), unique=True, max_size=5)
+    ACTION = st.tuples(st.integers(0, 3), st.integers(0, 4))  # the kitchen taxonomy's ids
+
+    @given(st.data())
+    def test_annotations(self, data):
+        # Mixed futures, empty observed runs and zero clips, all under one horizon.
+        horizon = data.draw(st.integers(0, 3))
+        future = st.lists(self.ACTION, min_size=horizon, max_size=horizon)
+        clips = [(clip_id, data.draw(st.lists(self.ACTION, max_size=4)), data.draw(st.none() | future))
+                 for clip_id in data.draw(self.CLIP_IDS)]
+        self.assert_round_trip(annotations_table(clips, horizon), save_annotations, load_annotations, horizon)
+
+    @given(st.data())
+    def test_predictions(self, data):
+        # Ragged K (the files need K >= 1), empty candidates and zero clips.
+        horizon = data.draw(st.integers(0, 3))
+        candidate = st.lists(self.ACTION, min_size=horizon, max_size=horizon)
+        clips = [(clip_id, np.array(data.draw(st.lists(candidate, min_size=1, max_size=3)), np.intp))
+                 for clip_id in data.draw(self.CLIP_IDS)]
+        clips = [(clip_id, candidates.reshape(len(candidates), horizon, 2)) for clip_id, candidates in clips]
+        self.assert_round_trip(predictions_table(clips, horizon), save_predictions, load_predictions, horizon)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_synth_annotations(self, seed):
+        config = SynthConfig(num_verbs=9, num_nouns=40, num_templates=2, routine_length=12, num_clips=20, horizon=6,
+                             observed_segments=4, routine_jitter=0.2, seed=seed)
+        corpus = generate_corpus(config)
+        self.assert_round_trip(corpus.annotations, save_annotations, load_annotations, config.horizon, corpus.taxonomy)
+
+    @staticmethod
+    def assert_round_trip(table, save, load, horizon, taxonomy=Taxonomy(["take", "put", "stir", "wash"],
+                                                                           ["spoon", "pot", "cup", "pan", "bowl"])):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.jsonl"
+            save(path, table, taxonomy)
+            assert_identical(load(path, taxonomy, horizon), table)

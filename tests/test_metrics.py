@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -8,19 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ltakit.dataset_io import ClipRecord, PredictionSet
 from ltakit.errors import DataError
 from ltakit.metrics import (
-    ClipScores,
     ar_accuracy,
     corpus_eval,
     damerau_levenshtein,
     format_report,
     normalized_eds,
+    observed_rows,
     save_report,
 )
 from ltakit.recognition import Recognition
 
+from conftest import annotations_table, predictions_table
 from oracles import min_track_ed, osa_distance
 
 
@@ -147,8 +146,8 @@ class TestNormalizedEd:
 
 
 def pred_set(clip_id, candidates):
-    """One clip's predictions from K lists of (verb, noun) pairs."""
-    return PredictionSet(clip_id, np.array(candidates).reshape(len(candidates), -1, 2))
+    """One clip's predictions from K lists of (verb, noun) pairs, for `predictions_table`."""
+    return clip_id, np.array(candidates).reshape(len(candidates), -1, 2)
 
 
 def actions(pairs):
@@ -161,47 +160,39 @@ def random_pairs(rng, length, num_verbs, num_nouns):
 
 
 def clip_scores(prediction, gt):
-    """The per-clip row of a one-clip corpus."""
-    report = corpus_eval([prediction], [ClipRecord(prediction.clip_id, actions([]), actions(gt))])
-    return report.per_clip[0]
+    """The verb, noun and action (EDs, best indices) of a one-clip corpus, as two lists."""
+    report = corpus_eval(predictions_table([prediction]), annotations_table([(prediction[0], [], gt)]))
+    return report.eds[0].tolist(), report.best[0].tolist()
 
 
-def assert_matches_loop_oracle(scores, cands, gt):
-    for track, got_ed, got_idx in [
-        (lambda a: a[0], scores.verb_ed, scores.best_verb),
-        (lambda a: a[1], scores.noun_ed, scores.best_noun),
-        (lambda a: a, scores.action_ed, scores.best_action),
-    ]:
-        want_ed, want_idx = min_track_ed(cands, gt, track)
-        assert got_ed == want_ed
-        assert got_idx == want_idx
+def assert_matches_loop_oracle(eds, best, cands, gt):
+    tracks = [lambda a: a[0], lambda a: a[1], lambda a: a]
+    assert [min_track_ed(cands, gt, track) for track in tracks] == list(zip(eds, best))
 
 
 class TestClipEd:
     def test_perfect_candidate_zeroes_all_tracks(self):
         gt = actions([(0, 1), (1, 2), (0, 3)])
         pred = pred_set("c", [[(1, 1), (1, 1), (1, 1)], [(0, 1), (1, 2), (0, 3)]])
-        scores = clip_scores(pred, gt)
-        assert (scores.verb_ed, scores.noun_ed, scores.action_ed) == (0.0, 0.0, 0.0)
-        assert (scores.best_verb, scores.best_noun, scores.best_action) == (1, 1, 1)
+        eds, best = clip_scores(pred, gt)
+        assert eds == [0.0, 0.0, 0.0]
+        assert best == [1, 1, 1]
 
     def test_tracks_minimize_independently(self):
         gt = actions([(0, 0), (1, 1)])
         # Candidate 0 nails the verbs, candidate 1 nails the nouns.
         pred = pred_set("c", [[(0, 9), (1, 9)], [(9, 0), (9, 1)]])
-        scores = clip_scores(pred, gt)
-        assert scores.verb_ed == 0.0 and scores.best_verb == 0
-        assert scores.noun_ed == 0.0 and scores.best_noun == 1
-        assert scores.action_ed == 1.0
-        assert scores.best_action == 0  # tie between candidates, lowest index wins
+        (verb_ed, noun_ed, action_ed), (best_verb, best_noun, best_action) = clip_scores(pred, gt)
+        assert verb_ed == 0.0 and best_verb == 0
+        assert noun_ed == 0.0 and best_noun == 1
+        assert action_ed == 1.0
+        assert best_action == 0  # tie between candidates, lowest index wins
 
     def test_action_track_needs_joint_match(self):
         gt = actions([(0, 0)])
         pred = pred_set("c", [[(0, 9)]])
-        scores = clip_scores(pred, gt)
-        assert scores.verb_ed == 0.0
-        assert scores.noun_ed == 1.0
-        assert scores.action_ed == 1.0
+        eds, _ = clip_scores(pred, gt)
+        assert eds == [0.0, 1.0, 1.0]
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(42)
@@ -213,7 +204,7 @@ class TestClipEd:
                 random_pairs(rng, horizon, 3, 4)
                 for _ in range(num_candidates)
             ]
-            assert_matches_loop_oracle(clip_scores(pred_set("c", cands), gt), cands, gt)
+            assert_matches_loop_oracle(*clip_scores(pred_set("c", cands), gt), cands, gt)
 
     def test_more_candidates_never_hurt(self):
         rng = np.random.default_rng(43)
@@ -223,15 +214,13 @@ class TestClipEd:
                 random_pairs(rng, 6, 3, 3)
                 for _ in range(4)
             ]
-            smaller = clip_scores(pred_set("c", cands[:2]), gt)
-            larger = clip_scores(pred_set("c", cands), gt)
-            assert larger.verb_ed <= smaller.verb_ed
-            assert larger.noun_ed <= smaller.noun_ed
-            assert larger.action_ed <= smaller.action_ed
+            smaller, _ = clip_scores(pred_set("c", cands[:2]), gt)
+            larger, _ = clip_scores(pred_set("c", cands), gt)
+            assert all(large <= small for large, small in zip(larger, smaller))
 
     def test_no_candidates_rejected(self):
         with pytest.raises(DataError, match="K >= 1"):
-            clip_scores(PredictionSet("c", np.empty((0, 1, 2), np.intp)), actions([(0, 0)]))
+            clip_scores(("c", np.empty((0, 1, 2), np.intp)), actions([(0, 0)]))
 
     def test_length_mismatch_names_clip(self):
         with pytest.raises(DataError, match="clip 'c9': sequence length mismatch: 2 vs 1"):
@@ -250,12 +239,12 @@ def recog(**clips):
 
 class TestArAccuracy:
     def test_all_correct(self):
-        ann = [ClipRecord("c", actions([(0, 0), (1, 1)]))]
+        ann = annotations_table([("c", [(0, 0), (1, 1)])])
         rec = recog(c=[(0, 0), (1, 1)])
         assert ar_accuracy(rec, ann) == (100.0, 100.0, 100.0)
 
     def test_partial_tracks(self):
-        ann = [ClipRecord("c", actions([(0, 0), (1, 1), (2, 2), (3, 3)]))]
+        ann = annotations_table([("c", [(0, 0), (1, 1), (2, 2), (3, 3)])])
         rec = recog(
             c=[
                 (0, 0),  # both right
@@ -268,53 +257,107 @@ class TestArAccuracy:
 
     def test_segments_counted_across_clips(self):
         # A clip may have fewer recognized segments than observed ones; only those count.
-        ann = [ClipRecord("a", actions([(0, 0), (1, 1), (2, 2)])), ClipRecord("b", actions([(3, 3)]))]
+        ann = annotations_table([("a", [(0, 0), (1, 1), (2, 2)]), ("b", [(3, 3)])])
         assert ar_accuracy(recog(a=[(0, 0)], b=[(3, 9)]), ann) == (100.0, 50.0, 50.0)
 
     def test_unknown_clip_rejected(self):
-        ann = [ClipRecord("c", actions([(0, 0)]))]
+        ann = annotations_table([("c", [(0, 0)])])
         with pytest.raises(DataError, match="unknown clip"):
             ar_accuracy(recog(other=[(0, 0)]), ann)
 
     def test_segment_out_of_range_rejected(self):
         # The clip's record has more segments than the clip has observed actions.
-        ann = [ClipRecord("c", actions([(0, 0)])), ClipRecord("d", actions([(0, 0), (1, 1)]))]
+        ann = annotations_table([("c", [(0, 0)]), ("d", [(0, 0), (1, 1)])])
         with pytest.raises(DataError, match=r"clip 'd': segment 2 out of range \(2 observed\)"):
             ar_accuracy(recog(c=[(0, 0)], d=[(0, 0), (1, 1), (1, 1)]), ann)
 
     def test_empty_recognition_rejected(self):
         with pytest.raises(DataError, match="no recognition"):
-            ar_accuracy(recog(), [ClipRecord("c", actions([(0, 0)]))])
+            ar_accuracy(recog(), annotations_table([("c", [(0, 0)])]))
 
     def test_every_record_empty_rejected(self):
-        ann = [ClipRecord("c", actions([(0, 0)])), ClipRecord("d", actions([(1, 1)]))]
+        ann = annotations_table([("c", [(0, 0)]), ("d", [(1, 1)])])
         with pytest.raises(DataError, match="no recognition results to score"):
             ar_accuracy(recog(c=[], d=[]), ann)
+
+
+def observed_rows_oracle(recognized, annotations):
+    """The per-clip reference for `observed_rows`: (clip_id, segment count) pairs against
+    (clip_id, observed pairs) annotations, through a dict, raising what the gather raises first."""
+    observed = {}
+    for clip_id, pairs in annotations:
+        if clip_id in observed:
+            raise DataError(f"duplicate clip id {clip_id!r} in annotations")
+        observed[clip_id] = pairs
+    rows = []
+    for clip_id, count in recognized:
+        if clip_id not in observed:
+            raise DataError(f"recognition result for unknown clip {clip_id!r}")
+        if count > len(observed[clip_id]):
+            raise DataError(f"clip {clip_id!r}: segment {len(observed[clip_id])} out of range "
+                            f"({len(observed[clip_id])} observed)")
+        rows += observed[clip_id][:count]
+    return rows
+
+
+class TestObservedRowsGather:
+    @given(st.data())
+    def test_gather_equals_per_clip_oracle(self, data):
+        # Shuffled recognition clips, a subset of the annotations, each with at most its observed
+        # run's segments (empty runs too); sometimes an unknown clip, one segment too many or a
+        # repeated annotation clip.
+        action = st.tuples(st.integers(0, 3), st.integers(0, 4))
+        ids = data.draw(st.lists(st.sampled_from("abcdefgh"), unique=True, max_size=6))
+        annotations = [(clip_id, data.draw(st.lists(action, max_size=4))) for clip_id in ids]
+        if annotations and data.draw(st.integers(0, 9)) == 0:
+            annotations.insert(data.draw(st.integers(0, len(annotations))), data.draw(st.sampled_from(annotations)))
+        chosen = data.draw(st.permutations(annotations))[: data.draw(st.integers(0, len(annotations)))]
+        recognized = [(clip_id, data.draw(st.integers(0, len(pairs) + (data.draw(st.integers(0, 9)) == 0))))
+                      for clip_id, pairs in chosen]
+        if data.draw(st.integers(0, 9)) == 0:
+            recognized.insert(data.draw(st.integers(0, len(recognized))), ("zz", 1))
+        table = annotations_table(annotations)
+        starts = np.cumsum([0] + [count for _, count in recognized]).tolist()
+        try:
+            want = observed_rows_oracle(recognized, annotations)
+        except DataError as exc:
+            with pytest.raises(DataError) as info:
+                observed_rows([clip_id for clip_id, _ in recognized], starts, table)
+            assert str(info.value) == str(exc)
+            return
+        got = observed_rows([clip_id for clip_id, _ in recognized], starts, table)
+        assert got.dtype == np.intp and got.tolist() == [list(pair) for pair in want]
+        if want:  # ar_accuracy scores a recognition of those rows, one of them off in the noun
+            chosen = actions(want)
+            chosen[0, 1] += 1
+            rec = Recognition([clip_id for clip_id, _ in recognized], starts, chosen, chosen, actions([]), np.empty(0),
+                              np.empty(0, bool), np.zeros(len(want), np.intp), np.zeros(len(want), bool))
+            noun = 100.0 * (len(want) - 1) / len(want)
+            assert ar_accuracy(rec, table) == (100.0, noun, noun)
 
 
 class TestCorpusEval:
     def corpus(self):
         gt_a = [(0, 0), (1, 1), (0, 2)]
         gt_b = [(1, 0), (1, 0), (1, 0)]
-        annotations = [
-            ClipRecord("a", actions([(0, 0)]), actions(gt_a)),
-            ClipRecord("b", actions([(1, 1)]), actions(gt_b)),
-            ClipRecord("obs_only", actions([(1, 1)]), None),
-        ]
+        annotations = [("a", [(0, 0)], gt_a), ("b", [(1, 1)], gt_b), ("obs_only", [(1, 1)], None)]
         return annotations, gt_a, gt_b
+
+    def evaluate(self, preds, annotations, recognition=None):
+        return corpus_eval(predictions_table(preds), annotations_table(annotations), recognition)
 
     def test_perfect_predictions_score_zero(self):
         annotations, gt_a, gt_b = self.corpus()
         preds = [pred_set("a", [gt_a]), pred_set("b", [gt_b])]
-        report = corpus_eval(preds, annotations)
+        report = self.evaluate(preds, annotations)
         assert (report.verb_ed, report.noun_ed, report.action_ed) == (0.0, 0.0, 0.0)
         assert report.ar_verb_acc is None
-        assert len(report.per_clip) == 2
+        assert len(report.clip_ids) == len(report.eds) == len(report.best) == 2
 
     def test_mean_is_plain_average(self):
         annotations, gt_a, gt_b = self.corpus()
         preds = [pred_set("a", [gt_a]), pred_set("b", [[(0, 9), (0, 9), (0, 9)]])]
-        report = corpus_eval(preds, annotations)
+        report = self.evaluate(preds, annotations)
         assert report.verb_ed == pytest.approx(0.5)
         assert report.noun_ed == pytest.approx(0.5)
         assert report.action_ed == pytest.approx(0.5)
@@ -322,13 +365,13 @@ class TestCorpusEval:
     def test_clips_without_future_are_not_scored(self):
         annotations, gt_a, gt_b = self.corpus()
         preds = [pred_set("a", [gt_a]), pred_set("b", [gt_b])]
-        report = corpus_eval(preds, annotations)
-        assert [r.clip_id for r in report.per_clip] == ["a", "b"]
+        report = self.evaluate(preds, annotations)
+        assert report.clip_ids == ["a", "b"]
 
     def test_missing_prediction_names_clip(self):
         annotations, gt_a, _ = self.corpus()
         with pytest.raises(DataError, match="no prediction for clip 'b'"):
-            corpus_eval([pred_set("a", [gt_a])], annotations)
+            self.evaluate([pred_set("a", [gt_a])], annotations)
 
     def test_extra_prediction_rejected(self):
         annotations, gt_a, gt_b = self.corpus()
@@ -338,24 +381,31 @@ class TestCorpusEval:
             pred_set("obs_only", [gt_b]),
         ]
         with pytest.raises(DataError, match="unknown clip 'obs_only'"):
-            corpus_eval(preds, annotations)
+            self.evaluate(preds, annotations)
+
+    def test_extra_prediction_named_in_predictions_order(self):
+        # The first extra clip of the predictions, not the alphabetically first one.
+        annotations, gt_a, gt_b = self.corpus()
+        preds = [pred_set("zz", [gt_a]), pred_set("a", [gt_a]), pred_set("b", [gt_b]), pred_set("bb", [gt_b])]
+        with pytest.raises(DataError, match=r"prediction for unknown clip 'zz' \(2 extra in total\)"):
+            self.evaluate(preds, annotations)
 
     def test_duplicate_prediction_rejected(self):
         annotations, gt_a, gt_b = self.corpus()
         preds = [pred_set("a", [gt_a]), pred_set("b", [gt_b]), pred_set("a", [gt_a])]
         with pytest.raises(DataError, match="duplicate clip id 'a'"):
-            corpus_eval(preds, annotations)
+            self.evaluate(preds, annotations)
 
     def test_duplicate_annotation_rejected(self):
         annotations, gt_a, gt_b = self.corpus()
-        annotations.append(ClipRecord("a", actions([(0, 0)]), actions(gt_a)))
+        annotations.append(("a", [(0, 0)], gt_a))
         with pytest.raises(DataError, match="duplicate clip id 'a'"):
-            corpus_eval([pred_set("a", [gt_a]), pred_set("b", [gt_b])], annotations)
+            self.evaluate([pred_set("a", [gt_a]), pred_set("b", [gt_b])], annotations)
 
     def test_no_scorable_clips_rejected(self):
-        annotations = [ClipRecord("c", actions([(0, 0)]), None)]
+        annotations = [("c", [(0, 0)], None)]
         with pytest.raises(DataError, match="future"):
-            corpus_eval([], annotations)
+            self.evaluate([], annotations)
 
     def test_prediction_order_is_irrelevant(self):
         rng = np.random.default_rng(44)
@@ -364,12 +414,12 @@ class TestCorpusEval:
         for i in range(40):
             gt = random_pairs(rng, 5, 3, 4)
             cand = random_pairs(rng, 5, 3, 4)
-            annotations.append(ClipRecord(f"c{i}", actions([(0, 0)]), actions(gt)))
+            annotations.append((f"c{i}", [(0, 0)], gt))
             preds.append(pred_set(f"c{i}", [cand]))
-        base = corpus_eval(preds, annotations)
+        base = self.evaluate(preds, annotations)
         shuffled = list(preds)
         rng.shuffle(shuffled)
-        again = corpus_eval(shuffled, annotations)
+        again = self.evaluate(shuffled, annotations)
         assert again.verb_ed == base.verb_ed
         assert again.noun_ed == base.noun_ed
         assert again.action_ed == base.action_ed
@@ -384,32 +434,25 @@ class TestCorpusEval:
                 random_pairs(rng, 5, 3, 4)
                 for _ in range(int(rng.integers(1, 6)))
             ]
-            annotations.append(ClipRecord(f"c{i}", actions([(0, 0)]), actions(gt)))
+            annotations.append((f"c{i}", [(0, 0)], gt))
             preds.append(pred_set(f"c{i}", cands))
             sets[f"c{i}"] = (cands, gt)
-        assert len({len(p.candidates) for p in preds}) > 1
-        report = corpus_eval(preds, annotations)
-        for row in report.per_clip:
-            assert_matches_loop_oracle(row, *sets[row.clip_id])
-
-    def test_mixed_horizon_rejected(self):
-        annotations, gt_a, gt_b = self.corpus()
-        annotations[1] = ClipRecord("b", actions([(1, 1)]), actions(gt_b[:2]))
-        preds = [pred_set("a", [gt_a]), pred_set("b", [gt_b[:2]])]
-        with pytest.raises(DataError, match="clip 'b'"):
-            corpus_eval(preds, annotations)
+        assert len({len(candidates) for _, candidates in preds}) > 1
+        report = self.evaluate(preds, annotations)
+        for clip_id, eds, best in zip(report.clip_ids, report.eds.tolist(), report.best.tolist()):
+            assert_matches_loop_oracle(eds, best, *sets[clip_id])
 
     def test_mean_matches_fsum_of_per_clip_rows(self):
         annotations, gt_a, gt_b = self.corpus()
         preds = [pred_set("a", [[(1, 1), (1, 1), (0, 2)]]), pred_set("b", [gt_b])]
-        report = corpus_eval(preds, annotations)
-        assert report.action_ed == math.fsum(r.action_ed for r in report.per_clip) / 2
+        report = self.evaluate(preds, annotations)
+        assert report.action_ed == math.fsum(report.eds[:, 2].tolist()) / 2
 
     def test_ar_block_present_when_recognition_given(self):
         annotations, gt_a, gt_b = self.corpus()
         preds = [pred_set("a", [gt_a]), pred_set("b", [gt_b])]
         rec = recog(a=[(0, 0)], b=[(1, 0)])
-        report = corpus_eval(preds, annotations, rec)
+        report = self.evaluate(preds, annotations, rec)
         assert report.ar_verb_acc == 100.0
         assert report.ar_noun_acc == 50.0
         assert report.ar_action_acc == 50.0
@@ -417,8 +460,8 @@ class TestCorpusEval:
 
 class TestReportOutput:
     def build_report(self):
-        annotations = [ClipRecord("a", actions([(0, 0)]), actions([(0, 0), (1, 1)]))]
-        preds = [pred_set("a", [[(0, 0), (1, 9)]])]
+        annotations = annotations_table([("a", [(0, 0)], [(0, 0), (1, 1)])])
+        preds = predictions_table([pred_set("a", [[(0, 0), (1, 9)]])])
         rec = recog(a=[(0, 0)])
         return corpus_eval(preds, annotations, rec)
 
@@ -445,8 +488,9 @@ class TestReportOutput:
         assert payload["ar_verb_acc"] == 100.0
         assert payload["clips"][0]["clip_id"] == "a"
         assert payload["clips"][0]["best_action"] == 0
-        # Each clip's object holds every ClipScores field, in field order.
+        # Each clip's object holds its id, then its EDs and best indices, verb, noun and action.
         assert [list(clip.items()) for clip in payload["clips"]] == [
-            [(field.name, getattr(scores, field.name)) for field in dataclasses.fields(ClipScores)]
-            for scores in report.per_clip
+            [("clip_id", clip_id), *zip(["verb_ed", "noun_ed", "action_ed"], eds),
+             *zip(["best_verb", "best_noun", "best_action"], best)]
+            for clip_id, eds, best in zip(report.clip_ids, report.eds.tolist(), report.best.tolist())
         ]

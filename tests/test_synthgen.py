@@ -18,7 +18,7 @@ from ltakit.recognition import naive_clip, recognize_clip
 from ltakit.synthgen import SynthConfig, generate_corpus, provenance
 from ltakit.taxonomy import save_taxonomy
 
-from conftest import clips_of
+from conftest import annotation_clips, clips_of
 from oracles import synth_rows
 
 
@@ -38,9 +38,10 @@ def small_config(**overrides):
     return SynthConfig(**base)
 
 
-def as_lists(records):
-    """Records as comparable plain lists: (clip id, observed pairs, future pairs or None)."""
-    return [(r.clip_id, r.observed.tolist(), None if r.future is None else r.future.tolist()) for r in records]
+def as_lists(annotations):
+    """An annotations table as comparable plain lists: (clip id, observed pairs, future pairs or None)."""
+    return [(clip_id, observed.tolist(), None if future is None else future.tolist())
+            for clip_id, observed, future in annotation_clips(annotations)]
 
 
 class TestConfigValidation:
@@ -70,30 +71,28 @@ class TestCorpusShape:
         corpus = generate_corpus(config)
         assert corpus.taxonomy.num_verbs == 4
         assert corpus.taxonomy.num_nouns == 24
-        assert len(corpus.annotations) == 12
-        assert corpus.distributions.clip_ids == [r.clip_id for r in corpus.annotations]
-        assert corpus.distributions.starts == list(range(0, 37, 3))
+        assert len(corpus.annotations.clip_ids) == 12
+        assert corpus.distributions.clip_ids == corpus.annotations.clip_ids
+        assert corpus.distributions.starts == corpus.annotations.starts == list(range(0, 37, 3))
         assert corpus.distributions.verb_probs.shape == (36, 4) and corpus.distributions.noun_probs.shape == (36, 24)
-        for record in corpus.annotations:
-            assert len(record.observed) == 3
-            assert len(record.future) == 5
+        assert corpus.annotations.observed.shape == (36, 2)
+        assert corpus.annotations.future.shape == (12, 5, 2) and corpus.annotations.has_future.all()
         assert corpus.templates.shape == (2, 10, 2)
-        assert all(r.observed.dtype == r.future.dtype == np.intp for r in corpus.annotations)
+        assert corpus.annotations.observed.dtype == corpus.annotations.future.dtype == np.intp
 
     def test_clip_ids_are_unique_and_ordered(self):
         corpus = generate_corpus(small_config())
-        ids = [r.clip_id for r in corpus.annotations]
+        ids = corpus.annotations.clip_ids
         assert ids == sorted(set(ids))
 
     def test_actions_follow_compatibility_pattern(self):
         corpus = generate_corpus(small_config())
-        for record in corpus.annotations:
-            for verb, noun in np.concatenate([record.observed, record.future]).tolist():
-                assert noun % 4 == verb
+        for verb, noun in corpus.annotations.actions()[0].tolist():
+            assert noun % 4 == verb
 
     def test_cooccurrence_counts_live_on_compatible_cells_only(self):
         corpus = generate_corpus(small_config())
-        matrix = build_cooccurrence(corpus.annotations, corpus.taxonomy, alpha=0.0)
+        matrix = build_cooccurrence(corpus.annotations.actions()[0], corpus.taxonomy, alpha=0.0)
         for v in range(4):
             for n in range(24):
                 if n % 4 != v:
@@ -111,8 +110,8 @@ class TestCorpusShape:
             doubled = [tuple(a) for a in template + template]
             for start in range(len(template)):
                 cycles.add(tuple(doubled[start : start + 8]))
-        for record in corpus.annotations:
-            assert tuple(map(tuple, np.concatenate([record.observed, record.future]).tolist())) in cycles
+        for _, observed, future in annotation_clips(corpus.annotations):
+            assert tuple(map(tuple, np.concatenate([observed, future]).tolist())) in cycles
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 23])
     @pytest.mark.parametrize("shape", [
@@ -189,7 +188,8 @@ class TestRoundTrip:
 class TestNoiseBehaviour:
     def test_noiseless_distributions_argmax_to_truth(self):
         corpus = generate_corpus(small_config())
-        truth = {(r.clip_id, i): a for r in corpus.annotations for i, a in enumerate(r.observed)}
+        truth = {(clip_id, i): a for clip_id, observed, _ in annotation_clips(corpus.annotations)
+                 for i, a in enumerate(observed)}
         for clip_id, verbs, nouns in clips_of(corpus.distributions):
             for i, (verb_probs, noun_probs) in enumerate(zip(verbs, nouns)):
                 want = truth[(clip_id, i)]
@@ -199,7 +199,8 @@ class TestNoiseBehaviour:
     def test_distractor_mass_lands_on_incompatible_nouns(self):
         config = small_config(noun_distractor_mass=0.4, num_clips=30)
         corpus = generate_corpus(config)
-        truth = {(r.clip_id, i): a for r in corpus.annotations for i, a in enumerate(r.observed)}
+        truth = {(clip_id, i): a for clip_id, observed, _ in annotation_clips(corpus.annotations)
+                 for i, a in enumerate(observed)}
         flipped = 0
         for clip_id, _, nouns in clips_of(corpus.distributions):
             for i, noun_probs in enumerate(nouns):
@@ -215,7 +216,7 @@ class TestNoiseBehaviour:
             num_nouns=24, num_clips=40, noun_distractor_mass=0.45, seed=11
         )
         corpus = generate_corpus(config)
-        matrix = build_cooccurrence(corpus.annotations, corpus.taxonomy, alpha=0.0)
+        matrix = build_cooccurrence(corpus.annotations.actions()[0], corpus.taxonomy, alpha=0.0)
         reranked = recognize_clip(corpus.distributions, matrix, k=4)
         naive = naive_clip(corpus.distributions)
         _, _, rerank_acc = ar_accuracy(reranked, corpus.annotations)
@@ -225,7 +226,7 @@ class TestNoiseBehaviour:
     def test_jitter_breaks_cycles(self):
         base = generate_corpus(small_config(seed=3))
         jittered = generate_corpus(small_config(seed=3, routine_jitter=0.5))
-        assert base.annotations != jittered.annotations
+        assert as_lists(base.annotations) != as_lists(jittered.annotations)
 
 
 class TestProvenance:
