@@ -102,15 +102,14 @@ class Predictions:
     candidates: np.ndarray
 
 
-def check_starts(clip_ids: list[str], starts: list[int], rows: int, empty: bool = False) -> None:
-    """Each clip's rows starts[i]:starts[i + 1] must be nonempty (with `empty`, in order), and all of
-    them cover the `rows` rows."""
+def check_starts(clip_ids: list[str], starts: list[int], rows: int) -> None:
+    """Each clip's rows starts[i]:starts[i + 1] must be nonempty, and all of them cover the `rows` rows."""
     if len(starts) != len(clip_ids) + 1 or starts[0] != 0 or starts[-1] != rows:
         raise DataError(f"clips {clip_ids[:1]}..{clip_ids[-1:]} hold rows {starts[:1]}..{starts[-1:]} of {rows} "
                         f"(need {len(clip_ids) + 1} row starts from 0 to {rows})")
-    short = np.flatnonzero(np.diff(starts) < (0 if empty else 1))
-    if len(short):
-        raise DataError(f"clip {clip_ids[short[0]]!r} has no rows (need {'starts in order' if empty else 'S >= 1'})")
+    empty = np.flatnonzero(np.diff(starts) < 1)
+    if len(empty):
+        raise DataError(f"clip {clip_ids[empty[0]]!r} has no rows (need S >= 1)")
 
 
 def json_fallback(load):
@@ -282,7 +281,6 @@ def _json_list(texts: Iterator[str], size: int) -> str:
 def save_annotations(path, annotations: Annotations, taxonomy: Taxonomy) -> None:
     """Write one line per clip, byte for byte what `json.dumps` writes for its {clip_id, observed,
     future} record (no future if it has none), joined from one `format_actions` call over all actions."""
-    check_starts(annotations.clip_ids, annotations.starts, len(annotations.observed), empty=True)
     texts = iter(format_actions(annotations.actions()[0], taxonomy, as_json=True))
     horizon, sizes, futures = annotations.future.shape[1], np.diff(annotations.starts).tolist(), annotations.has_future
     atomic_write_text(path, ['{"clip_id": ' + json.dumps(clip_id) + ', "observed": ' + _json_list(texts, size)
@@ -386,7 +384,6 @@ def save_predictions(path, predictions: Predictions, taxonomy: Taxonomy) -> None
     """Write one line per clip, byte for byte what `json.dumps` writes for its {clip_id, candidates}
     record, joined from one `format_actions` call over all clips' actions; clips may differ in K."""
     starts, candidates = predictions.starts, predictions.candidates
-    check_starts(predictions.clip_ids, starts, len(candidates), empty=True)
     try:
         texts = iter(format_actions(candidates.reshape(-1, 2), taxonomy, as_json=True))
     except DataError as exc:  # name the clip of the first action at fault

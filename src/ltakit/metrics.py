@@ -139,8 +139,7 @@ def corpus_eval(
     clip_ids = list(compress(annotations.clip_ids, annotations.has_future.tolist()))
     if not clip_ids:
         raise DataError("no annotated clips carry a ground-truth future")
-    index = _index(predictions.clip_ids, "predictions")
-    at = _lookup(index, clip_ids)  # each scored clip's place in the predictions
+    at = _lookup(_index(predictions.clip_ids, "predictions"), clip_ids)  # each scored clip's place in the predictions
     missing = np.flatnonzero(at < 0)
     if len(missing):
         raise DataError(f"no prediction for clip {clip_ids[missing[0]]!r} ({len(missing)} missing in total)")
@@ -150,7 +149,7 @@ def corpus_eval(
 
     bounds = np.asarray(predictions.starts, np.intp)
     sizes, length, horizon = bounds[at + 1] - bounds[at], predictions.candidates.shape[1], annotations.future.shape[1]
-    bad = np.flatnonzero((sizes < 1) | (length != horizon))  # the first scored clip, if the lengths differ
+    bad = np.flatnonzero((sizes < 1) | (length != horizon))  # a length mismatch holds for every clip
     if len(bad):
         raise DataError(f"clip {clip_ids[bad[0]]!r}" + (" has no candidates (need K >= 1)" if sizes[bad[0]] < 1
                                                         else f": sequence length mismatch: {length} vs {horizon}"))
