@@ -160,8 +160,8 @@ def _cmd_anticipate(args) -> None:
             clip_id, history, args.horizon, args.candidates, position=position)
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             sets = list(pool.map(run_clip, range(len(clip_ids)), clip_ids, np.split(recognition.chosen, starts[1:-1])))
-        predictions = Predictions(clip_ids, [0, *np.cumsum([len(s) for s in sets], dtype=np.intp).tolist()],
-                                  np.concatenate([np.empty((0, args.horizon, 2), np.intp), *sets]))
+        predictions = Predictions(clip_ids, (np.arange(len(sets) + 1) * args.candidates).tolist(),  # K each
+                                  np.concatenate([np.empty((0, max(args.horizon, 0), 2), np.intp), *sets]))
     save_predictions(args.out, predictions, taxonomy)
     if args.llm_request_log and client is not None:
         atomic_write_text(args.llm_request_log, "".join(json.dumps(request) + "\n" for request in client.requests))

@@ -936,6 +936,26 @@ class TestConfigFile:
         assert "invalid JSON" in capsys.readouterr().err
 
 
+class TestNoClips:
+    @pytest.mark.parametrize("predictor, bad_horizon_code", [("repeat-last", 2), ("ngram", 2), ("llm", 0)])
+    def test_empty_recognition_file(self, tmp_path, capsys, predictor, bad_horizon_code):
+        # No clip to predict: an empty predictions file. A horizon below 1 is rejected by the
+        # table predictors even then; the llm path checks it per clip, so it has nothing to check.
+        (tmp_path / "taxonomy.txt").write_text("#verbs\ntake\n#nouns\nspoon\n")
+        (tmp_path / "recognition.jsonl").write_text("")
+        write_jsonl = lambda name, rows: (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in rows))
+        write_jsonl("train.jsonl", [{"clip_id": "t", "observed": ["take spoon"] * 2}])
+        (tmp_path / "script.json").write_text(json.dumps(["take spoon"]))
+        argv = ["anticipate", "--recognition", str(tmp_path / "recognition.jsonl"), "--taxonomy",
+                str(tmp_path / "taxonomy.txt"), "--predictor", predictor, "--train-annotations",
+                str(tmp_path / "train.jsonl"), "--llm-script", str(tmp_path / "script.json"),
+                "--out", str(tmp_path / "predictions.jsonl")]
+        assert run([*argv, "--horizon", "3"]) == 0
+        assert (tmp_path / "predictions.jsonl").read_text() == ""
+        assert run([*argv, "--horizon", "-1"]) == bad_horizon_code
+        assert capsys.readouterr().err == ("" if bad_horizon_code == 0 else "ltakit: error: horizon must be >= 1\n")
+
+
 class TestLlmPath:
     def test_scripted_llm_run_with_request_log(self, pipeline, tmp_path):
         taxonomy = load_taxonomy(pipeline["taxonomy"])
