@@ -4,7 +4,8 @@ Three families: a repeat-last baseline, order-m Markov (n-gram) rollouts
 with additive smoothing, and an LLM-backed predictor that renders a prompt,
 queries a chat endpoint, and parses the reply back into actions. All of
 them take the history as an L x 2 array of (verb id, noun id) rows and return
-exactly K candidate sequences of exactly the horizon length.
+exactly K candidate sequences of exactly the horizon length: `predict` for one
+clip, `predict_corpus` for a `Predictions` table (the LLM's on a thread pool).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fileio import load_json
-from .dataset_io import Predictions
+from .dataset_io import DEFAULT_HORIZON, Predictions, check_starts
 from .errors import DataError, LlmError
 from .taxonomy import Taxonomy, format_actions, parse_action
 
@@ -70,12 +71,6 @@ def load_prompt_template(path) -> PromptTemplate:
 def render_prompt(template: PromptTemplate, history: str, horizon: int) -> str:
     """Substitute the history text and the horizon into the user template."""
     return template.user_template.replace("{history}", history).replace("{Z}", str(int(horizon)))
-
-
-def format_action_history(actions: np.ndarray, taxonomy: Taxonomy) -> str:
-    if not len(actions):
-        raise DataError("cannot format an empty action history")
-    return ", ".join(format_actions(actions, taxonomy))
 
 
 @dataclass(eq=False)
@@ -175,20 +170,27 @@ def fit_ngram(actions: np.ndarray, starts: list[int], order: int, beta: float, t
     return NgramModel(order, beta, taxonomy.num_verbs, taxonomy.num_nouns, actions, starts)
 
 
-def _check_predict_args(clip_ids: list[str], starts: list[int], horizon: int, num_candidates: int) -> None:
-    empty = np.flatnonzero(np.diff(starts) < 1)
+def _check_predict_args(clip_ids: list[str], starts: list[int], rows: int, horizon: int, num_candidates: int) -> None:
+    empty = np.flatnonzero(np.diff(starts[: len(clip_ids) + 1]) < 1)  # starts past the clips: check_starts' error
     if len(empty):
         raise DataError(f"clip {clip_ids[empty[0]]!r}: empty history, nothing to anticipate from")
+    check_starts(clip_ids, starts, rows)
     if horizon < 1:
         raise DataError("horizon must be >= 1")
     if num_candidates < 1:
         raise DataError("need at least one candidate sequence")
 
 
+def _k_each(clip_ids: list[str], candidates: np.ndarray, num_candidates: int, horizon: int) -> Predictions:
+    """A table of the clips' candidates in clip order, K = `num_candidates` each: `candidates` as C*K x Z x 2."""
+    return Predictions(list(clip_ids), list(range(0, len(clip_ids) * num_candidates + 1, num_candidates)),
+                       candidates.reshape(-1, horizon, 2))
+
+
 class _TablePredictor:
     """`predict`, a clip's K x Z x 2 candidates, as `predict_corpus` on a table of one clip."""
 
-    def predict(self, clip_id: str, history: np.ndarray, horizon: int = 20,
+    def predict(self, clip_id: str, history: np.ndarray, horizon: int = DEFAULT_HORIZON,
                 num_candidates: int = DEFAULT_CANDIDATES) -> np.ndarray:
         return self.predict_corpus([clip_id], [0, len(history)], history, horizon, num_candidates).candidates
 
@@ -196,12 +198,11 @@ class _TablePredictor:
 class RepeatLastPredictor(_TablePredictor):
     """K copies of each clip's last observed action repeated across the horizon."""
 
-    def predict_corpus(self, clip_ids: list[str], starts: list[int], history: np.ndarray, horizon: int = 20,
-                       num_candidates: int = DEFAULT_CANDIDATES) -> Predictions:
-        _check_predict_args(clip_ids, starts, horizon, num_candidates)
+    def predict_corpus(self, clip_ids: list[str], starts: list[int], history: np.ndarray,
+                       horizon: int = DEFAULT_HORIZON, num_candidates: int = DEFAULT_CANDIDATES) -> Predictions:
+        _check_predict_args(clip_ids, starts, len(history), horizon, num_candidates)
         last = history[np.asarray(starts[1:], np.intp) - 1].astype(np.intp)
-        return Predictions(list(clip_ids), list(range(0, len(clip_ids) * num_candidates + 1, num_candidates)),
-                           np.repeat(last, num_candidates * horizon, axis=0).reshape(-1, horizon, 2))
+        return _k_each(clip_ids, np.repeat(last, num_candidates * horizon, axis=0), num_candidates, horizon)
 
 
 class NgramPredictor(_TablePredictor):
@@ -256,11 +257,11 @@ class NgramPredictor(_TablePredictor):
             raise DataError(f"n-gram weights with beta {model.beta} are not a finite distribution")
         np.divide(cdf, cdf[:, -1:].copy(), out=cdf)  # a copy: dividing by a view of cdf would copy cdf
 
-    def predict_corpus(self, clip_ids: list[str], starts: list[int], history: np.ndarray, horizon: int = 20,
-                       num_candidates: int = DEFAULT_CANDIDATES) -> Predictions:
+    def predict_corpus(self, clip_ids: list[str], starts: list[int], history: np.ndarray,
+                       horizon: int = DEFAULT_HORIZON, num_candidates: int = DEFAULT_CANDIDATES) -> Predictions:
         """predict() for every clip, clip i's history being rows starts[i]:starts[i + 1] of the L x 2
         `history`; each step advances all C*K rollouts."""
-        _check_predict_args(clip_ids, starts, horizon, num_candidates)
+        _check_predict_args(clip_ids, starts, len(history), horizon, num_candidates)
         span, greedy, pad = self.model.order - 1, self.mode == "greedy", self.model.num_actions
         num_nouns = self.model.num_nouns
         # Each rollout's ids: its context (its last m-1 history ids, padded on the left with the unseen
@@ -284,8 +285,7 @@ class NgramPredictor(_TablePredictor):
                 rows = keys.searchsorted(key)
                 rows[keys[rows] != key] = len(keys) - 1  # the sentinel's index: unseen from here on
             ids[:, span + step] = self._pool[rows, _search_right(self._cdf, rows, uniforms[:, step])]
-        return Predictions(list(clip_ids), list(range(0, len(clip_ids) * num_candidates + 1, num_candidates)),
-                           np.stack(np.divmod(ids[:, span:], num_nouns), axis=-1))
+        return _k_each(clip_ids, np.stack(np.divmod(ids[:, span:], num_nouns), axis=-1), num_candidates, horizon)
 
 
 def _search_right(cdf: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -305,23 +305,38 @@ class LlmPredictor:
 
     The first completion is requested at temperature 0, the rest at the client
     config's sampling temperature. Endpoint errors are re-raised with the clip
-    id attached.
+    id attached. `predict_corpus` predicts `workers` clips at a time.
     """
 
     def __init__(self, client, taxonomy: Taxonomy, template: PromptTemplate = DEFAULT_PROMPT,
-                 fallback: tuple[int, int] | None = None):
+                 fallback: tuple[int, int] | None = None, workers: int = 1):
+        if workers < 1:
+            raise DataError(f"workers must be >= 1, got {workers}")
         self.client = client
         self.taxonomy = taxonomy
         self.template = template
         self.fallback = fallback
+        self.workers = workers
 
-    def predict(self, clip_id: str, history: np.ndarray, horizon: int = 20,
+    def predict_corpus(self, clip_ids: list[str], starts: list[int], history: np.ndarray,
+                       horizon: int = DEFAULT_HORIZON, num_candidates: int = DEFAULT_CANDIDATES) -> Predictions:
+        """predict() for clip i on rows starts[i]:starts[i + 1] of the L x 2 `history`, on `workers` threads
+        that overlap endpoint waits. Each clip's place keys its requests, so the client's log is in clip order."""
+        from concurrent.futures import ThreadPoolExecutor  # only a run that asks an endpoint loads it
+        _check_predict_args(clip_ids, starts, len(history), horizon, num_candidates)
+        run_clip = lambda i: self.predict(clip_ids[i], history[starts[i] : starts[i + 1]], horizon,
+                                          num_candidates, position=i)
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            sets = list(pool.map(run_clip, range(len(clip_ids))))
+        return _k_each(clip_ids, np.array(sets, np.intp), num_candidates, horizon)
+
+    def predict(self, clip_id: str, history: np.ndarray, horizon: int = DEFAULT_HORIZON,
                 num_candidates: int = DEFAULT_CANDIDATES, *, position: int = 0) -> np.ndarray:
         """K completions for one clip, as a K x Z x 2 array. Candidate i's request is keyed (position, i) in the
         client's log, `position` being the clip's place in the corpus, so the log of clips
         predicted on several threads lists them by (clip, candidate, attempt)."""
-        _check_predict_args([clip_id], [0, len(history)], horizon, num_candidates)
-        user = render_prompt(self.template, format_action_history(history, self.taxonomy), horizon)
+        _check_predict_args([clip_id], [0, len(history)], len(history), horizon, num_candidates)
+        user = render_prompt(self.template, ", ".join(format_actions(history, self.taxonomy)), horizon)
         candidates = []
         for index in range(num_candidates):
             try:

@@ -15,11 +15,10 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from ._fileio import atomic_write_text, load_json
 from .anticipation import (
+    DEFAULT_CANDIDATES,
     DEFAULT_PROMPT,
     LlmPredictor,
     NgramPredictor,
@@ -30,7 +29,6 @@ from .anticipation import (
 from .cooccurrence import build_cooccurrence, load_matrix, save_matrix
 from .dataset_io import (
     DEFAULT_HORIZON,
-    Predictions,
     load_annotations,
     load_distributions,
     load_predictions,
@@ -102,20 +100,20 @@ def _cmd_recognize(args) -> None:
 
 
 def _build_predictor(args, taxonomy: Taxonomy):
-    """Predictor instance plus the client (when one exists) for request logging."""
+    """The predictor the flags ask for."""
     train = None
     if args.train_annotations:
         train = load_annotations(args.train_annotations, taxonomy, args.horizon)
 
     if args.predictor == "repeat-last":
-        return RepeatLastPredictor(), None
+        return RepeatLastPredictor()
 
     if args.predictor in ("ngram", "frequency"):
         if train is None:
             raise UsageError(f"--predictor {args.predictor} requires --train-annotations")
         order = 1 if args.predictor == "frequency" else args.order
         model = fit_ngram(*train.actions(), order, args.beta, taxonomy)
-        return NgramPredictor(model, args.mode, args.seed, args.sample_top_k), None
+        return NgramPredictor(model, args.mode, args.seed, args.sample_top_k)
 
     # LLM path: a scripted mock when --llm-script is given, a live client otherwise.
     # Both take their config from the same flags; scripted failures never sleep.
@@ -138,8 +136,7 @@ def _build_predictor(args, taxonomy: Taxonomy):
     client = MockLlmClient(load_script(args.llm_script), config) if args.llm_script else LlmClient(config)
     template = load_prompt_template(args.prompt_template) if args.prompt_template else DEFAULT_PROMPT
     fallback = fit_ngram(*train.actions(), 1, 1.0, taxonomy).most_frequent_action() if train else None
-    predictor = LlmPredictor(client, taxonomy, template, fallback)
-    return predictor, client
+    return LlmPredictor(client, taxonomy, template, fallback, workers=args.workers)
 
 
 def _cmd_anticipate(args) -> None:
@@ -148,23 +145,11 @@ def _cmd_anticipate(args) -> None:
     taxonomy = load_taxonomy(args.taxonomy)
     recognition = load_recognition(args.recognition, taxonomy)
     clip_ids, starts = recognition.clip_ids, recognition.starts
-    predictor, client = _build_predictor(args, taxonomy)
-
-    if client is None:
-        predictions = predictor.predict_corpus(clip_ids, starts, recognition.chosen, args.horizon, args.candidates)
-    else:
-        # Threads overlap endpoint waits; map() returns results in clip order, and each
-        # clip's position keys its requests, so the request log is in clip order too.
-        from concurrent.futures import ThreadPoolExecutor
-        run_clip = lambda position, clip_id, history: predictor.predict(
-            clip_id, history, args.horizon, args.candidates, position=position)
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            sets = list(pool.map(run_clip, range(len(clip_ids)), clip_ids, np.split(recognition.chosen, starts[1:-1])))
-        predictions = Predictions(clip_ids, (np.arange(len(sets) + 1) * args.candidates).tolist(),  # K each
-                                  np.concatenate([np.empty((0, max(args.horizon, 0), 2), np.intp), *sets]))
+    predictor = _build_predictor(args, taxonomy)
+    predictions = predictor.predict_corpus(clip_ids, starts, recognition.chosen, args.horizon, args.candidates)
     save_predictions(args.out, predictions, taxonomy)
-    if args.llm_request_log and client is not None:
-        atomic_write_text(args.llm_request_log, "".join(json.dumps(request) + "\n" for request in client.requests))
+    if args.llm_request_log and args.predictor == "llm":
+        atomic_write_text(args.llm_request_log, "".join(json.dumps(r) + "\n" for r in predictor.client.requests))
     print(f"wrote {len(clip_ids)} prediction sets ({args.candidates} x {args.horizon} each) to {args.out}")
 
 
@@ -302,7 +287,7 @@ def _build_parser() -> tuple[_Parser, _Parser, dict[str, argparse.Action], list[
     arg(p, "--order", type=int, default=2, help="n-gram order m")
     arg(p, "--beta", type=float, default=0.1, help="n-gram additive smoothing")
     arg(p, "--horizon", type=int, default=DEFAULT_HORIZON, help="future actions to predict (Z)")
-    arg(p, "--candidates", type=int, default=5, help="candidate sequences per clip (K)")
+    arg(p, "--candidates", type=int, default=DEFAULT_CANDIDATES, help="candidate sequences per clip (K)")
     arg(p, "--mode", choices=["greedy", "sample"], default="greedy", help="n-gram decoding mode")
     arg(p, "--seed", type=int, default=0, help="sampling seed")
     arg(p, "--sample-top-k", type=int, default=5, help="sampling truncation width")

@@ -281,11 +281,18 @@ def _json_list(texts: Iterator[str], size: int) -> str:
 def save_annotations(path, annotations: Annotations, taxonomy: Taxonomy) -> None:
     """Write one line per clip, byte for byte what `json.dumps` writes for its {clip_id, observed,
     future} record (no future if it has none), joined from one `format_actions` call over all actions."""
+    clip_ids, starts, rows = annotations.clip_ids, annotations.starts, len(annotations.observed)
+    if len(starts) != len(clip_ids) + 1 or starts[0] != 0 or starts[-1] != rows or (np.diff(starts) < 0).any():
+        raise DataError(f"clips {clip_ids[:1]}..{clip_ids[-1:]} hold observed rows {starts[:1]}..{starts[-1:]} of "
+                        f"{rows} (need {len(clip_ids) + 1} nondecreasing row starts from 0 to {rows})")
+    horizon, sizes, futures = annotations.future.shape[1], np.diff(starts).tolist(), annotations.has_future
+    if len(futures) != len(clip_ids) or len(annotations.future) != futures.sum():
+        raise DataError(f"{len(clip_ids)} clips with {len(futures)} has_future flags, {int(futures.sum())} set, "
+                        f"hold {len(annotations.future)} futures (need a flag per clip, a future per set flag)")
     texts = iter(format_actions(annotations.actions()[0], taxonomy, as_json=True))
-    horizon, sizes, futures = annotations.future.shape[1], np.diff(annotations.starts).tolist(), annotations.has_future
     atomic_write_text(path, ['{"clip_id": ' + json.dumps(clip_id) + ', "observed": ' + _json_list(texts, size)
                              + (', "future": ' + _json_list(texts, horizon) if future else "") + "}\n"
-                             for clip_id, size, future in zip(annotations.clip_ids, sizes, futures.tolist())])
+                             for clip_id, size, future in zip(clip_ids, sizes, futures.tolist())])
 
 
 def _probs(column: array, size: int) -> np.ndarray:
@@ -384,6 +391,7 @@ def save_predictions(path, predictions: Predictions, taxonomy: Taxonomy) -> None
     """Write one line per clip, byte for byte what `json.dumps` writes for its {clip_id, candidates}
     record, joined from one `format_actions` call over all clips' actions; clips may differ in K."""
     starts, candidates = predictions.starts, predictions.candidates
+    check_starts(predictions.clip_ids, starts, len(candidates))
     try:
         texts = iter(format_actions(candidates.reshape(-1, 2), taxonomy, as_json=True))
     except DataError as exc:  # name the clip of the first action at fault

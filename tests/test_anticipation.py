@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import tracemalloc
 import zlib
 
@@ -18,7 +19,6 @@ from ltakit.anticipation import (
     RepeatLastPredictor,
     _search_right,
     fit_ngram,
-    format_action_history,
     load_prompt_template,
     parse_response,
     render_prompt,
@@ -81,14 +81,6 @@ def table_conditional(model, ids) -> np.ndarray:
 
 
 class TestPromptPlumbing:
-    def test_format_action_history(self, kitchen):
-        text = format_action_history(actions((0, 0), (2, 1)), kitchen)
-        assert text == "take spoon, stir pot"
-
-    def test_format_action_history_empty_rejected(self, kitchen):
-        with pytest.raises(DataError, match="empty"):
-            format_action_history(actions(), kitchen)
-
     def test_render_prompt_substitutes_both(self):
         template = PromptTemplate("sys", "saw {history}; give {Z} more")
         assert render_prompt(template, "take spoon", 7) == "saw take spoon; give 7 more"
@@ -584,15 +576,42 @@ class TestCorpusRollouts:
             NgramPredictor(model)
 
     def test_first_empty_history_in_order_is_reported(self):
+        # Every predictor, the LLM's before it sends a request, and its one-clip predict too.
         taxonomy, records = tied_corpus()
-        predictor = NgramPredictor(fit(records, 2, 0.5, taxonomy))
-        histories = {"ok": actions((0, 0)), "first": actions(), "second": actions()}
-        with pytest.raises(DataError, match=r"^clip 'first': empty history, nothing to anticipate from$"):
-            predictor.predict_corpus(*corpus(histories), 5, 2)
-        with pytest.raises(DataError, match="horizon"):
-            predictor.predict_corpus(*corpus({"ok": actions((0, 0))}), 0, 2)
-        empty = predictor.predict_corpus(*corpus({}), 5, 2)
-        assert (empty.clip_ids, empty.starts, empty.candidates.shape) == ([], [0], (0, 5, 2))
+        client = MockLlmClient(["a x"])
+        for predictor in (NgramPredictor(fit(records, 2, 0.5, taxonomy)), RepeatLastPredictor(),
+                          LlmPredictor(client, taxonomy)):
+            histories = {"ok": actions((0, 0)), "first": actions(), "second": actions()}
+            with pytest.raises(DataError, match=r"^clip 'first': empty history, nothing to anticipate from$"):
+                predictor.predict_corpus(*corpus(histories), 5, 2)
+            with pytest.raises(DataError, match=r"^clip 'c': empty history"):
+                predictor.predict("c", actions(), 5, 2)
+            with pytest.raises(DataError, match="horizon"):
+                predictor.predict_corpus(*corpus({"ok": actions((0, 0))}), 0, 2)
+            empty = predictor.predict_corpus(*corpus({}), 5, 2)
+            assert (empty.clip_ids, empty.starts, empty.candidates.shape) == ([], [0], (0, 5, 2))
+            assert empty.candidates.dtype == np.intp
+        assert client.requests == []
+
+    @pytest.mark.parametrize("clip_ids, starts, message", [
+        (["a", "b"], [0, 1], r"^clips \['a'\]\.\.\['b'\] hold rows \[0\]\.\.\[1\] of 3 \(need 3 row starts"),
+        (["a"], [0, 5], r"^clips \['a'\]\.\.\['a'\] hold rows \[0\]\.\.\[5\] of 3 \(need 2 row starts"),
+        (["a", "b"], [1, 2, 3], r"^clips \['a'\]\.\.\['b'\] hold rows \[1\]\.\.\[3\] of 3"),
+        (["a", "b"], [0, 1, 2], r"^clips \['a'\]\.\.\['b'\] hold rows \[0\]\.\.\[2\] of 3"),
+        (["a"], [0, 3, 3], r"^clips \['a'\]\.\.\['a'\] hold rows \[0\]\.\.\[3\] of 3 \(need 2 row starts"),
+        (["a", "b", "c"], [0, 2, 1, 3], r"^clip 'b': empty history"),  # a start below the one before it
+    ], ids=["short", "outrun", "not-from-0", "rows-left-out", "extra-start", "decreasing"])
+    def test_starts_must_split_the_history(self, clip_ids, starts, message):
+        # Starts that leave rows out, outrun the history or do not begin at 0 are a DataError,
+        # not a table of the wrong size, another clip's context, or an IndexError.
+        taxonomy, records = tied_corpus()
+        client = MockLlmClient(["a x"])
+        history = actions((0, 0), (1, 1), (2, 0))
+        for predictor in (NgramPredictor(fit(records, 2, 0.5, taxonomy)), RepeatLastPredictor(),
+                          LlmPredictor(client, taxonomy)):
+            with pytest.raises(DataError, match=message):
+                predictor.predict_corpus(clip_ids, starts, history, 4, 1)
+        assert client.requests == []
 
     def test_greedy_single_candidate_seeds_no_generator(self, monkeypatch):
         # Greedy K=1 is the argmax rollout alone: no uniform is drawn, so no per-clip Generator is built.
@@ -696,6 +715,44 @@ class TestLlmPredictor:
         result = predictor.predict("c", actions((1, 1)), 3, 1)
         assert result[0].tolist() == [[2, 2]] * 3
         assert client.requests[0]["messages"][1]["content"] == "H=put pot Z=3"
+
+    HISTORIES = {"one": actions((0, 0)), "two": actions((1, 1), (2, 3)), "three": actions((3, 2), (0, 4), (1, 0))}
+
+    def test_predict_corpus_is_predict_per_clip_in_order(self, kitchen):
+        # Distinct replies: each clip's candidates and the request log follow clip order.
+        replies = [f"{verb} {noun}" for verb in ("take", "put", "stir") for noun in ("spoon", "pot", "cup")]
+        script = [Failure("blip"), *replies]
+        corpus_client, clip_client = MockLlmClient(script), MockLlmClient(script)
+        got = LlmPredictor(corpus_client, kitchen).predict_corpus(*corpus(self.HISTORIES), 2, 3)
+        assert (got.clip_ids, got.starts) == (list(self.HISTORIES), [0, 3, 6, 9])
+        assert got.candidates.dtype == np.intp and got.candidates.shape == (9, 2, 2)
+        per_clip = LlmPredictor(clip_client, kitchen)
+        for position, (clip_id, candidates) in enumerate(prediction_clips(got)):
+            want = per_clip.predict(clip_id, self.HISTORIES[clip_id], 2, 3, position=position)
+            assert np.array_equal(candidates, want)
+        assert corpus_client.requests == clip_client.requests and len(clip_client.requests) == 10
+
+    def test_workers_match_the_serial_run(self, kitchen):
+        # All replies alike, so arrival order cannot show in the candidates; the log is keyed by clip.
+        histories = {f"c{i}": self.HISTORIES[name] for i, name in enumerate(list(self.HISTORIES) * 4)}
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 4):
+                client = MockLlmClient(["take spoon, stir pot"] * 24)
+                runs.append((LlmPredictor(client, kitchen, workers=workers).predict_corpus(*corpus(histories), 2, 2),
+                             client.requests))
+        finally:
+            sys.setswitchinterval(interval)
+        (serial, serial_log), (pooled, pooled_log) = runs
+        assert (pooled.clip_ids, pooled.starts) == (serial.clip_ids, serial.starts)
+        assert np.array_equal(pooled.candidates, serial.candidates) and pooled_log == serial_log
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, kitchen, workers):
+        with pytest.raises(DataError, match=f"^workers must be >= 1, got {workers}$"):
+            LlmPredictor(MockLlmClient(["take spoon"]), kitchen, workers=workers)
 
     def test_script_exhaustion_not_swallowed(self, kitchen):
         client = MockLlmClient(["take spoon"])

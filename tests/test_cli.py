@@ -937,10 +937,10 @@ class TestConfigFile:
 
 
 class TestNoClips:
-    @pytest.mark.parametrize("predictor, bad_horizon_code", [("repeat-last", 2), ("ngram", 2), ("llm", 0)])
+    @pytest.mark.parametrize("predictor, bad_horizon_code", [("repeat-last", 2), ("ngram", 2), ("llm", 2)])
     def test_empty_recognition_file(self, tmp_path, capsys, predictor, bad_horizon_code):
-        # No clip to predict: an empty predictions file. A horizon below 1 is rejected by the
-        # table predictors even then; the llm path checks it per clip, so it has nothing to check.
+        # No clip to predict: an empty predictions file. A horizon below 1 is rejected even then:
+        # every predictor checks its arguments on the whole table before it predicts a clip.
         (tmp_path / "taxonomy.txt").write_text("#verbs\ntake\n#nouns\nspoon\n")
         (tmp_path / "recognition.jsonl").write_text("")
         write_jsonl = lambda name, rows: (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in rows))
@@ -953,7 +953,7 @@ class TestNoClips:
         assert run([*argv, "--horizon", "3"]) == 0
         assert (tmp_path / "predictions.jsonl").read_text() == ""
         assert run([*argv, "--horizon", "-1"]) == bad_horizon_code
-        assert capsys.readouterr().err == ("" if bad_horizon_code == 0 else "ltakit: error: horizon must be >= 1\n")
+        assert capsys.readouterr().err == "ltakit: error: horizon must be >= 1\n"
 
 
 class TestLlmPath:
@@ -1107,7 +1107,7 @@ class TestInstalledEntryPoints:
     def test_cli_import_pulls_in_no_http_library(self):
         # The live client uses the standard library (numpy and orjson are the runtime dependencies),
         # and imports its transport, which pulls in ssl and email, only when it sends a request.
-        # The thread pool is imported only where anticipate calls an LLM client.
+        # The thread pool is imported only where LlmPredictor.predict_corpus runs its clips.
         modules = {"requests", "urllib3", "http.client", "urllib.request", "ssl", "email", "concurrent.futures"}
         proc = subprocess.run(
             [sys.executable, "-c", f"import sys, ltakit.cli; print(sorted({modules!r} & set(sys.modules)))"],

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from ltakit.cli import run
 from ltakit.dataset_io import (
     Distributions,
+    Predictions,
     load_annotations,
     load_distributions,
     load_predictions,
@@ -527,8 +528,8 @@ class TestSaveDistributionsBytes:
 
 
 class TestWritersCheckStarts:
-    """Both segment writers refuse a table whose `starts` do not split its rows into nonempty clips,
-    with the error the re-rank kernels raise, and write nothing."""
+    """The segment writers and the predictions writer refuse a table whose `starts` do not split its
+    rows into nonempty clips, with the error the re-rank kernels raise, and write nothing."""
 
     NEED = "of 3 (need 3 row starts from 0 to 3)"
     CASES = {
@@ -538,7 +539,7 @@ class TestWritersCheckStarts:
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    @pytest.mark.parametrize("writer", ["distributions", "recognition"])
+    @pytest.mark.parametrize("writer", ["distributions", "recognition", "predictions"])
     def test_bad_starts_rejected(self, tmp_path, kitchen, writer, case):
         clip_ids, starts, message = self.CASES[case]
         distributions = Distributions(["a", "b"], [0, 2, 3], np.eye(3, 4), np.eye(3, 5))
@@ -546,9 +547,36 @@ class TestWritersCheckStarts:
         with pytest.raises(DataError) as info:
             if writer == "distributions":
                 save_distributions(path, dataclasses.replace(distributions, clip_ids=clip_ids, starts=starts))
+            elif writer == "predictions":
+                save_predictions(path, Predictions(clip_ids, starts, np.zeros((3, 2, 2), np.intp)), kitchen)
             else:
                 recognition = naive_clip(distributions)
                 save_recognition(path, dataclasses.replace(recognition, clip_ids=clip_ids, starts=starts), kitchen)
+        assert str(info.value) == message
+        assert not path.exists()
+
+    OBSERVED = "clips ['a']..['{}'] hold observed rows [{}]..[{}] of 3 (need {} nondecreasing row starts from 0 to 3)"
+    FUTURES = "2 clips with {} has_future flags, {} set, hold {} futures (need a flag per clip, a future per set flag)"
+    ANNOTATION_CASES = {
+        "rows-past-last-start": ({"starts": [0, 1, 2]}, OBSERVED.format("b", 0, 2, 3)),
+        "short-starts": ({"starts": [0, 3]}, OBSERVED.format("b", 0, 3, 3)),
+        "not-from-0": ({"starts": [1, 2, 3]}, OBSERVED.format("b", 1, 3, 3)),
+        "decreasing": ({"clip_ids": ["a", "b", "c"], "starts": [0, 2, 1, 3], "has_future": np.array([1, 0, 0], bool)},
+                       OBSERVED.format("c", 0, 3, 4)),
+        "flag-missing": ({"has_future": np.array([True])}, FUTURES.format(1, 1, 1)),
+        "future-missing": ({"has_future": np.array([True, True])}, FUTURES.format(2, 2, 1)),
+        "future-extra": ({"future": np.zeros((2, 1, 2), np.intp)}, FUTURES.format(2, 1, 2)),
+    }
+
+    @pytest.mark.parametrize("case", list(ANNOTATION_CASES))
+    def test_bad_annotations_rejected(self, tmp_path, kitchen, case):
+        # Observed runs may be empty, but the starts must cover every observed row and the futures
+        # match the flags; a table that breaks either would lose rows or futures in the file.
+        fields, message = self.ANNOTATION_CASES[case]
+        annotations = annotations_table([("a", [(0, 0), (1, 1)], [(2, 2)]), ("b", [(3, 3)])])
+        path = tmp_path / "annotations.jsonl"
+        with pytest.raises(DataError) as info:
+            save_annotations(path, dataclasses.replace(annotations, **fields), kitchen)
         assert str(info.value) == message
         assert not path.exists()
 
@@ -716,13 +744,14 @@ class TestPredictions:
 
     @given(st.data())
     def test_bytes_equal_json_dumps_of_each_record(self, data):
-        # Labels with quotes, backslashes, control and non-ASCII characters; K differs per clip,
-        # down to no candidates, Z down to empty candidates, and no clips at all.
+        # Labels with quotes, backslashes, control and non-ASCII characters; K differs per clip
+        # (K >= 1: the writer refuses a clip with none, as the loader does), Z down to empty
+        # candidates, and no clips at all.
         verbs, nouns = (data.draw(st.lists(ODD_LABEL, min_size=1, max_size=4, unique=True)) for _ in range(2))
         action = st.tuples(st.integers(0, len(verbs) - 1), st.integers(0, len(nouns) - 1))
         predictions, horizon = [], data.draw(st.integers(0, 4))
         for _ in range(data.draw(st.integers(0, 4))):
-            num_k = data.draw(st.integers(0, 3))
+            num_k = data.draw(st.integers(1, 3))
             pairs = data.draw(st.lists(action, min_size=num_k * horizon, max_size=num_k * horizon))
             predictions.append((data.draw(st.text(max_size=4)), actions(*pairs).reshape(num_k, horizon, 2)))
         with tempfile.TemporaryDirectory() as tmp:
