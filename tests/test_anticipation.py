@@ -81,6 +81,14 @@ def table_conditional(model, ids) -> np.ndarray:
 
 
 class TestPromptPlumbing:
+    def test_format_action_history_empty_rejected(self, kitchen):
+        # The prompt's history text is never built from an empty history: predict rejects it
+        # before rendering the prompt or sending a request.
+        client = MockLlmClient(["take spoon"])
+        with pytest.raises(DataError, match="empty"):
+            LlmPredictor(client, kitchen).predict("c", actions(), 5, 1)
+        assert client.requests == []
+
     def test_render_prompt_substitutes_both(self):
         template = PromptTemplate("sys", "saw {history}; give {Z} more")
         assert render_prompt(template, "take spoon", 7) == "saw take spoon; give 7 more"
