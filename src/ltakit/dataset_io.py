@@ -9,13 +9,12 @@ All three datasets are JSON lines, one record per line:
 `future` is optional (test-mode clips); when present it holds exactly the
 anticipation horizon worth of actions. Probability vectors are dense, one
 entry per vocabulary item. In memory every action is a (verb id, noun id)
-row, and each file loads as one corpus table of clip ids, row starts and flat
-arrays, clip i holding rows starts[i]:starts[i + 1]: observed actions in
-`Annotations` (futures are one F x Z x 2 array of the clips that have one),
-segments in `Distributions`, candidates in `Predictions`. `taxonomy` converts
-between ids and text. Annotations and predictions round-trip exactly;
-distributions are renormalized on load, so a vector whose float sum is not
-exactly 1 comes back rescaled by a few ulps and saves to different bytes.
+row, and each file loads as one corpus table (`Annotations`, `Distributions`,
+`Predictions`) of clip ids, row starts and flat arrays, which checks its own
+layout when built. `taxonomy` converts between ids and text. Annotations and
+predictions round-trip exactly; distributions are renormalized on load, so a
+vector whose float sum is not exactly 1 comes back rescaled by a few ulps and
+saves to different bytes.
 
 `StageFile` reads every stage file (per clip, or per segment here and in
 `recognition`) in one pass, and is the one place where their rules live. Lines
@@ -60,17 +59,31 @@ DEFAULT_HORIZON = 20
 SUM_TOLERANCE = 1e-4
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Annotations:
     """Annotated clips: clip `clip_ids[i]` observed the S x 2 rows starts[i]:starts[i + 1] of
     `observed` (possibly none). `future` is F x Z x 2, one Z-action future per clip that has one,
-    in clip order; `has_future` is the length-C bool mask of those clips."""
+    in clip order; `has_future` is the length-C bool mask of those clips. Construction checks the
+    shapes, C + 1 nondecreasing starts from 0 to S and a future per set flag; the arrays stay mutable."""
 
     clip_ids: list[str]
     starts: list[int]
     observed: np.ndarray
     future: np.ndarray
     has_future: np.ndarray
+
+    def __post_init__(self):
+        clip_ids, starts, futures = self.clip_ids, self.starts, self.has_future
+        observed, future = np.shape(self.observed), np.shape(self.future)
+        if observed[1:] != (2,) or future[2:] != (2,):
+            raise DataError(f"observed and future shapes {observed} and {future} (need S x 2 and F x Z x 2)")
+        rows = observed[0]
+        if len(starts) != len(clip_ids) + 1 or starts[0] != 0 or starts[-1] != rows or (np.diff(starts) < 0).any():
+            raise DataError(f"clips {clip_ids[:1]}..{clip_ids[-1:]} hold observed rows {starts[:1]}..{starts[-1:]} of "
+                            f"{rows} (need {len(clip_ids) + 1} nondecreasing row starts from 0 to {rows})")
+        if np.shape(futures) != (len(clip_ids),) or futures.dtype != bool or future[0] != futures.sum():
+            raise DataError(f"{len(clip_ids)} clips with {futures.size} has_future flags, {int(futures.sum())} set, "
+                            f"hold {future[0]} futures (need a flag per clip, a future per set flag)")
 
     def actions(self) -> tuple[np.ndarray, list[int]]:
         """Each clip's observed then future actions, end to end as one L x 2 array, and each clip's
@@ -81,25 +94,38 @@ class Annotations:
         return pairs, [0, *np.cumsum(np.bincount(clips, minlength=len(self.clip_ids))).tolist()]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Distributions:
-    """Per-segment probabilities of a corpus: S x |V| `verb_probs` and S x |N| `noun_probs`, clip
-    `clip_ids[i]` holding rows starts[i]:starts[i + 1] in segment order (C clips, C + 1 starts)."""
+    """Per-segment probabilities of a corpus: S x |V| `verb_probs` and S x |N| `noun_probs`, clip `clip_ids[i]`
+    holding rows starts[i]:starts[i + 1] in segment order, C + 1 starts from 0 to S that leave no clip empty.
+    Construction checks the shapes and starts; the arrays stay mutable."""
 
     clip_ids: list[str]
     starts: list[int]
     verb_probs: np.ndarray
     noun_probs: np.ndarray
 
+    def __post_init__(self):
+        verb, noun = np.shape(self.verb_probs), np.shape(self.noun_probs)
+        if not (len(verb) == len(noun) == 2 and verb[0] == noun[0]):
+            raise DataError(f"distribution shapes {verb} and {noun} do not match each other (need S x |V| and S x |N|)")
+        check_starts(self.clip_ids, self.starts, verb[0])
 
-@dataclass(eq=False)
+
+@dataclass(eq=False, frozen=True)
 class Predictions:
     """Candidate futures: clip `clip_ids[i]` holds candidates starts[i]:starts[i + 1] of the N x Z x 2
-    array `candidates`, [n, z] = (verb id, noun id); clips may differ in K."""
+    array `candidates`, [n, z] = (verb id, noun id); clips may differ in K. Construction checks the
+    shape and C + 1 starts from 0 to N that give every clip a candidate; the array stays mutable."""
 
     clip_ids: list[str]
     starts: list[int]
     candidates: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.candidates)[2:] != (2,):
+            raise DataError(f"candidates of shape {np.shape(self.candidates)} (need N x Z x 2)")
+        check_starts(self.clip_ids, self.starts, len(self.candidates))
 
 
 def check_starts(clip_ids: list[str], starts: list[int], rows: int) -> None:
@@ -281,18 +307,11 @@ def _json_list(texts: Iterator[str], size: int) -> str:
 def save_annotations(path, annotations: Annotations, taxonomy: Taxonomy) -> None:
     """Write one line per clip, byte for byte what `json.dumps` writes for its {clip_id, observed,
     future} record (no future if it has none), joined from one `format_actions` call over all actions."""
-    clip_ids, starts, rows = annotations.clip_ids, annotations.starts, len(annotations.observed)
-    if len(starts) != len(clip_ids) + 1 or starts[0] != 0 or starts[-1] != rows or (np.diff(starts) < 0).any():
-        raise DataError(f"clips {clip_ids[:1]}..{clip_ids[-1:]} hold observed rows {starts[:1]}..{starts[-1:]} of "
-                        f"{rows} (need {len(clip_ids) + 1} nondecreasing row starts from 0 to {rows})")
-    horizon, sizes, futures = annotations.future.shape[1], np.diff(starts).tolist(), annotations.has_future
-    if len(futures) != len(clip_ids) or len(annotations.future) != futures.sum():
-        raise DataError(f"{len(clip_ids)} clips with {len(futures)} has_future flags, {int(futures.sum())} set, "
-                        f"hold {len(annotations.future)} futures (need a flag per clip, a future per set flag)")
+    horizon, sizes, futures = annotations.future.shape[1], np.diff(annotations.starts).tolist(), annotations.has_future
     texts = iter(format_actions(annotations.actions()[0], taxonomy, as_json=True))
     atomic_write_text(path, ['{"clip_id": ' + json.dumps(clip_id) + ', "observed": ' + _json_list(texts, size)
                              + (', "future": ' + _json_list(texts, horizon) if future else "") + "}\n"
-                             for clip_id, size, future in zip(clip_ids, sizes, futures.tolist())])
+                             for clip_id, size, future in zip(annotations.clip_ids, sizes, futures.tolist())])
 
 
 def _probs(column: array, size: int) -> np.ndarray:
@@ -352,7 +371,6 @@ def save_distributions(path, table: Distributions) -> None:
     whose values are all distinct save nothing and pay for the unique and the
     join, up to ~1.3x slower: 0.33-0.35 -> 0.35-0.45 s on 1,280 Dirichlet rows.
     """
-    check_starts(table.clip_ids, table.starts, len(table.verb_probs))
     num_verbs = table.verb_probs.shape[1]
 
     def lines(clip_id: str, a: int, b: int) -> str:
@@ -391,7 +409,6 @@ def save_predictions(path, predictions: Predictions, taxonomy: Taxonomy) -> None
     """Write one line per clip, byte for byte what `json.dumps` writes for its {clip_id, candidates}
     record, joined from one `format_actions` call over all clips' actions; clips may differ in K."""
     starts, candidates = predictions.starts, predictions.candidates
-    check_starts(predictions.clip_ids, starts, len(candidates))
     try:
         texts = iter(format_actions(candidates.reshape(-1, 2), taxonomy, as_json=True))
     except DataError as exc:  # name the clip of the first action at fault

@@ -147,12 +147,11 @@ def corpus_eval(
     if len(extra):
         raise DataError(f"prediction for unknown clip {predictions.clip_ids[extra[0]]!r} ({len(extra)} extra in total)")
 
+    length, horizon = predictions.candidates.shape[1], annotations.future.shape[1]
+    if length != horizon:  # for every clip, so named by the first
+        raise DataError(f"clip {clip_ids[0]!r}: sequence length mismatch: {length} vs {horizon}")
     bounds = np.asarray(predictions.starts, np.intp)
-    sizes, length, horizon = bounds[at + 1] - bounds[at], predictions.candidates.shape[1], annotations.future.shape[1]
-    bad = np.flatnonzero((sizes < 1) | (length != horizon))  # a length mismatch holds for every clip
-    if len(bad):
-        raise DataError(f"clip {clip_ids[bad[0]]!r}" + (" has no candidates (need K >= 1)" if sizes[bad[0]] < 1
-                                                        else f": sequence length mismatch: {length} vs {horizon}"))
+    sizes = bounds[at + 1] - bounds[at]
 
     # A clip with fewer than K candidates repeats its first one, which changes
     # neither its minimum nor the lowest index that reaches it.

@@ -46,7 +46,7 @@ DEFAULT_TOP_K = 5
 BLOCK_SEGMENTS = 32
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Recognition:
     """Recognition output of a corpus: clip `clip_ids[i]` holds rows starts[i]:starts[i + 1].
 
@@ -55,6 +55,8 @@ class Recognition:
     pair taken instead. All rows' candidates lie end to end in row order, best
     first: C x 2 `candidates`, C `scores` and C `verb_anchored` branch flags,
     of which `counts[r]` belong to row r. Naive recognition has no candidates.
+    Construction checks the shapes, starts that run from 0 to S leaving no
+    clip empty, and counts that sum to C; the arrays stay mutable.
     """
 
     clip_ids: list[str]
@@ -66,6 +68,17 @@ class Recognition:
     verb_anchored: np.ndarray
     counts: np.ndarray
     fallback: np.ndarray
+
+    def __post_init__(self):
+        arrays = self.chosen, self.naive, self.candidates, self.scores, self.verb_anchored, self.counts, self.fallback
+        shapes = [np.shape(a) for a in arrays]
+        rows, size = shapes[0][:1], shapes[2][:1]  # (S,) and (C,) once the shapes match
+        if shapes != [rows + (2,), rows + (2,), size + (2,), size, size, rows, rows]:
+            raise DataError(f"recognition shapes {shapes} of chosen..fallback (need S x 2, S x 2, C x 2, C, C, S, S)")
+        check_starts(self.clip_ids, self.starts, rows[0])
+        if self.counts.dtype.kind not in "iu" or (self.counts < 0).any() or self.counts.sum() != size[0]:
+            raise DataError(f"candidate counts sum to {self.counts.sum()} over {size[0]} candidates "
+                            "(need S nonnegative integers summing to C)")
 
 
 def _branch(anchor_probs, other_probs, table, k: int):
@@ -84,16 +97,6 @@ def _branch(anchor_probs, other_probs, table, k: int):
 
 def _take(arrays, order) -> list[np.ndarray]:
     return [np.take_along_axis(a, order, axis=1) for a in arrays]
-
-
-def _check(table: Distributions, sizes: tuple[int, int] | None = None) -> None:
-    """The arrays must be S x |V| and S x |N|, `sizes` pinning (|V|, |N|), and every clip's rows a
-    nonempty run of them, the runs covering all S rows in order."""
-    verb, noun = table.verb_probs.shape, table.noun_probs.shape
-    if not (len(verb) == len(noun) == 2 and verb[0] == noun[0] and sizes in (None, (verb[1], noun[1]))):
-        target = "each other" if sizes is None else f"the {sizes[0]}x{sizes[1]} matrix"
-        raise DataError(f"distribution shapes {verb} and {noun} do not match {target} (need S x |V| and S x |N|)")
-    check_starts(table.clip_ids, table.starts, verb[0])
 
 
 def _rerank(verb_probs: np.ndarray, noun_probs: np.ndarray, matrix: CooccurrenceMatrix, k: int):
@@ -127,8 +130,11 @@ def recognize_clip(table: Distributions, matrix: CooccurrenceMatrix, k: int = DE
     BLOCK_SEGMENTS consecutive rows, views of the table's arrays that span
     clip boundaries, and the block results are joined once.
     """
-    _check(table, matrix.shape)
     num_verbs, num_nouns = matrix.shape
+    verb, noun = table.verb_probs.shape, table.noun_probs.shape
+    if (verb[1], noun[1]) != (num_verbs, num_nouns):
+        raise DataError(f"distribution shapes {verb} and {noun} do not match the {num_verbs}x{num_nouns} matrix "
+                        "(need S x |V| and S x |N|)")
     if k < 1 or k > min(num_verbs, num_nouns):
         raise DataError(f"top-k={k} needs 1 <= k <= min(|V|, |N|) = {min(num_verbs, num_nouns)}")
     verb_probs, noun_probs = table.verb_probs, table.noun_probs
@@ -144,7 +150,6 @@ def recognize_clip(table: Distributions, matrix: CooccurrenceMatrix, k: int = DE
 
 def naive_clip(table: Distributions) -> Recognition:
     """Ablation path: per-track argmax pairs, no co-occurrence candidates."""
-    _check(table)
     naive = np.stack([table.verb_probs.argmax(axis=1), table.noun_probs.argmax(axis=1)], axis=1)
     return Recognition(
         table.clip_ids, table.starts, naive.copy(), naive, np.empty((0, 2), np.intp), np.empty(0),
@@ -162,7 +167,6 @@ def save_recognition(path, table: Recognition, taxonomy: Taxonomy) -> None:
     score with `float.__repr__`, as `json.dumps` writes a finite float. Each
     clip's lines are written as they are made.
     """
-    check_starts(table.clip_ids, table.starts, len(table.chosen))
     bounds = [0, *np.cumsum(table.counts).tolist()]  # row r's candidates are bounds[r]:bounds[r + 1]
     try:
         chosen, naive, actions = (format_actions(pairs, taxonomy, as_json=True)

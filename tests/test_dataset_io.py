@@ -528,8 +528,8 @@ class TestSaveDistributionsBytes:
 
 
 class TestWritersCheckStarts:
-    """The segment writers and the predictions writer refuse a table whose `starts` do not split its
-    rows into nonempty clips, with the error the re-rank kernels raise, and write nothing."""
+    """A table whose `starts` do not split its rows into clips as its writer needs is refused when it
+    is built, so no writer is handed one and nothing is written."""
 
     NEED = "of 3 (need 3 row starts from 0 to 3)"
     CASES = {
@@ -540,18 +540,14 @@ class TestWritersCheckStarts:
 
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("writer", ["distributions", "recognition", "predictions"])
-    def test_bad_starts_rejected(self, tmp_path, kitchen, writer, case):
+    def test_bad_starts_rejected(self, tmp_path, writer, case):
         clip_ids, starts, message = self.CASES[case]
         distributions = Distributions(["a", "b"], [0, 2, 3], np.eye(3, 4), np.eye(3, 5))
+        table = {"distributions": distributions, "recognition": naive_clip(distributions),
+                 "predictions": Predictions(["a", "b"], [0, 2, 3], np.zeros((3, 2, 2), np.intp))}[writer]
         path = tmp_path / f"{writer}.jsonl"
         with pytest.raises(DataError) as info:
-            if writer == "distributions":
-                save_distributions(path, dataclasses.replace(distributions, clip_ids=clip_ids, starts=starts))
-            elif writer == "predictions":
-                save_predictions(path, Predictions(clip_ids, starts, np.zeros((3, 2, 2), np.intp)), kitchen)
-            else:
-                recognition = naive_clip(distributions)
-                save_recognition(path, dataclasses.replace(recognition, clip_ids=clip_ids, starts=starts), kitchen)
+            dataclasses.replace(table, clip_ids=clip_ids, starts=starts)
         assert str(info.value) == message
         assert not path.exists()
 
@@ -569,14 +565,14 @@ class TestWritersCheckStarts:
     }
 
     @pytest.mark.parametrize("case", list(ANNOTATION_CASES))
-    def test_bad_annotations_rejected(self, tmp_path, kitchen, case):
+    def test_bad_annotations_rejected(self, tmp_path, case):
         # Observed runs may be empty, but the starts must cover every observed row and the futures
         # match the flags; a table that breaks either would lose rows or futures in the file.
         fields, message = self.ANNOTATION_CASES[case]
         annotations = annotations_table([("a", [(0, 0), (1, 1)], [(2, 2)]), ("b", [(3, 3)])])
         path = tmp_path / "annotations.jsonl"
         with pytest.raises(DataError) as info:
-            save_annotations(path, dataclasses.replace(annotations, **fields), kitchen)
+            dataclasses.replace(annotations, **fields)
         assert str(info.value) == message
         assert not path.exists()
 

@@ -219,8 +219,9 @@ class TestClipEd:
             assert all(large <= small for large, small in zip(larger, smaller))
 
     def test_no_candidates_rejected(self):
-        with pytest.raises(DataError, match="K >= 1"):
-            clip_scores(("c", np.empty((0, 1, 2), np.intp)), actions([(0, 0)]))
+        # A clip with no candidates cannot form a table, so corpus_eval never sees one.
+        with pytest.raises(DataError, match=r"^clip 'c' has no rows \(need S >= 1\)$"):
+            predictions_table([("c", np.empty((0, 1, 2), np.intp))])
 
     def test_length_mismatch_names_clip(self):
         with pytest.raises(DataError, match="clip 'c9': sequence length mismatch: 2 vs 1"):
@@ -276,9 +277,9 @@ class TestArAccuracy:
             ar_accuracy(recog(), annotations_table([("c", [(0, 0)])]))
 
     def test_every_record_empty_rejected(self):
-        ann = annotations_table([("c", [(0, 0)]), ("d", [(1, 1)])])
-        with pytest.raises(DataError, match="no recognition results to score"):
-            ar_accuracy(recog(c=[], d=[]), ann)
+        # A recognized clip holds at least one segment, so a table of empty clips is refused when built.
+        with pytest.raises(DataError, match=r"^clip 'c' has no rows \(need S >= 1\)$"):
+            recog(c=[], d=[])
 
 
 def observed_rows_oracle(recognized, annotations):
@@ -330,6 +331,8 @@ class TestObservedRowsGather:
         if want:  # ar_accuracy scores a recognition of those rows, one of them off in the noun
             chosen = actions(want)
             chosen[0, 1] += 1
+            recognized = [(clip_id, count) for clip_id, count in recognized if count]  # a recognized clip has rows
+            starts = np.cumsum([0] + [count for _, count in recognized]).tolist()
             rec = Recognition([clip_id for clip_id, _ in recognized], starts, chosen, chosen, actions([]), np.empty(0),
                               np.empty(0, bool), np.zeros(len(want), np.intp), np.zeros(len(want), bool))
             noun = 100.0 * (len(want) - 1) / len(want)

@@ -209,15 +209,17 @@ class TestRerank:
         ],
     )
     def test_mismatched_rows_or_columns_rejected(self, verb_shape, noun_shape, naive_rejects):
+        # Arrays whose rows differ, or that are not 2-D, cannot form a table; columns are pinned by the matrix.
         matrix = CooccurrenceMatrix(np.ones((3, 4)))
-        clip = Distributions(["c"], [0, verb_shape[0]], np.full(verb_shape, 0.25), np.full(noun_shape, 0.25))
-        with pytest.raises(DataError, match=r"^distribution shapes .* the 3x4 matrix"):
-            recognize_clip(clip, matrix, k=2)
+        fields = ["c"], [0, verb_shape[0]], np.full(verb_shape, 0.25), np.full(noun_shape, 0.25)
         if naive_rejects:
             with pytest.raises(DataError, match=r"^distribution shapes .* do not match each other"):
-                naive_clip(clip)
-        else:
-            assert len(naive_clip(clip).chosen) == verb_shape[0]
+                Distributions(*fields)
+            return
+        clip = Distributions(*fields)
+        with pytest.raises(DataError, match=r"^distribution shapes .* the 3x4 matrix"):
+            recognize_clip(clip, matrix, k=2)
+        assert len(naive_clip(clip).chosen) == verb_shape[0]
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_k_bounds_checked_against_min_dim(self, k):
@@ -271,11 +273,9 @@ class TestClipLevel:
             load_recognition(path, kitchen)
 
     def test_empty_clip_rejected(self):
-        clip = Distributions(["c"], [0, 0], np.empty((0, 2)), np.empty((0, 2)))
+        # A clip with no segments cannot form a table, so neither recognize_clip nor naive_clip sees one.
         with pytest.raises(DataError, match=r"clip 'c'.*S >= 1"):
-            recognize_clip(clip, CooccurrenceMatrix(np.ones((2, 2))))
-        with pytest.raises(DataError, match=r"clip 'c'.*S >= 1"):
-            naive_clip(clip)
+            Distributions(["c"], [0, 0], np.empty((0, 2)), np.empty((0, 2)))
 
     def test_naive_clip_is_pure_argmax(self):
         clip = make_clip([[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.4, 0.1], [0.1, 0.3, 0.6]], "c")
@@ -516,12 +516,9 @@ class TestBlocks:
             (1, 2, 5, 6): r"^clips \['c0'\]\.\.\['c2'\] hold rows \[1\]\.\.\[6\] of 6",
             (0, 2, 6): r"^clips \['c0'\]\.\.\['c2'\] hold rows \[0\]\.\.\[6\] of 6 \(need 4 row starts",
         }
-        for starts, message in cases.items():
-            bad = Distributions(whole.clip_ids, list(starts), whole.verb_probs, whole.noun_probs)
+        for starts, message in cases.items():  # refused when built, before recognize_clip or naive_clip
             with pytest.raises(DataError, match=message):
-                recognize_clip(bad, CooccurrenceMatrix(np.ones((3, 4))), 2)
-            with pytest.raises(DataError, match=message):
-                naive_clip(bad)
+                Distributions(whole.clip_ids, list(starts), whole.verb_probs, whole.noun_probs)
 
 
 # Labels JSON escapes: a quote, a backslash, a tab, non-ASCII, and a character outside the BMP.
