@@ -64,7 +64,8 @@ class Annotations:
     """Annotated clips: clip `clip_ids[i]` observed the S x 2 rows starts[i]:starts[i + 1] of
     `observed` (possibly none). `future` is F x Z x 2, one Z-action future per clip that has one,
     in clip order; `has_future` is the length-C bool mask of those clips. Construction checks the
-    shapes, C + 1 nondecreasing starts from 0 to S and a future per set flag; the arrays stay mutable."""
+    shapes, distinct clip ids, C + 1 nondecreasing starts from 0 to S and a future per set flag; the
+    arrays stay mutable."""
 
     clip_ids: list[str]
     starts: list[int]
@@ -77,6 +78,7 @@ class Annotations:
         observed, future = np.shape(self.observed), np.shape(self.future)
         if observed[1:] != (2,) or future[2:] != (2,):
             raise DataError(f"observed and future shapes {observed} and {future} (need S x 2 and F x Z x 2)")
+        check_clip_ids(clip_ids, "annotations")
         rows = observed[0]
         if len(starts) != len(clip_ids) + 1 or starts[0] != 0 or starts[-1] != rows or (np.diff(starts) < 0).any():
             raise DataError(f"clips {clip_ids[:1]}..{clip_ids[-1:]} hold observed rows {starts[:1]}..{starts[-1:]} of "
@@ -98,7 +100,7 @@ class Annotations:
 class Distributions:
     """Per-segment probabilities of a corpus: S x |V| `verb_probs` and S x |N| `noun_probs`, clip `clip_ids[i]`
     holding rows starts[i]:starts[i + 1] in segment order, C + 1 starts from 0 to S that leave no clip empty.
-    Construction checks the shapes and starts; the arrays stay mutable."""
+    Construction checks the shapes, distinct clip ids and the starts; the arrays stay mutable."""
 
     clip_ids: list[str]
     starts: list[int]
@@ -109,6 +111,7 @@ class Distributions:
         verb, noun = np.shape(self.verb_probs), np.shape(self.noun_probs)
         if not (len(verb) == len(noun) == 2 and verb[0] == noun[0]):
             raise DataError(f"distribution shapes {verb} and {noun} do not match each other (need S x |V| and S x |N|)")
+        check_clip_ids(self.clip_ids, "distributions")
         check_starts(self.clip_ids, self.starts, verb[0])
 
 
@@ -116,7 +119,8 @@ class Distributions:
 class Predictions:
     """Candidate futures: clip `clip_ids[i]` holds candidates starts[i]:starts[i + 1] of the N x Z x 2
     array `candidates`, [n, z] = (verb id, noun id); clips may differ in K. Construction checks the
-    shape and C + 1 starts from 0 to N that give every clip a candidate; the array stays mutable."""
+    shape, distinct clip ids and C + 1 starts from 0 to N that give every clip a candidate; the array
+    stays mutable."""
 
     clip_ids: list[str]
     starts: list[int]
@@ -125,7 +129,18 @@ class Predictions:
     def __post_init__(self):
         if np.shape(self.candidates)[2:] != (2,):
             raise DataError(f"candidates of shape {np.shape(self.candidates)} (need N x Z x 2)")
+        check_clip_ids(self.clip_ids, "predictions")
         check_starts(self.clip_ids, self.starts, len(self.candidates))
+
+
+def check_clip_ids(clip_ids: list[str], table: str) -> None:
+    """Each clip id names one clip (every loader refuses a file that repeats one); the first id
+    given again is the error."""
+    seen = set()
+    for clip_id in clip_ids:
+        if clip_id in seen:
+            raise DataError(f"duplicate clip id {clip_id!r} in {table}")
+        seen.add(clip_id)
 
 
 def check_starts(clip_ids: list[str], starts: list[int], rows: int) -> None:

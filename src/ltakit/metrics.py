@@ -82,25 +82,16 @@ class EvalReport:
     best: np.ndarray
 
 
-def _index(clip_ids: list[str], where: str) -> dict[str, int]:
-    """Each clip id's index in `clip_ids`; an id given twice is a DataError naming the first repeat."""
-    index = dict(zip(reversed(clip_ids), range(len(clip_ids) - 1, -1, -1)))  # the first index of each id
-    if len(index) < len(clip_ids):
-        firsts = np.fromiter(map(index.get, clip_ids), np.intp, len(clip_ids))
-        repeat_at = np.flatnonzero(firsts != np.arange(len(clip_ids)))[0]
-        raise DataError(f"duplicate clip id {clip_ids[repeat_at]!r} in {where}")
-    return index
-
-
-def _lookup(index: dict[str, int], clip_ids: list[str]) -> np.ndarray:
-    """Each clip id's index, -1 where `index` lacks it."""
+def _lookup(ids: list[str], clip_ids: list[str]) -> np.ndarray:
+    """Each of `clip_ids`' index in `ids`, a table's distinct clip ids; -1 where `ids` lacks it."""
+    index = dict(zip(ids, range(len(ids))))
     return np.fromiter(map(index.get, clip_ids, repeat(-1)), np.intp, len(clip_ids))
 
 
 def observed_rows(clip_ids, starts, annotations: Annotations) -> np.ndarray:
     """The annotated observed action of each recognized segment: clip `clip_ids[i]` has
     segments starts[i]:starts[i + 1], which must not outrun its observed actions."""
-    at, starts = _lookup(_index(annotations.clip_ids, "annotations"), clip_ids), np.asarray(starts, np.intp)
+    at, starts = _lookup(annotations.clip_ids, clip_ids), np.asarray(starts, np.intp)
     bounds, counts = np.asarray(annotations.starts, np.intp), np.diff(starts)
     sizes = bounds[at + 1] - bounds[at]
     bad = np.flatnonzero((at < 0) | (counts > sizes))
@@ -135,15 +126,14 @@ def corpus_eval(
     clip order cannot change them). AR accuracies are filled in only when
     recognition results are supplied.
     """
-    _index(annotations.clip_ids, "annotations")
     clip_ids = list(compress(annotations.clip_ids, annotations.has_future.tolist()))
     if not clip_ids:
         raise DataError("no annotated clips carry a ground-truth future")
-    at = _lookup(_index(predictions.clip_ids, "predictions"), clip_ids)  # each scored clip's place in the predictions
+    at = _lookup(predictions.clip_ids, clip_ids)  # each scored clip's place in the predictions
     missing = np.flatnonzero(at < 0)
     if len(missing):
         raise DataError(f"no prediction for clip {clip_ids[missing[0]]!r} ({len(missing)} missing in total)")
-    extra = np.flatnonzero(_lookup(dict.fromkeys(clip_ids, 0), predictions.clip_ids) < 0)  # in predictions order
+    extra = np.flatnonzero(_lookup(clip_ids, predictions.clip_ids) < 0)  # in predictions order
     if len(extra):
         raise DataError(f"prediction for unknown clip {predictions.clip_ids[extra[0]]!r} ({len(extra)} extra in total)")
 

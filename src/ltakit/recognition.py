@@ -14,10 +14,19 @@ verb-anchored one on an exact tie), and the chosen pair is the highest
 score. Ties everywhere break toward the lower verb index, then the lower
 noun index.
 
+An unsmoothed matrix is mostly zeros. Where row_stochastic[v][n] is 0, q_v(n)
+is exactly 0 (probabilities are finite), and the nouns tied there lose to
+every lower noun index, so v's k best nouns lie among its nonzero nouns and
+its first k others. Each anchor scores only those columns, padded to one
+width per matrix (every column of a smoothed one); the lists are built once
+per `recognize_clip` call. The cut of each branch's k*k pairs and the union
+select complex numbers -score + key*1j, which numpy orders by score, then by
+the integer key that breaks the ties.
+
 Results form one `Recognition` table of arrays, with no object per segment or
 candidate. Every step scores a segment on its own, so `recognize_clip` runs
-on blocks of BLOCK_SEGMENTS consecutive rows of the corpus arrays (views that
-span clip boundaries) and joins the block results once. `save_recognition`
+on blocks of consecutive rows of the corpus arrays (views that span clip
+boundaries) and joins the block results once. `save_recognition`
 formats its lines straight from the table's arrays.
 """
 
@@ -32,7 +41,7 @@ import numpy as np
 
 from ._fileio import atomic_write_text
 from .cooccurrence import CooccurrenceMatrix
-from .dataset_io import Distributions, StageFile, check_starts, json_fallback
+from .dataset_io import Distributions, StageFile, check_clip_ids, check_starts, json_fallback
 from .errors import DataError
 from .taxonomy import Taxonomy, format_actions
 
@@ -41,9 +50,13 @@ BRANCH_NOUN = "noun_anchored"
 
 DEFAULT_TOP_K = 5
 
-# Segments per re-ranked block. The largest intermediates of a block are
-# BLOCK_SEGMENTS x k x max(|V|, |N|) arrays: 0.4 MB each at 97 x 300, k = 5.
-BLOCK_SEGMENTS = 32
+# Segments per re-ranked block. The largest intermediates of a block are S x k x w
+# arrays, w the width of the column lists, so a block holds fewer segments where
+# k x w is large: at most BLOCK_VALUES values each (384 KB of float64). At k = 5
+# and w = 9 (97 x 300, at most 4 nouns a verb) that is 128 segments; at w = 300
+# (a smoothed matrix) 32; at k = 97, 4 or fewer.
+BLOCK_SEGMENTS = 128
+BLOCK_VALUES = 48_000
 
 
 @dataclass(eq=False, frozen=True)
@@ -55,8 +68,9 @@ class Recognition:
     pair taken instead. All rows' candidates lie end to end in row order, best
     first: C x 2 `candidates`, C `scores` and C `verb_anchored` branch flags,
     of which `counts[r]` belong to row r. Naive recognition has no candidates.
-    Construction checks the shapes, starts that run from 0 to S leaving no
-    clip empty, and counts that sum to C; the arrays stay mutable.
+    Construction checks the shapes, distinct clip ids, starts that run from 0
+    to S leaving no clip empty, and counts that sum to C; the arrays stay
+    mutable.
     """
 
     clip_ids: list[str]
@@ -75,51 +89,91 @@ class Recognition:
         rows, size = shapes[0][:1], shapes[2][:1]  # (S,) and (C,) once the shapes match
         if shapes != [rows + (2,), rows + (2,), size + (2,), size, size, rows, rows]:
             raise DataError(f"recognition shapes {shapes} of chosen..fallback (need S x 2, S x 2, C x 2, C, C, S, S)")
+        check_clip_ids(self.clip_ids, "recognition")
         check_starts(self.clip_ids, self.starts, rows[0])
         if self.counts.dtype.kind not in "iu" or (self.counts < 0).any() or self.counts.sum() != size[0]:
             raise DataError(f"candidate counts sum to {self.counts.sum()} over {size[0]} candidates "
                             "(need S nonnegative integers summing to C)")
 
 
-def _branch(anchor_probs, other_probs, table, k: int):
-    """Score one branch for S segments: S x k*k scores, anchor ids and other ids.
+def _columns(table: np.ndarray, k: int):
+    """Each anchor's candidate columns, A x w ids in ascending order, and the table's A x w values
+    there; the ids are None when w is every column.
 
-    `table[a]` is the other track's distribution given anchor a. Both top-k
-    steps sort stably, so equal values keep index order.
+    Where table[a, n] == 0 the adjusted score of n is exactly 0, and ties go to the lower column, so
+    anchor a's top k lies among its nonzero columns and its first k zero columns. Each anchor keeps
+    those and its next zero columns up to one width w, the largest nonzero count plus k.
+    """
+    num = table.shape[1]
+    keep = table != 0
+    nnz = keep.sum(axis=1)
+    width = min(num, int(nnz.max()) + k)
+    if width == num:  # a smoothed matrix: nothing to skip
+        return None, table
+    # Row a keeps its first width - nnz[a] zero columns, which lie below column `width`.
+    keep[:, :width] |= np.cumsum(~keep[:, :width], axis=1) <= (width - nnz)[:, None]
+    columns = (np.flatnonzero(keep) % num).reshape(len(table), width)
+    return columns, np.take_along_axis(table, columns, axis=1)
+
+
+def _top(values, ids, k: int) -> np.ndarray:
+    """The k best entries of each row by (-value, id), unordered, as complex numbers -value + id*1j.
+
+    numpy orders complex numbers by real part, then imaginary part, so one selection over them
+    breaks ties toward the lower id. Ids are integers below 2**53, so they are exact as floats.
+    """
+    keyed = np.empty(np.broadcast_shapes(np.shape(values), np.shape(ids)), np.complex128)
+    np.negative(values, out=keyed.real)
+    keyed.imag = ids
+    keyed.partition(k - 1, axis=-1)
+    return keyed[..., :k]
+
+
+def _branch(anchor_probs, other_probs, columns, values, k: int):
+    """Score one branch for S segments: S x k x k scores, S x k x 1 anchor ids and S x k x k other ids.
+
+    `values[a]` is the other track's distribution given anchor a at the ascending columns `columns[a]`
+    (every column when None, see `_columns`). Both top-k steps sort stably, so equal values keep
+    column order.
     """
     anchors = np.argsort(-anchor_probs, axis=1, kind="stable")[:, :k]
-    adjusted = other_probs[:, None, :] * table[anchors]
-    others = np.argsort(-adjusted, axis=2, kind="stable")[:, :, :k]
+    if columns is None:  # every column: positions are column ids
+        others, other_p = None, other_probs[:, None, :]
+    else:  # each row's probabilities at its anchors' columns, gathered from the flat rows
+        others = columns[anchors]
+        other_p = np.take(other_probs, others + np.arange(0, other_probs.size, other_probs.shape[1])[:, None, None])
+    adjusted = other_p * values[anchors]
+    top = np.argsort(-adjusted, axis=2, kind="stable")[:, :, :k]
     anchor_p = np.take_along_axis(anchor_probs, anchors, axis=1)
-    scores = anchor_p[..., None] * np.take_along_axis(adjusted, others, axis=2)
-    return scores.reshape(-1, k * k), np.repeat(anchors, k, axis=1), others.reshape(-1, k * k)
+    scores = anchor_p[..., None] * np.take_along_axis(adjusted, top, axis=2)
+    return scores, anchors[..., None], top if others is None else np.take_along_axis(others, top, axis=2)
 
 
-def _take(arrays, order) -> list[np.ndarray]:
-    return [np.take_along_axis(a, order, axis=1) for a in arrays]
-
-
-def _rerank(verb_probs: np.ndarray, noun_probs: np.ndarray, matrix: CooccurrenceMatrix, k: int):
+def _rerank(verb_probs: np.ndarray, noun_probs: np.ndarray, rows, cols, k: int):
     """One block's re-ranked rows: each row's best pair, then its candidates, scores, branch flags,
-    count and fallback flag as in `Recognition`. The largest intermediates are S x k x
-    max(|V|, |N|) scores and an S x 2k x 2k duplicate mask."""
-    v_scores, v_verbs, v_nouns = _branch(verb_probs, noun_probs, matrix.row_stochastic, k)
-    n_scores, n_nouns, n_verbs = _branch(noun_probs, verb_probs, matrix.col_stochastic.T, k)
-    cuts = [  # each branch keeps its k best by (-score, verb, noun)
-        _take((s, v, n), np.lexsort((n, v, -s), axis=1)[:, :k])
-        for s, v, n in ((v_scores, v_verbs, v_nouns), (n_scores, n_verbs, n_nouns))
+    count and fallback flag as in `Recognition`. `rows` and `cols` are the `_columns` of the row-
+    and column-stochastic forms. The largest intermediates are S x k x w adjusted scores and S x k*k
+    cut keys."""
+    num_nouns = noun_probs.shape[1]
+    v_scores, v_verbs, v_nouns = _branch(verb_probs, noun_probs, *rows, k)
+    n_scores, n_nouns, n_verbs = _branch(noun_probs, verb_probs, *cols, k)
+    # Each branch keeps its k best by (-score, verb, noun): the key is the action's code times 2,
+    # plus 1 for the noun-anchored branch, so on an exact tie the verb-anchored entry sorts first.
+    cuts = [
+        _top(s.reshape(-1, k * k), (2 * (v * num_nouns + n) + branch).reshape(-1, k * k), k)
+        for s, v, n, branch in ((v_scores, v_verbs, v_nouns, 0), (n_scores, n_verbs, n_nouns, 1))
     ]
-    scores, verbs, nouns = (np.concatenate(c, axis=1) for c in zip(*cuts))
-    # Verb-anchored entries fill columns 0..k-1, so the column as last key breaks
-    # an exact tie toward them; then each action keeps its first entry.
-    columns = np.broadcast_to(np.arange(2 * k), scores.shape)
-    order = np.lexsort((columns, nouns, verbs, -scores), axis=1)
-    scores, verbs, nouns, columns = _take((scores, verbs, nouns, columns), order)
-    same = (verbs[:, :, None] == verbs[:, None, :]) & (nouns[:, :, None] == nouns[:, None, :])
-    first = ~np.tril(same, -1).any(axis=2)  # no earlier entry of the row holds this action
+    merged = np.sort(np.concatenate(cuts, axis=1), axis=1)
+    scores, keys = -merged.real, merged.imag.astype(np.intp)
+    actions = keys >> 1
+    verbs, nouns = np.divmod(actions, num_nouns)
+    # Each action keeps its first entry of the row: the first index of each (row, action) code.
+    codes = actions + np.arange(len(keys))[:, None] * (verb_probs.shape[1] * num_nouns)
+    first = np.zeros(keys.shape, bool)
+    first.flat[np.unique(codes, return_index=True)[1]] = True
     return (
         np.stack([verbs[:, 0], nouns[:, 0]], axis=1), np.stack([verbs[first], nouns[first]], axis=1),
-        scores[first], columns[first] < k, first.sum(axis=1), ~(scores[:, 0] > 0.0),
+        scores[first], keys[first] & 1 == 0, first.sum(axis=1), ~(scores[:, 0] > 0.0),
     )
 
 
@@ -127,8 +181,9 @@ def recognize_clip(table: Distributions, matrix: CooccurrenceMatrix, k: int = DE
     """Re-rank every segment of a table (one clip or a corpus).
 
     Each segment is scored on its own, so the rows are taken in blocks of
-    BLOCK_SEGMENTS consecutive rows, views of the table's arrays that span
-    clip boundaries, and the block results are joined once.
+    BLOCK_SEGMENTS consecutive rows (fewer where a block's k x w values would
+    exceed BLOCK_VALUES), views of the table's arrays that span clip
+    boundaries, and the block results are joined once.
     """
     num_verbs, num_nouns = matrix.shape
     verb, noun = table.verb_probs.shape, table.noun_probs.shape
@@ -138,9 +193,12 @@ def recognize_clip(table: Distributions, matrix: CooccurrenceMatrix, k: int = DE
     if k < 1 or k > min(num_verbs, num_nouns):
         raise DataError(f"top-k={k} needs 1 <= k <= min(|V|, |N|) = {min(num_verbs, num_nouns)}")
     verb_probs, noun_probs = table.verb_probs, table.noun_probs
+    rows, cols = _columns(matrix.row_stochastic, k), _columns(matrix.col_stochastic.T, k)
+    width = max(values.shape[1] for _, values in (rows, cols))
+    size = max(1, min(BLOCK_SEGMENTS, BLOCK_VALUES // (k * width)))
     blocks = [
-        _rerank(verb_probs[lo : lo + BLOCK_SEGMENTS], noun_probs[lo : lo + BLOCK_SEGMENTS], matrix, k)
-        for lo in range(0, max(len(verb_probs), 1), BLOCK_SEGMENTS)  # an empty table is one empty block
+        _rerank(verb_probs[lo : lo + size], noun_probs[lo : lo + size], rows, cols, k)
+        for lo in range(0, max(len(verb_probs), 1), size)  # an empty table is one empty block
     ]
     best, candidates, scores, verb_anchored, counts, fallback = (np.concatenate(c) for c in zip(*blocks))
     naive = naive_clip(table).naive

@@ -198,9 +198,9 @@ class TestAnnotations:
         action = st.tuples(st.integers(0, len(verbs) - 1), st.integers(0, len(nouns) - 1))
         horizon = data.draw(st.integers(0, 4))
         future = st.lists(action, min_size=horizon, max_size=horizon).map(lambda pairs: actions(*pairs))
-        records = [(data.draw(st.text(max_size=4)), actions(*data.draw(st.lists(action, max_size=4))),
-                    data.draw(st.none() | future))
-                   for _ in range(data.draw(st.integers(0, 4)))]
+        clip_ids = data.draw(st.lists(st.text(max_size=4), max_size=4, unique=True))  # an id names one clip
+        records = [(clip_id, actions(*data.draw(st.lists(action, max_size=4))), data.draw(st.none() | future))
+                   for clip_id in clip_ids]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "ann.jsonl"
             save_annotations(path, annotations_table(records, horizon), Taxonomy(verbs, nouns))
@@ -746,10 +746,10 @@ class TestPredictions:
         verbs, nouns = (data.draw(st.lists(ODD_LABEL, min_size=1, max_size=4, unique=True)) for _ in range(2))
         action = st.tuples(st.integers(0, len(verbs) - 1), st.integers(0, len(nouns) - 1))
         predictions, horizon = [], data.draw(st.integers(0, 4))
-        for _ in range(data.draw(st.integers(0, 4))):
+        for clip_id in data.draw(st.lists(st.text(max_size=4), max_size=4, unique=True)):  # ids name one clip
             num_k = data.draw(st.integers(1, 3))
             pairs = data.draw(st.lists(action, min_size=num_k * horizon, max_size=num_k * horizon))
-            predictions.append((data.draw(st.text(max_size=4)), actions(*pairs).reshape(num_k, horizon, 2)))
+            predictions.append((clip_id, actions(*pairs).reshape(num_k, horizon, 2)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "pred.jsonl"
             save_predictions(path, predictions_table(predictions, horizon), Taxonomy(verbs, nouns))

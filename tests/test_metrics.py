@@ -317,15 +317,15 @@ class TestObservedRowsGather:
                       for clip_id, pairs in chosen]
         if data.draw(st.integers(0, 9)) == 0:
             recognized.insert(data.draw(st.integers(0, len(recognized))), ("zz", 1))
-        table = annotations_table(annotations)
         starts = np.cumsum([0] + [count for _, count in recognized]).tolist()
         try:
             want = observed_rows_oracle(recognized, annotations)
-        except DataError as exc:
+        except DataError as exc:  # a repeated annotation clip is refused when its table is built
             with pytest.raises(DataError) as info:
-                observed_rows([clip_id for clip_id, _ in recognized], starts, table)
+                observed_rows([clip_id for clip_id, _ in recognized], starts, annotations_table(annotations))
             assert str(info.value) == str(exc)
             return
+        table = annotations_table(annotations)
         got = observed_rows([clip_id for clip_id, _ in recognized], starts, table)
         assert got.dtype == np.intp and got.tolist() == [list(pair) for pair in want]
         if want:  # ar_accuracy scores a recognition of those rows, one of them off in the noun
@@ -394,16 +394,18 @@ class TestCorpusEval:
             self.evaluate(preds, annotations)
 
     def test_duplicate_prediction_rejected(self):
-        annotations, gt_a, gt_b = self.corpus()
+        # Refused when the table is built, before corpus_eval.
+        _, gt_a, gt_b = self.corpus()
         preds = [pred_set("a", [gt_a]), pred_set("b", [gt_b]), pred_set("a", [gt_a])]
         with pytest.raises(DataError, match="duplicate clip id 'a'"):
-            self.evaluate(preds, annotations)
+            predictions_table(preds)
 
     def test_duplicate_annotation_rejected(self):
-        annotations, gt_a, gt_b = self.corpus()
+        # Refused when the table is built, before corpus_eval.
+        annotations, gt_a, _ = self.corpus()
         annotations.append(("a", [(0, 0)], gt_a))
         with pytest.raises(DataError, match="duplicate clip id 'a'"):
-            self.evaluate([pred_set("a", [gt_a]), pred_set("b", [gt_b])], annotations)
+            annotations_table(annotations)
 
     def test_no_scorable_clips_rejected(self):
         annotations = [("c", [(0, 0)], None)]

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltakit import recognition
 from ltakit.cooccurrence import CooccurrenceMatrix
@@ -471,6 +473,7 @@ class TestBlocks:
         clips = corpus(rng, 6, 9, self.LENGTHS, ties)
         clips[0][1][:] = np.eye(6)[0]
         got = recognize_clip(table(clips), matrix, k)
+        assert_agrees_with_reference(table(clips), matrix, k)
         assert got.clip_ids == [clip[0] for clip in clips] and got.starts == table(clips).starts
         for i, clip in enumerate(clips):
             assert_same_recognition(one_clip(got, i), recognize_clip(table([clip]), matrix, k))
@@ -499,6 +502,22 @@ class TestBlocks:
             assert all(np.shares_memory(block[i], whole) for block in blocks)  # row views, not copies
             assert np.array_equal(np.concatenate([block[i] for block in blocks]), whole)
 
+    @pytest.mark.parametrize("values, size", [(5 * 27 + 26, 5), (1, 1)], ids=["five", "one"])
+    def test_blocks_hold_at_most_block_values(self, monkeypatch, values, size):
+        # k = 3 over all 9 nouns is 27 values a segment, so a block holds BLOCK_VALUES // 27 segments.
+        corpus_table = table(corpus(np.random.default_rng(42), 6, 9, self.LENGTHS))
+        matrix = CooccurrenceMatrix(np.ones((6, 9)))
+        want, sizes, branch = recognize_clip(corpus_table, matrix, 3), [], recognition._branch
+
+        def record(anchor_probs, *rest):
+            sizes.append(len(anchor_probs))
+            return branch(anchor_probs, *rest)
+
+        monkeypatch.setattr(recognition, "BLOCK_VALUES", values)
+        monkeypatch.setattr(recognition, "_branch", record)
+        assert_same_recognition(recognize_clip(corpus_table, matrix, 3), want)
+        assert max(sizes) == size and all(rows == size for rows in sizes[:-2])  # two branches a block
+
     def test_no_clips(self):
         empty = Distributions([], [0], np.empty((0, 2)), np.empty((0, 2)))
         for result in (naive_clip(empty), recognize_clip(empty, CooccurrenceMatrix(np.ones((2, 2))), 2)):
@@ -519,6 +538,89 @@ class TestBlocks:
         for starts, message in cases.items():  # refused when built, before recognize_clip or naive_clip
             with pytest.raises(DataError, match=message):
                 Distributions(whole.clip_ids, list(starts), whole.verb_probs, whole.noun_probs)
+
+
+def sparse_counts(rng, num_verbs, num_nouns, low, high):
+    """Counts with `low` to `high` nonzero nouns per verb, at random columns."""
+    counts = np.zeros((num_verbs, num_nouns))
+    for row in counts:
+        columns = rng.choice(num_nouns, int(rng.integers(low, high + 1)), replace=False)
+        row[columns] = rng.choice([1.0, 2.0, 5.0], len(columns))
+    return counts
+
+
+def assert_agrees_with_reference(distributions, matrix, k):
+    """Every segment's recognition equals `rerank_reference`'s, scores bit for bit."""
+    got = segments(recognize_clip(distributions, matrix, k))
+    for verb_probs, noun_probs, segment in zip(distributions.verb_probs, distributions.noun_probs, got):
+        chosen, candidates, naive, used_fallback = rerank_reference(
+            verb_probs, noun_probs, matrix.row_stochastic, matrix.col_stochastic, k
+        )
+        candidates = [((v, n), score, branch) for v, n, score, branch in candidates]
+        assert segment == (chosen, naive, candidates, used_fallback)
+
+
+def widths(matrix, k):
+    """The column-list widths of the verb- and noun-anchored branches; |N| or |V| is every column."""
+    return [values.shape[1] for _, values in (recognition._columns(matrix.row_stochastic, k),
+                                              recognition._columns(matrix.col_stochastic.T, k))]
+
+
+class TestSparseColumns:
+    """Each anchor scores only its nonzero columns and its first zero ones; results equal the reference."""
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_width_below_the_vocabulary(self, ties, k):
+        rng = np.random.default_rng(60 + k)
+        matrix = CooccurrenceMatrix(sparse_counts(rng, 12, 40, 1, 3))
+        assert widths(matrix, k)[0] < 40
+        assert_agrees_with_reference(table(corpus(rng, 12, 40, [5, 9, 2], ties)), matrix, k)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_all_zero_rows_and_columns(self, k):
+        rng = np.random.default_rng(70 + k)
+        counts = sparse_counts(rng, 10, 30, 1, 3)
+        counts[[0, 4]] = 0.0
+        counts[:, [0, 1, 7, 29]] = 0.0
+        matrix = CooccurrenceMatrix(counts)
+        clips = corpus(rng, 10, 30, [6, 6], ties=True)
+        clips[0][1][:3] = np.eye(10)[[0, 4, 0]]  # certain of a verb with no counts: fallbacks
+        assert_agrees_with_reference(table(clips), matrix, k)
+        nothing = CooccurrenceMatrix(np.zeros((10, 30)))
+        assert widths(nothing, k) == [k, k]
+        assert_agrees_with_reference(table(clips), nothing, k)
+        assert recognize_clip(table(clips), nothing, k).fallback.all()
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    def test_smoothed_matrix_scores_every_column(self, ties):
+        rng = np.random.default_rng(80)
+        matrix = CooccurrenceMatrix(sparse_counts(rng, 12, 40, 1, 3), alpha=0.5)
+        assert widths(matrix, 4) == [40, 12]
+        assert_agrees_with_reference(table(corpus(rng, 12, 40, [7, 4], ties)), matrix, 4)
+
+    @pytest.mark.parametrize("k, lengths", [(5, [8, 8]), (97, [2, 1])])
+    def test_epic_vocabulary(self, k, lengths):
+        # 97 verbs x 300 nouns with at most 4 nouns a verb, as on the bench; k = 97 is every verb.
+        rng = np.random.default_rng(90 + k)
+        matrix = CooccurrenceMatrix(sparse_counts(rng, 97, 300, 1, 4))
+        verb_width, noun_width = widths(matrix, k)
+        assert verb_width <= 4 + k < 300 and (noun_width == 97) == (k == 97)
+        for ties in (False, True):
+            assert_agrees_with_reference(table(corpus(rng, 97, 300, lengths, ties)), matrix, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_density_and_k(self, data):
+        num_verbs, num_nouns = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 12))
+        density = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (num_verbs, num_nouns)
+        counts = np.where(rng.random(shape) < density, rng.choice([1.0, 3.0], shape), 0.0)
+        matrix = CooccurrenceMatrix(counts, data.draw(st.sampled_from([0.0, 0.0, 0.25])))
+        k = data.draw(st.integers(1, min(num_verbs, num_nouns)))
+        clips = corpus(rng, num_verbs, num_nouns, [data.draw(st.integers(1, 4))], data.draw(st.booleans()))
+        assert_agrees_with_reference(table(clips), matrix, k)
 
 
 # Labels JSON escapes: a quote, a backslash, a tab, non-ASCII, and a character outside the BMP.

@@ -74,6 +74,22 @@ class TestRepros:
         with pytest.raises(DataError, match=r"^candidates of shape \(1, 2\) \(need N x Z x 2\)$"):
             Predictions(["a"], [0, 1], np.zeros((1, 2), np.intp))
 
+    def test_repeated_clip_id_rejected_when_built(self):
+        # save_annotations wrote two {"clip_id": "b", ...} lines, which load_annotations refuses
+        # (":3: duplicate clip_id 'b'"); the first id given again is named.
+        ids, pairs = ["a", "b", "b", "a"], np.zeros((4, 2), np.intp)
+        tables = {
+            "annotations": lambda: Annotations(ids, [0, 1, 2, 3, 4], pairs, np.zeros((0, 3, 2), np.intp),
+                                               np.zeros(4, bool)),
+            "distributions": lambda: Distributions(ids, [0, 1, 2, 3, 4], np.full((4, 4), 0.25), np.full((4, 5), 0.2)),
+            "predictions": lambda: Predictions(ids, [0, 1, 2, 3, 4], np.zeros((4, 3, 2), np.intp)),
+            "recognition": lambda: Recognition(ids, [0, 1, 2, 3, 4], pairs, pairs, np.empty((0, 2), np.intp),
+                                               np.empty(0), np.empty(0, bool), np.zeros(4, np.intp), np.ones(4, bool)),
+        }
+        for name, build in tables.items():
+            with pytest.raises(DataError, match=rf"^duplicate clip id 'b' in {name}$"):
+                build()
+
     def test_tables_are_frozen(self):
         table = Predictions(["a"], [0, 1], np.zeros((1, 2, 2), np.intp))
         with pytest.raises(AttributeError):
