@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fileio import load_json
-from .dataset_io import DEFAULT_HORIZON, Predictions, check_starts
+from .dataset_io import DEFAULT_HORIZON, Predictions, check_clip_ids, check_starts
 from .errors import DataError, LlmError
 from .taxonomy import Taxonomy, format_actions, parse_action
 
@@ -174,6 +174,7 @@ def _check_predict_args(clip_ids: list[str], starts: list[int], rows: int, horiz
     empty = np.flatnonzero(np.diff(starts[: len(clip_ids) + 1]) < 1)  # starts past the clips: check_starts' error
     if len(empty):
         raise DataError(f"clip {clip_ids[empty[0]]!r}: empty history, nothing to anticipate from")
+    check_clip_ids(clip_ids, "history")
     check_starts(clip_ids, starts, rows)
     if horizon < 1:
         raise DataError("horizon must be >= 1")

@@ -294,10 +294,11 @@ def _build_parser() -> tuple[_Parser, _Parser, dict[str, argparse.Action], list[
     arg(p, "--prompt-template", help="JSON prompt template file (system_text, user_template)")
     arg(p, "--llm-endpoint", help="chat-completions endpoint URL")
     arg(p, "--llm-model", help="model name sent in requests")
-    arg(p, "--llm-temperature", type=float, default=0.7, help="sampling temperature for candidates 2..K")
-    arg(p, "--llm-max-tokens", type=int, default=256, help="completion token budget")
-    arg(p, "--llm-timeout", type=float, default=30.0, help="request timeout in seconds")
-    arg(p, "--llm-max-retries", type=int, default=3, help="transport retries per request")
+    arg(p, "--llm-temperature", type=float, default=LlmConfig.temperature,
+        help="sampling temperature for candidates 2..K")
+    arg(p, "--llm-max-tokens", type=int, default=LlmConfig.max_tokens, help="completion token budget")
+    arg(p, "--llm-timeout", type=float, default=LlmConfig.timeout, help="request timeout in seconds")
+    arg(p, "--llm-max-retries", type=int, default=LlmConfig.max_retries, help="transport retries per request")
     arg(p, "--llm-auth-env", default="", help="environment variable holding the bearer token")
     arg(p, "--llm-script", help="scripted mock responses (JSON array) instead of a live endpoint")
     arg(p, "--llm-request-log", help="write every request body (token-free) to this JSONL file")

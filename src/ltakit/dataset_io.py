@@ -22,11 +22,11 @@ decode with `orjson`, which rejects some lines `json` reads (NaN, 1e400, a
 lone surrogate escape) and reads an integer past 64 bits as a float, so a
 loader whose read raises a DataError reads the file again with `json`: files
 load, and fail with the same text, as with `json` alone. Each line is reduced
-at once to numbers appended to flat columns for the whole file; an action text
-becomes a code, each distinct text kept once and resolved by one
-`parse_actions` call. Checks that need no Python per value run on whole arrays
-after the pass (one lexsort of the (clip, segment) keys, the probability
-rules), yet the error raised is the first in the file. The columns become the
+at once to numbers appended to flat columns for the whole file, and each rule
+for one line raises as that line is read, so the error raised is the first in
+the file: a repeated (clip, segment) key, or an action text that does not
+parse (a text becomes a code, parsed once when first seen). Only the
+probability rules run on whole arrays, after the read. The columns become the
 table's arrays with no object per clip.
 
 Writing distributions costs float formatting, so `save_distributions` pays it
@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial, wraps
+from functools import wraps
 from itertools import chain, islice
 from typing import Iterator
 
@@ -50,7 +49,7 @@ import orjson
 
 from ._fileio import atomic_write_text, float_texts, open_text
 from .errors import DataError
-from .taxonomy import Taxonomy, format_actions, parse_actions
+from .taxonomy import Taxonomy, format_actions, parse_action
 
 DEFAULT_HORIZON = 20
 
@@ -176,41 +175,40 @@ def _require(obj: dict, key: str, types, where: str):
 
 
 class _TextCodes(dict):
-    """Action text -> code by first appearance; `rows[code]` is the row of `lines` a text first appears on."""
+    """Action text -> code by first appearance. A text is parsed when first seen, `pairs[code]` its
+    (verb id, noun id); one that does not parse raises `parse_action`'s error for the last line of `lines`."""
 
-    def __init__(self, lines: array):
+    def __init__(self, taxonomy: Taxonomy, path, lines: array):
         super().__init__()
-        self.lines, self.texts, self.rows = lines, [], array("q")
+        self.taxonomy, self.path, self.lines, self.pairs = taxonomy, path, lines, []
 
-    def new(self, text) -> int:  # also takes a JSON list or object, kept apart for its error
-        self.texts.append(text)
-        self.rows.append(len(self.lines) - 1)
-        return len(self.texts) - 1
-
-    def __missing__(self, text) -> int:
-        self[text] = code = self.new(text)
+    def __missing__(self, text) -> int:  # also called with a JSON list or object, which never parses
+        try:
+            self.pairs.append(parse_action(text, self.taxonomy))
+        except DataError as exc:
+            raise DataError(f"{self.path}:{self.lines[-1]}: {exc}") from None
+        self[text] = code = len(self.pairs) - 1
         return code
 
 
 class StageFile:
-    """A JSONL stage file read into flat columns, row r its r-th record. A loader iterates `rows()`
-    inside `checking()`, appends its own columns and codes its action texts with `code()`; after
-    the block `table[code]` is a text's (verb id, noun id) row, and `order()` sorts the segments.
-    `decode` reads one line's JSON value, raising a ValueError or RecursionError if it cannot."""
+    """A JSONL stage file read into flat columns, row r its r-th record, each line checked as it is
+    read. A loader iterates `rows()`, appends its own columns and codes its action texts with `code()`;
+    then `table[code]` is a text's (verb id, noun id) row, and `order()` sorts the segments. `decode`
+    reads one line's JSON value, raising a ValueError or RecursionError if it cannot."""
 
     def __init__(self, path, taxonomy: Taxonomy, decode, per_segment: bool = False):
         self.path, self.taxonomy, self.decode, self.per_segment = path, taxonomy, decode, per_segment
         self.clip_ids: dict[str, int] = {}  # clip_id -> code, in first-appearance order
         self.lines, self.clip_codes, self.segments = array("q"), array("q"), []  # per row; segments of any size
-        self.codes = _TextCodes(self.lines)
+        self.codes, self.keys = _TextCodes(taxonomy, path, self.lines), set()
 
     def where(self, row: int) -> str:
         return f"{self.path}:{self.lines[row]}"
 
     def rows(self) -> Iterator[tuple[str, dict]]:
-        """("path:line", record) per non-blank line. Every clip_id is a string and every segment (0
-        in a clip file) a nonnegative int, not a bool or a float; `checking()` finds a repeated
-        (clip_id, segment) and `order()` a gap."""
+        """("path:line", record) per non-blank line. Every clip_id is a string and every segment (0 in a clip
+        file) a nonnegative int, not a bool or a float, and no (clip_id, segment) repeats; `order()` finds a gap."""
         with open_text(self.path) as fh:
             for lineno, raw in enumerate(fh, 1):
                 line, where = raw.strip(), f"{self.path}:{lineno}"
@@ -226,61 +224,36 @@ class StageFile:
                 segment = _require(obj, "segment", int, where) if self.per_segment else 0
                 if isinstance(segment, bool) or segment < 0:
                     raise DataError(f"{where}: segment index must be a nonnegative integer")
+                if (clip_id, segment) in self.keys:
+                    rule = f"segment {segment} for clip {clip_id!r}" if self.per_segment else f"clip_id {clip_id!r}"
+                    raise DataError(f"{where}: duplicate {rule}")
+                self.keys.add((clip_id, segment))
                 self.clip_codes.append(self.clip_ids.setdefault(clip_id, len(self.clip_ids)))
                 self.segments.append(segment)
                 self.lines.append(lineno)
                 yield where, obj
 
     def code(self, tokens: list) -> list[int]:
-        """Each token's text code; a text first seen here is kept with the current row."""
+        """Each token's text code; a text first seen here is parsed then."""
         try:
             return list(map(self.codes.__getitem__, tokens))
-        except TypeError:  # a JSON list or object
-            return [self.codes.new(t) if isinstance(t, (list, dict)) else self.codes[t] for t in tokens]
+        except TypeError:  # a JSON list or object, refused in its place among the tokens
+            return [self.codes.__missing__(t) if isinstance(t, (list, dict)) else self.codes[t] for t in tokens]
 
-    @contextmanager
-    def checking(self, *checks):
-        """Read the file in this block, then run the deferred checks. Each returns (row, DataError)
-        for its first bad row, or None; within a row, a repeated key comes first, then `checks` in
-        order, then action texts. An error raised in the block gives way to a deferred one from an
-        earlier row or earlier in its own, so the error raised is the first in the file."""
-        checks = (self._repeated_key, *checks)
-        try:
-            yield
-        except DataError:
-            self._raise_first(checks)
-            raise
-        self._raise_first(checks)
+    @property
+    def table(self) -> np.ndarray:
+        return np.array(self.codes.pairs, np.intp).reshape(-1, 2)
 
-    def _raise_first(self, checks) -> None:
-        hits = [hit for hit in (check() for check in checks) if hit]
-        row, error = min(hits, key=lambda hit: hit[0]) if hits else (len(self.lines), None)
-        count = bisect_left(self.codes.rows, row)  # the texts first seen before that row
-        wheres = [self.where(r) for r in self.codes.rows[:count]]
-        self.table = parse_actions(self.codes.texts[:count], self.taxonomy, wheres)
-        if error:
-            raise error from None
-
-    def _repeated_key(self):
+    def order(self) -> tuple[np.ndarray | slice, list[int]]:
+        """The rows in (clip, segment) order (a plain slice, so no copy, if the file is in it) and
+        each clip's span starts[k]:starts[k + 1] in it. Segments must be contiguous from 0."""
         try:
             segments = np.array(self.segments, np.int64)
         except OverflowError:  # past int64: a gap for certain, kept exact for its message
             segments = np.array(self.segments, object)
         clips = np.array(self.clip_codes, np.int64)
         order = np.lexsort((segments, clips))
-        self._sorted = order, clips[order], segments[order]  # for `order()`, once every row is read
-        order, clips, segments = self._sorted
-        repeats = order[1:][(clips[1:] == clips[:-1]) & (segments[1:] == segments[:-1])]
-        if len(repeats):
-            row = int(repeats.min())
-            clip_id = list(self.clip_ids)[self.clip_codes[row]]
-            rule = f"segment {self.segments[row]} for clip {clip_id!r}" if self.per_segment else f"clip_id {clip_id!r}"
-            return row, DataError(f"{self.where(row)}: duplicate {rule}")
-
-    def order(self) -> tuple[np.ndarray | slice, list[int]]:
-        """The rows in (clip, segment) order (a plain slice, so no copy, if the file is in it) and
-        each clip's span starts[k]:starts[k + 1] in it. Segments must be contiguous from 0."""
-        order, clips, segments = self._sorted
+        clips, segments = clips[order], segments[order]
         starts = np.searchsorted(clips, np.arange(len(self.clip_ids) + 1))
         positions = np.arange(len(order)) - starts[clips]
         gaps = np.flatnonzero(segments != positions)
@@ -297,18 +270,17 @@ class StageFile:
 def load_annotations(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON, *, decode) -> Annotations:
     """Load clip annotations as one table; any `future` present must be exactly `horizon` long."""
     file, observed, future, sizes, has_future = StageFile(path, taxonomy, decode), array("q"), array("q"), [], []
-    with file.checking():
-        for where, obj in file.rows():
-            actions = _require(obj, "observed", list, where)
-            observed.fromlist(file.code(actions))
-            sizes.append(len(actions))
-            actions = None if obj.get("future") is None else _require(obj, "future", list, where)
-            if actions is not None and len(actions) != horizon:
-                raise DataError(
-                    f"{where}: clip {obj['clip_id']!r} has a future of {len(actions)} actions, expected {horizon}"
-                )
-            future.fromlist(file.code(actions or []))
-            has_future.append(actions is not None)
+    for where, obj in file.rows():
+        actions = _require(obj, "observed", list, where)
+        observed.fromlist(file.code(actions))
+        sizes.append(len(actions))
+        actions = None if obj.get("future") is None else _require(obj, "future", list, where)
+        if actions is not None and len(actions) != horizon:
+            raise DataError(
+                f"{where}: clip {obj['clip_id']!r} has a future of {len(actions)} actions, expected {horizon}"
+            )
+        future.fromlist(file.code(actions or []))
+        has_future.append(actions is not None)
     future = file.table[np.frombuffer(future, np.int64)].reshape(sum(has_future), max(horizon, 0), 2)
     return Annotations(list(file.clip_ids), [0, *np.cumsum(sizes, dtype=np.intp).tolist()],
                        file.table[np.frombuffer(observed, np.int64)], future, np.array(has_future, bool))
@@ -353,9 +325,9 @@ def _probs_error(file: StageFile, name: str, size: int, column: array):
 def load_distributions(path, taxonomy: Taxonomy, *, decode) -> Distributions:
     """Load per-segment probability vectors as one table (see `StageFile`), renormalizing sums
     inside the tolerance band."""
-    file = StageFile(path, taxonomy, decode, per_segment=True)
+    file, error = StageFile(path, taxonomy, decode, per_segment=True), None
     fields = [("verb_probs", taxonomy.num_verbs, array("d")), ("noun_probs", taxonomy.num_nouns, array("d"))]
-    with file.checking(*(partial(_probs_error, file, *field) for field in fields)):
+    try:
         for where, obj in file.rows():
             for name, size, column in fields:
                 values = _require(obj, name, list, where)
@@ -367,6 +339,15 @@ def load_distributions(path, taxonomy: Taxonomy, *, decode) -> Distributions:
                     column.fromlist(values)  # all or nothing: a failed call leaves the column as it was
                 except OverflowError:
                     raise DataError(f"{where}: {name} contains a number too large for a float") from None
+    except DataError as exc:
+        error = exc
+    # The probability rules run on whole arrays, after the read or the error it raised. A vector is
+    # kept once read, so the first one they refuse (a row's verb vector first) is the first error.
+    hits = [hit for hit in (_probs_error(file, *field) for field in fields) if hit]
+    if hits:
+        raise min(hits, key=lambda hit: hit[0])[1]
+    if error:
+        raise error
     order, starts = file.order()
     verb, noun = (_probs(column, size)[order] for _, size, column in fields)
     for probs in (verb, noun):
@@ -403,18 +384,17 @@ def save_distributions(path, table: Distributions) -> None:
 def load_predictions(path, taxonomy: Taxonomy, horizon: int = DEFAULT_HORIZON, *, decode) -> Predictions:
     """Load candidate futures as one table; every candidate must be exactly `horizon` long."""
     file, codes, num_candidates = StageFile(path, taxonomy, decode), array("q"), [0]
-    with file.checking():
-        for where, obj in file.rows():
-            raw = _require(obj, "candidates", list, where)
-            if not raw:
-                raise DataError(f"{where}: clip {obj['clip_id']!r} has no candidates (need K >= 1)")
-            for idx, tokens in enumerate(raw):
-                if not isinstance(tokens, list):
-                    raise DataError(f"{where}: candidate {idx} is not a list")
-                if len(tokens) != horizon:
-                    raise DataError(f"{where}: candidate {idx} has {len(tokens)} actions, expected {horizon}")
-            codes.fromlist(file.code(list(chain.from_iterable(raw))))
-            num_candidates.append(len(raw))
+    for where, obj in file.rows():
+        raw = _require(obj, "candidates", list, where)
+        if not raw:
+            raise DataError(f"{where}: clip {obj['clip_id']!r} has no candidates (need K >= 1)")
+        for idx, tokens in enumerate(raw):
+            if not isinstance(tokens, list):
+                raise DataError(f"{where}: candidate {idx} is not a list")
+            if len(tokens) != horizon:
+                raise DataError(f"{where}: candidate {idx} has {len(tokens)} actions, expected {horizon}")
+        codes.fromlist(file.code(list(chain.from_iterable(raw))))
+        num_candidates.append(len(raw))
     starts = np.cumsum(num_candidates).tolist()
     return Predictions(list(file.clip_ids), starts,
                        file.table[np.frombuffer(codes, np.int64)].reshape(starts[-1], max(horizon, 0), 2))

@@ -32,7 +32,7 @@ class LlmConfig:
     endpoint_url: str
     model_name: str
     temperature: float = 0.7
-    max_tokens: int = 512
+    max_tokens: int = 256
     timeout: float = 30.0
     max_retries: int = 3
     auth_token_env_var: str = ""

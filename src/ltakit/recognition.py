@@ -259,31 +259,30 @@ def load_recognition(path, taxonomy: Taxonomy, *, decode) -> Recognition:
     file = StageFile(path, taxonomy, decode, per_segment=True)
     heads, candidates, scores = array("q"), array("q"), array("d")  # heads: each row's chosen, naive
     verb_anchored, counts, fallback = array("b"), array("q"), array("b")
-    with file.checking():
-        for where, obj in file.rows():
-            try:
-                actions = [obj["chosen"], obj["naive"]]
-                for raw in obj.get("candidates", []):
-                    branch, score = raw["branch"], raw["score"]
-                    if branch not in (BRANCH_VERB, BRANCH_NOUN):
-                        raise DataError(f"unknown branch {branch!r}")
-                    if type(score) not in (int, float) or not math.isfinite(score):  # JSON numbers only, not bools
-                        raise DataError(f"candidate score must be a finite number, got {score!r}")
-                    actions.append(raw["action"])
-                    scores.append(score)
-                    verb_anchored.append(branch == BRANCH_VERB)
-                flag = obj.get("fallback", False)
-                if not isinstance(flag, bool):
-                    raise DataError(f"field 'fallback' must be true or false, got {flag!r}")
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                if isinstance(exc, DataError):
-                    raise DataError(f"{where}: {exc}") from None
-                raise DataError(f"{where}: malformed recognition record ({exc!r})") from None
-            codes = file.code(actions)
-            heads.fromlist(codes[:2])
-            candidates.fromlist(codes[2:])
-            counts.append(len(codes) - 2)
-            fallback.append(flag)
+    for where, obj in file.rows():
+        try:
+            actions = [obj["chosen"], obj["naive"]]
+            for raw in obj.get("candidates", []):
+                branch, score = raw["branch"], raw["score"]
+                if branch not in (BRANCH_VERB, BRANCH_NOUN):
+                    raise DataError(f"unknown branch {branch!r}")
+                if type(score) not in (int, float) or not math.isfinite(score):  # JSON numbers only, not bools
+                    raise DataError(f"candidate score must be a finite number, got {score!r}")
+                actions.append(raw["action"])
+                scores.append(score)
+                verb_anchored.append(branch == BRANCH_VERB)
+            flag = obj.get("fallback", False)
+            if not isinstance(flag, bool):
+                raise DataError(f"field 'fallback' must be true or false, got {flag!r}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            if isinstance(exc, DataError):
+                raise DataError(f"{where}: {exc}") from None
+            raise DataError(f"{where}: malformed recognition record ({exc!r})") from None
+        codes = file.code(actions)
+        heads.fromlist(codes[:2])
+        candidates.fromlist(codes[2:])
+        counts.append(len(codes) - 2)
+        fallback.append(flag)
     order, starts = file.order()
     counts = np.array(counts, np.intp)
     place = np.empty_like(counts)

@@ -10,7 +10,6 @@ and is never sorted, so downstream tie-breaking stays stable.
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 import numpy as np
 
@@ -118,26 +117,20 @@ def parse_action(text: str, taxonomy: Taxonomy) -> tuple[int, int]:
 
 
 def parse_actions(tokens: list, taxonomy: Taxonomy, where: str | list[str] = "") -> np.ndarray:
-    """Parse "verb noun" texts into an L x 2 array of (verb id, noun id) rows, resolving each distinct text once.
+    """Parse "verb noun" texts into an L x 2 array of (verb id, noun id) rows.
 
     A bad token raises `parse_action`'s error for the first one, prefixed
     with `where: ` when `where` is given, or with `where[i]: ` for token i
     when it is a list.
     """
-    verbs, nouns = taxonomy._verb_index, taxonomy._noun_index
-    try:
-        codes = {token: code for code, token in enumerate(dict.fromkeys(tokens))}  # first-appearance order
-        ids = chain.from_iterable((verbs[v], nouns[n]) for v, n in (text.split(" ") for text in codes))
-        table = np.fromiter(ids, np.intp, 2 * len(codes)).reshape(-1, 2)
-        return table[np.fromiter(map(codes.__getitem__, tokens), np.intp, len(tokens))]
-    except (AttributeError, ValueError, KeyError, TypeError):  # not a string, not two labels, unknown label
-        for i, token in enumerate(tokens):
-            try:
-                parse_action(token, taxonomy)
-            except DataError as exc:
-                prefix = where if isinstance(where, str) else where[i]
-                raise DataError(f"{prefix}: {exc}" if prefix else str(exc)) from None
-        raise
+    pairs = []
+    for i, token in enumerate(tokens):
+        try:
+            pairs.append(parse_action(token, taxonomy))
+        except DataError as exc:
+            prefix = where if isinstance(where, str) else where[i]
+            raise DataError(f"{prefix}: {exc}" if prefix else str(exc)) from None
+    return np.array(pairs, np.intp).reshape(-1, 2)
 
 
 def format_actions(pairs: np.ndarray, taxonomy: Taxonomy, as_json: bool = False) -> list[str]:

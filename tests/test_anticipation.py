@@ -247,6 +247,10 @@ class TestNgramModel:
         model = fit([verbs([2, 1, 1, 2])], 1, 0.5, taxonomy)
         assert model.most_frequent_action() == (1, 0)
 
+    def test_most_frequent_action_of_no_actions_rejected(self):
+        with pytest.raises(DataError, match="^model has seen no actions$"):
+            NgramModel(2, 0.5, 3, 1, *stack([])).most_frequent_action()
+
     def test_invalid_parameters(self):
         with pytest.raises(DataError, match="order"):
             NgramModel(0, 0.5, 2, 2, *stack([]))
@@ -619,6 +623,16 @@ class TestCorpusRollouts:
                           LlmPredictor(client, taxonomy)):
             with pytest.raises(DataError, match=message):
                 predictor.predict_corpus(clip_ids, starts, history, 4, 1)
+        assert client.requests == []
+
+    def test_repeated_clip_id_rejected_before_any_request(self):
+        # Every predictor refuses the history's repeated id up front, not the output table's after each clip ran.
+        taxonomy, records = tied_corpus()
+        client = MockLlmClient(["a x"] * 6)
+        for predictor in (NgramPredictor(fit(records, 2, 0.5, taxonomy)), RepeatLastPredictor(),
+                          LlmPredictor(client, taxonomy)):
+            with pytest.raises(DataError, match=r"^duplicate clip id 'a' in history$"):
+                predictor.predict_corpus(["a", "b", "a"], [0, 1, 2, 3], actions((0, 0), (1, 0), (2, 0)), 3, 2)
         assert client.requests == []
 
     def test_greedy_single_candidate_seeds_no_generator(self, monkeypatch):

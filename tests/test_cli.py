@@ -801,6 +801,16 @@ class TestExitCodes:
         assert "no prediction" in capsys.readouterr().err
 
 
+def test_llm_flag_defaults_are_llm_config_defaults():
+    from ltakit.cli import _build_parser
+    from ltakit.llm_client import LlmConfig
+
+    flags = _build_parser()[2]
+    for field in ("temperature", "max_tokens", "timeout", "max_retries"):
+        assert flags[f"llm_{field}"].default == getattr(LlmConfig, field)
+    assert LlmConfig("mock://local", "m").max_tokens == 256  # what --llm-max-tokens has always sent
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -827,6 +837,13 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"fantasy-knob": 1}))
         assert run(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
         assert "fantasy-knob" in capsys.readouterr().err
+
+    def test_config_holding_a_json_array_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"clips": 3}]))
+        assert run(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"ltakit: error: config file {cfg} must hold a JSON object\n"
+        assert not (tmp_path / "x").exists()
 
     def test_invalid_config_json_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ltakit.cooccurrence import CooccurrenceMatrix, build_cooccurrence, load_matrix, save_matrix
+from ltakit.cooccurrence import CooccurrenceMatrix, _digest, build_cooccurrence, load_matrix, save_matrix
 from ltakit.errors import DataError, IntegrityError
 from ltakit.taxonomy import Taxonomy
 
@@ -138,6 +138,23 @@ def test_scaling_counts_leaves_normalizations_put():
         assert np.max(np.abs(scaled.col_stochastic - base.col_stochastic)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "counts, alpha, message",
+    [
+        ([1.0, 2.0], 0.0, "counts must be a 2-D matrix with at least one row and column"),
+        ([[[1.0]]], 0.0, "counts must be a 2-D matrix with at least one row and column"),
+        ([[1.0, -1.0]], 0.0, "counts must be finite and nonnegative"),
+        ([[1.0, float("nan")]], 0.0, "counts must be finite and nonnegative"),
+        ([[1.0, 2.0]], -0.5, "smoothing alpha must be >= 0, got -0.5"),
+    ],
+    ids=["1-d", "3-d", "negative", "nan", "negative-alpha"],
+)
+def test_matrix_rejects_bad_counts_and_alpha(counts, alpha, message):
+    with pytest.raises(DataError) as info:
+        CooccurrenceMatrix(counts, alpha)
+    assert str(info.value) == message
+
+
 class TestMatrixFile:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(16)
@@ -251,3 +268,48 @@ class TestMatrixFile:
         path.write_text("something else\n")
         with pytest.raises(DataError):
             load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "header, rows, message",
+        [
+            ("verbs 1\nnoun 2", ["1.0 2.0"], "malformed header"),  # its key error is a ValueError too
+            ("verbs 1.5\nnouns 2", ["1.0 2.0"], "malformed header"),
+            ("verbs 1\nnouns two", ["1.0 2.0"], "malformed header"),
+            ("verbs 2\nnouns 2", ["1.0 2.0"], "expected 2 count rows, found 1"),
+            ("verbs 1\nnouns 2", ["1.0 x"], "row 0 contains a non-numeric entry"),
+        ],
+        ids=["wrong-key", "float-dims", "word-dims", "row-count", "non-numeric"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, header, rows, message):
+        path = tmp_path / "matrix.txt"
+        path.write_text("\n".join(["#cooccurrence-matrix v1", header, "alpha 0.0", "sha256 0", *rows]) + "\n")
+        with pytest.raises(DataError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_wrong_checksum_key_rejected(self, tmp_path):
+        path = tmp_path / "matrix.txt"
+        path.write_text("#cooccurrence-matrix v1\nverbs 1\nnouns 1\nalpha 0.0\nmd5 0\n1.0\n")
+        with pytest.raises(DataError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: expected 'sha256 ...' header line, found 'md5 0'"
+
+    def test_negative_count_under_a_valid_checksum_exits_2(self, tmp_path, capsys):
+        from ltakit.cli import run
+
+        path, taxonomy = tmp_path / "matrix.txt", tmp_path / "taxonomy.txt"
+        taxonomy.write_text("#verbs\nv0\n#nouns\nn0\nn1\n")
+        (tmp_path / "d.jsonl").write_text(
+            '{"clip_id": "c", "segment": 0, "verb_probs": [1.0], "noun_probs": [0.5, 0.5]}\n'
+        )
+        rows = ["1.0 -2.0"]
+        path.write_text("\n".join(["#cooccurrence-matrix v1", "verbs 1", "nouns 2", "alpha 0.0",
+                                   f"sha256 {_digest(0.0, (1, 2), rows)}", *rows]) + "\n")
+        with pytest.raises(DataError) as info:
+            load_matrix(path)
+        assert str(info.value) == "counts must be finite and nonnegative"
+        argv = ["recognize", "--distributions", str(tmp_path / "d.jsonl"), "--matrix", str(path),
+                "--taxonomy", str(taxonomy), "--out", str(tmp_path / "r.jsonl")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "ltakit: error: counts must be finite and nonnegative\n"
+        assert not (tmp_path / "r.jsonl").exists()

@@ -185,6 +185,80 @@ class TestReaders:
             load(path, kitchen)
         assert str(info.value) == f"{path}{message}"
 
+    @pytest.mark.parametrize("loader", [*SEGMENT_LOADERS, *CLIP_LOADERS])
+    def test_a_json_array_line_is_refused(self, tmp_path, kitchen, loader):
+        load, payload = {**self.SEGMENT_LOADERS, **self.CLIP_LOADERS}[loader]
+        path = tmp_path / f"{loader}.jsonl"
+        path.write_text(json.dumps({"clip_id": "c", "segment": 0, **payload}) + "\n[1, 2]\n")
+        with pytest.raises(DataError) as info:
+            load(path, kitchen)
+        assert str(info.value) == f"{path}:2: expected a JSON object per line"
+
+    # Each field that holds actions, as a line-2 record whose two tokens are a and b (horizon 2).
+    TOKEN_FIELDS = {
+        "observed": (load_annotations, lambda a, b: {"observed": ["take spoon", a, b]}),
+        "future": (load_annotations, lambda a, b: {"observed": ["take spoon"], "future": [a, b]}),
+        "candidates": (load_predictions, lambda a, b: {"candidates": [["take spoon", "stir pot"], [a, b]]}),
+        "chosen-naive": (load_recognition, lambda a, b: {"segment": 0, "chosen": a, "naive": b}),
+        "candidate-actions": (load_recognition, lambda a, b: {"segment": 0, "chosen": "take spoon", "naive": "take pot",
+                                                              "candidates": [{"action": t, "branch": "verb_anchored",
+                                                                              "score": 0.5} for t in (a, b)]}),
+    }
+
+    @pytest.mark.parametrize("field", list(TOKEN_FIELDS))
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            ((["x"], "fold pot"), "action entries must be strings, got ['x']"),
+            (("fold pot", ["x"]), "unknown verb 'fold'"),
+            (({"a": 1}, "take knife"), "action entries must be strings, got {'a': 1}"),
+            (("take knife", {"a": 1}), "unknown noun 'knife'"),
+            (("take spoon", [["take spoon"]]), "action entries must be strings, got [['take spoon']]"),
+            ((7, ["x"]), "action entries must be strings, got 7"),
+        ],
+        ids=["list-then-text", "text-then-list", "dict-then-text", "text-then-dict", "good-then-list", "int-then-list"],
+    )
+    def test_first_bad_token_in_order_wins(self, tmp_path, kitchen, field, tokens, message):
+        # A JSON list or object among the action tokens is refused in token order, like a text that does not parse.
+        load, record = self.TOKEN_FIELDS[field]
+        path = tmp_path / "stage.jsonl"
+        write_jsonl(path, [{"clip_id": "c1", **record("take spoon", "stir pot")}, {"clip_id": "c2", **record(*tokens)}])
+        with pytest.raises(DataError) as info:
+            load(path, kitchen, **({} if load is load_recognition else {"horizon": 2}))
+        assert str(info.value) == f"{path}:2: {message}"
+
+    # A clip file's record whose action text does not parse (a segment file's: BAD_VALUES).
+    BAD_TEXTS = {"annotations": {"observed": ["take spoon", "fold pot"]},
+                 "predictions": {"candidates": [["take spoon"] * 19 + ["fold pot"]]}}
+
+    @pytest.mark.parametrize("loader", list(CLIP_LOADERS))
+    def test_repeated_clip_id_before_a_bad_text_on_its_line(self, tmp_path, kitchen, loader):
+        load, payload = self.CLIP_LOADERS[loader]
+        path = tmp_path / f"{loader}.jsonl"
+        write_jsonl(path, [{"clip_id": "c", **payload}, {"clip_id": "c", **self.BAD_TEXTS[loader]}])
+        with pytest.raises(DataError) as info:
+            load(path, kitchen)
+        assert str(info.value) == f"{path}:2: duplicate clip_id 'c'"
+
+    def test_bad_text_before_a_later_repeated_clip_id(self, tmp_path, kitchen):
+        # Predictions: test_first_bad_line_wins_in_predictions; segment files: test_first_bad_line_wins.
+        path = tmp_path / "annotations.jsonl"
+        write_jsonl(path, [{"clip_id": "c1", "observed": ["take spoon"]}, {"clip_id": "c2", **self.BAD_TEXTS["annotations"]},
+                           {"clip_id": "c1", "observed": []}])
+        with pytest.raises(DataError) as info:
+            load_annotations(path, kitchen)
+        assert str(info.value) == f"{path}:2: unknown verb 'fold'"
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_candidate_that_is_not_a_list(self, tmp_path, kitchen, index):
+        path = tmp_path / "predictions.jsonl"
+        candidates = [["take spoon", "stir pot"], ["take spoon", "stir pot"]]
+        candidates[index] = "take spoon"
+        write_jsonl(path, [{"clip_id": "c", "candidates": candidates}])
+        with pytest.raises(DataError) as info:
+            load_predictions(path, kitchen, horizon=2)
+        assert str(info.value) == f"{path}:1: candidate {index} is not a list"
+
 
 # Labels for the writers' byte tests: quotes, backslashes, control and non-ASCII characters, a lone surrogate.
 ODD_LABEL = st.sampled_from(['"', "\\", 'a"b', "\x00", "\n", "\x7f", "é", "鍋", "🥄", "\u2028", "\ud800"]) | st.text(
