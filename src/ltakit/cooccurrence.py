@@ -122,10 +122,9 @@ def load_matrix(path, taxonomy: Taxonomy | None = None) -> CooccurrenceMatrix:
         lines = fh.read().splitlines()
     if len(lines) < 5 or lines[0] != _HEADER:
         raise DataError(f"{path}: not a co-occurrence matrix file")
-    try:
-        num_verbs = int(_header_value(lines[1], "verbs", path))
-        num_nouns = int(_header_value(lines[2], "nouns", path))
-        alpha = float(_header_value(lines[3], "alpha", path))
+    verbs, nouns, alpha = map(_header_value, lines[1:4], ["verbs", "nouns", "alpha"], [path] * 3)
+    try:  # the conversions alone: a wrong key is a DataError, which is a ValueError too
+        num_verbs, num_nouns, alpha = int(verbs), int(nouns), float(alpha)
     except ValueError:
         raise DataError(f"{path}: malformed header") from None
     if min(num_verbs, num_nouns) < 1:

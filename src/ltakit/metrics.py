@@ -2,9 +2,10 @@
 
 The corpus metric is the mean, over clips, of the best (minimum) normalized
 edit distance among the K candidates, computed independently for the verb,
-noun, and action projections of each sequence. The tracks are integer token
-codes: the verb id, the noun id, and verb * n + noun for the action, where n is
-1 + the largest noun id present, so equal codes mean equal actions.
+noun, and action projections of each sequence. The distance is the OSA
+Damerau-Levenshtein DP run as bit-vector columns (Myers 1999, with Hyyro's
+2003 transposition term), from masks of where each predicted token matches
+the truth; an action matches where both its verb and its noun mask do.
 """
 
 from __future__ import annotations
@@ -22,6 +23,40 @@ from .errors import DataError
 from .recognition import Recognition
 
 
+def _match_masks(a, b) -> np.ndarray:
+    """Bit j of word w of masks[i, ..., w] is set when a[..., i] == b[..., 64 * w + j]: a
+    (La, *batch, W) uint64 array, W = max(1, ceil(Lb / 64)). Each token pair is compared once."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)  # a strided compare is ~5x slower
+    same = np.packbits(a[..., :, None] == b[..., None, :], axis=-1, bitorder="little")
+    masks = np.zeros((same.shape[-2], *same.shape[:-2], max(1, -(-b.shape[-1] // 64)) * 8), np.uint8)
+    masks[..., : same.shape[-1]] = np.moveaxis(same, -2, 0)
+    return masks.view("<u8")
+
+
+def _osa(masks: np.ndarray, len_b: int) -> np.ndarray:
+    """Each pair's OSA distance from its `_match_masks(a, b)` and Lb; see `damerau_levenshtein`."""
+    len_a, batch, words = masks.shape[0], masks.shape[1:-1], masks.shape[-1]
+    masks, one, top = masks.reshape(len_a, math.prod(batch), words), np.uint64(1), np.uint64(63)
+    zero = np.zeros(masks.shape[1], np.uint64)  # 1-d even for one pair: numpy scalars warn on overflow
+    vp, vn, d0, before = [~zero] * words, [zero] * words, [zero] * words, [zero] * words
+    for i in range(len_a):
+        for w in range(words):
+            pm, up, down = masks[i, :, w], vp[w], vn[w]
+            x, plus = ~d0[w] & pm, (pm & up) + up
+            tr, total = ((x << one) | carry[0], plus + carry[1]) if w else (x << one, plus)
+            d0[w] = diag = (tr & before[w]) | (total ^ up) | pm | down
+            hp, hn = down | ~(diag | up), diag & up
+            shifted_hp = (hp << one) | (carry[2] if w else one)
+            shifted_hn = (hn << one) | carry[3] if w else hn << one
+            if w < words - 1:  # what word w shifts or adds out of its top bit, carried into word w + 1
+                carry = (x >> top, (plus < up) | (total < plus), hp >> top, hn >> top)
+            vp[w], vn[w], before[w] = shifted_hn | ~(shifted_hp | diag), shifted_hp & diag, pm
+    # Down the last column, D[Lb, La] = D[0, La] + the sum of its vertical deltas.
+    bits = np.stack(vp + vn, -1).astype("<u8", copy=False).view(np.uint8).reshape(-1, 2, 8 * words)
+    ups, downs = np.unpackbits(bits, axis=-1, count=len_b, bitorder="little").sum(-1, dtype=np.intp).T
+    return (len_a + ups - downs).reshape(batch)[()]  # a numpy integer for one pair
+
+
 def damerau_levenshtein(a, b) -> np.ndarray:
     """Damerau-Levenshtein distance, optimal string alignment (OSA) variant.
 
@@ -31,39 +66,29 @@ def damerau_levenshtein(a, b) -> np.ndarray:
     e.g. distance("ca", "abc") == 3, where the unrestricted distance is 2.
 
     `a` (..., La) and `b` (..., Lb) are integer token arrays whose leading
-    axes broadcast; the result has the broadcast leading shape. The DP runs
-    cell by cell over (i, j), and each cell is one array step over the batch.
+    axes broadcast; the result has the broadcast leading shape. The DP runs a
+    column per token of `a`, all pairs at once, as the bit-vector recurrence of
+    Myers (JACM 46(3), 1999) with Hyyro's transposition term ((~D0 & PM) << 1) &
+    PM_prev (Nordic J. Computing 10(1), 2003): ~20 uint64 operations per column
+    and word, over words that hold the column's +1 / -1 vertical deltas at b's
+    positions and carry the add and the shifts between them. The distance is
+    La plus the last column's deltas.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    # same[i, j] holds a[..., i] == b[..., j]; batch axes go last so each cell is contiguous.
-    same = np.moveaxis(a[..., :, None] == b[..., None, :], (-2, -1), (0, 1)).copy()
-    len_a, len_b, batch = same.shape[0], same.shape[1], same.shape[2:]
-    # DP rows i - 2 and i - 1; cell j of a row is the distance to b's first j tokens.
-    before, prev = None, np.zeros(batch, np.intp) + np.arange(len_b + 1).reshape(-1, *[1] * len(batch))
-    for i in range(1, len_a + 1):
-        row = np.empty_like(prev)
-        row[0] = i
-        for j in range(1, len_b + 1):
-            # Every edit costs 1, so take the min of the predecessors first and add it once.
-            cell = row[j, ...]  # a view even when the batch is 0-d
-            np.minimum(prev[j], row[j - 1], out=cell)  # delete or insert
-            np.minimum(cell, prev[j - 1] - same[i - 1, j - 1], out=cell)  # substitute or match
-            if i > 1 and j > 1:  # adjacent transposition
-                np.minimum(cell, before[j - 2], out=cell, where=same[i - 1, j - 2] & same[i - 2, j - 1])
-            cell += 1
-        before, prev = prev, row
-    return prev[len_b]
+    return _osa(_match_masks(a, b), np.shape(b)[-1])
 
 
 def normalized_eds(pred, truth) -> np.ndarray:
     """`damerau_levenshtein(pred, truth)` over truth's length Z, clamped into [0, 1]; `pred` and
     `truth` are (..., Z) token arrays whose leading axes broadcast."""
-    horizon = np.shape(truth)[-1]
+    return _normalized(_match_masks(pred, truth), np.shape(truth)[-1])
+
+
+def _normalized(masks: np.ndarray, horizon: int) -> np.ndarray:
     if horizon == 0:
         raise DataError("cannot normalize over empty sequences")
-    if np.shape(pred)[-1] != horizon:
-        raise DataError(f"sequence length mismatch: {np.shape(pred)[-1]} vs {horizon}")
-    return np.minimum(1.0, damerau_levenshtein(pred, truth) / horizon)
+    if len(masks) != horizon:
+        raise DataError(f"sequence length mismatch: {len(masks)} vs {horizon}")
+    return np.minimum(1.0, _osa(masks, horizon) / horizon)
 
 
 @dataclass
@@ -147,13 +172,9 @@ def corpus_eval(
     # neither its minimum nor the lowest index that reaches it.
     ks = np.arange(sizes.max())
     pred = predictions.candidates[bounds[at][:, None] + np.where(ks < sizes[:, None], ks, 0)]
-    truth = annotations.future[:, None]
-    n = 1 + max(pred[..., 1].max(initial=0), truth[..., 1].max(initial=0))  # no actions at Z = 0
-
-    def tracks(pairs):  # (clips, k, Z, 2) -> (3, clips, k, Z): verb, noun and action codes
-        return np.stack([pairs[..., 0], pairs[..., 1], pairs[..., 0] * n + pairs[..., 1]])
-
-    eds = normalized_eds(tracks(pred), tracks(truth))
+    # The verb and noun masks in one build; an action matches exactly when both of its ids do.
+    masks = _match_masks(np.moveaxis(pred, -1, 0), np.moveaxis(annotations.future[:, None], -1, 0))
+    eds = _normalized(np.concatenate([masks, masks[:, :1] & masks[:, 1:]], axis=1), horizon)
     best = eds.argmin(axis=-1).T  # the first minimum: ties go to the lowest candidate index
     eds = eds.min(axis=-1).T
     verb_ed, noun_ed, action_ed = (math.fsum(track) / len(clip_ids) for track in eds.T.tolist())

@@ -272,7 +272,7 @@ class TestMatrixFile:
     @pytest.mark.parametrize(
         "header, rows, message",
         [
-            ("verbs 1\nnoun 2", ["1.0 2.0"], "malformed header"),  # its key error is a ValueError too
+            ("verbs 1\nnoun 2", ["1.0 2.0"], "expected 'nouns ...' header line, found 'noun 2'"),
             ("verbs 1.5\nnouns 2", ["1.0 2.0"], "malformed header"),
             ("verbs 1\nnouns two", ["1.0 2.0"], "malformed header"),
             ("verbs 2\nnouns 2", ["1.0 2.0"], "expected 2 count rows, found 1"),
@@ -286,6 +286,13 @@ class TestMatrixFile:
         with pytest.raises(DataError) as info:
             load_matrix(path)
         assert str(info.value) == f"{path}: {message}"
+
+    def test_wrong_alpha_key_rejected(self, tmp_path):
+        path = tmp_path / "matrix.txt"
+        path.write_text("#cooccurrence-matrix v1\nverbs 1\nnouns 1\nalfa 0.0\nsha256 0\n1.0\n")
+        with pytest.raises(DataError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: expected 'alpha ...' header line, found 'alfa 0.0'"
 
     def test_wrong_checksum_key_rejected(self, tmp_path):
         path = tmp_path / "matrix.txt"

@@ -103,6 +103,45 @@ class TestDamerauLevenshtein:
             osa_distance(x, y) for x, y in zip(a[:, :-3].tolist(), b.tolist())
         ]
 
+    @pytest.mark.parametrize("length", [63, 127, 128, 129])
+    def test_lengths_at_word_edges_match_oracle(self, length):
+        # One token short of, at and one past a multiple of 64: the carries between words.
+        rng = np.random.default_rng(length)
+        a = rng.integers(0, 3, size=(12, length))
+        b = a.copy()
+        b[:, ::5] = rng.integers(0, 3, size=b[:, ::5].shape)
+        b[6:] = rng.integers(0, 3, size=(6, length))
+        assert damerau_levenshtein(a, b).tolist() == [osa_distance(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+    @pytest.mark.parametrize("len_a, len_b", [(63, 129), (129, 63), (64, 127), (128, 65), (1, 130), (130, 1)])
+    def test_unequal_long_lengths_match_oracle(self, len_a, len_b):
+        # Either side the longer; b's length sets the number of words, a's the number of columns.
+        rng = np.random.default_rng(len_a * 1000 + len_b)
+        a, b = rng.integers(0, 3, size=(6, len_a)), rng.integers(0, 3, size=(6, len_b))
+        assert damerau_levenshtein(a, b).tolist() == [osa_distance(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+    @pytest.mark.parametrize("left", [0, 63, 127])
+    def test_transposition_across_word_boundary_is_one_edit(self, left):
+        # Positions 63/64 and 127/128 straddle a word boundary; 0/1 sits at bit 0 of the first word.
+        a = np.arange(130)
+        b = a.copy()
+        b[[left, left + 1]] = b[[left + 1, left]]
+        assert damerau_levenshtein(a, b) == 1
+        assert damerau_levenshtein(b, a) == 1
+
+    @pytest.mark.parametrize("len_a, len_b", [(130, 130), (130, 70), (70, 130), (64, 129)])
+    def test_long_all_equal_and_all_distinct_pairs(self, len_a, len_b):
+        assert damerau_levenshtein(np.arange(len_a), np.arange(len_a)) == 0
+        assert damerau_levenshtein(np.full(len_a, 5), np.full(len_b, 5)) == abs(len_a - len_b)
+        assert damerau_levenshtein(np.arange(len_a), np.arange(len_b) + len_a) == max(len_a, len_b)
+
+    @given(st.integers(2, 3), st.integers(0, 140), st.integers(0, 140), st.data())
+    def test_matches_oracle_up_to_three_words(self, symbols, len_a, len_b, data):
+        tokens = st.integers(0, symbols - 1)
+        a = data.draw(st.lists(tokens, min_size=len_a, max_size=len_a))
+        b = data.draw(st.lists(tokens, min_size=len_b, max_size=len_b))
+        assert damerau_levenshtein(a, b) == osa_distance(a, b)
+
     @given(
         st.lists(st.integers(0, 3), max_size=7),
         st.lists(st.integers(0, 3), max_size=7),
