@@ -4,7 +4,7 @@ Stage boundaries are plain files, so any stage can be swapped for externally
 produced data. All outputs are written atomically (temp file + rename).
 
 Exit codes: 0 success, 1 usage error, 2 data validation or I/O error,
-3 endpoint transport error.
+3 endpoint error (transport, protocol, or an unset auth variable).
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from .dataset_io import (
     save_distributions,
     save_predictions,
 )
-from .errors import DataError, LlmError
+from .errors import DataError, LlmError, ScriptExhausted
 from .llm_client import LlmClient, LlmConfig, MockLlmClient, load_script
-from .metrics import corpus_eval, format_report, normalized_eds, observed_rows, save_report
+from .metrics import corpus_eval, format_report, observed_rows, save_report, track_eds
 from .recognition import (
     BRANCH_NOUN, BRANCH_VERB, DEFAULT_TOP_K, load_recognition, naive_clip, recognize_clip, save_recognition,
 )
@@ -146,7 +146,10 @@ def _cmd_anticipate(args) -> None:
     recognition = load_recognition(args.recognition, taxonomy)
     clip_ids, starts = recognition.clip_ids, recognition.starts
     predictor = _build_predictor(args, taxonomy)
-    predictions = predictor.predict_corpus(clip_ids, starts, recognition.chosen, args.horizon, args.candidates)
+    try:
+        predictions = predictor.predict_corpus(clip_ids, starts, recognition.chosen, args.horizon, args.candidates)
+    except ScriptExhausted as exc:  # the run needs more replies than the script holds
+        raise DataError(f"{args.llm_script}: {exc}") from None
     save_predictions(args.out, predictions, taxonomy)
     if args.llm_request_log and args.predictor == "llm":
         atomic_write_text(args.llm_request_log, "".join(json.dumps(r) + "\n" for r in predictor.client.requests))
@@ -210,8 +213,7 @@ def _cmd_report(args) -> None:
         prediction = predictions.candidates[predictions.starts[at] : predictions.starts[at + 1]]
         lines.append("predicted candidates:")
         if future is not None:
-            codes = lambda pairs: pairs[..., 0] * taxonomy.num_nouns + pairs[..., 1]  # action codes
-            eds = normalized_eds(codes(prediction), codes(future)).tolist()
+            eds = track_eds(prediction, future[None])[2].tolist()
         for idx, candidate in enumerate(prediction):
             ed = "" if future is None else f"action ED {eds[idx]:.4f}: "
             lines.append(f"  [{idx}] {ed}{', '.join(format_actions(candidate, taxonomy))}")
@@ -247,18 +249,18 @@ def _build_parser() -> tuple[_Parser, _Parser, dict[str, argparse.Action], list[
 
     p = new_command("synth", "generate a seeded synthetic corpus")
     arg(p, "--out-dir", required=True, help="directory for taxonomy/annotations/distributions")
-    arg(p, "--verbs", type=int, default=8, help="vocabulary size |V|")
-    arg(p, "--nouns", type=int, default=96, help="vocabulary size |N|")
-    arg(p, "--templates", type=int, default=3, help="number of routine templates")
-    arg(p, "--routine-length", type=int, default=30, help="actions per routine cycle")
-    arg(p, "--clips", type=int, default=200, help="number of clips to window out")
-    arg(p, "--n-obs", type=int, default=8, help="observed segments per clip")
-    arg(p, "--horizon", type=int, default=DEFAULT_HORIZON, help="future actions per clip (Z)")
-    arg(p, "--tau", type=float, default=0.05, help="softening temperature for true labels")
-    arg(p, "--eps-verb", type=float, default=0.0, help="mean distractor mass on verbs")
-    arg(p, "--eps-noun", type=float, default=0.0, help="mean distractor mass on nouns")
-    arg(p, "--jitter", type=float, default=0.0, help="per-position chance of going off-routine")
-    arg(p, "--seed", type=int, default=0, help="generator seed")
+    arg(p, "--verbs", type=int, default=SynthConfig.num_verbs, help="vocabulary size |V|")
+    arg(p, "--nouns", type=int, default=SynthConfig.num_nouns, help="vocabulary size |N|")
+    arg(p, "--templates", type=int, default=SynthConfig.num_templates, help="number of routine templates")
+    arg(p, "--routine-length", type=int, default=SynthConfig.routine_length, help="actions per routine cycle")
+    arg(p, "--clips", type=int, default=SynthConfig.num_clips, help="number of clips to window out")
+    arg(p, "--n-obs", type=int, default=SynthConfig.observed_segments, help="observed segments per clip")
+    arg(p, "--horizon", type=int, default=SynthConfig.horizon, help="future actions per clip (Z)")
+    arg(p, "--tau", type=float, default=SynthConfig.noise_temperature, help="softening temperature for true labels")
+    arg(p, "--eps-verb", type=float, default=SynthConfig.verb_distractor_mass, help="mean distractor mass on verbs")
+    arg(p, "--eps-noun", type=float, default=SynthConfig.noun_distractor_mass, help="mean distractor mass on nouns")
+    arg(p, "--jitter", type=float, default=SynthConfig.routine_jitter, help="per-position chance of going off-routine")
+    arg(p, "--seed", type=int, default=SynthConfig.seed, help="generator seed")
     p.set_defaults(handler=_cmd_synth)
 
     p = new_command("build-cooccur", "tally the verb-noun co-occurrence matrix")

@@ -40,9 +40,12 @@ class CooccurrenceMatrix:
             raise DataError(f"smoothing alpha must be >= 0, got {alpha!r}")
         self.counts = counts
         self.alpha = float(alpha)
-        smoothed = counts + self.alpha
-        row_sums = smoothed.sum(axis=1, keepdims=True)
-        col_sums = smoothed.sum(axis=0, keepdims=True)
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            smoothed = counts + self.alpha
+            row_sums = smoothed.sum(axis=1, keepdims=True)
+            col_sums = smoothed.sum(axis=0, keepdims=True)
+        if not (np.isfinite(row_sums).all() and np.isfinite(col_sums).all()):
+            raise DataError(f"smoothing alpha must keep the sums of counts + alpha finite, got {alpha!r}")
         self.row_stochastic = np.divide(
             smoothed, row_sums, out=np.zeros_like(smoothed), where=row_sums > 0
         )

@@ -77,17 +77,19 @@ def damerau_levenshtein(a, b) -> np.ndarray:
     return _osa(_match_masks(a, b), np.shape(b)[-1])
 
 
-def normalized_eds(pred, truth) -> np.ndarray:
-    """`damerau_levenshtein(pred, truth)` over truth's length Z, clamped into [0, 1]; `pred` and
-    `truth` are (..., Z) token arrays whose leading axes broadcast."""
-    return _normalized(_match_masks(pred, truth), np.shape(truth)[-1])
-
-
-def _normalized(masks: np.ndarray, horizon: int) -> np.ndarray:
+def track_eds(pred, truth) -> np.ndarray:
+    """The (3, ...) verb, noun and action EDs of `pred` against `truth`, (..., Z, 2) (verb id,
+    noun id) arrays of as many axes, whose leading axes broadcast: `damerau_levenshtein` over Z,
+    clamped into [0, 1]. The verb and noun masks come from one build; an action matches where
+    both of its ids do."""
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    horizon = truth.shape[-2]
     if horizon == 0:
         raise DataError("cannot normalize over empty sequences")
-    if len(masks) != horizon:
-        raise DataError(f"sequence length mismatch: {len(masks)} vs {horizon}")
+    if pred.shape[-2] != horizon:
+        raise DataError(f"sequence length mismatch: {pred.shape[-2]} vs {horizon}")
+    masks = _match_masks(np.moveaxis(pred, -1, 0), np.moveaxis(truth, -1, 0))
+    masks = np.concatenate([masks, masks[:, :1] & masks[:, 1:]], axis=1)  # Z x (verb, noun, action) x ...
     return np.minimum(1.0, _osa(masks, horizon) / horizon)
 
 
@@ -172,9 +174,7 @@ def corpus_eval(
     # neither its minimum nor the lowest index that reaches it.
     ks = np.arange(sizes.max())
     pred = predictions.candidates[bounds[at][:, None] + np.where(ks < sizes[:, None], ks, 0)]
-    # The verb and noun masks in one build; an action matches exactly when both of its ids do.
-    masks = _match_masks(np.moveaxis(pred, -1, 0), np.moveaxis(annotations.future[:, None], -1, 0))
-    eds = _normalized(np.concatenate([masks, masks[:, :1] & masks[:, 1:]], axis=1), horizon)
+    eds = track_eds(pred, annotations.future[:, None])
     best = eds.argmin(axis=-1).T  # the first minimum: ties go to the lowest candidate index
     eds = eds.min(axis=-1).T
     verb_ed, noun_ed, action_ed = (math.fsum(track) / len(clip_ids) for track in eds.T.tolist())

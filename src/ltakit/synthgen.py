@@ -18,6 +18,7 @@ their argmax and some do not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -54,8 +55,8 @@ class SynthConfig:
                 f"observed_segments + horizon = {self.observed_segments + self.horizon} "
                 f"exceeds routine_length = {self.routine_length}"
             )
-        if not self.noise_temperature > 0:
-            raise DataError("noise_temperature must be > 0")
+        if not (self.noise_temperature > 0 and math.isfinite(1 / self.noise_temperature)):
+            raise DataError("noise_temperature must be > 0 with 1 / noise_temperature finite")
         for name in ("verb_distractor_mass", "noun_distractor_mass"):
             value = getattr(self, name)
             if not 0 <= value < 1:

@@ -116,23 +116,6 @@ def parse_action(text: str, taxonomy: Taxonomy) -> tuple[int, int]:
     return taxonomy._verb_index[verb], taxonomy._noun_index[noun]
 
 
-def parse_actions(tokens: list, taxonomy: Taxonomy, where: str | list[str] = "") -> np.ndarray:
-    """Parse "verb noun" texts into an L x 2 array of (verb id, noun id) rows.
-
-    A bad token raises `parse_action`'s error for the first one, prefixed
-    with `where: ` when `where` is given, or with `where[i]: ` for token i
-    when it is a list.
-    """
-    pairs = []
-    for i, token in enumerate(tokens):
-        try:
-            pairs.append(parse_action(token, taxonomy))
-        except DataError as exc:
-            prefix = where if isinstance(where, str) else where[i]
-            raise DataError(f"{prefix}: {exc}" if prefix else str(exc)) from None
-    return np.array(pairs, np.intp).reshape(-1, 2)
-
-
 def format_actions(pairs: np.ndarray, taxonomy: Taxonomy, as_json: bool = False) -> list[str]:
     """Render an L x 2 array of (verb id, noun id) rows as "verb noun" texts, or with `as_json` as the
     JSON strings `json.dumps` writes for them; ids must be in range. Each distinct action is rendered once."""

@@ -650,6 +650,30 @@ class TestExitCodes:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_overflowing_synth_tau_is_data_error(self, tmp_path, capsys):
+        # 1 / tau overflows, which would soften every probability row into NaN.
+        out_dir = tmp_path / "corpus"
+        assert run(["synth", "--out-dir", str(out_dir), "--clips", "5", "--tau", "1e-320"]) == 2
+        assert capsys.readouterr().err == (
+            "ltakit: error: noise_temperature must be > 0 with 1 / noise_temperature finite\n")
+        assert not out_dir.exists()
+
+    def test_overflowing_alpha_is_data_error(self, pipeline, tmp_path, capsys):
+        # Finite, but every count + alpha summed over a row overflows, which zeroes the stochastic forms.
+        out = tmp_path / "m.txt"
+        code = run([
+            "build-cooccur",
+            "--annotations", str(pipeline["annotations"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--horizon", "5",
+            "--alpha", "1e308",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "ltakit: error: smoothing alpha must keep the sums of counts + alpha finite, got 1e+308\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["greedy", "sample"])
     def test_negative_anticipate_seed_is_data_error(self, pipeline, tmp_path, capsys, mode):
         out = tmp_path / "p.jsonl"
@@ -785,6 +809,24 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "endpoint down" in capsys.readouterr().err
+
+    def test_exhausted_llm_script_is_data_error(self, pipeline, tmp_path, capsys):
+        # One segment, two candidates: the second request finds the one-entry script used up.
+        recognition, script, out = tmp_path / "one_segment.jsonl", tmp_path / "s.json", tmp_path / "p.jsonl"
+        recognition.write_text(pipeline["recognition"].read_text().splitlines()[0] + "\n")
+        script.write_text(json.dumps(["verb_000 noun_000"]))
+        code = run([
+            "anticipate",
+            "--recognition", str(recognition),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--predictor", "llm",
+            "--llm-script", str(script),
+            "--candidates", "2",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"ltakit: error: {script}: mock script exhausted after 1 entries\n"
+        assert not out.exists()
 
     def test_missing_prediction_clip_is_data_error(self, pipeline, tmp_path, capsys):
         partial = tmp_path / "partial.jsonl"
@@ -1110,6 +1152,53 @@ def _pyproject() -> dict:
 
 def _version_line() -> str:
     return f"ltakit {_pyproject()['project']['version']}\n"
+
+
+class TestClipOrder:
+    """README: a clip's result does not depend on the order of the clips in the files."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        """A jittered corpus recognized once, and copies of its recognition and annotations with the
+        line order reversed; the n-gram is fitted on the first half of the clips in both orders."""
+        root = tmp_path_factory.mktemp("order")
+        assert run(["synth", "--out-dir", str(root), *SYNTH_FLAGS, "--clips", "16", "--jitter", "0.3"]) == 0
+        common = ["--taxonomy", str(root / "taxonomy.txt")]
+        assert run(["build-cooccur", "--annotations", str(root / "annotations.jsonl"), "--horizon", "5",
+                    "--out", str(root / "matrix.txt"), *common]) == 0
+        assert run(["recognize", "--distributions", str(root / "distributions.jsonl"), "--top-k", "4",
+                    "--matrix", str(root / "matrix.txt"), "--out", str(root / "recognition.jsonl"), *common]) == 0
+        lines = (root / "annotations.jsonl").read_text().splitlines(keepends=True)
+        (root / "train.jsonl").write_text("".join(lines[:8]))
+        for name in ("annotations", "recognition"):
+            text = (root / f"{name}.jsonl").read_text().splitlines(keepends=True)
+            (root / f"{name}_reversed.jsonl").write_text("".join(reversed(text)))
+        return root, common
+
+    @pytest.mark.parametrize("flags", [
+        ["--predictor", "ngram", "--mode", "greedy", "--candidates", "5"],
+        ["--predictor", "ngram", "--mode", "sample", "--candidates", "3"],
+        ["--predictor", "repeat-last"],
+    ], ids=["ngram-greedy", "ngram-sample", "repeat-last"])
+    def test_reversed_clip_order_gives_the_same_clip_results(self, corpus, flags, capsys):
+        root, common = corpus
+        outputs = {}
+        for suffix in ("", "_reversed"):
+            predictions, report = root / f"predictions{suffix}.jsonl", root / f"report{suffix}.json"
+            recognition = str(root / f"recognition{suffix}.jsonl")
+            assert run(["anticipate", "--recognition", recognition, "--train-annotations", str(root / "train.jsonl"),
+                        "--horizon", "5", "--seed", "3", "--out", str(predictions), *flags, *common]) == 0
+            capsys.readouterr()
+            assert run(["evaluate", "--predictions", str(predictions), "--recognition", recognition, "--horizon", "5",
+                        "--annotations", str(root / f"annotations{suffix}.jsonl"), "--out", str(report), *common]) == 0
+            clips = [json.loads(line) for line in predictions.read_text().splitlines()]
+            scores = json.loads(report.read_text())
+            outputs[suffix] = ([clip["clip_id"] for clip in clips], {clip["clip_id"]: clip for clip in clips},
+                               {row["clip_id"]: row for row in scores.pop("clips")}, scores, capsys.readouterr().out)
+        (order, *forward), (reversed_order, *backward) = outputs[""], outputs["_reversed"]
+        assert reversed_order == order[::-1] and len(order) == 16
+        assert forward == backward  # per-clip predictions and report rows, corpus EDs and AR, stdout
+        assert forward[2]["action_ed"] > 0
 
 
 class TestInstalledEntryPoints:

@@ -146,8 +146,10 @@ def test_scaling_counts_leaves_normalizations_put():
         ([[1.0, -1.0]], 0.0, "counts must be finite and nonnegative"),
         ([[1.0, float("nan")]], 0.0, "counts must be finite and nonnegative"),
         ([[1.0, 2.0]], -0.5, "smoothing alpha must be >= 0, got -0.5"),
+        ([[1.0, 2.0]], 1e308, "smoothing alpha must keep the sums of counts + alpha finite, got 1e+308"),
+        ([[1e308], [1e308]], 0.0, "smoothing alpha must keep the sums of counts + alpha finite, got 0.0"),
     ],
-    ids=["1-d", "3-d", "negative", "nan", "negative-alpha"],
+    ids=["1-d", "3-d", "negative", "nan", "negative-alpha", "overflowing-alpha", "overflowing-counts"],
 )
 def test_matrix_rejects_bad_counts_and_alpha(counts, alpha, message):
     with pytest.raises(DataError) as info:

@@ -13,9 +13,9 @@ from ltakit.metrics import (
     corpus_eval,
     damerau_levenshtein,
     format_report,
-    normalized_eds,
     observed_rows,
     save_report,
+    track_eds,
 )
 from ltakit.recognition import Recognition
 
@@ -163,25 +163,52 @@ class TestDamerauLevenshtein:
         )
 
 
+def id_pairs(verbs, nouns):
+    """A (..., Z, 2) (verb id, noun id) array from verb and noun ids of one shape."""
+    return np.stack([np.asarray(verbs), np.asarray(nouns)], axis=-1)
+
+
 class TestNormalizedEd:
-    """`normalized_eds`, the one normalizer `corpus_eval` and `report` score through."""
+    """`track_eds`, the one scorer `corpus_eval` and `report` go through."""
 
     def test_identical_is_zero(self):
-        assert normalized_eds([1, 2, 3], [1, 2, 3]) == 0.0
+        same = id_pairs([1, 2, 3], [4, 5, 6])
+        assert track_eds(same, same).tolist() == [0.0, 0.0, 0.0]
 
     def test_simple_fraction(self):
-        assert normalized_eds([1, 2, 9, 4], [1, 2, 3, 4]) == 0.25
+        # The verb is wrong at position 2 and the noun at 0, so the action is wrong at both.
+        pred, truth = id_pairs([1, 2, 9, 4], [0, 6, 7, 8]), id_pairs([1, 2, 3, 4], [5, 6, 7, 8])
+        assert track_eds(pred, truth).tolist() == [0.25, 0.25, 0.5]
 
     def test_clamped_to_one(self):
-        assert normalized_eds([9, 8], [1, 2]) == 1.0
+        assert track_eds(id_pairs([9, 8], [9, 8]), id_pairs([1, 2], [1, 2])).tolist() == [1.0, 1.0, 1.0]
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(DataError, match="length mismatch"):
-            normalized_eds([1], [1, 2])
+        with pytest.raises(DataError, match="length mismatch: 1 vs 2"):
+            track_eds(id_pairs([1], [1]), id_pairs([1, 2], [1, 2]))
 
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            normalized_eds([], [])
+            track_eds(id_pairs([], []), id_pairs([], []))
+
+    def test_leading_axes_broadcast(self):
+        rng = np.random.default_rng(5)
+        pred, truth = rng.integers(0, 3, size=(4, 6, 2)), rng.integers(0, 3, size=(1, 6, 2))
+        eds = track_eds(pred, truth)
+        assert eds.shape == (3, 4)
+        for k in range(4):
+            assert eds[:, k].tolist() == track_eds(pred[k], truth[0]).tolist()
+
+    @given(st.integers(1, 8).flatmap(
+        lambda z: st.lists(st.lists(st.integers(0, 2), min_size=z, max_size=z), min_size=4, max_size=4)))
+    def test_tracks_match_oracle_and_action_codes(self, ids):
+        pred, truth, length = id_pairs(*ids[:2]), id_pairs(*ids[2:]), len(ids[0])
+        verb_ed, noun_ed, action_ed = track_eds(pred, truth).tolist()
+        for ed, project in ((verb_ed, lambda a: a[0]), (noun_ed, lambda a: a[1]), (action_ed, tuple)):
+            assert ed == min_track_ed([pred.tolist()], truth.tolist(), project)[0]
+        # Both ids match exactly where the action codes verb * |N| + noun do.
+        action_codes = lambda pairs: pairs[:, 0] * 3 + pairs[:, 1]
+        assert action_ed == min(1.0, damerau_levenshtein(action_codes(pred), action_codes(truth)) / length)
 
 
 def pred_set(clip_id, candidates):

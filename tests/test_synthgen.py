@@ -58,6 +58,7 @@ class TestConfigValidation:
             ({"verb_distractor_mass": -0.1}, "verb_distractor_mass"),
             ({"routine_jitter": 1.5}, "routine_jitter"),
             ({"num_templates": 3, "routine_length": 10, "num_nouns": 24}, "replacement"),
+            ({"noise_temperature": 1e-320}, "1 / noise_temperature finite"),  # softening would overflow
         ],
     )
     def test_invalid_configs_rejected(self, overrides, fragment):

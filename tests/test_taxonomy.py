@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +10,6 @@ from ltakit.taxonomy import (
     format_actions,
     load_taxonomy,
     parse_action,
-    parse_actions,
     save_taxonomy,
 )
 
@@ -95,9 +93,6 @@ def test_save_load_round_trip(tmp_path, kitchen):
 def test_parse_action_basic(kitchen):
     assert parse_action("take spoon", kitchen) == (0, 0)
     assert parse_action("wash bowl", kitchen) == (3, 4)
-    parsed = parse_actions(["take spoon", "wash bowl"], kitchen)
-    assert parsed.dtype == np.intp and parsed.tolist() == [[0, 0], [3, 4]]
-    assert parse_actions([], kitchen).shape == (0, 2)
 
 
 def test_parse_action_unknown_token_named(kitchen):
@@ -109,24 +104,18 @@ def test_parse_action_unknown_token_named(kitchen):
 
 @pytest.mark.parametrize("text", ["takespoon", "take  spoon", " take spoon", "take spoon pot", "", "take "])
 def test_parse_action_malformed(kitchen, text):
-    with pytest.raises(DataError) as single:
+    with pytest.raises(DataError) as info:
         parse_action(text, kitchen)
-    # The vector parse raises the same error for the first bad token, with the location given.
-    with pytest.raises(DataError) as vector:
-        parse_actions(["take spoon", text, 7], kitchen, "f.jsonl:3")
-    assert str(vector.value) == f"f.jsonl:3: {single.value}"
+    assert str(info.value) == f"malformed action {text!r}: expected 'verb noun' with a single space"
 
 
-def test_parse_actions_repeats_and_per_token_locations(kitchen):
-    # Repeated texts are resolved once and map back in place; a list of locations names each token.
-    parsed = parse_actions(["wash bowl", "take spoon", "wash bowl"], kitchen)
-    assert parsed.dtype == np.intp and parsed.tolist() == [[3, 4], [0, 0], [3, 4]]
+def test_parse_action_error_texts(kitchen):
     with pytest.raises(DataError) as info:
-        parse_actions(["take spoon", "take spoon", "fly pot", ["x"]], kitchen, ["f:1", "f:2", "f:3", "f:4"])
-    assert str(info.value) == "f:3: unknown verb 'fly'"
+        parse_action("fly pot", kitchen)
+    assert str(info.value) == "unknown verb 'fly'"
     with pytest.raises(DataError) as info:
-        parse_actions(["take spoon", ["x"], "fly pot"], kitchen, ["f:1", "f:2", "f:3"])
-    assert str(info.value) == "f:2: action entries must be strings, got ['x']"
+        parse_action(["x"], kitchen)
+    assert str(info.value) == "action entries must be strings, got ['x']"
 
 
 def test_format_action(kitchen):
@@ -158,4 +147,4 @@ def test_parse_format_round_trip(verbs, nouns, data):
     tax = Taxonomy(verbs, nouns)
     pairs = data.draw(st.lists(st.tuples(st.integers(0, tax.num_verbs - 1), st.integers(0, tax.num_nouns - 1))))
     ids = actions(*pairs)
-    assert np.array_equal(parse_actions(format_actions(ids, tax), tax), ids)
+    assert [parse_action(text, tax) for text in format_actions(ids, tax)] == pairs
